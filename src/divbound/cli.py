@@ -38,12 +38,19 @@ from .textio import fmt_g12, read_dist_file, read_lengths_file
 _ENV_SEED = "DIVBOUND_SEED"
 
 
+def _write(stream, text: str):
+    # Not click.echo: its per-stream cache keeps every in-process
+    # (CliRunner) invocation's output streams alive.
+    stream.write(text)
+    stream.flush()
+
+
 def _emit(text: str, output: Optional[str]):
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        _write(sys.stdout, text)
 
 
 def _linear_grid(spec: str) -> list[float]:
@@ -81,7 +88,7 @@ def _mapped_errors(f):
         except DistributionError as exc:
             raise click.UsageError(str(exc)) from exc
         except (KraftViolationError, BoundViolationError, GeneratorError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            _write(sys.stderr, f"error: {exc}\n")
             sys.exit(1)
 
     return wrapper
@@ -175,16 +182,9 @@ _REPORT_COLUMNS = (
     type=click.Path(exists=True, dir_okay=False),
     help="Optional codeword lengths file; defaults to the Shannon lengths for --dist.",
 )
-@click.option(
-    "--tol-search",
-    type=float,
-    default=DEFAULT_TOLS.search,
-    show_default=True,
-    help="Residual tolerance for the curve inversions behind the bounds.",
-)
 @click.option("--output", type=click.Path(dir_okay=False))
 @_mapped_errors
-def sourcecode(dist_path, base_d, lengths_path, tol_search, output):
+def sourcecode(dist_path, base_d, lengths_path, output):
     """Redundancy, divergence identities, and L1 bounds for one source/code pair."""
     p = read_dist_file(dist_path)
     if lengths_path is None:
@@ -192,14 +192,15 @@ def sourcecode(dist_path, base_d, lengths_path, tol_search, output):
     else:
         table = read_lengths_file(lengths_path)
         missing = [x for x in p.labels if x not in table]
-        extra = [x for x in table if x not in p.labels]
+        known = set(p.labels)
+        extra = [x for x in table if x not in known]
         if missing or extra:
             raise DistributionError(
                 f"lengths file does not match the source alphabet "
                 f"(missing {missing!r}, extra {extra!r})"
             )
         code = CodeSpec(p.labels, tuple(table[x] for x in p.labels), base_d)
-    rep = l1_bounds(p, code, tol=tol_search)
+    rep = l1_bounds(p, code)
     row = [
         fmt_g12(v)
         for v in (
@@ -312,19 +313,19 @@ def verify(measure, grid, samples, seed, gap_threshold, tol_tv_match, output):
 
     ok = all(r.passed for r in all_reports)
     rng_name = all_reports[0].rng_name if all_reports else "-"
-    click.echo(
+    _write(
+        sys.stderr,
         f"verify {measure}: {len(all_reports)} check(s), {samples} samples/support, "
-        f"seed {seed}, rng {rng_name}: {'PASS' if ok else 'FAIL'}",
-        err=True,
+        f"seed {seed}, rng {rng_name}: {'PASS' if ok else 'FAIL'}\n",
     )
     if not ok:
         for r in all_reports:
             if not r.passed:
-                click.echo(f"  {r.measure} at eps={fmt_g12(r.eps)}: {r.failure}", err=True)
+                _write(sys.stderr, f"  {r.measure} at eps={fmt_g12(r.eps)}: {r.failure}\n")
                 if r.witness is not None:
                     wp, wq = r.witness
-                    click.echo(f"    witness P = {list(wp.mass)!r}", err=True)
-                    click.echo(f"    witness Q = {list(wq.mass)!r}", err=True)
+                    _write(sys.stderr, f"    witness P = {list(wp.mass)!r}\n")
+                    _write(sys.stderr, f"    witness Q = {list(wq.mass)!r}\n")
         sys.exit(1)
 
 

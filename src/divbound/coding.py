@@ -174,18 +174,18 @@ def dual_kl_identity_check(p: FiniteDist, code: CodeSpec) -> tuple[float, float]
     return lhs, rhs
 
 
-def csiszar_bound(x: float) -> float:
-    """min{sqrt(2 x), 2} as a function of x = Delta log d in nats."""
-    if x < 0.0:
+def csiszar_bound(x):
+    """min{sqrt(2 x), 2} as a function of x = Delta log d in nats; float or array."""
+    xa = np.asarray(x, dtype=float)
+    if not np.all(xa >= 0.0):
         raise ValueError(f"x={x!r} must be nonnegative")
-    return min(math.sqrt(2.0 * x), 2.0)
+    out = np.minimum(np.sqrt(2.0 * xa), 2.0)
+    return float(out) if out.ndim == 0 else out
 
 
-def tightened_bound(x: float, tol: float = 1e-9) -> float:
-    """2 L^{-1}(x): the exact-KL-curve refinement of the quadratic bound."""
-    if x < 0.0:
-        raise ValueError(f"x={x!r} must be nonnegative")
-    return 2.0 * inverse_exact_kl(x, tol=tol)
+def tightened_bound(x):
+    """2 L^{-1}(x): the exact-KL-curve refinement of the quadratic bound; float or array."""
+    return 2.0 * inverse_exact_kl(x)
 
 
 def jeffreys_bound(x: float, tol: float = 1e-12) -> float:
@@ -195,7 +195,7 @@ def jeffreys_bound(x: float, tol: float = 1e-12) -> float:
     return 2.0 * inverse_jeffreys(0.5 * x, tol=tol)
 
 
-def l1_bounds(p: FiniteDist, code: CodeSpec, tol: float = 1e-9) -> CodingReport:
+def l1_bounds(p: FiniteDist, code: CodeSpec) -> CodingReport:
     """Assemble the full report and verify the orderings that must hold.
 
     Raises BoundViolationError if the actual L1 distance exceeds an
@@ -218,7 +218,7 @@ def l1_bounds(p: FiniteDist, code: CodeSpec, tol: float = 1e-9) -> CodingReport:
     delta_nonneg = bool(np.all(dl >= -_DELTA_SLACK))
 
     b_csiszar = csiszar_bound(x)
-    b_tight = tightened_bound(x, tol=min(tol, 1e-9))
+    b_tight = tightened_bound(x)
     b_jeff = jeffreys_bound(x) if delta_nonneg else None
 
     slack = 1e-9
@@ -258,7 +258,7 @@ def redundancy_sweep(x_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (csiszar, tightened, jeffreys) arrays aligned with x_grid.
     """
     x_grid = np.asarray(x_grid, dtype=float)
-    cs = np.array([csiszar_bound(float(x)) for x in x_grid])
-    ti = np.array([tightened_bound(float(x)) for x in x_grid])
+    cs = csiszar_bound(x_grid)
+    ti = tightened_bound(x_grid)
     je = np.array([jeffreys_bound(float(x)) for x in x_grid])
     return cs, ti, je

@@ -17,7 +17,9 @@ class Tolerances:
     normalization: allowed |sum(mass) - 1| on input before rescaling.
     equality:      strict floating-point equality checks (e.g. stored sums).
     identity:      algebraic identities that hold exactly in real arithmetic.
-    search:        golden-section interval width / bisection residual.
+    search:        golden-section bracket width of the Chernoff tilt search.
+                   The exact KL curve takes no tolerance: its closed FHT
+                   parametrization is solved to floating-point resolution.
     tv_match:      total variation constraint matching in the sampler.
     """
 

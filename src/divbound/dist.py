@@ -103,7 +103,8 @@ def align(p: FiniteDist, q: FiniteDist) -> tuple[tuple[str, ...], np.ndarray, np
     """
     if p.labels == q.labels:
         return p.labels, p.mass, q.mass
-    extra = [x for x in q.labels if x not in set(p.labels)]
+    known = set(p.labels)
+    extra = [x for x in q.labels if x not in known]
     labels = p.labels + tuple(extra)
     pm = np.zeros(len(labels))
     qm = np.zeros(len(labels))

@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .config import DEFAULT_TOLS
 from .dist import FiniteDist, align
 from .generators import FGenerator
 from .search import golden_section_min
@@ -87,7 +88,7 @@ def batch_bhattacharyya(p, q) -> np.ndarray:
     return np.sqrt(p * q).sum(axis=-1)
 
 
-def batch_chernoff(p, q, tol: float = 1e-10) -> np.ndarray:
+def batch_chernoff(p, q, tol: float = DEFAULT_TOLS.search) -> np.ndarray:
     """Chernoff information per row: -min over lam in [0,1] of g(lam),
     g(lam) = log sum_x P(x)^lam Q(x)^(1-lam).
 
@@ -130,7 +131,7 @@ def bhattacharyya(p: FiniteDist, q: FiniteDist) -> float:
     return float(np.sqrt(pm * qm).sum())
 
 
-def chernoff_information(p: FiniteDist, q: FiniteDist, tol: float = 1e-10) -> float:
+def chernoff_information(p: FiniteDist, q: FiniteDist, tol: float = DEFAULT_TOLS.search) -> float:
     """Chernoff information; +inf exactly when the supports are disjoint."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import divbound.bounds as bounds_mod
 from divbound.bounds import (
     BoundCurve,
     bhattacharyya_bounds,
@@ -168,11 +169,69 @@ class TestExactKl:
         full_min = float(np.nanmin(vals))
         assert exact_kl_min(eps) == pytest.approx(full_min, abs=1e-8)
 
+    @pytest.mark.parametrize("eps", [0.96, 0.97, 0.98, 0.99, 0.999])
+    def test_binary_family_minimum_near_one(self, eps):
+        # dense scan of the offset over [eps-1, 1-eps), refined twice around
+        # the best point; all four masses are formed directly so none loses
+        # digits to 1 - p near eps = 1, and the minimum sits close to the
+        # left end, where 1 - p vanishes
+        lo, hi = eps - 1.0, 1.0 - eps
+        for _ in range(3):
+            betas = np.linspace(lo, hi, 20001)
+            betas = betas[betas < 1.0 - eps]
+            p, q = 0.5 * (1.0 + eps - betas), 0.5 * (1.0 - eps - betas)
+            pc, qc = 0.5 * (1.0 - eps + betas), 0.5 * (1.0 + eps + betas)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tail = np.where(pc > 0.0, pc * np.log(pc / qc), 0.0)
+            vals = p * np.log(p / q) + tail
+            i = int(np.argmin(vals))
+            step = betas[1] - betas[0]
+            lo, hi = max(betas[i] - step, eps - 1.0), betas[i] + step
+        assert exact_kl_min(eps) == pytest.approx(float(vals[i]), abs=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-6, 1e-5, 1e-4, 5e-4, 1e-3])
+    def test_pinsker_refinement_at_small_eps(self, eps):
+        # L(eps) = 2 eps^2 + 4 eps^4/9 + 32 eps^6/135 + O(eps^8) (FHT 2003)
+        series = 2 * eps**2 + 4 * eps**4 / 9 + 32 * eps**6 / 135
+        assert exact_kl_min(eps) == pytest.approx(series, rel=1e-14)
+
+    def test_scalar_and_array_calls_agree_bit_for_bit(self):
+        eps = np.concatenate(
+            [[0.0, 1e-300], np.geomspace(1e-9, 0.5, 40), np.linspace(0.5, 1.0 - 1e-9, 40)]
+        )
+        values = exact_kl_min(eps)
+        assert isinstance(values, np.ndarray) and values.shape == eps.shape
+        for e, v in zip(eps, values):
+            got = exact_kl_min(float(e))
+            assert type(got) is float and got == v
+        xs = np.concatenate([[0.0], values, [50.0, math.inf]])
+        back = inverse_exact_kl(xs)
+        for x, e in zip(xs, back):
+            got = inverse_exact_kl(float(x))
+            assert type(got) is float and got == e
+
+    def test_parametrization_meets_the_solver_preconditions(self):
+        # the Newton climb needs V and sqrt(2 L) increasing and concave in t,
+        # with its starting points V(t) <= t, sqrt(2 L(t)) <= t, and
+        # V(t) <= 2 - 1/t for t >= 1 at or below the root
+        t = np.geomspace(1e-3, 1e9, 800)
+        v, g = bounds_mod._fht(t)[0], bounds_mod._fht_g_slope(t)[0]
+        for f in (v, g):
+            slopes = np.diff(f) / np.diff(t)
+            assert np.all(slopes > 0.0)
+            assert np.all(slopes[1:] <= slopes[:-1] * (1.0 + 1e-9))
+        assert np.all(v <= t) and np.all(g <= t)
+        assert np.all(v[t >= 1.0] <= 2.0 - 1.0 / t[t >= 1.0])
+
     def test_domain(self):
         with pytest.raises(ValueError):
             exact_kl_min(1.0)
         with pytest.raises(ValueError):
             exact_kl_min(-0.1)
+        with pytest.raises(ValueError):
+            exact_kl_min(np.array([0.2, 1.0]))
+        with pytest.raises(ValueError):
+            exact_kl_min(math.nan)
 
 
 class TestInverses:
@@ -180,10 +239,13 @@ class TestInverses:
         assert inverse_exact_kl(0.0) == 0.0
 
     def test_inverse_exact_kl_roundtrip(self):
-        assert inverse_exact_kl(exact_kl_min(0.4)) == pytest.approx(0.4, abs=1e-6)
+        eps = np.concatenate([np.geomspace(1e-9, 0.5, 60), np.linspace(0.5, 1.0 - 1e-6, 60)])
+        back = inverse_exact_kl(exact_kl_min(eps))
+        assert np.max(np.abs(back - eps)) <= 1e-12
 
     def test_inverse_exact_kl_saturates(self):
-        assert inverse_exact_kl(50.0) > 0.999
+        assert inverse_exact_kl(50.0) == 1.0 - 1e-9
+        assert inverse_exact_kl(math.inf) == 1.0 - 1e-9
 
     def test_inverse_jeffreys_zero(self):
         assert inverse_jeffreys(0.0) == 0.0
@@ -199,6 +261,8 @@ class TestInverses:
     def test_negative_input_rejected(self):
         with pytest.raises(ValueError):
             inverse_exact_kl(-1.0)
+        with pytest.raises(ValueError):
+            inverse_exact_kl(np.array([0.5, -1e-300]))
         with pytest.raises(ValueError):
             inverse_jeffreys(-1.0)
 

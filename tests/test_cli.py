@@ -1,3 +1,5 @@
+import gc
+import io
 import os
 
 import pytest
@@ -144,6 +146,7 @@ class TestSourcecode:
             ["sourcecode", "--dist", source_file, "--base", "2", "--lengths", str(lf)],
         )
         assert r.exit_code == 1
+        assert r.stderr.startswith("error: Kraft sum")
 
     def test_mismatched_lengths_alphabet(self, runner, source_file, tmp_path):
         lf = tmp_path / "len.txt"
@@ -230,3 +233,23 @@ def test_help_lists_subcommands(runner):
     assert r.exit_code == 0
     for name in ("divergence", "bounds", "sandwich", "sourcecode", "sourcecode-sweep", "verify"):
         assert name in r.stdout
+
+
+def test_in_process_invocations_release_their_streams(runner):
+    # CliRunner swaps in fresh stream wrappers per invocation; none of them
+    # may outlive it, or a long-lived process grows with every command
+    def live_streams():
+        gc.collect()
+        return sum(
+            1
+            for o in gc.get_objects()
+            if isinstance(o, io.IOBase) and type(o).__module__ == "click.testing"
+        )
+
+    args = ["bounds", "--measure", "tv", "--grid", "0.1:0.1:0.5"]
+    r = runner.invoke(main, args)
+    before = live_streams()
+    for _ in range(50):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 0
+    assert live_streams() == before

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -85,6 +86,27 @@ class TestTotalVariation:
         assert lab == ("a", "b", "c")
         np.testing.assert_allclose(pm, [0.5, 0.5, 0.0])
         np.testing.assert_allclose(qm, [0.0, 0.5, 0.5])
+
+    def test_union_alignment_permuted_large(self):
+        # q lists 49k of p's 50k labels permuted, with 2k labels of its own
+        # interleaved; the union is p's order, then q's own labels in q's order
+        rng = np.random.default_rng(11)
+        n = 50_000
+        p_labels = [f"s{i}" for i in range(n)]
+        q_labels = [p_labels[i] for i in rng.permutation(n)[: n - 1000]]
+        q_labels += [f"x{i}" for i in range(2000)]
+        q_labels = [q_labels[i] for i in rng.permutation(len(q_labels))]
+        p = FiniteDist(tuple(p_labels), random_simplex(rng, 1, n)[0])
+        q = FiniteDist(tuple(q_labels), random_simplex(rng, 1, len(q_labels))[0])
+        t0 = time.perf_counter()
+        lab, pm, qm = align(p, q)
+        elapsed = time.perf_counter() - t0
+        assert lab == tuple(p_labels) + tuple(x for x in q_labels if x[0] == "x")
+        assert np.array_equal(pm[:n], p.mass) and not pm[n:].any()
+        q_mass = dict(zip(q_labels, q.mass))
+        assert np.array_equal(qm, [q_mass.get(x, 0.0) for x in lab])
+        # linear time: the quadratic version takes minutes at this size
+        assert elapsed < 5.0
 
     def test_twice_tv_is_l1(self):
         rng = np.random.default_rng(7)

@@ -1,16 +1,24 @@
-"""Closed-form tight lower bounds at fixed total variation distance.
+"""Closed-form tight bounds at fixed total variation distance.
 
 For a symmetric f-divergence the infimum over all pairs at total variation
 distance eps has the closed form
 
     (1 - eps) f((1 + eps) / (1 - eps)) - a eps,
 
-with a the symmetry constant (a = 2 f'(1) for smooth f).  Specializations:
+with a the symmetry constant (a = 2 f'(1) for smooth f).  :data:`MEASURES`
+holds one record per bounded measure: its closed form on [0, 1), its value
+at eps = 1, the pair attaining it (:func:`extremal_pair`) and the evaluator
+the oracle checks it with.  The closed forms, and their values at eps = 1:
 
-    Bhattacharyya coefficient:  1 - eps <= Z <= sqrt(1 - eps^2)
-    Chernoff information:       -1/2 log(1 - eps^2),  +inf at eps = 1
-    capacitory discrimination:  2 d((1-eps)/2 || 1/2)         on [0, 1)
-    Jeffreys divergence:        eps log((1+eps)/(1-eps))      on [0, 1)
+    total variation:            eps                                 1
+    squared Hellinger:          2 eps^2 / (1 + sqrt(1 - eps^2))     2
+    Jeffreys divergence:        eps log((1+eps)/(1-eps))            +inf
+    capacitory discrimination:  log(1 - eps^2) + 2 eps atanh(eps)   2 log 2
+    Chernoff information:       -1/2 log(1 - eps^2)                 +inf
+    Bhattacharyya coefficient:  1 - eps <= Z <= sqrt(1 - eps^2)     0
+
+The Hellinger and capacitory forms are the stable ones: 2 - 2 sqrt(1 - eps^2)
+and 2 d((1-eps)/2 || 1/2) lose digits to cancellation as eps -> 0.
 
 The relative entropy is asymmetric.  Its exact infimum curve L(eps) has the
 closed parametrization of Fedotov, Harremoes & Topsoe, "Refinements of
@@ -23,21 +31,22 @@ V(t) and sqrt(2 L(t)) increase with t and are concave, so L(eps) and its
 inverse are each one Newton solve for t from below, vectorized over a grid:
 V(t) = 2 eps forward, L(t) = x backward.
 Together with the monotone inverse of the Jeffreys curve they serve the
-source-coding bounds.  Each bound is attained by an explicit 2- or 3-element
-pair, see :func:`extremal_pair`.
+source-coding bounds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-from .dist import FiniteDist, binary_divergence, make_dist
+from .dist import FiniteDist, make_dist
 from .errors import DivboundError
-from .generators import REGISTRY, FGenerator
+from .fdiv import batch_bhattacharyya, batch_chernoff, batch_f_divergence, batch_total_variation
+from .generators import FGenerator, get_generator
 from .search import bisect_increasing
 # perfbench/spans.py rebinds bounds.golden_section_min by name; keep it importable
 from .search import golden_section_min  # noqa: F401
@@ -45,6 +54,8 @@ from .search import golden_section_min  # noqa: F401
 __all__ = [
     "ExtremalPair",
     "BoundCurve",
+    "Measure",
+    "MEASURES",
     "symmetric_fdiv_min",
     "bhattacharyya_bounds",
     "chernoff_min",
@@ -54,7 +65,6 @@ __all__ = [
     "inverse_exact_kl",
     "inverse_jeffreys",
     "extremal_pair",
-    "CURVE_MEASURES",
     "bound_curve",
 ]
 
@@ -112,40 +122,85 @@ def symmetric_fdiv_min(gen: FGenerator, eps: float) -> float:
     return float((1.0 - eps) * gen.fn((1.0 + eps) / (1.0 - eps)) - a * eps)
 
 
-def bhattacharyya_bounds(eps: float) -> tuple[float, float]:
-    """Tight (lower, upper) bounds on the Bhattacharyya coefficient."""
+def _closed_form(form):
+    """Lift a bound written with numpy ufuncs to eps in [0, 1), float or array.
+
+    A float comes back as a float and an array as an array.  A float runs
+    the same ufunc loops as a grid point, so it gets the same bits alone or
+    in a grid; it skips the array set-up, because inverse_jeffreys bisects
+    on single floats.
+    """
+
+    @functools.wraps(form)
+    def closed_form(eps):
+        if isinstance(eps, float):
+            if not 0.0 <= eps < 1.0:
+                raise ValueError(f"eps={eps!r} outside [0, 1)")
+            return float(form(eps))
+        e = np.asarray(eps, dtype=float)
+        if not np.all((e >= 0.0) & (e < 1.0)):
+            raise ValueError(f"eps={eps!r} outside [0, 1)")
+        return float(form(e)) if e.ndim == 0 else form(e)
+
+    return closed_form
+
+
+_tv = _closed_form(np.copy)  # the bound on total variation is eps itself
+
+
+@_closed_form
+def _hellinger2(eps):
+    # 2 - 2 sqrt(1 - eps^2) without the cancellation: eps^2 + eps^4/4 + ...
+    return 2.0 * eps * eps / (1.0 + np.sqrt((1.0 - eps) * (1.0 + eps)))
+
+
+@_closed_form
+def _chernoff(eps):
+    return -0.5 * np.log1p(-eps * eps)
+
+
+@_closed_form
+def _bhattacharyya_lower(eps):
+    return 1.0 - eps
+
+
+@_closed_form
+def _bhattacharyya_upper(eps):
+    return np.sqrt((1.0 - eps) * (1.0 + eps))
+
+
+def _bound_at(measure: str, eps: float) -> float:
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps={eps!r} outside [0, 1]")
-    return 1.0 - eps, math.sqrt(max(0.0, (1.0 - eps) * (1.0 + eps)))
+    m = MEASURES[measure]
+    return m.at_one if eps == 1.0 else m.closed_form(eps)
+
+
+def bhattacharyya_bounds(eps: float) -> tuple[float, float]:
+    """Tight (lower, upper) bounds on the Bhattacharyya coefficient."""
+    return _bound_at("bhattacharyya_lower", eps), _bound_at("bhattacharyya_upper", eps)
 
 
 def chernoff_min(eps: float) -> float:
     """Minimum Chernoff information at total variation eps; +inf at eps = 1."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps={eps!r} outside [0, 1]")
-    if eps == 1.0:
-        return math.inf
-    return -0.5 * math.log1p(-eps * eps)
+    return _bound_at("chernoff", eps)
 
 
-def capacitory_min(eps: float) -> float:
+@_closed_form
+def capacitory_min(eps):
     """Minimum capacitory discrimination at total variation eps, eps in [0, 1).
 
-    The closed form is 2 d((1-eps)/2 || 1/2); its limit as eps -> 1 is
-    2 log 2, but eps = 1 itself is outside the domain.
+    2 d((1-eps)/2 || 1/2), written without its cancellation at small eps:
+    eps^2 + eps^4/6 + ...  Its limit as eps -> 1 is 2 log 2, but eps = 1
+    itself is outside the domain.  Float or array, as for jeffreys_min.
     """
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps={eps!r} outside [0, 1)")
-    return 2.0 * binary_divergence((1.0 - eps) / 2.0, 0.5)
+    return np.log1p(-eps * eps) + 2.0 * eps * np.arctanh(eps)
 
 
-def jeffreys_min(eps: float) -> float:
-    """Minimum Jeffreys divergence at total variation eps, eps in [0, 1)."""
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps={eps!r} outside [0, 1)")
-    if eps == 0.0:
-        return 0.0
-    return eps * (math.log1p(eps) - math.log1p(-eps))
+@_closed_form
+def jeffreys_min(eps):
+    """Minimum Jeffreys divergence at total variation eps in [0, 1), float or array."""
+    return eps * (np.log1p(eps) - np.log1p(-eps))
 
 
 # Below _T_SERIES, coth t - 1/t cancels, so V and L come from their Taylor
@@ -228,25 +283,22 @@ _T_SATURATE = 2.0 ** 31
 _L_SATURATE = math.log(2.0 * _T_SATURATE)
 
 
+@_closed_form
 def exact_kl_min(eps):
     """Exact infimum L(eps) of the relative entropy at total variation eps.
 
-    Solves V(t) = 2 eps for the FHT parameter t and returns L(t).  eps may
-    be a float (float out) or an array (array out); each point gets the same
-    value either way.  The result dominates the quadratic 2 eps^2.
+    Solves V(t) = 2 eps for the FHT parameter t and returns L(t), for a float
+    or an array of eps.  The result dominates the quadratic 2 eps^2.
     """
-    e = np.asarray(eps, dtype=float)
-    if not np.all((e >= 0.0) & (e < 1.0)):
-        raise ValueError(f"eps={eps!r} outside [0, 1)")
-    flat = np.atleast_1d(e)
-    out = np.zeros(flat.shape)
-    pos = flat > 0.0
-    v = 2.0 * flat[pos]
+    eps = np.asarray(eps)
+    out = np.zeros(eps.shape)
+    pos = eps > 0.0
+    v = 2.0 * eps[pos]
     # lower bounds on the root: V(t) <= t always, and V(t) <= 2 - 1/t for
     # t >= 1, which is where V(t) >= 1
     start = np.where(v < 1.0, v, 1.0 / (2.0 - v))
     out[pos] = _fht(_climb(lambda t: _fht(t)[:2], v, start))[2]
-    return float(out[0]) if e.ndim == 0 else out
+    return out
 
 
 def inverse_exact_kl(x):
@@ -260,14 +312,13 @@ def inverse_exact_kl(x):
     xa = np.asarray(x, dtype=float)
     if not np.all(xa >= 0.0):
         raise ValueError(f"x={x!r} must be nonnegative")
-    flat = np.atleast_1d(xa)
-    out = np.zeros(flat.shape)
-    pos = flat > 0.0
-    target = np.sqrt(2.0 * np.minimum(flat[pos], _L_SATURATE))
+    out = np.zeros(xa.shape)
+    pos = xa > 0.0
+    target = np.sqrt(2.0 * np.minimum(xa[pos], _L_SATURATE))
     # sqrt(2 L(t)) <= t, so the target itself lies at or below the root
     t = _climb(_fht_g_slope, target, target)
     out[pos] = np.minimum(0.5 * _fht(t)[0], _EPS_SATURATE)
-    return float(out[0]) if xa.ndim == 0 else out
+    return float(out) if xa.ndim == 0 else out
 
 
 def inverse_jeffreys(x: float, tol: float = 1e-12) -> float:
@@ -277,10 +328,7 @@ def inverse_jeffreys(x: float, tol: float = 1e-12) -> float:
     """
     if x < 0.0:
         raise ValueError(f"x={x!r} must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    hi = 1.0 - 1e-12
-    return bisect_increasing(jeffreys_min, 0.0, hi, x, tol=tol)
+    return bisect_increasing(jeffreys_min, 0.0, 1.0 - 1e-12, x, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -296,9 +344,9 @@ class BoundCurve:
         if any(b <= a for a, b in zip(eps, eps[1:])):
             raise DivboundError(f"curve {self.name!r}: grid not strictly increasing")
         for e, v in pts:
-            if not math.isfinite(v) and e != 1.0:
+            if math.isnan(v) or (math.isinf(v) and e != 1.0):
                 raise DivboundError(
-                    f"curve {self.name!r}: non-finite value {v!r} at eps={e!r} < 1"
+                    f"curve {self.name!r}: value {v!r} at eps={e!r}; only eps = 1 may be inf"
                 )
         object.__setattr__(self, "points", pts)
 
@@ -327,41 +375,66 @@ class BoundCurve:
         return cls(name, tuple(pts))
 
 
-def _pointwise(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda eps: np.array([fn(float(e)) for e in eps])
+def _f_divergence(name: str):
+    gen = get_generator(name)
+    # batch_f_divergence is looked up when called, so rebinding the name reaches it
+    return lambda p, q: batch_f_divergence(gen, p, q)
 
 
-def _curve_via_generator(gen_name: str) -> Callable[[np.ndarray], np.ndarray]:
-    gen = REGISTRY[gen_name]
-    return _pointwise(lambda eps: symmetric_fdiv_min(gen, eps))
+@dataclass(frozen=True)
+class Measure:
+    """One tight bound: closed form on [0, 1), value at 1, extremal pair, evaluator.
+
+    The relative entropy has no extremal_kind and no evaluate: its infimum
+    is attained off the symmetric two-point family, and the oracle skips it.
+    """
+
+    direction: str  # "min" or "max"
+    extremal_kind: Optional[str]
+    closed_form: Callable
+    at_one: float
+    evaluate: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 
-def _exact_kl_curve(eps: np.ndarray) -> np.ndarray:
-    out = np.full(eps.shape, math.inf)
-    below = eps < 1.0
-    out[below] = exact_kl_min(eps[below])
-    return out
-
-
-# eps grid -> closed-form values, extended reals allowed at eps = 1 only
-CURVE_MEASURES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "tv": _curve_via_generator("total_variation"),
-    "hellinger2": _curve_via_generator("squared_hellinger"),
-    "jeffreys": _curve_via_generator("jeffreys"),
-    "capacitory": _curve_via_generator("capacitory"),
-    "chernoff": _pointwise(chernoff_min),
-    "bhattacharyya_lower": _pointwise(lambda eps: bhattacharyya_bounds(eps)[0]),
-    "bhattacharyya_upper": _pointwise(lambda eps: bhattacharyya_bounds(eps)[1]),
-    "exact_kl": _exact_kl_curve,
+# keyed by the command-line name
+MEASURES: dict[str, Measure] = {
+    "tv": Measure("min", "two_point", _tv, 1.0, batch_total_variation),
+    "hellinger2": Measure("min", "two_point", _hellinger2, 2.0, _f_divergence("hellinger2")),
+    "jeffreys": Measure("min", "two_point", jeffreys_min, math.inf, _f_divergence("jeffreys")),
+    "capacitory": Measure(
+        "min", "two_point", capacitory_min, 2.0 * math.log(2.0), _f_divergence("capacitory")
+    ),
+    "chernoff": Measure(
+        "min", "two_point", _chernoff, math.inf, lambda p, q: batch_chernoff(p, q, tol=1e-6)
+    ),
+    "bhattacharyya_lower": Measure(
+        "min", "three_point", _bhattacharyya_lower, 0.0, batch_bhattacharyya
+    ),
+    "bhattacharyya_upper": Measure(
+        "max", "two_point", _bhattacharyya_upper, 0.0, batch_bhattacharyya
+    ),
+    # looked up when called, as the evaluators are, so rebinding the name reaches it
+    "exact_kl": Measure("min", None, lambda eps: exact_kl_min(eps), math.inf, None),
 }
 
 
-def bound_curve(measure: str, eps_grid) -> BoundCurve:
-    """Tabulate one closed-form bound family over an increasing eps grid."""
+def find_measure(table: dict[str, Measure], name: str) -> Measure:
+    """table[name], or a ValueError that lists the known names."""
     try:
-        fn = CURVE_MEASURES[measure]
+        return table[name]
     except KeyError:
-        known = ", ".join(sorted(CURVE_MEASURES))
-        raise ValueError(f"unknown measure {measure!r}; known: {known}") from None
+        known = ", ".join(sorted(table))
+        raise ValueError(f"unknown measure {name!r}; known: {known}") from None
+
+
+def bound_curve(measure: str, eps_grid) -> BoundCurve:
+    """Tabulate one tight bound over an increasing eps grid in [0, 1]."""
+    m = find_measure(MEASURES, measure)
     grid = np.asarray(eps_grid, dtype=float)
-    return BoundCurve(measure, tuple(zip(grid, fn(grid))))
+    outside = ~((grid >= 0.0) & (grid <= 1.0))
+    if outside.any():
+        raise ValueError(f"grid point eps={float(grid[outside][0])!r} outside [0, 1]")
+    values = np.full(grid.shape, m.at_one)
+    below = grid < 1.0
+    values[below] = m.closed_form(grid[below])
+    return BoundCurve(measure, tuple(zip(grid, values)))

@@ -10,7 +10,6 @@ including malformed input files.
 from __future__ import annotations
 
 import functools
-import os
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -18,7 +17,7 @@ from typing import Optional
 import click
 import numpy as np
 
-from .bounds import CURVE_MEASURES, bound_curve
+from .bounds import MEASURES, bound_curve
 from .coding import CodeSpec, l1_bounds, redundancy_sweep, shannon_code
 from .config import DEFAULT_TOLS
 from .dist import FiniteDist
@@ -34,8 +33,6 @@ from .generators import GENERATOR_ALIASES, get_generator
 from .jensen import sandwich as eval_sandwich
 from .oracle import ORACLE_MEASURES, grid_verify
 from .textio import fmt_g12, read_dist_file, read_lengths_file
-
-_ENV_SEED = "DIVBOUND_SEED"
 
 
 def _write(stream, text: str):
@@ -131,7 +128,7 @@ def divergence(name, p_path, q_path, output, tol_normalization):
 @click.option(
     "--measure",
     required=True,
-    type=click.Choice(sorted(CURVE_MEASURES)),
+    type=click.Choice(sorted(MEASURES)),
     help="Which closed-form bound family to tabulate.",
 )
 @click.option("--grid", required=True, help="Grid as start:step:stop, e.g. 0.05:0.05:0.95.")
@@ -139,7 +136,10 @@ def divergence(name, p_path, q_path, output, tol_normalization):
 @_mapped_errors
 def bounds(measure, grid, output):
     """Tabulate a closed-form bound over a grid of total variation values."""
-    curve = bound_curve(measure, _linear_grid(grid))
+    try:
+        curve = bound_curve(measure, _linear_grid(grid))
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     _emit(curve.to_csv(), output)
 
 
@@ -239,14 +239,11 @@ def sourcecode_sweep(grid, output):
     _emit("\n".join(lines) + "\n", output)
 
 
-_VERIFY_CHOICES = sorted(ORACLE_MEASURES) + ["bhattacharyya"]
-
-
 @main.command()
 @click.option(
     "--measure",
     required=True,
-    type=click.Choice(_VERIFY_CHOICES),
+    type=click.Choice([*sorted(ORACLE_MEASURES), "bhattacharyya"]),
     help="Measure to verify; 'bhattacharyya' runs both directions.",
 )
 @click.option("--grid", required=True, help="Grid as start:step:stop.")
@@ -254,8 +251,11 @@ _VERIFY_CHOICES = sorted(ORACLE_MEASURES) + ["bhattacharyya"]
 @click.option(
     "--seed",
     type=int,
-    default=None,
-    help=f"RNG seed; falls back to ${_ENV_SEED}, then 0.",
+    default=0,
+    envvar="DIVBOUND_SEED",
+    show_envvar=True,
+    show_default=True,
+    help="RNG seed.",
 )
 @click.option("--gap-threshold", type=float, default=None, help="Fail if the empirical gap exceeds this.")
 @click.option(
@@ -269,8 +269,6 @@ _VERIFY_CHOICES = sorted(ORACLE_MEASURES) + ["bhattacharyya"]
 @_mapped_errors
 def verify(measure, grid, samples, seed, gap_threshold, tol_tv_match, output):
     """Brute-force check of one tight bound over a grid; exit 1 on any failure."""
-    if seed is None:
-        seed = int(os.environ.get(_ENV_SEED, "0"))
     eps_grid = _linear_grid(grid)
     names = (
         ["bhattacharyya_lower", "bhattacharyya_upper"]

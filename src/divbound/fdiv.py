@@ -6,10 +6,10 @@ The divergence sum is D_f(P||Q) = sum_x Q(x) f(P(x)/Q(x)) with
     P(x) = a > 0, Q(x) = 0  contributing  a * lim_{u->inf} f(u)/u,
     P(x) = 0, Q(x) > 0      contributing  Q(x) * lim_{t->0+} f(t).
 
-Infinities are values, never errors; NaN is always a bug and trips an
-assertion.  The ``batch_*`` functions operate on (n, k) mass matrices, one
-pair per row, and are what the oracle harness drives; the scalar operations
-wrap them.
+Infinities are values, never errors; NaN is always a bug and raises
+BoundViolationError.  The ``batch_*`` functions operate on (n, k) mass
+matrices, one pair per row, and are what the oracle harness drives; the
+scalar operations wrap them.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .dist import FiniteDist, align
+from .errors import BoundViolationError
 from .generators import FGenerator
 from .search import golden_section_min
 
@@ -74,7 +75,8 @@ def batch_f_divergence(gen: FGenerator, p, q) -> np.ndarray:
         else:
             out = out + mass_no_p * gen.f_at_0
 
-    assert not np.isnan(out).any(), f"NaN in {gen.name} divergence evaluation"
+    if np.isnan(out).any():
+        raise BoundViolationError(f"NaN in {gen.name} divergence evaluation")
     return out
 
 
@@ -110,13 +112,13 @@ def batch_chernoff(p, q, tol: float = DEFAULT_TOLS.search) -> np.ndarray:
     n = p.shape[0]
     _, gmin = golden_section_min(g, np.zeros(n), np.ones(n), tol=tol)
     out = -np.asarray(gmin, dtype=float)
+    if np.isnan(out).any():
+        raise BoundViolationError("NaN in Chernoff evaluation")
     # the search can land a hair above the true minimum of a function whose
     # minimum is exactly 0 (P = Q); clamp that round-off, nothing else
-    assert np.all(out > -1e-9), "Chernoff information came out negative"
-    out = np.maximum(out, 0.0)
-    out = np.where(has_common, out, np.inf)
-    assert not np.isnan(out).any(), "NaN in Chernoff evaluation"
-    return out
+    if not np.all(out > -1e-9):
+        raise BoundViolationError("Chernoff information came out negative")
+    return np.where(has_common, np.maximum(out, 0.0), np.inf)
 
 
 def f_divergence(gen: FGenerator, p: FiniteDist, q: FiniteDist) -> float:
@@ -128,7 +130,7 @@ def f_divergence(gen: FGenerator, p: FiniteDist, q: FiniteDist) -> float:
 def bhattacharyya(p: FiniteDist, q: FiniteDist) -> float:
     """Bhattacharyya coefficient sum_x sqrt(P(x) Q(x)), in [0, 1]."""
     _, pm, qm = align(p, q)
-    return float(np.sqrt(pm * qm).sum())
+    return float(batch_bhattacharyya(pm, qm)[0])
 
 
 def chernoff_information(p: FiniteDist, q: FiniteDist, tol: float = DEFAULT_TOLS.search) -> float:

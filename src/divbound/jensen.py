@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import FiniteDist, align
-from .errors import DistributionError, GeneratorError
+from .errors import BoundViolationError, DistributionError, GeneratorError
 from .fdiv import batch_f_divergence, f_divergence
 from .generators import REGISTRY, FGenerator, validate_generator
 
@@ -119,7 +119,7 @@ def sandwich(gen: FGenerator, p: FiniteDist, q: FiniteDist) -> SandwichResult:
     right = r_max * d_f
 
     if not (left <= middle + _ORDER_SLACK and middle <= right + _ORDER_SLACK):
-        raise AssertionError(
+        raise BoundViolationError(
             f"sandwich ordering violated for f = {gen.name}: "
             f"{left!r} <= {middle!r} <= {right!r} fails"
         )

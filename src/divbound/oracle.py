@@ -11,7 +11,7 @@ normalized exponentials, split the alphabet into a sign set B (mass moves
 off it) and its complement A, rescale the B side proportionally by
 1 - eps / mass(B) and push mass eps onto A with fresh simplex weights.  The
 resulting Q stays in the simplex and the pair sits at total variation eps
-exactly, which is asserted, not assumed.  When a drawn P cannot carry a
+exactly, which is checked, not assumed.  When a drawn P cannot carry a
 mass-eps sign set on a proper subset (min mass > 1 - eps), the smallest
 atom is rescaled into the feasible range and the rest renormalized.
 
@@ -24,35 +24,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .bounds import (
-    BoundCurve,
-    bhattacharyya_bounds,
-    capacitory_min,
-    chernoff_min,
-    extremal_pair,
-    jeffreys_min,
-    symmetric_fdiv_min,
-)
+from .bounds import MEASURES, BoundCurve, Measure, extremal_pair, find_measure
 from .config import DEFAULT_TOLS
 from .dist import FiniteDist
-from .errors import SampleExhaustedError
-from .fdiv import (
-    batch_bhattacharyya,
-    batch_chernoff,
-    batch_f_divergence,
-    batch_total_variation,
-)
-from .generators import REGISTRY
+from .errors import BoundViolationError, SampleExhaustedError
+from .fdiv import batch_total_variation
 
 __all__ = [
     "TVConstrainedSampler",
     "sample_pair",
     "ORACLE_MEASURES",
-    "OracleMeasure",
     "VerifyPointReport",
     "verify_min",
     "grid_verify",
@@ -158,7 +143,8 @@ def _sample_batch(
             f"after {max_rounds} rounds"
         )
     tv = batch_total_variation(pm, qm)
-    assert np.all(np.abs(tv - eps) <= tol), "sampler emitted a pair off the TV constraint"
+    if not np.all(np.abs(tv - eps) <= tol):
+        raise BoundViolationError(f"sampler left the TV constraint {eps!r} on support {k}")
     return pm, qm
 
 
@@ -202,60 +188,8 @@ def fine_grid_pairs(eps: float, support: int, step: float = 1e-3):
     return np.maximum(p, 0.0), np.maximum(q, 0.0)
 
 
-@dataclass(frozen=True)
-class OracleMeasure:
-    """A measure the harness can verify against its closed-form extreme."""
-
-    name: str
-    direction: str  # "min" or "max"
-    extremal_kind: str
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    closed_form: Callable[[float], float]
-
-
-def _gen_eval(gen_name: str):
-    gen = REGISTRY[gen_name]
-    return lambda p, q: batch_f_divergence(gen, p, q)
-
-
-ORACLE_MEASURES: dict[str, OracleMeasure] = {
-    m.name: m
-    for m in [
-        OracleMeasure("tv", "min", "two_point", batch_total_variation, lambda e: e),
-        OracleMeasure(
-            "hellinger2",
-            "min",
-            "two_point",
-            _gen_eval("squared_hellinger"),
-            lambda e: symmetric_fdiv_min(REGISTRY["squared_hellinger"], e),
-        ),
-        OracleMeasure("jeffreys", "min", "two_point", _gen_eval("jeffreys"), jeffreys_min),
-        OracleMeasure(
-            "capacitory", "min", "two_point", _gen_eval("capacitory"), capacitory_min
-        ),
-        OracleMeasure(
-            "chernoff",
-            "min",
-            "two_point",
-            lambda p, q: batch_chernoff(p, q, tol=1e-6),
-            chernoff_min,
-        ),
-        OracleMeasure(
-            "bhattacharyya_lower",
-            "min",
-            "three_point",
-            batch_bhattacharyya,
-            lambda e: bhattacharyya_bounds(e)[0],
-        ),
-        OracleMeasure(
-            "bhattacharyya_upper",
-            "max",
-            "two_point",
-            batch_bhattacharyya,
-            lambda e: bhattacharyya_bounds(e)[1],
-        ),
-    ]
-}
+# the measures the harness can verify: those with a batch evaluator
+ORACLE_MEASURES: dict[str, Measure] = {k: m for k, m in MEASURES.items() if m.evaluate is not None}
 
 
 @dataclass(frozen=True)
@@ -306,11 +240,7 @@ def verify_min(
     (ii) the extremal pair attains it within 1e-9, and
     (iii) the empirical extreme is within gap_threshold when one is given.
     """
-    try:
-        om = ORACLE_MEASURES[measure]
-    except KeyError:
-        known = ", ".join(sorted(ORACLE_MEASURES))
-        raise ValueError(f"unknown measure {measure!r}; known: {known}") from None
+    om = find_measure(ORACLE_MEASURES, measure)
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps={eps!r} outside the sampler domain [0, 1)")
     cf = om.closed_form(eps) if closed_form is None else float(closed_form)
@@ -403,15 +333,10 @@ def grid_verify(
     The whole grid is domain-checked before any sampling starts.
     """
     eps_grid = [float(e) for e in eps_grid]
-    try:
-        om = ORACLE_MEASURES[measure]
-    except KeyError:
-        known = ", ".join(sorted(ORACLE_MEASURES))
-        raise ValueError(f"unknown measure {measure!r}; known: {known}") from None
-    for e in eps_grid:
-        if not 0.0 <= e < 1.0:
-            raise ValueError(f"grid point eps={e!r} outside the sampler domain [0, 1)")
-        om.closed_form(e)  # measure-specific domain check
+    find_measure(ORACLE_MEASURES, measure)
+    outside = [e for e in eps_grid if not 0.0 <= e < 1.0]
+    if outside:
+        raise ValueError(f"grid point eps={outside[0]!r} outside the sampler domain [0, 1)")
 
     reports = []
     for i, e in enumerate(eps_grid):

@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+_MACHINE_EPS = float(np.finfo(float).eps)
 
 
 def golden_section_min(
@@ -84,6 +85,6 @@ def bisect_increasing(
             a = mid
         else:
             b = mid
-        if b - a <= np.finfo(float).eps * max(1.0, abs(a), abs(b)):
+        if b - a <= _MACHINE_EPS * max(1.0, abs(a), abs(b)):
             break
     return mid

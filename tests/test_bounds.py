@@ -5,6 +5,8 @@ import pytest
 
 import divbound.bounds as bounds_mod
 from divbound.bounds import (
+    MEASURES,
+    PAIR_KINDS,
     BoundCurve,
     bhattacharyya_bounds,
     bound_curve,
@@ -20,7 +22,9 @@ from divbound.bounds import (
 from divbound.dist import binary_divergence, total_variation
 from divbound.errors import DivboundError
 from divbound.fdiv import batch_f_divergence, bhattacharyya, chernoff_information, f_divergence
-from divbound.generators import REGISTRY
+from divbound.generators import REGISTRY, get_generator
+from divbound.oracle import ORACLE_MEASURES
+from divbound.textio import fmt_g12
 
 from util import as_dist, random_pairs_with_zeros
 
@@ -133,6 +137,69 @@ class TestClosedForms:
             symmetric_fdiv_min(REGISTRY["jeffreys"], eps), abs=1e-10
         )
 
+    @pytest.mark.parametrize("eps", [1e-8, 1e-6, 1e-5, 1e-4, 5e-4, 1e-3])
+    def test_stable_forms_at_small_eps(self, eps):
+        # the textbook forms lose ~log10(1/eps^2) digits here; these must not
+        capacitory = eps**2 + eps**4 / 6 + eps**6 / 15
+        hellinger2 = eps**2 + eps**4 / 4 + eps**6 / 8
+        assert capacitory_min(eps) == pytest.approx(capacitory, rel=1e-14, abs=0.0)
+        hellinger2_min = MEASURES["hellinger2"].closed_form
+        assert hellinger2_min(eps) == pytest.approx(hellinger2, rel=1e-14, abs=0.0)
+
+
+# entries bounding a symmetric f-divergence, named as get_generator knows them
+SYMMETRIC_MEASURES = ("tv", "hellinger2", "jeffreys", "capacitory")
+# the last row `divbound bounds` prints for each measure on a grid ending at 1
+VALUE_AT_ONE = {
+    "tv": "1",
+    "hellinger2": "2",
+    "jeffreys": "inf",
+    "capacitory": "1.38629436112",
+    "chernoff": "inf",
+    "bhattacharyya_lower": "0",
+    "bhattacharyya_upper": "0",
+    "exact_kl": "inf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_measure_table_entry(name):
+    m = MEASURES[name]
+    assert m.direction in ("min", "max")
+
+    eps = np.concatenate(
+        [[0.0, 1e-300], np.geomspace(1e-9, 0.5, 30), np.linspace(0.5, 1.0 - 1e-9, 30)]
+    )
+    values = m.closed_form(eps)
+    assert isinstance(values, np.ndarray) and values.shape == eps.shape
+    for e, v in zip(eps, values):
+        got = m.closed_form(float(e))
+        assert type(got) is float and got == v
+    with pytest.raises(ValueError):
+        m.closed_form(1.0)  # eps = 1 is at_one's
+
+    interior = np.linspace(0.005, 0.995, 199)
+    if name in SYMMETRIC_MEASURES:
+        gen = get_generator(name)
+        for e, v in zip(interior, m.closed_form(interior)):
+            assert v == pytest.approx(symmetric_fdiv_min(gen, float(e)), abs=1e-10)
+        assert m.at_one == symmetric_fdiv_min(gen, 1.0)
+
+    # the oracle checks exactly the entries with an evaluator, and those
+    # name the pair that attains the bound
+    assert (name in ORACLE_MEASURES) == (m.evaluate is not None)
+    assert (m.extremal_kind is None) == (m.evaluate is None)
+    if m.evaluate is not None:
+        assert ORACLE_MEASURES[name] is m and m.extremal_kind in PAIR_KINDS
+        for e in EPS_GRID:
+            pair = extremal_pair(e, m.extremal_kind)
+            got = m.evaluate(pair.p.mass[None, :], pair.q.mass[None, :])[0]
+            assert got == pytest.approx(m.closed_form(e), abs=1e-9)
+
+    assert fmt_g12(m.at_one) == VALUE_AT_ONE[name]
+    curve = bound_curve(name, [0.0, 0.5, 1.0])
+    assert curve.to_csv().splitlines()[-1] == f"1,{VALUE_AT_ONE[name]}"
+
 
 class TestExactKl:
     def test_zero(self):
@@ -193,7 +260,7 @@ class TestExactKl:
     def test_pinsker_refinement_at_small_eps(self, eps):
         # L(eps) = 2 eps^2 + 4 eps^4/9 + 32 eps^6/135 + O(eps^8) (FHT 2003)
         series = 2 * eps**2 + 4 * eps**4 / 9 + 32 * eps**6 / 135
-        assert exact_kl_min(eps) == pytest.approx(series, rel=1e-14)
+        assert exact_kl_min(eps) == pytest.approx(series, rel=1e-14, abs=0.0)
 
     def test_scalar_and_array_calls_agree_bit_for_bit(self):
         eps = np.concatenate(
@@ -344,6 +411,17 @@ class TestBoundCurve:
         BoundCurve("x", ((0.5, 1.0), (1.0, math.inf)))
         with pytest.raises(DivboundError):
             BoundCurve("x", ((0.5, math.inf), (1.0, 1.0)))
+        with pytest.raises(DivboundError, match=r"eps=1\.5; only eps = 1 may"):
+            BoundCurve("x", ((0.5, 1.0), (1.5, math.inf)))
+        with pytest.raises(DivboundError):
+            BoundCurve("x", ((0.5, 1.0), (1.0, math.nan)))
+
+    @pytest.mark.parametrize("name", ["tv", "exact_kl"])
+    def test_grid_outside_unit_interval(self, name):
+        with pytest.raises(ValueError, match=r"grid point eps=1\.5 outside \[0, 1\]"):
+            bound_curve(name, [0.0, 0.5, 1.0, 1.5, 2.0])
+        with pytest.raises(ValueError, match=r"eps=-0\.1 "):
+            bound_curve(name, [-0.1, 0.5])
 
     def test_unknown_measure(self):
         with pytest.raises(ValueError):

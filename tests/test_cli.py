@@ -100,6 +100,21 @@ class TestBounds:
         r = runner.invoke(main, ["bounds", "--measure", "jeffreys", "--grid", "0.9:0.1:0.1"])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("measure", ["tv", "exact_kl"])
+    def test_grid_past_one_is_usage_error(self, runner, measure):
+        r = runner.invoke(main, ["bounds", "--measure", measure, "--grid", "0:0.5:2"])
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert r.stderr.endswith("Error: grid point eps=1.5 outside [0, 1]\n")
+
+    def test_capacitory_keeps_full_precision_at_small_eps(self, runner):
+        r = runner.invoke(
+            main, ["bounds", "--measure", "capacitory", "--grid", "0.000001:0.000001:0.000003"]
+        )
+        assert r.exit_code == 0
+        # eps^2 + eps^4/6 to 12 digits; the textbook form printed 8.99999540785e-12
+        assert r.stdout == "eps,value\n1e-06,1e-12\n2e-06,4e-12\n3e-06,9.00000000001e-12\n"
+
 
 class TestSandwich:
     def test_dual_kl_row(self, runner, dist_files):
@@ -227,12 +242,43 @@ class TestVerify:
         assert r.exit_code == 0
         assert "seed 42" in r.stderr
 
+    def test_bad_env_seed_is_usage_error(self, runner):
+        env = dict(os.environ, DIVBOUND_SEED="abc")
+        r = runner.invoke(
+            main,
+            ["verify", "--measure", "tv", "--grid", "0.3:0.1:0.3", "--samples", "50"],
+            env=env,
+        )
+        assert r.exit_code == 2
+        assert "DIVBOUND_SEED" in r.stderr and "'abc' is not a valid integer" in r.stderr
+
 
 def test_help_lists_subcommands(runner):
     r = runner.invoke(main, ["--help"])
     assert r.exit_code == 0
     for name in ("divergence", "bounds", "sandwich", "sourcecode", "sourcecode-sweep", "verify"):
         assert name in r.stdout
+
+
+@pytest.mark.parametrize(
+    "command,choices",
+    [
+        (
+            "bounds",
+            "bhattacharyya_lower|bhattacharyya_upper|capacitory|chernoff|exact_kl|"
+            "hellinger2|jeffreys|tv",
+        ),
+        (
+            "verify",
+            "bhattacharyya_lower|bhattacharyya_upper|capacitory|chernoff|hellinger2|"
+            "jeffreys|tv|bhattacharyya",
+        ),
+    ],
+)
+def test_measure_choices(runner, command, choices):
+    r = runner.invoke(main, [command, "--help"])
+    assert r.exit_code == 0
+    assert f"  --measure [{choices}]\n" in r.stdout
 
 
 def test_in_process_invocations_release_their_streams(runner):

@@ -1,9 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import divbound
+import divbound.fdiv as fdiv
 from divbound.dist import make_dist, total_variation
+from divbound.errors import BoundViolationError
 from divbound.fdiv import (
     batch_bhattacharyya,
     batch_f_divergence,
@@ -11,7 +19,7 @@ from divbound.fdiv import (
     chernoff_information,
     f_divergence,
 )
-from divbound.generators import REGISTRY
+from divbound.generators import REGISTRY, FGenerator
 
 from util import as_dist, random_pairs_with_zeros, random_positive_pairs
 
@@ -187,3 +195,49 @@ def test_alignment_across_alphabets():
     # union alphabet (a, b, c): KL hits the q-zero at 'a'
     assert f_divergence(REGISTRY["kl"], p, q) == math.inf
     assert bhattacharyya(p, q) == pytest.approx(0.5, abs=1e-15)
+
+
+class TestNumericalGuards:
+    """NaN and sign guards are typed errors, so they hold under python -O."""
+
+    def test_nan_divergence_raises(self):
+        gen = FGenerator("nan", lambda t: np.full(np.shape(t), math.nan), 0.0, 0.0, 0.0)
+        with pytest.raises(BoundViolationError, match="NaN in nan divergence"):
+            batch_f_divergence(gen, [[0.5, 0.5]], [[0.25, 0.75]])
+
+    def test_nan_divergence_raises_under_python_O(self):
+        script = textwrap.dedent(
+            """
+            import math
+            import numpy as np
+            from divbound.errors import BoundViolationError
+            from divbound.fdiv import batch_f_divergence
+            from divbound.generators import FGenerator
+
+            print("debug:", __debug__)
+            gen = FGenerator("nan", lambda t: np.full(np.shape(t), math.nan), 0.0, 0.0, 0.0)
+            try:
+                batch_f_divergence(gen, [[0.5, 0.5]], [[0.25, 0.75]])
+            except BoundViolationError as exc:
+                print("raised:", exc)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(divbound.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "debug: False",
+            "raised: NaN in nan divergence evaluation",
+        ]
+
+    @pytest.mark.parametrize("gmin,message", [(0.5, "negative"), (math.nan, "NaN")])
+    def test_chernoff_guards(self, monkeypatch, gmin, message):
+        def search(g, lo, hi, tol):
+            return lo, np.full(lo.shape, gmin)
+
+        monkeypatch.setattr(fdiv, "golden_section_min", search)
+        with pytest.raises(BoundViolationError, match=message):
+            fdiv.batch_chernoff([[0.5, 0.5]], [[0.25, 0.75]])

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import divbound.jensen as jensen
 from divbound.dist import make_dist
-from divbound.errors import DistributionError, GeneratorError
+from divbound.errors import BoundViolationError, DistributionError, GeneratorError
 from divbound.fdiv import f_divergence
 from divbound.generators import REGISTRY
 from divbound.jensen import (
@@ -62,6 +63,12 @@ class TestSandwich:
         # g(t) = -t^2 log t is not convex on all of (0, inf)
         with pytest.raises(GeneratorError):
             sandwich(REGISTRY["kl"], P, Q)
+
+    def test_ordering_violation_is_a_typed_error(self, monkeypatch):
+        # a negative slack makes every evaluation fail the ordering check
+        monkeypatch.setattr(jensen, "_ORDER_SLACK", -1.0)
+        with pytest.raises(BoundViolationError, match="sandwich ordering violated"):
+            sandwich(REGISTRY["dual_kl"], P, Q)
 
     def test_ordering_on_random_pairs(self):
         rng = np.random.default_rng(67)

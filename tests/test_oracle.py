@@ -1,13 +1,13 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
+import divbound.oracle as oracle
 from divbound.bounds import jeffreys_min
 from divbound.dist import total_variation
+from divbound.errors import BoundViolationError
 from divbound.oracle import (
-    ORACLE_MEASURES,
     TVConstrainedSampler,
     fine_grid_pairs,
     grid_verify,
@@ -163,9 +163,9 @@ class TestGridVerify:
             assert getattr(r1, f.name) == getattr(r2, f.name), f.name
 
 
-def test_oracle_measure_table_is_consistent():
-    for name, m in ORACLE_MEASURES.items():
-        assert m.direction in ("min", "max")
-        assert m.extremal_kind in ("two_point", "three_point")
-        v = m.closed_form(0.3)
-        assert math.isfinite(v)
+def test_pair_off_the_tv_constraint_raises(monkeypatch):
+    # the check is a typed error, not an assert that python -O would drop
+    monkeypatch.setattr(oracle, "batch_total_variation", lambda p, q: np.full(len(p), 0.5))
+    rng = np.random.default_rng(3)
+    with pytest.raises(BoundViolationError, match="left the TV constraint 0.3 on support 3"):
+        oracle._sample_batch(rng, 10, 3, 0.3)

@@ -29,9 +29,9 @@ Pinsker's inequality" (IEEE TIT 49(6), 2003): for t >= 0,
 
 V(t) and sqrt(2 L(t)) increase with t and are concave, so L(eps) and its
 inverse are each one Newton solve for t from below, vectorized over a grid:
-V(t) = 2 eps forward, L(t) = x backward.
-Together with the monotone inverse of the Jeffreys curve they serve the
-source-coding bounds.
+V(t) = 2 eps forward, L(t) = x backward.  The same climb in s = atanh eps,
+where the Jeffreys curve reads 2 s tanh s, inverts that curve too; the two
+inverses serve the source-coding bounds.
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ from .dist import FiniteDist, make_dist
 from .errors import DivboundError
 from .fdiv import batch_bhattacharyya, batch_chernoff, batch_f_divergence, batch_total_variation
 from .generators import FGenerator, get_generator
-from .search import bisect_increasing
-# perfbench/spans.py rebinds bounds.golden_section_min by name; keep it importable
-from .search import golden_section_min  # noqa: F401
+# unused here, but perfbench/spans.py rebinds both names on this module
+from .search import bisect_increasing, golden_section_min  # noqa: F401
 
 __all__ = [
     "ExtremalPair",
@@ -125,18 +124,12 @@ def symmetric_fdiv_min(gen: FGenerator, eps: float) -> float:
 def _closed_form(form):
     """Lift a bound written with numpy ufuncs to eps in [0, 1), float or array.
 
-    A float comes back as a float and an array as an array.  A float runs
-    the same ufunc loops as a grid point, so it gets the same bits alone or
-    in a grid; it skips the array set-up, because inverse_jeffreys bisects
-    on single floats.
+    A float comes back as a float and an array as an array, with the same
+    bits alone or in a grid.
     """
 
     @functools.wraps(form)
     def closed_form(eps):
-        if isinstance(eps, float):
-            if not 0.0 <= eps < 1.0:
-                raise ValueError(f"eps={eps!r} outside [0, 1)")
-            return float(form(eps))
         e = np.asarray(eps, dtype=float)
         if not np.all((e >= 0.0) & (e < 1.0)):
             raise ValueError(f"eps={eps!r} outside [0, 1)")
@@ -203,54 +196,51 @@ def jeffreys_min(eps):
     return eps * (np.log1p(eps) - np.log1p(-eps))
 
 
-# Below _T_SERIES, coth t - 1/t cancels, so V and L come from their Taylor
-# series V(t) = t sum_k a_k t^(2k) and L(t) = t^2 sum_k b_k t^(2k) (exact
-# rationals from the Bernoulli series of coth); at t = _T_SERIES the first
-# omitted term is below 1e-18 of the sum.
-_T_SERIES = 0.25
-_V_SERIES = (
-    1.0, -1 / 9, 2 / 135, -1 / 525, 2 / 8505, -1382 / 49116375, 4 / 1216215,
-    -3617 / 9577693125, 87734 / 2051541867375,
-)
-_L_SERIES = (
-    1 / 2, -1 / 12, 1 / 81, -1 / 600, 1 / 4725, -691 / 26790750, 2 / 654885,
-    -3617 / 10216206000, 43867 / 1086110400375,
-)
-_DV_SERIES = tuple((2 * k + 1) * a for k, a in enumerate(_V_SERIES))
-
-
-def _even_series(coeffs, t2: np.ndarray) -> np.ndarray:
-    acc = np.full_like(t2, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * t2 + c
-    return acc
+# Below _T_SERIES the closed forms in q cancel (L to 1.3e-14 relative at
+# t = 0.26), so V, dV/dt and L come from a = sinh t / t - 1 and
+# b = cosh t - sinh t / t, series in t^2 with positive terms (rows of
+# coefficients for the powers _AB_POWERS); the tail is below 1e-18 there.
+_T_SERIES = 2.0
+_AB_POWERS = np.arange(2, 26, 2)
+_AB_SERIES = np.array([
+    [1 / math.factorial(k + 1) for k in _AB_POWERS],
+    [k / math.factorial(k + 1) for k in _AB_POWERS],
+])
 
 
 def _fht(t: np.ndarray):
-    """(V, dV/dt, L) of the FHT pair with parameter t >= 0, elementwise.
+    """(V, dV/dt, L) of the FHT pair with parameter t > 0, elementwise.
 
-    Above _T_SERIES everything is written in q = exp(-2u), with
-    coth u = 1 + p and sinh u = (1 - q) e^u / 2, so nothing overflows
-    however large u gets.  The relative entropy has dL/dt = t dV/dt.
+    Below _T_SERIES they are t - c k, 1 - k (k + 2 z / t) and
+    c + z - log(1 + a), with c = t coth t - 1, k = c / t and
+    z = 1 - t^2 / sinh^2 t; V and L lose only a few units in the last place.
+    Above, they are written in q = exp(-2u), with coth u = 1 + p and
+    sinh u = (1 - q) e^u / 2, so nothing overflows however large u gets.
     """
-    t2 = t * t
-    small = t < _T_SERIES
+    m = np.minimum(t, _T_SERIES)
+    a, b = (m[..., None, None] ** _AB_POWERS * _AB_SERIES).sum(axis=-1).T
+    c = b / (1.0 + a)
+    k = c / m
+    z = a * (2.0 + a) / (1.0 + a) ** 2
     u = np.maximum(t, _T_SERIES)
     q = np.exp(-2.0 * u)
     w = -np.expm1(-2.0 * u)
     p = 2.0 * q / w
     r = 1.0 / u - p  # 1 - (coth u - 1/u)
-    v = np.where(small, t * _even_series(_V_SERIES, t2), u * r * (2.0 - r))
     # arranged so that the 1/u^2 tail does not cancel between two 2/u terms
-    dv_closed = 1.0 / (u * u) - p * (p + 2.0) + 4.0 * u * (1.0 - r) * p / w
-    dv = np.where(small, _even_series(_DV_SERIES, t2), dv_closed)
+    dv = 1.0 / (u * u) - p * (p + 2.0) + 4.0 * u * (1.0 - r) * p / w
     # log(u / sinh u) + u coth u - u^2 / sinh^2 u
-    l_closed = np.log(2.0 * u) - np.log1p(-q) + u * p - 2.0 * u * u * p / w
-    return v, dv, np.where(small, t2 * _even_series(_L_SERIES, t2), l_closed)
+    l = np.log(2.0 * u) - np.log1p(-q) + u * p - 2.0 * u * u * p / w
+    small = t < _T_SERIES
+    return (
+        np.where(small, m - c * k, u * r * (2.0 - r)),
+        np.where(small, 1.0 - k * (k + 2.0 * z / m), dv),
+        np.where(small, c + z - np.log1p(a), l),
+    )
 
 
 def _fht_g_slope(t: np.ndarray):
-    """sqrt(2 L(t)) and its slope: unlike L, concave in t."""
+    """sqrt(2 L(t)) and its slope, from dL/dt = t dV/dt: unlike L, concave in t."""
     _, dv, l = _fht(t)
     g = np.sqrt(2.0 * l)
     return g, t * dv / g
@@ -276,13 +266,6 @@ def _climb(curve_slope, target: np.ndarray, t: np.ndarray) -> np.ndarray:
     return t
 
 
-# inverse_exact_kl saturates here; V(2^31) / 2 already exceeds it, so no x
-# needs a t beyond _T_SATURATE, where exp(-2t) underflows and L(t) = log 2t.
-_EPS_SATURATE = 1.0 - 1e-9
-_T_SATURATE = 2.0 ** 31
-_L_SATURATE = math.log(2.0 * _T_SATURATE)
-
-
 @_closed_form
 def exact_kl_min(eps):
     """Exact infimum L(eps) of the relative entropy at total variation eps.
@@ -301,34 +284,55 @@ def exact_kl_min(eps):
     return out
 
 
-def inverse_exact_kl(x):
-    """The eps in [0, 1) with exact_kl_min(eps) = x.
+def _jeffreys_h_slope(s: np.ndarray):
+    """sqrt(s tanh s) and its slope: at eps = tanh s the Jeffreys curve is 2 s tanh s."""
+    th = np.tanh(s)
+    h = np.sqrt(s * th)
+    return h, (th + s / np.cosh(s) ** 2) / (2.0 * h)
 
-    Solves L(t) = x for the FHT parameter t and returns V(t) / 2, so the
-    round trip through exact_kl_min holds to floating-point resolution.
-    x beyond L(1 - 1e-9) saturates at 1 - 1e-9.  Float or array, as for
-    :func:`exact_kl_min`.
+
+def _invert(x, scale: float, curve_slope, to_eps, x_sat: float, eps_sat: float):
+    """The eps at which a curve reaches x >= 0, for a float or an array.
+
+    The curve reads g(t) = sqrt(scale x) in a parameter t that to_eps maps
+    to eps, with g increasing, concave and g(t) <= t, so _climb can start
+    from the target itself.  Every x beyond x_sat, the curve at eps_sat,
+    gives eps_sat.
     """
     xa = np.asarray(x, dtype=float)
-    if not np.all(xa >= 0.0):
+    if not np.all(xa >= 0.0):  # NaN fails this too
         raise ValueError(f"x={x!r} must be nonnegative")
+    target = np.sqrt(scale * np.minimum(xa, x_sat))
+    pos = target > 0.0  # scale * x may underflow to 0 for the least subnormal x
     out = np.zeros(xa.shape)
-    pos = xa > 0.0
-    target = np.sqrt(2.0 * np.minimum(xa[pos], _L_SATURATE))
-    # sqrt(2 L(t)) <= t, so the target itself lies at or below the root
-    t = _climb(_fht_g_slope, target, target)
-    out[pos] = np.minimum(0.5 * _fht(t)[0], _EPS_SATURATE)
+    out[pos] = np.minimum(to_eps(_climb(curve_slope, target[pos], target[pos])), eps_sat)
     return float(out) if xa.ndim == 0 else out
 
 
-def inverse_jeffreys(x: float, tol: float = 1e-12) -> float:
-    """The eps in [0, 1) solving eps log((1+eps)/(1-eps)) = x, by bisection.
+# (x_sat, eps_sat): the inverses saturate at eps_sat, where the curves reach x_sat
+_KL_SATURATE = (exact_kl_min(1.0 - 1e-9), 1.0 - 1e-9)
+_J_SATURATE = (jeffreys_min(1.0 - 1e-12), 1.0 - 1e-12)
 
-    For x near 0 the solution behaves like sqrt(x / 2).
+
+def inverse_exact_kl(x):
+    """The eps in [0, 1) with exact_kl_min(eps) = x.
+
+    Solves sqrt(2 L(t)) = sqrt(2 x) for the FHT parameter t and returns
+    V(t) / 2, so the round trip through exact_kl_min holds to floating-point
+    resolution.  x beyond L(1 - 1e-9) saturates at 1 - 1e-9.  Float or array.
     """
-    if x < 0.0:
-        raise ValueError(f"x={x!r} must be nonnegative")
-    return bisect_increasing(jeffreys_min, 0.0, 1.0 - 1e-12, x, tol=tol)
+    return _invert(x, 2.0, _fht_g_slope, lambda t: 0.5 * _fht(t)[0], *_KL_SATURATE)
+
+
+def inverse_jeffreys(x):
+    """The eps in [0, 1) solving eps log((1+eps)/(1-eps)) = x.
+
+    With eps = tanh s the curve is 2 s tanh s, so this solves
+    sqrt(s tanh s) = sqrt(x / 2) for s and returns tanh s, which behaves like
+    sqrt(x / 2) for x near 0.  x beyond the curve at 1 - 1e-12 saturates
+    there.  Float or array.
+    """
+    return _invert(x, 0.5, _jeffreys_h_slope, np.tanh, *_J_SATURATE)
 
 
 @dataclass(frozen=True)

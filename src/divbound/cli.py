@@ -10,6 +10,7 @@ including malformed input files.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -23,7 +24,6 @@ from .config import DEFAULT_TOLS
 from .dist import FiniteDist
 from .errors import (
     BoundViolationError,
-    DistFileError,
     DistributionError,
     GeneratorError,
     KraftViolationError,
@@ -50,12 +50,20 @@ def _emit(text: str, output: Optional[str]):
         _write(sys.stdout, text)
 
 
+def _grid_fields(spec: str, form: str) -> list[float]:
+    """The three colon-separated numbers of a grid spec; a usage error unless all finite."""
+    try:
+        fields = [float(x) for x in spec.split(":")]
+    except ValueError:
+        fields = []
+    if len(fields) != 3 or not all(math.isfinite(x) for x in fields):
+        raise click.BadParameter(f"expected {form} as three finite numbers, got {spec!r}")
+    return fields
+
+
 def _linear_grid(spec: str) -> list[float]:
     """Parse 'start:step:stop' into an inclusive, strictly increasing grid."""
-    try:
-        start, step, stop = (float(x) for x in spec.split(":"))
-    except ValueError:
-        raise click.BadParameter(f"expected start:step:stop, got {spec!r}") from None
+    start, step, stop = _grid_fields(spec, "start:step:stop")
     if step <= 0.0 or stop < start:
         raise click.BadParameter(f"grid {spec!r} is empty or decreasing")
     n = int(np.floor((stop - start) / step + 1e-9)) + 1
@@ -64,15 +72,10 @@ def _linear_grid(spec: str) -> list[float]:
 
 def _log_grid(spec: str) -> list[float]:
     """Parse 'start:stop:npoints' into a log-spaced grid."""
-    parts = spec.split(":")
-    try:
-        start, stop = float(parts[0]), float(parts[1])
-        npoints = int(parts[2])
-    except (ValueError, IndexError):
-        raise click.BadParameter(f"expected start:stop:npoints, got {spec!r}") from None
-    if start <= 0.0 or stop < start or npoints < 1:
+    start, stop, npoints = _grid_fields(spec, "start:stop:npoints")
+    if start <= 0.0 or stop < start or npoints < 1 or not npoints.is_integer():
         raise click.BadParameter(f"log grid {spec!r} is invalid")
-    return [float(x) for x in np.geomspace(start, stop, npoints)]
+    return [float(x) for x in np.geomspace(start, stop, int(npoints))]
 
 
 def _mapped_errors(f):
@@ -80,9 +83,7 @@ def _mapped_errors(f):
     def wrapper(*args, **kwargs):
         try:
             return f(*args, **kwargs)
-        except DistFileError as exc:
-            raise click.UsageError(str(exc)) from exc
-        except DistributionError as exc:
+        except DistributionError as exc:  # malformed files (DistFileError) too
             raise click.UsageError(str(exc)) from exc
         except (KraftViolationError, BoundViolationError, GeneratorError) as exc:
             _write(sys.stderr, f"error: {exc}\n")
@@ -201,21 +202,8 @@ def sourcecode(dist_path, base_d, lengths_path, output):
             )
         code = CodeSpec(p.labels, tuple(table[x] for x in p.labels), base_d)
     rep = l1_bounds(p, code)
-    row = [
-        fmt_g12(v)
-        for v in (
-            rep.avg_length,
-            rep.entropy_d,
-            rep.redundancy,
-            rep.kraft_sum,
-            rep.kl_pq,
-            rep.kl_qp,
-            rep.jeffreys_val,
-            rep.actual_l1,
-            rep.bound_csiszar,
-            rep.bound_tightened,
-        )
-    ]
+    # the columns are named after CodingReport's fields; the last two are not floats
+    row = [fmt_g12(getattr(rep, name)) for name in _REPORT_COLUMNS.split(",")[:-2]]
     row.append("" if rep.bound_jeffreys is None else fmt_g12(rep.bound_jeffreys))
     row.append("true" if rep.delta_nonneg else "false")
     _emit(f"{_REPORT_COLUMNS}\n{','.join(row)}\n", output)
@@ -247,7 +235,13 @@ def sourcecode_sweep(grid, output):
     help="Measure to verify; 'bhattacharyya' runs both directions.",
 )
 @click.option("--grid", required=True, help="Grid as start:step:stop.")
-@click.option("--samples", default=1000, show_default=True, type=int, help="Pairs per support size.")
+@click.option(
+    "--samples",
+    default=1000,
+    show_default=True,
+    type=click.IntRange(min=0),
+    help="Pairs per support size; 0 checks the fine grids only.",
+)
 @click.option(
     "--seed",
     type=int,

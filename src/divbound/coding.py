@@ -15,7 +15,8 @@ between P and Q follow, all consuming x = Delta log d in natural units:
     tightened  2 L^{-1}(x)                      (exact KL curve inverted)
     jeffreys   2 eps(x / 2)                     (needs delta >= 0 everywhere)
 
-where eps(.) inverts eps log((1+eps)/(1-eps)).  The delta >= 0 condition
+where eps(.) inverts eps log((1+eps)/(1-eps)) by a Newton climb in
+s = atanh eps, on which the curve is 2 s tanh s.  The delta >= 0 condition
 holds for Shannon lengths by construction and excludes, e.g., Huffman codes;
 when it fails the jeffreys bound is reported as absent rather than invalid.
 """
@@ -188,11 +189,9 @@ def tightened_bound(x):
     return 2.0 * inverse_exact_kl(x)
 
 
-def jeffreys_bound(x: float, tol: float = 1e-12) -> float:
-    """2 eps(x / 2); valid only when delta(u) >= 0 for every symbol."""
-    if x < 0.0:
-        raise ValueError(f"x={x!r} must be nonnegative")
-    return 2.0 * inverse_jeffreys(0.5 * x, tol=tol)
+def jeffreys_bound(x):
+    """2 eps(x / 2); valid only when delta(u) >= 0 for every symbol; float or array."""
+    return 2.0 * inverse_jeffreys(0.5 * np.asarray(x, dtype=float))
 
 
 def l1_bounds(p: FiniteDist, code: CodeSpec) -> CodingReport:
@@ -260,5 +259,5 @@ def redundancy_sweep(x_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x_grid = np.asarray(x_grid, dtype=float)
     cs = csiszar_bound(x_grid)
     ti = tightened_bound(x_grid)
-    je = np.array([jeffreys_bound(float(x)) for x in x_grid])
+    je = jeffreys_bound(x_grid)
     return cs, ti, je

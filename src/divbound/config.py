@@ -18,8 +18,8 @@ class Tolerances:
     equality:      strict floating-point equality checks (e.g. stored sums).
     identity:      algebraic identities that hold exactly in real arithmetic.
     search:        golden-section bracket width of the Chernoff tilt search.
-                   The exact KL curve takes no tolerance: its closed FHT
-                   parametrization is solved to floating-point resolution.
+                   The exact KL curve and both curve inverses take none:
+                   they are solved to floating-point resolution.
     tv_match:      total variation constraint matching in the sampler.
     """
 

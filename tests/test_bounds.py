@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divbound.bounds as bounds_mod
 from divbound.bounds import (
@@ -19,6 +21,7 @@ from divbound.bounds import (
     jeffreys_min,
     symmetric_fdiv_min,
 )
+from divbound.coding import jeffreys_bound
 from divbound.dist import binary_divergence, total_variation
 from divbound.errors import DivboundError
 from divbound.fdiv import batch_f_divergence, bhattacharyya, chernoff_information, f_divergence
@@ -41,6 +44,30 @@ EXACT_KL_FIXTURES = {
     0.5: 0.53229790889199995,
     0.7: 1.1308920012583667,
     0.9: 2.3021828844129879,
+}
+
+# The eps with eps log((1+eps)/(1-eps)) = x, correctly rounded: computed with
+# mpmath at 50-60 digits twice, by Newton in s = atanh eps and by bisection
+# on log eps, and both rounded to the same double.
+INVERSE_JEFFREYS_FIXTURES = {
+    1e-300: 7.071067811865476e-151,
+    1e-200: 7.071067811865475e-101,
+    1e-100: 7.071067811865475e-51,
+    1e-50: 7.071067811865476e-26,
+    1e-20: 7.071067811865475e-11,
+    1e-12: 7.071067811864886e-07,
+    1e-08: 7.071067805972919e-05,
+    1e-06: 0.0007071067222609819,
+    0.0001: 0.007071008886251274,
+    0.01: 0.0706517476624163,
+    0.1: 0.2217419170003133,
+    0.3: 0.3775946727123961,
+    0.5: 0.47909842311662104,
+    1.0: 0.6479182290296027,
+    2.0: 0.8335565596009648,
+    5.0: 0.9874342896860445,
+    10.0: 0.9999092865928868,
+    25.0: 0.9999999999722241,
 }
 
 
@@ -325,6 +352,38 @@ class TestInverses:
         for x in (1e-4, 0.01, 0.3, 1.0, 3.0):
             assert jeffreys_min(inverse_jeffreys(x)) == pytest.approx(x, abs=1e-9)
 
+    @pytest.mark.parametrize("x,expected", sorted(INVERSE_JEFFREYS_FIXTURES.items()))
+    def test_inverse_jeffreys_frozen_values(self, x, expected):
+        assert inverse_jeffreys(x) == pytest.approx(expected, rel=4e-16, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=1e-150, max_value=1.0 - 1e-6))
+    def test_round_trips(self, eps):
+        assert inverse_exact_kl(exact_kl_min(eps)) == pytest.approx(eps, rel=1e-15, abs=0.0)
+        assert inverse_jeffreys(jeffreys_min(eps)) == pytest.approx(eps, rel=1e-15, abs=0.0)
+
+    def test_inverse_jeffreys_saturates(self):
+        for x in (jeffreys_min(1.0 - 1e-12), 50.0, math.inf):
+            assert inverse_jeffreys(x) == 1.0 - 1e-12
+
+    def test_jeffreys_scalar_and_array_calls_agree_bit_for_bit(self):
+        xs = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-12, 30.0, 80), [math.inf]])
+        for f in (inverse_jeffreys, jeffreys_bound):
+            values = f(xs)
+            assert isinstance(values, np.ndarray) and values.shape == xs.shape
+            for x, v in zip(xs, values):
+                got = f(float(x))
+                assert type(got) is float and got == v
+
+    def test_jeffreys_substitution_meets_the_solver_preconditions(self):
+        # with eps = tanh s, sqrt(J / 2) = sqrt(s tanh s) must be increasing
+        # and concave with sqrt(s tanh s) <= s, so the climb starts below the root
+        s = np.geomspace(1e-6, 30.0, 800)
+        h, slope = bounds_mod._jeffreys_h_slope(s)
+        assert np.all(np.diff(h) > 0.0) and np.all(slope > 0.0)
+        assert np.all(np.diff(slope) <= 0.0)
+        assert np.all(h <= s)
+
     def test_negative_input_rejected(self):
         with pytest.raises(ValueError):
             inverse_exact_kl(-1.0)
@@ -333,12 +392,17 @@ class TestInverses:
         with pytest.raises(ValueError):
             inverse_jeffreys(-1.0)
 
+    @pytest.mark.parametrize("f", [inverse_jeffreys, jeffreys_bound, inverse_exact_kl])
+    def test_nan_rejected(self, f):
+        with pytest.raises(ValueError):
+            f(math.nan)
+        with pytest.raises(ValueError):
+            f(np.array([0.5, math.nan]))
+
     def test_both_inverses_strictly_increasing(self):
         xs = np.linspace(1e-4, 2.0, 40)
-        kl_eps = [inverse_exact_kl(float(x)) for x in xs]
-        je_eps = [inverse_jeffreys(float(x)) for x in xs]
-        assert all(b > a for a, b in zip(kl_eps, kl_eps[1:]))
-        assert all(b > a for a, b in zip(je_eps, je_eps[1:]))
+        assert np.all(np.diff(inverse_exact_kl(xs)) > 0.0)
+        assert np.all(np.diff(inverse_jeffreys(xs)) > 0.0)
 
 
 class TestExtremalPair:

@@ -96,9 +96,15 @@ class TestBounds:
         assert r.exit_code == 0
         assert r.stdout.strip().splitlines()[-1] == "1,inf"
 
-    def test_bad_grid(self, runner):
-        r = runner.invoke(main, ["bounds", "--measure", "jeffreys", "--grid", "0.9:0.1:0.1"])
-        assert r.exit_code == 2
+    # bounds and verify read the same start:step:stop grid
+    @pytest.mark.parametrize(
+        "grid", ["0.9:0.1:0.1", "nan:0.1:0.5", "0.1:0.1:inf", "0.1:0.1", "0.1:0.1:0.5:0.9"]
+    )
+    def test_bad_grid(self, runner, grid):
+        for args in (["bounds", "--measure", "jeffreys"], ["verify", "--measure", "tv"]):
+            r = runner.invoke(main, [*args, "--grid", grid])
+            assert r.exit_code == 2
+            assert r.stdout == "" and "Error:" in r.stderr
 
     @pytest.mark.parametrize("measure", ["tv", "exact_kl"])
     def test_grid_past_one_is_usage_error(self, runner, measure):
@@ -185,9 +191,20 @@ class TestSourcecodeSweep:
             assert ti <= cs + 1e-9
             assert je <= cs + 1e-9
 
-    def test_bad_grid(self, runner):
-        r = runner.invoke(main, ["sourcecode-sweep", "--grid", "0:1:5"])
+    @pytest.mark.parametrize(
+        "grid", ["0:1:5", "nan:1:5", "1e-6:inf:3", "1e-6:1:3:9", "1e-6:1", "1e-6:1:2.5"]
+    )
+    def test_bad_grid(self, runner, grid):
+        r = runner.invoke(main, ["sourcecode-sweep", "--grid", grid])
         assert r.exit_code == 2
+        assert r.stdout == "" and "Error:" in r.stderr
+
+    def test_jeffreys_column_is_correctly_rounded(self, runner):
+        r = runner.invoke(main, ["sourcecode-sweep", "--grid", "1e-6:1:4"])
+        assert r.exit_code == 0
+        # 2 eps(x / 2) from mpmath at 50 digits, rounded to 12
+        column = [row.split(",")[3] for row in r.stdout.splitlines()[1:]]
+        assert column == ["0.000999999958333", "0.00999995833332", "0.0999583316006", "0.958196846233"]
 
 
 class TestVerify:
@@ -241,6 +258,13 @@ class TestVerify:
         )
         assert r.exit_code == 0
         assert "seed 42" in r.stderr
+
+    def test_negative_samples_is_usage_error(self, runner):
+        r = runner.invoke(
+            main, ["verify", "--measure", "tv", "--grid", "0.5:0.1:0.5", "--samples", "-5"]
+        )
+        assert r.exit_code == 2
+        assert "-5 is not in the range x>=0" in r.stderr
 
     def test_bad_env_seed_is_usage_error(self, runner):
         env = dict(os.environ, DIVBOUND_SEED="abc")

@@ -408,9 +408,7 @@ MEASURES: dict[str, Measure] = {
     "capacitory": Measure(
         "min", "two_point", capacitory_min, 2.0 * math.log(2.0), _f_divergence("capacitory")
     ),
-    "chernoff": Measure(
-        "min", "two_point", _chernoff, math.inf, lambda p, q: batch_chernoff(p, q, tol=1e-6)
-    ),
+    "chernoff": Measure("min", "two_point", _chernoff, math.inf, batch_chernoff),
     "bhattacharyya_lower": Measure(
         "min", "three_point", _bhattacharyya_lower, 0.0, batch_bhattacharyya
     ),

@@ -3,8 +3,9 @@
 Numeric output is rendered at 12 significant digits with infinities as the
 literal ``inf``, so emitted files parse and re-emit byte-identically.
 Exit status: 0 on success, 1 when a mathematical check fails (bound or
-identity violation, failed verification, Kraft violation), 2 on usage errors
-including malformed input files.
+identity violation, failed verification, Kraft violation) or the sampler
+cannot meet its constraint, 2 on usage errors including malformed input
+files and grids of more than a million points.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     DistributionError,
     GeneratorError,
     KraftViolationError,
+    SampleExhaustedError,
 )
 from .fdiv import f_divergence
 from .generators import GENERATOR_ALIASES, get_generator
@@ -50,6 +52,10 @@ def _emit(text: str, output: Optional[str]):
         _write(sys.stdout, text)
 
 
+# the most points one grid may have; more is a usage error, not an allocation
+_MAX_GRID_POINTS = 10**6
+
+
 def _grid_fields(spec: str, form: str) -> list[float]:
     """The three colon-separated numbers of a grid spec; a usage error unless all finite."""
     try:
@@ -61,13 +67,20 @@ def _grid_fields(spec: str, form: str) -> list[float]:
     return fields
 
 
+def _check_size(spec: str, npoints: float):
+    """A usage error unless the grid has a finite count of at most _MAX_GRID_POINTS."""
+    if npoints > _MAX_GRID_POINTS:  # inf too
+        raise click.BadParameter(f"grid {spec!r} has more than {_MAX_GRID_POINTS} points")
+
+
 def _linear_grid(spec: str) -> list[float]:
     """Parse 'start:step:stop' into an inclusive, strictly increasing grid."""
     start, step, stop = _grid_fields(spec, "start:step:stop")
     if step <= 0.0 or stop < start:
         raise click.BadParameter(f"grid {spec!r} is empty or decreasing")
-    n = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(n)]
+    n = np.floor((stop - start) / step + 1e-9) + 1.0
+    _check_size(spec, n)
+    return [start + i * step for i in range(int(n))]
 
 
 def _log_grid(spec: str) -> list[float]:
@@ -75,6 +88,7 @@ def _log_grid(spec: str) -> list[float]:
     start, stop, npoints = _grid_fields(spec, "start:stop:npoints")
     if start <= 0.0 or stop < start or npoints < 1 or not npoints.is_integer():
         raise click.BadParameter(f"log grid {spec!r} is invalid")
+    _check_size(spec, npoints)
     return [float(x) for x in np.geomspace(start, stop, int(npoints))]
 
 
@@ -85,7 +99,9 @@ def _mapped_errors(f):
             return f(*args, **kwargs)
         except DistributionError as exc:  # malformed files (DistFileError) too
             raise click.UsageError(str(exc)) from exc
-        except (KraftViolationError, BoundViolationError, GeneratorError) as exc:
+        except (
+            KraftViolationError, BoundViolationError, GeneratorError, SampleExhaustedError
+        ) as exc:
             _write(sys.stderr, f"error: {exc}\n")
             sys.exit(1)
 

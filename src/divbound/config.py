@@ -17,16 +17,15 @@ class Tolerances:
     normalization: allowed |sum(mass) - 1| on input before rescaling.
     equality:      strict floating-point equality checks (e.g. stored sums).
     identity:      algebraic identities that hold exactly in real arithmetic.
-    search:        golden-section bracket width of the Chernoff tilt search.
-                   The exact KL curve and both curve inverses take none:
-                   they are solved to floating-point resolution.
     tv_match:      total variation constraint matching in the sampler.
+
+    The searches take none: Chernoff information, the exact KL curve and
+    both curve inverses are solved to floating-point resolution.
     """
 
     normalization: float = 1e-9
     equality: float = 1e-12
     identity: float = 1e-10
-    search: float = 1e-10
     tv_match: float = 1e-9
 
 

@@ -173,14 +173,11 @@ def fine_grid_pairs(eps: float, support: int, step: float = 1e-3):
     elif support == 3:
         n_a = int(round((1.0 - eps) / step)) + 1
         a_vals = np.minimum(eps + np.arange(n_a) * step, 1.0)
-        blocks_a, blocks_b = [], []
-        for a in a_vals:
-            n_b = int(round((1.0 - a) / step)) + 1
-            b = np.minimum(np.arange(n_b) * step, 1.0 - a)
-            blocks_a.append(np.full(b.size, a))
-            blocks_b.append(b)
-        a = np.concatenate(blocks_a)
-        b = np.concatenate(blocks_b)
+        # b runs over j * step, j = 0 .. n_b - 1, for each a
+        n_b = np.rint((1.0 - a_vals) / step).astype(np.intp) + 1
+        a = np.repeat(a_vals, n_b)
+        j = np.arange(a.size) - np.repeat(np.cumsum(n_b) - n_b, n_b)
+        b = np.minimum(j * step, 1.0 - a)
         p = np.stack([a, b, 1.0 - a - b], axis=1)
         q = np.stack([a - eps, b, 1.0 - a - b + eps], axis=1)
     else:

@@ -4,7 +4,8 @@ Both routines are written against explicit stopping rules (absolute interval
 width for golden section, function-value residual for bisection) because the
 callers' contracts are phrased in exactly those terms.
 `golden_section_min` also accepts arrays of intervals and a vectorized
-objective, which the oracle harness uses to minimize one function per row.
+objective.  No library code calls either routine; the tests use golden
+section as an independent route to the Chernoff minimum.
 """
 
 from __future__ import annotations

@@ -65,7 +65,7 @@ def test_criterion_1_attainment():
         checks = [
             ("bhattacharyya_upper", bhattacharyya(two.p, two.q), bhattacharyya_bounds(eps)[1]),
             ("bhattacharyya_lower", bhattacharyya(three.p, three.q), bhattacharyya_bounds(eps)[0]),
-            ("chernoff", chernoff_information(two.p, two.q, tol=1e-10), chernoff_min(eps)),
+            ("chernoff", chernoff_information(two.p, two.q), chernoff_min(eps)),
             ("capacitory", f_divergence(REGISTRY["capacitory"], two.p, two.q), capacitory_min(eps)),
             ("jeffreys", f_divergence(REGISTRY["jeffreys"], two.p, two.q), jeffreys_min(eps)),
         ]

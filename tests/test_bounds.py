@@ -446,7 +446,7 @@ def test_attainment_on_designated_pairs(eps):
     assert bhattacharyya(three.p, three.q) == pytest.approx(
         bhattacharyya_bounds(eps)[0], abs=1e-9
     )
-    assert chernoff_information(two.p, two.q, tol=1e-10) == pytest.approx(
+    assert chernoff_information(two.p, two.q) == pytest.approx(
         chernoff_min(eps), abs=1e-9
     )
     assert f_divergence(REGISTRY["capacitory"], two.p, two.q) == pytest.approx(

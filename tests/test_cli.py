@@ -2,9 +2,13 @@ import gc
 import io
 import os
 
+import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import divbound.cli as cli
+import divbound.oracle as oracle
 from divbound.cli import main
 
 
@@ -98,13 +102,24 @@ class TestBounds:
 
     # bounds and verify read the same start:step:stop grid
     @pytest.mark.parametrize(
-        "grid", ["0.9:0.1:0.1", "nan:0.1:0.5", "0.1:0.1:inf", "0.1:0.1", "0.1:0.1:0.5:0.9"]
+        "grid",
+        ["0.9:0.1:0.1", "nan:0.1:0.5", "0.1:0.1:inf", "0.1:0.1", "0.1:0.1:0.5:0.9", "0:1e-320:1"],
     )
     def test_bad_grid(self, runner, grid):
         for args in (["bounds", "--measure", "jeffreys"], ["verify", "--measure", "tv"]):
             r = runner.invoke(main, [*args, "--grid", grid])
             assert r.exit_code == 2
             assert r.stdout == "" and "Error:" in r.stderr
+
+    def test_grid_size_is_capped(self, runner):
+        for args in (["bounds", "--measure", "tv"], ["verify", "--measure", "tv"]):
+            r = runner.invoke(main, [*args, "--grid", "0:1e-320:1"])
+            assert r.exit_code == 2
+            assert r.stdout == ""
+            assert "grid '0:1e-320:1' has more than 1000000 points" in r.stderr
+        assert len(cli._linear_grid("1:1:1000000")) == 10**6
+        with pytest.raises(click.BadParameter, match="more than 1000000 points"):
+            cli._linear_grid("1:1:1000001")
 
     @pytest.mark.parametrize("measure", ["tv", "exact_kl"])
     def test_grid_past_one_is_usage_error(self, runner, measure):
@@ -192,7 +207,9 @@ class TestSourcecodeSweep:
             assert je <= cs + 1e-9
 
     @pytest.mark.parametrize(
-        "grid", ["0:1:5", "nan:1:5", "1e-6:inf:3", "1e-6:1:3:9", "1e-6:1", "1e-6:1:2.5"]
+        "grid",
+        # one point over the cap: without it this is a slow run, not a 1e9-point allocation
+        ["0:1:5", "nan:1:5", "1e-6:inf:3", "1e-6:1:3:9", "1e-6:1", "1e-6:1:2.5", "1e-6:1:1000001"],
     )
     def test_bad_grid(self, runner, grid):
         r = runner.invoke(main, ["sourcecode-sweep", "--grid", grid])
@@ -242,6 +259,18 @@ class TestVerify:
         )
         assert r.exit_code == 1
         assert "FAIL" in r.stderr
+
+    def test_exhausted_sampler_exits_one(self, runner, monkeypatch):
+        def no_sign_set(rng, pm, eps):
+            return np.zeros(pm.shape, dtype=bool), np.zeros(pm.shape[0], dtype=bool)
+
+        monkeypatch.setattr(oracle, "_draw_sign_sets", no_sign_set)
+        r = runner.invoke(
+            main, ["verify", "--measure", "tv", "--grid", "0.5:0.1:0.5", "--samples", "10"]
+        )
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr == "error: could not satisfy TV = 0.5 on support 2 after 1000 rounds\n"
 
     def test_grid_outside_domain(self, runner):
         r = runner.invoke(

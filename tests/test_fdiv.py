@@ -3,23 +3,29 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divbound
 import divbound.fdiv as fdiv
+from divbound.bounds import extremal_pair
 from divbound.dist import make_dist, total_variation
 from divbound.errors import BoundViolationError
 from divbound.fdiv import (
     batch_bhattacharyya,
+    batch_chernoff,
     batch_f_divergence,
     bhattacharyya,
     chernoff_information,
     f_divergence,
 )
 from divbound.generators import REGISTRY, FGenerator
+from divbound.search import golden_section_min
 
 from util import as_dist, random_pairs_with_zeros, random_positive_pairs
 
@@ -157,36 +163,138 @@ class TestBhattacharyya:
 class TestChernoff:
     def test_identical(self):
         d = make_dist(["a", "b"], [0.4, 0.6])
-        assert chernoff_information(d, d, tol=1e-10) == pytest.approx(0.0, abs=1e-12)
+        assert chernoff_information(d, d) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_point_pair(self):
         eps = 0.5
         p = make_dist(["a", "b"], [(1 - eps) / 2, (1 + eps) / 2])
         q = make_dist(["a", "b"], [(1 + eps) / 2, (1 - eps) / 2])
         expected = -0.5 * math.log1p(-eps * eps)
-        assert chernoff_information(p, q, tol=1e-10) == pytest.approx(
-            expected, abs=1e-9
-        )
+        assert chernoff_information(p, q) == pytest.approx(expected, abs=1e-9)
 
     def test_disjoint_supports(self):
         p = make_dist(["a", "b"], [1.0, 0.0])
         q = make_dist(["a", "b"], [0.0, 1.0])
         assert chernoff_information(p, q) == math.inf
 
-    def test_tol_must_be_positive(self):
-        d = make_dist(["a", "b"], [0.4, 0.6])
-        with pytest.raises(ValueError):
-            chernoff_information(d, d, tol=0.0)
-
     def test_dominates_bhattacharyya_exponent(self):
         rng = np.random.default_rng(47)
-        tol = 1e-8
+        slack = 1e-8
         for k in (2, 3, 5):
             pm, qm = random_positive_pairs(rng, 100, k)
             for a, b in zip(pm, qm):
                 p, q = as_dist(a), as_dist(b)
-                c = chernoff_information(p, q, tol=tol)
-                assert c >= -math.log(bhattacharyya(p, q)) - tol
+                c = chernoff_information(p, q)
+                assert c >= -math.log(bhattacharyya(p, q)) - slack
+
+
+# masses of a pair with zeros: an atom is 0 or in [1e-3, 1], before normalizing
+_MASS = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0))
+# the same with 1e-300 atoms, whose log-ratios of about +-690 make g nearly kinked
+_TINY_MASS = st.one_of(_MASS, st.just(1e-300))
+
+
+def _pairs(mass=_MASS):
+    """One (P, Q) pair of (1, k) mass rows on 2..8 points, zero masses allowed."""
+    row = lambda k: st.lists(mass, min_size=k, max_size=k).filter(lambda m: sum(m) > 0.0)
+    return st.integers(2, 8).flatmap(lambda k: st.tuples(row(k), row(k))).map(
+        lambda pq: tuple(np.asarray([m], dtype=float) / sum(m) for m in pq)
+    )
+
+
+def _golden_chernoff(p, q) -> float:
+    """Chernoff information by golden section on g, the route the solver replaced."""
+    common = (p > 0.0) & (q > 0.0)
+    if not common.any():
+        return math.inf
+    lp, lq = np.log(p[common]), np.log(q[common])
+
+    def g(lam):
+        lam = np.asarray(lam, dtype=float)[..., None]
+        return np.log(np.exp(lam * lp + (1.0 - lam) * lq).sum(axis=-1))
+
+    return -golden_section_min(g, 0.0, 1.0, tol=1e-13)[1]
+
+
+def _ulp_slack(x: float) -> float:
+    """1e-15, or 1e-15 relative where |x| > 1: an ulp or so of x."""
+    return 1e-15 * max(1.0, abs(x))
+
+
+class TestChernoffSolver:
+    """The safeguarded Newton solve of g'(lam) = 0 behind batch_chernoff."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pairs())
+    def test_symmetric(self, pair):
+        p, q = pair
+        assert batch_chernoff(q, p)[0] == pytest.approx(batch_chernoff(p, q)[0], rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pairs())
+    def test_dominates_bhattacharyya_exponent(self, pair):
+        p, q = pair
+        c = batch_chernoff(p, q)[0]
+        z = batch_bhattacharyya(p, q)[0]
+        if z == 0.0:
+            assert c == math.inf
+        else:
+            assert c >= -math.log(z) - _ulp_slack(c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pairs())
+    def test_never_below_golden_section(self, pair):
+        p, q = pair
+        c = batch_chernoff(p, q)[0]
+        ref = _golden_chernoff(p[0], q[0])
+        if math.isinf(ref):
+            assert c == math.inf
+        else:
+            assert c >= ref - _ulp_slack(ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    def test_two_point_pair_attains_the_closed_form(self, eps):
+        pair = extremal_pair(eps, "two_point")
+        c = batch_chernoff(pair.p.mass[None, :], pair.q.mass[None, :])[0]
+        # -1/2 log(1 - eps^2) with the factors split, so it keeps its digits
+        # as eps -> 1; near eps = 0, C ~ eps^2 / 2 is the distance of the
+        # tilted sum from 1 and carries its absolute rounding (2 ulps of 1)
+        expected = -0.5 * (math.log1p(-eps) + math.log1p(eps))
+        assert c == pytest.approx(expected, rel=1e-15, abs=2.0 * np.finfo(float).eps)
+
+    def test_blocks_do_not_change_values(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        pm, qm = random_pairs_with_zeros(rng, 64, 5)
+        whole = batch_chernoff(pm, qm)
+        monkeypatch.setattr(fdiv, "_CHERNOFF_BLOCK_ROWS", 7)
+        assert np.array_equal(batch_chernoff(pm, qm), whole)
+        assert np.array_equal(batch_chernoff(pm[3:], qm[3:]), whole[3:])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pairs(_TINY_MASS))
+    def test_passes_stay_bounded(self, pair):
+        p, q = pair
+        assert fdiv._min_log_tilt(p, q)[1] <= 25
+
+    def test_passes_stay_bounded_on_a_batch(self):
+        rng = np.random.default_rng(61)
+        for k in (2, 5, 8):
+            pm, qm = random_pairs_with_zeros(rng, 5000, k)
+            pm = np.where(rng.random(pm.shape) < 0.1, 1e-300, pm)
+            qm = np.where(rng.random(qm.shape) < 0.1, 1e-300, qm)
+            assert fdiv._min_log_tilt(pm, qm)[1] <= 25
+
+    def test_no_floating_point_warnings_on_zero_masses(self):
+        rng = np.random.default_rng(59)
+        pm, qm = random_pairs_with_zeros(rng, 500, 4)
+        pm = np.vstack([pm, [1.0, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4]])
+        qm = np.vstack([qm, [0.0, 0.5, 0.5, 0.0], [0.1, 0.2, 0.3, 0.4]])
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = batch_chernoff(pm, qm)
+        assert c[-2] == math.inf
+        assert c[-1] == 0.0
 
 
 def test_alignment_across_alphabets():
@@ -235,9 +343,9 @@ class TestNumericalGuards:
 
     @pytest.mark.parametrize("gmin,message", [(0.5, "negative"), (math.nan, "NaN")])
     def test_chernoff_guards(self, monkeypatch, gmin, message):
-        def search(g, lo, hi, tol):
-            return lo, np.full(lo.shape, gmin)
+        def solve(p, q):
+            return np.full(p.shape[0], gmin), 0
 
-        monkeypatch.setattr(fdiv, "golden_section_min", search)
+        monkeypatch.setattr(fdiv, "_min_log_tilt", solve)
         with pytest.raises(BoundViolationError, match=message):
             fdiv.batch_chernoff([[0.5, 0.5]], [[0.25, 0.75]])

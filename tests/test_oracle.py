@@ -84,6 +84,22 @@ class TestFineGrids:
         with pytest.raises(ValueError):
             fine_grid_pairs(0.3, 4)
 
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3, 0.5, 0.9, 0.999])
+    def test_support3_matches_the_loop_over_a(self, eps):
+        step = 1e-3
+        # the reference: one block of b values per a, built one a at a time
+        n_a = int(round((1.0 - eps) / step)) + 1
+        blocks_a, blocks_b = [], []
+        for a in np.minimum(eps + np.arange(n_a) * step, 1.0):
+            b = np.minimum(np.arange(int(round((1.0 - a) / step)) + 1) * step, 1.0 - a)
+            blocks_a.append(np.full(b.size, a))
+            blocks_b.append(b)
+        a, b = np.concatenate(blocks_a), np.concatenate(blocks_b)
+        want_p = np.maximum(np.stack([a, b, 1.0 - a - b], axis=1), 0.0)
+        want_q = np.maximum(np.stack([a - eps, b, 1.0 - a - b + eps], axis=1), 0.0)
+        p, q = fine_grid_pairs(eps, 3, step=step)
+        assert np.array_equal(p, want_p) and np.array_equal(q, want_q)
+
 
 class TestVerifyMin:
     def test_jeffreys_passes(self):

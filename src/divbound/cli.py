@@ -184,6 +184,18 @@ def sandwich(name, p_path, q_path, output):
     _emit(f"{header}\n{row}\n", output)
 
 
+# labels a mismatch message lists of each kind; it counts the rest
+_MAX_LISTED_LABELS = 5
+
+
+def _some(kind: str, labels: list[str]) -> str:
+    """'kind N: [first labels]', the list cut at _MAX_LISTED_LABELS."""
+    shown = repr(labels[:_MAX_LISTED_LABELS])
+    if len(labels) > _MAX_LISTED_LABELS:
+        shown = shown[:-1] + ", ...]"
+    return f"{kind} {len(labels)}: {shown}"
+
+
 _REPORT_COLUMNS = (
     "avg_length,entropy_d,redundancy,kraft_sum,kl_pq,kl_qp,jeffreys_val,"
     "actual_l1,bound_csiszar,bound_tightened,bound_jeffreys,delta_nonneg"
@@ -208,15 +220,15 @@ def sourcecode(dist_path, base_d, lengths_path, output):
         code = shannon_code(p, base_d)
     else:
         table = read_lengths_file(lengths_path)
-        missing = [x for x in p.labels if x not in table]
         known = set(p.labels)
-        extra = [x for x in table if x not in known]
-        if missing or extra:
+        if table.keys() != known:
+            missing = [x for x in p.labels if x not in table]
+            extra = [x for x in table if x not in known]
             raise DistributionError(
-                f"lengths file does not match the source alphabet "
-                f"(missing {missing!r}, extra {extra!r})"
+                "lengths file does not match the source alphabet "
+                f"({_some('missing', missing)}, {_some('extra', extra)})"
             )
-        code = CodeSpec(p.labels, tuple(table[x] for x in p.labels), base_d)
+        code = CodeSpec(p.labels, tuple(map(table.__getitem__, p.labels)), base_d)
     rep = l1_bounds(p, code)
     # the columns are named after CodingReport's fields; the last two are not floats
     row = [fmt_g12(getattr(rep, name)) for name in _REPORT_COLUMNS.split(",")[:-2]]

@@ -24,7 +24,7 @@ when it fails the jeffreys bound is reported as absent rather than invalid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -58,38 +58,54 @@ _DELTA_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """A uniquely decodable code: alphabet, codeword lengths, code base."""
+    """A uniquely decodable code: alphabet, codeword lengths, code base.
+
+    Construction also fixes, read-only: ``length_array``, the lengths as an
+    integer array; ``kraft_terms``, the terms d^{-l(u)} in alphabet order;
+    and ``kraft_sum``, their sum added in that order.
+    """
 
     alphabet: tuple[str, ...]
     lengths: tuple[int, ...]
     base_d: int
+    length_array: np.ndarray = field(init=False, repr=False, compare=False)
+    kraft_terms: np.ndarray = field(init=False, repr=False, compare=False)
+    kraft_sum: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        alphabet = tuple(str(x) for x in self.alphabet)
-        lengths = tuple(int(n) for n in self.lengths)
+        alphabet = tuple(map(str, self.alphabet))
+        lengths = tuple(map(int, self.lengths))
         if len(alphabet) != len(lengths):
             raise DistributionError(
                 f"{len(alphabet)} symbols but {len(lengths)} lengths"
             )
         if len(set(alphabet)) != len(alphabet):
             raise DistributionError("code alphabet labels must be unique")
-        if any(n < 1 for n in lengths):
+        if lengths and min(lengths) < 1:
             raise DistributionError("codeword lengths must be positive integers")
         if int(self.base_d) != self.base_d or self.base_d < 2:
             raise DistributionError(f"code base d={self.base_d!r} must be >= 2")
+        # Python's own d ** -n, once per distinct length, summed by Python in
+        # alphabet order: the Kraft sum owes nothing to numpy's power or its
+        # pairwise sums.  np.array keeps lengths past int64 exact (object dtype).
+        d = float(self.base_d)
+        length_array = np.array(lengths)
+        distinct, at = np.unique(length_array, return_inverse=True)
+        terms = np.array([d ** -n for n in distinct.tolist()])[at]
+        kraft_sum = float(sum(terms.tolist()))
+        length_array.setflags(write=False)
+        terms.setflags(write=False)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "base_d", int(self.base_d))
-        if self.kraft_sum > 1.0 + _KRAFT_SLACK:
+        object.__setattr__(self, "length_array", length_array)
+        object.__setattr__(self, "kraft_terms", terms)
+        object.__setattr__(self, "kraft_sum", kraft_sum)
+        if kraft_sum > 1.0 + _KRAFT_SLACK:
             raise KraftViolationError(
-                f"Kraft sum {self.kraft_sum!r} exceeds 1; "
+                f"Kraft sum {kraft_sum!r} exceeds 1; "
                 "no uniquely decodable code has these lengths"
             )
-
-    @property
-    def kraft_sum(self) -> float:
-        d = float(self.base_d)
-        return float(sum(d ** -n for n in self.lengths))
 
 
 @dataclass(frozen=True)
@@ -112,8 +128,7 @@ class CodingReport:
 
 def code_distribution(code: CodeSpec) -> FiniteDist:
     """The distribution Q(u) = d^{-l(u)} normalized by the Kraft sum."""
-    d = float(code.base_d)
-    w = np.array([d ** -n for n in code.lengths])
+    w = code.kraft_terms
     return FiniteDist(code.alphabet, w / w.sum())
 
 
@@ -135,14 +150,14 @@ def shannon_code(p: FiniteDist, d: int) -> CodeSpec:
     nearest = np.rint(v)
     lengths = np.where(np.abs(v - nearest) <= _DELTA_SLACK, nearest, np.ceil(v))
     lengths = np.maximum(lengths.astype(int), 1)
-    return CodeSpec(p.labels, tuple(int(n) for n in lengths), int(d))
+    return CodeSpec(p.labels, tuple(lengths.tolist()), int(d))
 
 
 def _delta(p: FiniteDist, code: CodeSpec) -> np.ndarray:
     if p.labels != code.alphabet:
         raise DistributionError("distribution and code alphabets differ")
     logd = math.log(code.base_d)
-    return np.array(code.lengths, dtype=float) + np.log(p.mass) / logd
+    return code.length_array.astype(float) + np.log(p.mass) / logd
 
 
 def kl_identity_check(p: FiniteDist, code: CodeSpec) -> tuple[float, float]:
@@ -151,7 +166,7 @@ def kl_identity_check(p: FiniteDist, code: CodeSpec) -> tuple[float, float]:
     q = code_distribution(code)
     lhs = f_divergence(REGISTRY["kl"], p, q)
     logd = math.log(code.base_d)
-    avg_len = float(np.dot(p.mass, code.lengths))
+    avg_len = float(np.dot(p.mass, code.length_array))
     delta_d = avg_len - entropy_base(p, code.base_d)
     rhs = delta_d * logd + math.log(code.kraft_sum)
     return lhs, rhs
@@ -204,7 +219,7 @@ def l1_bounds(p: FiniteDist, code: CodeSpec) -> CodingReport:
     _require_strictly_positive(p)
     q = code_distribution(code)
     logd = math.log(code.base_d)
-    avg_len = float(np.dot(p.mass, code.lengths))
+    avg_len = float(np.dot(p.mass, code.length_array))
     h_d = entropy_base(p, code.base_d)
     delta_d = avg_len - h_d
     x = delta_d * logd

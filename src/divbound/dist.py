@@ -10,7 +10,7 @@ across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,16 +33,17 @@ class FiniteDist:
     """A probability vector on a labeled finite alphabet.
 
     Invariants (checked at construction): labels are unique, all masses are
-    nonnegative, and the masses sum to 1 within ``Tolerances.equality``.
-    Use :func:`make_dist` to build one from raw user input; it clamps tiny
-    negative round-off and renormalizes.
+    nonnegative, and the masses sum to 1 within ``equality`` (by default
+    ``DEFAULT_TOLS.equality``).  Use :func:`make_dist` to build one from raw
+    user input; it clamps tiny negative round-off and renormalizes.
     """
 
     labels: tuple[str, ...]
     mass: np.ndarray
+    equality: InitVar[float] = DEFAULT_TOLS.equality
 
-    def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
+    def __post_init__(self, equality: float):
+        labels = tuple(map(str, self.labels))
         mass = np.array(self.mass, dtype=float, copy=True)
         if mass.ndim != 1 or len(labels) != mass.shape[0]:
             raise DistributionError(
@@ -53,7 +54,7 @@ class FiniteDist:
         if np.any(mass < 0.0):
             raise DistributionError("negative probability mass")
         s = float(mass.sum())
-        if abs(s - 1.0) > DEFAULT_TOLS.equality:
+        if abs(s - 1.0) > equality:
             raise DistributionError(f"masses sum to {s!r}, not 1")
         mass.setflags(write=False)
         object.__setattr__(self, "labels", labels)
@@ -78,10 +79,11 @@ def make_dist(
 
     Entries in [-1e-15, 0) are treated as round-off and clamped to zero;
     anything more negative is rejected.  The sum must be within
-    ``tols.normalization`` of 1 and is then rescaled to sum to 1 exactly in
-    working precision.
+    ``tols.normalization`` of 1 and is then rescaled; the rescaled sum must
+    be within ``tols.equality`` of 1.  The labels and the rescaled masses are
+    validated once, by :class:`FiniteDist`.
     """
-    m = np.asarray(list(mass), dtype=float)
+    m = np.asarray(mass if isinstance(mass, np.ndarray) else list(mass), dtype=float)
     if len(labels) != m.shape[0]:
         raise DistributionError(
             f"got {len(labels)} labels but {m.shape[0]} masses"
@@ -93,7 +95,7 @@ def make_dist(
     s = float(m.sum())
     if abs(s - 1.0) > tols.normalization:
         raise DistributionError(f"masses sum to {s!r}, outside tolerance of 1")
-    return FiniteDist(tuple(str(x) for x in labels), m / s)
+    return FiniteDist(labels, m / s, equality=tols.equality)
 
 
 def align(p: FiniteDist, q: FiniteDist) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:

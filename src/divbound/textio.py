@@ -3,6 +3,13 @@
 Distribution files are UTF-8, one ``label<TAB>probability`` per line; blank
 lines and lines starting with ``#`` are ignored.  Codeword-length files use
 the same layout with a positive integer in the second column.
+
+A file in the canonical layout (see :func:`_columns`) is split in one pass
+over the whole text and its value column converted in bulk; any other file,
+and any file whose values do not convert, goes through the line loop
+:func:`_rows`, which names the offending line.  Both read the same labels
+and values: the bulk conversion applies the same ``float()`` or ``int()``
+to the same strings.
 """
 
 from __future__ import annotations
@@ -10,11 +17,16 @@ from __future__ import annotations
 import math
 import os
 
+import numpy as np
+
 from .config import DEFAULT_TOLS, Tolerances
 from .dist import FiniteDist, make_dist
 from .errors import DistFileError
 
 __all__ = ["fmt_g12", "parse_dist_text", "read_dist_file", "parse_lengths_text", "read_lengths_file"]
+
+# every ASCII byte that is not a control character, as a deletion table
+_PRINTABLE = bytes(range(0x20, 0x80))
 
 
 def fmt_g12(v: float) -> str:
@@ -23,6 +35,34 @@ def fmt_g12(v: float) -> str:
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"
     return f"{v:.12g}"
+
+
+def _columns(text: str, convert):
+    """(labels, convert(values)) of a canonical text, or None.
+
+    Canonical means: ASCII without '#'; tab and newline are its only
+    control characters; every line holds exactly one tab and ends in '\\n'
+    (the last line may omit it); and every label starts with a printable,
+    non-space character.  Then the line loop would strip nothing that
+    changes a label, skip no line, and split each line as the whole text is
+    split here; whitespace left at the end of a value is whitespace that
+    ``float()`` and ``int()`` ignore.  Returns None for any other text and
+    when convert raises ValueError, so the caller can run the line loop.
+    """
+    if not text.isascii() or "#" in text:
+        return None
+    body = text[:-1] if text.endswith("\n") else text
+    separators = body.encode("ascii").translate(None, _PRINTABLE)
+    if separators != b"\t\n" * (len(separators) // 2) + b"\t":
+        return None
+    fields = body.replace("\n", "\t").split("\t")
+    labels = fields[0::2]
+    if min(labels) < "!":  # an empty label, or one the line loop would strip
+        return None
+    try:
+        return labels, convert(fields[1::2])
+    except ValueError:
+        return None
 
 
 def _rows(text: str):
@@ -38,7 +78,18 @@ def _rows(text: str):
         yield lineno, parts[0], parts[1]
 
 
+def _floats(values: list[str]) -> np.ndarray:
+    return np.fromiter(map(float, values), dtype=float, count=len(values))
+
+
 def parse_dist_text(text: str, tols: Tolerances = DEFAULT_TOLS) -> FiniteDist:
+    columns = _columns(text, _floats)
+    if columns is None:
+        columns = _dist_rows(text)
+    return make_dist(*columns, tols=tols)
+
+
+def _dist_rows(text: str) -> tuple[list[str], list[float]]:
     labels, mass = [], []
     for lineno, label, value in _rows(text):
         try:
@@ -48,7 +99,7 @@ def parse_dist_text(text: str, tols: Tolerances = DEFAULT_TOLS) -> FiniteDist:
         labels.append(label)
     if not labels:
         raise DistFileError("no distribution entries found", line=1)
-    return make_dist(labels, mass, tols=tols)
+    return labels, mass
 
 
 def read_dist_file(path: str | os.PathLike, tols: Tolerances = DEFAULT_TOLS) -> FiniteDist:
@@ -56,7 +107,19 @@ def read_dist_file(path: str | os.PathLike, tols: Tolerances = DEFAULT_TOLS) -> 
         return parse_dist_text(fh.read(), tols=tols)
 
 
+def _ints(values: list[str]) -> list[int]:
+    return list(map(int, values))
+
+
 def parse_lengths_text(text: str) -> dict[str, int]:
+    columns = _columns(text, _ints)
+    if columns is not None:
+        labels, lengths = columns
+        table = dict(zip(labels, lengths))
+        if len(table) == len(labels) and min(lengths) >= 1:
+            return table
+    # the line loop, also for canonical text with a duplicate or a length < 1,
+    # so that the error names the first offending line
     lengths: dict[str, int] = {}
     for lineno, label, value in _rows(text):
         try:

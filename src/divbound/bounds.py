@@ -147,9 +147,20 @@ def _hellinger2(eps):
     return 2.0 * eps * eps / (1.0 + np.sqrt((1.0 - eps) * (1.0 + eps)))
 
 
+def _log1m_sq(eps):
+    """log(1 - eps^2) on [0, 1) to full precision.
+
+    Near 1, eps * eps rounds off by about 1e-16, which log1p(-eps * eps)
+    turns into 1e-16 / (1 - eps) relative; near 0, the split form
+    log1p(-eps) + log1p(eps) cancels.  So the first form serves below 1/2
+    and the second from 1/2 on.
+    """
+    return np.where(eps < 0.5, np.log1p(-eps * eps), np.log1p(-eps) + np.log1p(eps))
+
+
 @_closed_form
 def _chernoff(eps):
-    return -0.5 * np.log1p(-eps * eps)
+    return -0.5 * _log1m_sq(eps)
 
 
 @_closed_form
@@ -187,7 +198,7 @@ def capacitory_min(eps):
     eps^2 + eps^4/6 + ...  Its limit as eps -> 1 is 2 log 2, but eps = 1
     itself is outside the domain.  Float or array, as for jeffreys_min.
     """
-    return np.log1p(-eps * eps) + 2.0 * eps * np.arctanh(eps)
+    return _log1m_sq(eps) + 2.0 * eps * np.arctanh(eps)
 
 
 @_closed_form

@@ -173,6 +173,25 @@ class TestClosedForms:
         hellinger2_min = MEASURES["hellinger2"].closed_form
         assert hellinger2_min(eps) == pytest.approx(hellinger2, rel=1e-14, abs=0.0)
 
+    def test_log_one_minus_eps_squared_forms_across_the_domain(self):
+        # against 50-digit references on 8000 eps in [1e-8, 1 - 1e-15]: the
+        # closed forms through log(1 - eps^2) keep their digits as eps -> 1
+        mp = pytest.importorskip("mpmath")
+        eps = np.concatenate([np.geomspace(1e-8, 0.5, 4000), 1.0 - np.geomspace(1e-15, 0.5, 4000)])
+        chernoff = MEASURES["chernoff"].closed_form(eps)
+        capacitory = capacitory_min(eps)
+        worst_chernoff = worst_capacitory = 0.0
+        with mp.workdps(50):
+            for e, ch, ca in zip(eps.tolist(), chernoff.tolist(), capacitory.tolist()):
+                x = mp.mpf(e)
+                log1m_sq = mp.log1p(-x * x)
+                ref_ch = -log1m_sq / 2
+                ref_ca = log1m_sq + 2 * x * mp.atanh(x)
+                worst_chernoff = max(worst_chernoff, float(abs(ch - ref_ch) / ref_ch))
+                worst_capacitory = max(worst_capacitory, float(abs(ca - ref_ca) / ref_ca))
+        assert worst_chernoff <= 1e-15
+        assert worst_capacitory <= 1e-14
+
 
 # entries bounding a symmetric f-divergence, named as get_generator knows them
 SYMMETRIC_MEASURES = ("tv", "hellinger2", "jeffreys", "capacitory")

@@ -84,12 +84,8 @@ def _floats(values: list[str]) -> np.ndarray:
 
 def parse_dist_text(text: str, tols: Tolerances = DEFAULT_TOLS) -> FiniteDist:
     columns = _columns(text, _floats)
-    if columns is None:
-        columns = _dist_rows(text)
-    return make_dist(*columns, tols=tols)
-
-
-def _dist_rows(text: str) -> tuple[list[str], list[float]]:
+    if columns is not None:
+        return make_dist(*columns, tols=tols)
     labels, mass = [], []
     for lineno, label, value in _rows(text):
         try:
@@ -99,7 +95,7 @@ def _dist_rows(text: str) -> tuple[list[str], list[float]]:
         labels.append(label)
     if not labels:
         raise DistFileError("no distribution entries found", line=1)
-    return labels, mass
+    return make_dist(labels, mass, tols=tols)
 
 
 def read_dist_file(path: str | os.PathLike, tols: Tolerances = DEFAULT_TOLS) -> FiniteDist:

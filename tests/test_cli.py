@@ -1,12 +1,16 @@
 import gc
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import divbound
 import divbound.cli as cli
 import divbound.oracle as oracle
 from divbound.cli import main
@@ -63,6 +67,20 @@ class TestDivergence:
         )
         assert r.exit_code == 2
         assert "line 2" in r.stderr
+
+    def test_malformed_file_reports_line_under_python_O(self, tmp_path, dist_files):
+        # the fallback to the line loop rests on no assert, which -O strips
+        bad = tmp_path / "bad.txt"
+        bad.write_text("a\t0.25\nb\t0.25\nc\t0.5\t1\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(divbound.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "divbound.cli", "divergence", "--divergence", "kl",
+             "--p", str(bad), "--q", dist_files[0]],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "line 3: expected 'label<TAB>value'" in proc.stderr
 
     def test_output_file(self, runner, dist_files, tmp_path):
         p, q = dist_files
@@ -192,6 +210,25 @@ class TestSourcecode:
             ["sourcecode", "--dist", source_file, "--base", "2", "--lengths", str(lf)],
         )
         assert r.exit_code == 2
+
+    def test_large_mismatch_message_stays_short(self, runner, tmp_path):
+        # 10^4 labels, half of them unknown to the lengths file: the error
+        # names the first five of each kind and counts the rest
+        n = 10**4
+        src = tmp_path / "src.txt"
+        src.write_text("".join(f"s{j:05d}\t{1.0 / n!r}\n" for j in range(n)), encoding="utf-8")
+        lf = tmp_path / "len.txt"
+        lf.write_text("".join(f"{'s' if j % 2 else 'x'}{j:05d}\t14\n" for j in range(n)), encoding="utf-8")
+        r = runner.invoke(
+            main, ["sourcecode", "--dist", str(src), "--base", "2", "--lengths", str(lf)]
+        )
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert len(r.stderr) < 400
+        assert (
+            "(missing 5000: ['s00000', 's00002', 's00004', 's00006', 's00008', ...], "
+            "extra 5000: ['x00000', 'x00002', 'x00004', 'x00006', 'x00008', ...])"
+        ) in r.stderr
 
 
 class TestSourcecodeSweep:

@@ -14,6 +14,7 @@ from divbound.dist import (
     make_dist,
     total_variation,
 )
+from divbound.config import Tolerances
 from divbound.errors import DistributionError
 
 from util import as_dist, random_simplex
@@ -194,3 +195,16 @@ class TestEntropyBase:
 def test_finite_dist_rejects_bad_sum():
     with pytest.raises(DistributionError):
         FiniteDist(("a", "b"), np.array([0.6, 0.6]))
+
+
+def test_make_dist_applies_its_own_equality_tolerance():
+    # (0.6, 0.3, 0.1) sums to 1 - 2^-53, and rescaled to 1 + 2^-52: inside
+    # the default tolerance, outside a zero one; make_dist applies the one it got
+    mass = np.array([0.6, 0.3, 0.1])
+    rescaled = mass / mass.sum()
+    assert float(rescaled.sum()) == 1.0 + 2.0**-52
+    assert make_dist(["a", "b", "c"], mass).mass.tobytes() == rescaled.tobytes()
+    with pytest.raises(DistributionError, match="not 1"):
+        make_dist(["a", "b", "c"], mass, tols=Tolerances(equality=0.0))
+    # constructed directly, a FiniteDist keeps the default
+    assert FiniteDist(("a", "b", "c"), rescaled).mass.tobytes() == rescaled.tobytes()

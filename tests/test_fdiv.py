@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 import divbound
 import divbound.fdiv as fdiv
-from divbound.bounds import extremal_pair
+from divbound.bounds import bhattacharyya_bounds, extremal_pair
 from divbound.dist import make_dist, total_variation
 from divbound.errors import BoundViolationError
 from divbound.fdiv import (
     batch_bhattacharyya,
     batch_chernoff,
     batch_f_divergence,
+    batch_total_variation,
     bhattacharyya,
     chernoff_information,
     f_divergence,
@@ -295,6 +296,52 @@ class TestChernoffSolver:
             c = batch_chernoff(pm, qm)
         assert c[-2] == math.inf
         assert c[-1] == 0.0
+
+
+def _f_divergence_by_terms(gen, p, q) -> tuple[float, float]:
+    """D_f(P||Q) term by term with the zero-mass conventions, and the sum of |terms|."""
+    total = size = 0.0
+    for a, b in zip(p.tolist(), q.tolist()):
+        if a > 0.0 and b > 0.0:
+            term = b * float(gen.fn(np.float64(a / b)))
+        elif a > 0.0:  # Q = 0 < P
+            term = a * gen.slope_at_inf
+        elif b > 0.0:  # P = 0 < Q
+            term = b * gen.f_at_0
+        else:  # 0 f(0/0) = 0
+            term = 0.0
+        total += term
+        size += abs(term)
+    return total, size
+
+
+class TestBatchEvaluators:
+    """Properties of the batch evaluators on random pairs with zero masses."""
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    @settings(max_examples=100, deadline=None)
+    @given(pair=_pairs())
+    def test_f_divergence_matches_the_term_loop(self, name, pair):
+        gen = REGISTRY[name]
+        p, q = pair
+        got = batch_f_divergence(gen, p, q)[0]
+        want, size = _f_divergence_by_terms(gen, p[0], q[0])
+        if math.isinf(want):
+            assert got == want
+        else:
+            # at most 8 terms, summed in another order: a few ulps of their size
+            assert got == pytest.approx(want, rel=0.0, abs=16 * np.finfo(float).eps * size)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pairs())
+    def test_bhattacharyya_is_symmetric_and_inside_its_envelope(self, pair):
+        p, q = pair
+        z = batch_bhattacharyya(p, q)[0]
+        assert batch_bhattacharyya(q, p)[0] == z
+        tv = min(float(batch_total_variation(p, q)[0]), 1.0)
+        lower, upper = bhattacharyya_bounds(tv)
+        # at most 8 square roots and the TV's own rounding
+        assert lower - 1e-14 <= z <= upper + 1e-14
 
 
 def test_alignment_across_alphabets():

@@ -73,7 +73,8 @@ def _canonical(values):
 
 # pieces that take a text off the canonical layout, one or several per text
 _ODD_LABELS = ["", " a", "a ", "\ta", "#a", "é", "a\x85b", "a ", "\x0bz", "a#b"]
-_ODD_LINES = ["", "# a comment", "   ", "\t", "a\tb\tc", "just-a-label", "a\t0.5\t"]
+# a line with two tabs and one with none: as many tabs as lines between them
+_ODD_LINES = ["", "# a comment", "   ", "\t", "a\tb\tc", "a\t1\t1", "1", "just-a-label", "a\t1\t"]
 _ODD_BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", " ", "\n\n"]
 _EDGES = ["", " ", "\t", "  \t", "\x1f"]
 
@@ -138,6 +139,7 @@ class TestOnePassMatchesLineLoop:
             "a\tnan\nb\tinf\n",
             "a\t0.5\na\t0.5\n",
             "a\t0.5\t1\nb\t0.5\n",
+            "a\t0.5\t0.5\n0.5\n",
             "a\t0.5\nb0.5\n",
             "",
         ],

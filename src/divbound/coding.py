@@ -89,10 +89,11 @@ class CodeSpec:
         # alphabet order: the Kraft sum owes nothing to numpy's power or its
         # pairwise sums.  np.array keeps lengths past int64 exact (object dtype).
         d = float(self.base_d)
+        powers = {n: d ** -n for n in set(lengths)}
+        weights = list(map(powers.__getitem__, lengths))
+        kraft_sum = float(sum(weights))
         length_array = np.array(lengths)
-        distinct, at = np.unique(length_array, return_inverse=True)
-        terms = np.array([d ** -n for n in distinct.tolist()])[at]
-        kraft_sum = float(sum(terms.tolist()))
+        terms = np.array(weights, dtype=float)
         length_array.setflags(write=False)
         terms.setflags(write=False)
         object.__setattr__(self, "alphabet", alphabet)

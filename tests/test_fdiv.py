@@ -319,7 +319,7 @@ class TestBatchEvaluators:
     """Properties of the batch evaluators on random pairs with zero masses."""
 
     @pytest.mark.parametrize("name", sorted(REGISTRY))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(pair=_pairs())
     def test_f_divergence_matches_the_term_loop(self, name, pair):
         gen = REGISTRY[name]
@@ -332,7 +332,7 @@ class TestBatchEvaluators:
             # at most 8 terms, summed in another order: a few ulps of their size
             assert got == pytest.approx(want, rel=0.0, abs=16 * np.finfo(float).eps * size)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(_pairs())
     def test_bhattacharyya_is_symmetric_and_inside_its_envelope(self, pair):
         p, q = pair

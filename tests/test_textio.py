@@ -96,25 +96,25 @@ def _any_text(values):
 
 
 class TestOnePassMatchesLineLoop:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(_canonical(_FLOAT_VALUES))
     def test_canonical_dist_text(self, text):
         assert textio._columns(text, textio._floats) is not None
         _same_dist(*_both(_parse_dist, text))
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(_canonical(_INT_VALUES))
     def test_canonical_lengths_text(self, text):
         assert textio._columns(text, textio._ints) is not None
         fast, slow = _both(_parse_lengths, text)
         assert fast == slow
 
-    @settings(max_examples=600, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(_any_text(_FLOAT_VALUES))
     def test_any_dist_text(self, text):
         _same_dist(*_both(_parse_dist, text))
 
-    @settings(max_examples=600, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(_any_text(_INT_VALUES))
     def test_any_lengths_text(self, text):
         fast, slow = _both(_parse_lengths, text)

@@ -74,33 +74,39 @@ class CodeSpec:
 
     def __post_init__(self):
         alphabet = tuple(map(str, self.alphabet))
-        lengths = tuple(map(int, self.lengths))
+        # the lengths as a tuple of Python ints and as an array; input that
+        # does not make an integer array goes through int() first
+        length_array = np.array(self.lengths)
+        if length_array.dtype.kind in "iu":
+            lengths = tuple(length_array.tolist())
+        else:
+            lengths = tuple(map(int, self.lengths))
+            length_array = np.array(lengths)  # object dtype past int64
         if len(alphabet) != len(lengths):
             raise DistributionError(
                 f"{len(alphabet)} symbols but {len(lengths)} lengths"
             )
         if len(set(alphabet)) != len(alphabet):
             raise DistributionError("code alphabet labels must be unique")
-        if lengths and min(lengths) < 1:
+        if lengths and length_array.min() < 1:
             raise DistributionError("codeword lengths must be positive integers")
         if int(self.base_d) != self.base_d or self.base_d < 2:
             raise DistributionError(f"code base d={self.base_d!r} must be >= 2")
         # Python's own d ** -n, once per distinct length, summed by Python in
         # alphabet order: the Kraft sum owes nothing to numpy's power or its
-        # pairwise sums.  np.array keeps lengths past int64 exact (object dtype).
+        # pairwise sums
         d = float(self.base_d)
-        powers = {n: d ** -n for n in set(lengths)}
-        weights = list(map(powers.__getitem__, lengths))
-        kraft_sum = float(sum(weights))
-        length_array = np.array(lengths)
-        terms = np.array(weights, dtype=float)
+        distinct = sorted(set(lengths))
+        kraft_terms = np.array([d ** -n for n in distinct], dtype=float)
+        kraft_terms = kraft_terms[np.searchsorted(distinct, length_array)]
+        kraft_sum = float(sum(kraft_terms.tolist()))
         length_array.setflags(write=False)
-        terms.setflags(write=False)
+        kraft_terms.setflags(write=False)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "base_d", int(self.base_d))
         object.__setattr__(self, "length_array", length_array)
-        object.__setattr__(self, "kraft_terms", terms)
+        object.__setattr__(self, "kraft_terms", kraft_terms)
         object.__setattr__(self, "kraft_sum", kraft_sum)
         if kraft_sum > 1.0 + _KRAFT_SLACK:
             raise KraftViolationError(
@@ -151,7 +157,7 @@ def shannon_code(p: FiniteDist, d: int) -> CodeSpec:
     nearest = np.rint(v)
     lengths = np.where(np.abs(v - nearest) <= _DELTA_SLACK, nearest, np.ceil(v))
     lengths = np.maximum(lengths.astype(int), 1)
-    return CodeSpec(p.labels, tuple(lengths.tolist()), int(d))
+    return CodeSpec(p.labels, lengths, int(d))
 
 
 def _delta(p: FiniteDist, code: CodeSpec) -> np.ndarray:

@@ -59,6 +59,39 @@ class TestCodeSpec:
         with pytest.raises(DistributionError):
             CodeSpec(("a", "b"), (1, 2, 3), 2)
 
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_kraft_sum_is_the_sequential_sum_of_powers(self, d):
+        # computed once at construction, bit for bit the sum added term by
+        # term in alphabet order, each term Python's d ** -n
+        rng = np.random.default_rng(d)
+        lengths = tuple(int(n) for n in rng.integers(d + 8, d + 60, size=10**4))
+        code = CodeSpec(tuple(f"s{j}" for j in range(len(lengths))), lengths, d)
+        total = 0.0
+        for n in lengths:
+            total += float(d) ** -n
+        assert code.kraft_sum == total
+        assert code.kraft_terms.tobytes() == np.array([float(d) ** -n for n in lengths]).tobytes()
+        assert np.array_equal(code.length_array, lengths)
+        assert not code.length_array.flags.writeable and not code.kraft_terms.flags.writeable
+
+    @pytest.mark.parametrize("long", [2**63 + 5, 10**20])
+    def test_lengths_past_int64(self, long):
+        code = CodeSpec(("a", "b"), (1, long), 2)
+        assert code.lengths == (1, long)
+        assert code.kraft_sum == 0.5
+        rep = l1_bounds(make_dist(["a", "b"], [0.5, 0.5]), code)
+        assert rep.avg_length == 0.5 + 0.5 * float(long)
+
+    def test_lengths_of_any_integer_spelling(self):
+        # int() decides, as for any sequence: numpy integers, bools, floats, digit strings
+        for given in ((np.int32(2), 2), np.array([2, 2], dtype=np.uint8), (2.7, "2"), (True, 1)):
+            code = CodeSpec(("a", "b"), given, 2)
+            assert code.lengths == tuple(int(n) for n in given)
+            assert all(type(n) is int for n in code.lengths)
+
+    def test_empty_code(self):
+        assert CodeSpec((), (), 2).kraft_sum == 0.0
+
 
 class TestCodeDistribution:
     def test_dyadic(self):

@@ -25,7 +25,8 @@ from .errors import DistFileError
 
 __all__ = ["fmt_g12", "parse_dist_text", "read_dist_file", "parse_lengths_text", "read_lengths_file"]
 
-# every ASCII byte that is not a control character, as a deletion table
+# ASCII from the space up, as a deletion table: what it leaves of an ASCII
+# text are its control characters below the space
 _PRINTABLE = bytes(range(0x20, 0x80))
 
 

@@ -56,7 +56,7 @@ _LABEL_CHARS = "ab_z09.-"
 # float() or int() and a stricter reader might part ways
 _ODD_VALUES = [
     "1_0", "1e-400", "1e999", "nan", "-nan", "inf", "-inf", "Infinity", "-0.0", "0x1p-3",
-    " 0.5", "0.5 ", "", " ", "abc", "3", "0", "-1", "3.0", "+2", "٣", "1\x1f",
+    " 0.5", "0.5 ", "", " ", "abc", "3", "0", "-1", "3.0", "+2", "\u0663", "1\x1f",
 ]
 _LABELS = st.text(_LABEL_CHARS, min_size=1, max_size=4)
 _FLOAT_VALUES = st.floats(min_value=0.0, max_value=1.0).map(repr)
@@ -72,10 +72,10 @@ def _canonical(values):
 
 
 # pieces that take a text off the canonical layout, one or several per text
-_ODD_LABELS = ["", " a", "a ", "\ta", "#a", "é", "a\x85b", "a ", "\x0bz", "a#b"]
+_ODD_LABELS = ["", " a", "a ", "\ta", "#a", "\u00e9", "a\x85b", "a\u2028", "\x0bz", "a#b"]
 # a line with two tabs and one with none: as many tabs as lines between them
 _ODD_LINES = ["", "# a comment", "   ", "\t", "a\tb\tc", "a\t1\t1", "1", "just-a-label", "a\t1\t"]
-_ODD_BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", " ", "\n\n"]
+_ODD_BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", " ", "\n\n"]
 _EDGES = ["", " ", "\t", "  \t", "\x1f"]
 
 
@@ -129,10 +129,11 @@ class TestOnePassMatchesLineLoop:
             " a\t0.5\nb\t0.5\n",
             "a\t0.5\nb\t0.5 \n",
             "a\t0.5\nb\t0.5\t\n",
-            "a\t0.5 b\t0.5\n",
+            "a\t0.5 b\t0.5\n",
             "a\t0.5\x85b\t0.5\n",
+            "a\t0.5\u2028b\t0.5\n",
             "a\t0.5\x0bb\t0.5\n",
-            "é\t0.5\nb\t0.5\n",
+            "\u00e9\t0.5\nb\t0.5\n",
             "\t0.5\nb\t0.5\n",
             "a\t\nb\t0.5\n",
             "a\t1_0\nb\t1e-400\n",

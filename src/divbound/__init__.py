@@ -51,7 +51,6 @@ from .errors import (
     DivboundError,
     GeneratorError,
     KraftViolationError,
-    SampleExhaustedError,
 )
 from .fdiv import bhattacharyya, chernoff_information, f_divergence
 from .generators import (

@@ -3,9 +3,9 @@
 Numeric output is rendered at 12 significant digits with infinities as the
 literal ``inf``, so emitted files parse and re-emit byte-identically.
 Exit status: 0 on success, 1 when a mathematical check fails (bound or
-identity violation, failed verification, Kraft violation) or the sampler
-cannot meet its constraint, 2 on usage errors including malformed input
-files and grids of more than a million points.
+identity violation, failed verification, Kraft violation), 2 on usage
+errors including malformed input files and grids of more than a million
+points.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     DistributionError,
     GeneratorError,
     KraftViolationError,
-    SampleExhaustedError,
 )
 from .fdiv import f_divergence
 from .generators import GENERATOR_ALIASES, get_generator
@@ -99,9 +98,7 @@ def _mapped_errors(f):
             return f(*args, **kwargs)
         except DistributionError as exc:  # malformed files (DistFileError) too
             raise click.UsageError(str(exc)) from exc
-        except (
-            KraftViolationError, BoundViolationError, GeneratorError, SampleExhaustedError
-        ) as exc:
+        except (KraftViolationError, BoundViolationError, GeneratorError) as exc:
             _write(sys.stderr, f"error: {exc}\n")
             sys.exit(1)
 

@@ -16,7 +16,6 @@ class Tolerances:
 
     normalization: allowed |sum(mass) - 1| on input before rescaling.
     equality:      strict floating-point equality checks (e.g. stored sums).
-    identity:      algebraic identities that hold exactly in real arithmetic.
     tv_match:      total variation constraint matching in the sampler.
 
     The searches take none: Chernoff information, the exact KL curve and
@@ -25,7 +24,6 @@ class Tolerances:
 
     normalization: float = 1e-9
     equality: float = 1e-12
-    identity: float = 1e-10
     tv_match: float = 1e-9
 
 

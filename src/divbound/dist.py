@@ -33,9 +33,9 @@ class FiniteDist:
     """A probability vector on a labeled finite alphabet.
 
     Invariants (checked at construction): labels are unique, all masses are
-    nonnegative, and the masses sum to 1 within ``equality`` (by default
-    ``DEFAULT_TOLS.equality``).  Use :func:`make_dist` to build one from raw
-    user input; it clamps tiny negative round-off and renormalizes.
+    finite and nonnegative, and the masses sum to 1 within ``equality`` (by
+    default ``DEFAULT_TOLS.equality``).  Use :func:`make_dist` to build one
+    from raw user input; it clamps tiny negative round-off and renormalizes.
     """
 
     labels: tuple[str, ...]
@@ -51,6 +51,8 @@ class FiniteDist:
             )
         if len(set(labels)) != len(labels):
             raise DistributionError("labels must be unique")
+        if not np.isfinite(mass).all():
+            raise DistributionError("non-finite probability mass")
         if np.any(mass < 0.0):
             raise DistributionError("negative probability mass")
         s = float(mass.sum())
@@ -95,7 +97,9 @@ def make_dist(
     s = float(m.sum())
     if abs(s - 1.0) > tols.normalization:
         raise DistributionError(f"masses sum to {s!r}, outside tolerance of 1")
-    return FiniteDist(labels, m / s, equality=tols.equality)
+    with np.errstate(invalid="ignore"):  # 0/0 and inf/inf: FiniteDist rejects the NaN
+        m = m / s
+    return FiniteDist(labels, m, equality=tols.equality)
 
 
 def align(p: FiniteDist, q: FiniteDist) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:

@@ -27,7 +27,3 @@ class KraftViolationError(DivboundError, ValueError):
 
 class BoundViolationError(DivboundError):
     """A mathematical bound or identity that must hold was violated."""
-
-
-class SampleExhaustedError(DivboundError, RuntimeError):
-    """The constrained sampler could not satisfy its constraint after retries."""

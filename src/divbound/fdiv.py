@@ -95,6 +95,9 @@ def batch_bhattacharyya(p, q) -> np.ndarray:
 _CHERNOFF_BLOCK_ROWS = 1 << 14
 # the tilt is solved to this Newton step or bracket width
 _TILT_TOL = 1e-12
+# a row also stops once |g'| (hi - lo) is this small relative to g: where
+# |d| is near 690, g is flat to rounding and Newton creeps through it
+_TILT_CERT = 4e-16
 # a safeguard only: bisection alone narrows [0, 1] to _TILT_TOL in 40 passes
 _MAX_TILT_PASSES = 100
 
@@ -117,7 +120,9 @@ def _min_log_tilt(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
     row whose slope does not change sign on [0, 1] is done there.  The other
     rows start at the secant root of g' and take Newton steps on g' = 0,
     bisecting their bracket whenever a step leaves it, one exp pass per
-    step.  Returns the minima and the number of passes made.
+    step.  A row also stops once |g'(lam)| (hi - lo), which bounds
+    g(lam) - min g by convexity, is within rounding of g(lam).  Returns the
+    minima and the number of passes made.
     """
     common = (p > 0.0) & (q > 0.0)
     pc = np.where(common, p, 0.0)
@@ -142,7 +147,8 @@ def _min_log_tilt(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
         w = np.exp(lq[rows] + lam[:, None] * dr)
         wd = w * dr
         sw, swd, swdd = _row_sums(w), _row_sums(wd), _row_sums(wd * dr)
-        gmin[rows] = np.minimum(gmin[rows], np.log(sw))
+        g = np.log(sw)
+        gmin[rows] = np.minimum(gmin[rows], g)
         slope = swd / sw
         curv = swdd / sw - slope * slope
         lo = np.where(slope < 0.0, lam, lo)
@@ -150,7 +156,8 @@ def _min_log_tilt(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
         step = np.divide(slope, curv, out=np.full(rows.size, np.inf), where=curv > 0.0)
         # the stop test comes before the safeguard: a step below one ulp of
         # lam would otherwise count as leaving the bracket
-        going = (np.abs(step) > _TILT_TOL) & (hi - lo > _TILT_TOL) & (slope != 0.0)
+        going = (np.abs(step) > _TILT_TOL) & (hi - lo > _TILT_TOL)
+        going &= np.abs(slope) * (hi - lo) > _TILT_CERT * np.maximum(1.0, np.abs(g))
         nxt = lam - step
         nxt = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
         rows, lam, lo, hi = rows[going], nxt[going], lo[going], hi[going]

@@ -15,6 +15,13 @@ exactly, which is checked, not assumed.  When a drawn P cannot carry a
 mass-eps sign set on a proper subset (min mass > 1 - eps), the smallest
 atom is rescaled into the feasible range and the rest renormalized.
 
+B is the prefix of a random order of the atoms that first reaches mass eps,
+plus fair coins on the later atoms but the last, the anchor, which stays in
+A and so must lie in S = {j : P_j <= 1 - eps}.  The anchor is drawn
+uniformly from S and swapped into the last slot of an independent uniform
+permutation: a uniform order conditioned on ending in S, as when whole
+orders were redrawn until one did (the tests keep that reference route).
+
 Randomness comes from numpy's PCG64 with streams derived from
 (seed, grid index, support size), so grid points are independent and a run
 is reproducible bit for bit; the generator name is recorded on each report.
@@ -31,7 +38,7 @@ import numpy as np
 from .bounds import MEASURES, BoundCurve, Measure, extremal_pair, find_measure
 from .config import DEFAULT_TOLS
 from .dist import FiniteDist
-from .errors import BoundViolationError, SampleExhaustedError
+from .errors import BoundViolationError
 from .fdiv import batch_total_variation
 
 __all__ = [
@@ -72,26 +79,31 @@ def _simplex(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+# kept as its own function, called once per batch: perfbench/spans.py
+# counts oracle.sign_sets.* from its calls
 def _draw_sign_sets(rng, pm: np.ndarray, eps: float):
-    """Random sign sets B with mass(B) >= eps and a nonempty complement.
-
-    Coordinates are visited in a random order until the running mass reaches
-    eps; coordinates after that point (except the last, which anchors the
-    complement) join B by fair coin flips so that both near-minimal and bulky
-    sign sets occur.  Rows whose ordering cannot leave the complement
-    nonempty are flagged for retry.
+    """Random sign sets B with mass(B) >= eps, one pass, built as the module
+    docstring says; near-minimal and bulky sets both occur.  Every row needs
+    an atom of mass <= 1 - eps.  Returns B and an all-True row mask.
     """
     m, k = pm.shape
     perm = rng.permuted(np.tile(np.arange(k), (m, 1)), axis=1)
+    feasible = pm <= 1.0 - eps
+    rank = rng.integers(feasible.sum(axis=1))
+    anchor = (np.cumsum(feasible, axis=1) > rank[:, None]).argmax(axis=1)
+    slot = (perm == anchor[:, None]).argmax(axis=1)
+    perm[np.arange(m), slot] = perm[:, -1]
+    perm[:, -1] = anchor
     cums = np.cumsum(np.take_along_axis(pm, perm, axis=1), axis=1)
-    prefix_len = (cums >= eps).argmax(axis=1)
-    ok = prefix_len <= k - 2
+    # the mass before the anchor is 1 - p(anchor) >= eps, but its float sum
+    # can land an ulp below eps: the anchor never joins the prefix
+    prefix_len = np.minimum((cums >= eps).argmax(axis=1), k - 2)
     pos = np.arange(k)[None, :]
     in_b = pos <= prefix_len[:, None]
     in_b |= (rng.random((m, k)) < 0.5) & (pos > prefix_len[:, None]) & (pos < k - 1)
     b = np.zeros((m, k), dtype=bool)
     np.put_along_axis(b, perm, in_b, axis=1)
-    return b, ok
+    return b, np.ones(m, dtype=bool)
 
 
 def _sample_batch(
@@ -100,48 +112,27 @@ def _sample_batch(
     k: int,
     eps: float,
     tol: float = DEFAULT_TOLS.tv_match,
-    max_rounds: int = 1000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """n pairs of k-point distributions at total variation exactly eps."""
     pm = _simplex(rng, n, k)
     if eps == 0.0:
         return pm, pm.copy()
-    qm = np.empty_like(pm)
-    done = np.zeros(n, dtype=bool)
-    for _ in range(max_rounds):
-        idx = np.flatnonzero(~done)
-        if idx.size == 0:
-            break
-        sub = pm[idx]
 
-        # no proper subset of these rows carries mass eps: shrink the
-        # smallest atom into (0, 1 - eps] and renormalize the rest
-        stuck = np.flatnonzero(1.0 - sub.min(axis=1) < eps)
-        if stuck.size:
-            jmin = sub[stuck].argmin(axis=1)
-            old = sub[stuck, jmin]
-            new = (1.0 - eps) * rng.random(stuck.size)
-            sub[stuck] *= ((1.0 - new) / (1.0 - old))[:, None]
-            sub[stuck, jmin] = new
-            pm[idx] = sub
+    # no proper subset of these rows carries mass eps: shrink the smallest
+    # atom into [0, 1 - eps), a possible anchor, and renormalize the rest
+    stuck = np.flatnonzero(1.0 - pm.min(axis=1) < eps)
+    if stuck.size:
+        jmin = pm[stuck].argmin(axis=1)
+        old = pm[stuck, jmin]
+        new = (1.0 - eps) * rng.random(stuck.size)
+        pm[stuck] *= ((1.0 - new) / (1.0 - old))[:, None]
+        pm[stuck, jmin] = new
 
-        b, ok = _draw_sign_sets(rng, sub, eps)
-        if not ok.any():
-            continue
-        rows = idx[ok]
-        b = b[ok]
-        sub = sub[ok]
-        mass_b = np.where(b, sub, 0.0).sum(axis=1)
-        spread = rng.exponential(size=sub.shape) * ~b
-        weights = spread / spread.sum(axis=1, keepdims=True)
-        q = np.where(b, sub * (1.0 - eps / mass_b)[:, None], sub + eps * weights)
-        qm[rows] = np.maximum(q, 0.0)
-        done[rows] = True
-    if not done.all():
-        raise SampleExhaustedError(
-            f"could not satisfy TV = {eps!r} on support {k} "
-            f"after {max_rounds} rounds"
-        )
+    b, _ = _draw_sign_sets(rng, pm, eps)
+    mass_b = np.where(b, pm, 0.0).sum(axis=1)
+    spread = rng.exponential(size=pm.shape) * ~b
+    weights = spread / spread.sum(axis=1, keepdims=True)
+    qm = np.maximum(np.where(b, pm * (1.0 - eps / mass_b)[:, None], pm + eps * weights), 0.0)
     tv = batch_total_variation(pm, qm)
     if not np.all(np.abs(tv - eps) <= tol):
         raise BoundViolationError(f"sampler left the TV constraint {eps!r} on support {k}")

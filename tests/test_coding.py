@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divbound.coding import (
     CodeSpec,
@@ -171,6 +173,35 @@ class TestIdentities:
             lhs, rhs = kl_identity_check(p, code)
             assert lhs == pytest.approx(rhs, abs=1e-10)
             lhs, rhs = dual_kl_identity_check(p, code)
+            assert lhs == pytest.approx(rhs, abs=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 8).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.floats(1e-6, 1.0), min_size=k, max_size=k),
+                st.lists(st.integers(0, 6), min_size=k, max_size=k),
+            )
+        ),
+        st.integers(2, 5),
+        st.booleans(),
+    )
+    def test_identities_for_kraft_valid_codes(self, masses_and_padding, d, shannon):
+        masses, padding = masses_and_padding
+        p = as_dist(np.asarray(masses) / sum(masses))
+        if shannon:
+            base = shannon_code(p, d).lengths
+        else:
+            # a fixed-length code: d^n >= k words of n digits
+            n = 1
+            while d**n < len(p):
+                n += 1
+            base = (n,) * len(p)
+        # padding any length keeps the Kraft sum at most 1
+        code = CodeSpec(p.labels, tuple(a + e for a, e in zip(base, padding)), d)
+        assert code.kraft_sum <= 1.0
+        for check in (kl_identity_check, dual_kl_identity_check):
+            lhs, rhs = check(p, code)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_jeffreys_identity_and_upper_bound(self):

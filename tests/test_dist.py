@@ -197,6 +197,15 @@ def test_finite_dist_rejects_bad_sum():
         FiniteDist(("a", "b"), np.array([0.6, 0.6]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_mass_rejected(bad):
+    # a NaN sum passes |sum - 1| <= tol, so the check is its own
+    with pytest.raises(DistributionError, match="non-finite"):
+        FiniteDist(("a", "b"), np.array([bad, 0.5]))
+    with pytest.raises(DistributionError):
+        make_dist(["a", "b"], [bad, 0.5], tols=Tolerances(normalization=math.inf))
+
+
 def test_make_dist_applies_its_own_equality_tolerance():
     # (0.6, 0.3, 0.1) sums to 1 - 2^-53, and rescaled to 1 + 2^-52: inside
     # the default tolerance, outside a zero one; make_dist applies the one it got

@@ -1,12 +1,15 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import divbound.oracle as oracle
 from divbound.bounds import jeffreys_min
+from divbound.config import DEFAULT_TOLS
 from divbound.dist import total_variation
 from divbound.errors import BoundViolationError
+from divbound.fdiv import batch_total_variation
 from divbound.oracle import (
     TVConstrainedSampler,
     fine_grid_pairs,
@@ -14,6 +17,8 @@ from divbound.oracle import (
     sample_pair,
     verify_min,
 )
+
+from util import random_simplex, rejection_sign_sets
 
 
 class TestSampler:
@@ -59,6 +64,91 @@ class TestSampler:
             )
             assert abs(total_variation(p, q) - eps) <= s.tol
             assert np.all(p.mass >= 0.0) and np.all(q.mass >= 0.0)
+
+
+def _chi2_bound(dof: int) -> float:
+    """The 0.999 quantile of chi-square on dof degrees of freedom (Wilson-Hilferty)."""
+    c = 2.0 / (9.0 * dof)
+    return dof * (1.0 - c + 3.09 * math.sqrt(c)) ** 3
+
+
+def _draws(monkeypatch):
+    """Record each (P, B) that _sample_batch passes through _draw_sign_sets."""
+    seen = []
+    draw = oracle._draw_sign_sets
+
+    def recorded(rng, pm, eps):
+        b, ok = draw(rng, pm, eps)
+        seen.append((pm.copy(), b))
+        return b, ok
+
+    monkeypatch.setattr(oracle, "_draw_sign_sets", recorded)
+    return seen
+
+
+class TestSignSets:
+    """The one-pass sign-set draw against the rejection route it replaced."""
+
+    @pytest.mark.parametrize(
+        "p, eps",
+        [
+            ((0.5, 0.3, 0.2), 0.6),  # S = {0.3, 0.2}, a proper subset
+            ((0.6, 0.25, 0.15), 0.5),  # S = {0.25, 0.15}: the order of the rest matters
+            ((0.05, 0.15, 0.2, 0.6), 0.5),  # S leaves out 0.6
+            ((0.1, 0.2, 0.3, 0.4), 0.3),  # S is every atom
+            ((0.3, 0.1, 0.25, 0.2, 0.15), 0.45),
+        ],
+    )
+    def test_patterns_match_the_rejection_draw(self, p, eps):
+        n, k = 40000, len(p)
+        pm = np.tile(p, (n, 1))
+        b, ok = oracle._draw_sign_sets(np.random.default_rng(71), pm, eps)
+        assert ok.all()
+        ref = rejection_sign_sets(np.random.default_rng(73), pm, eps)
+        bits = 1 << np.arange(k)
+        new = np.bincount(b @ bits, minlength=2**k)
+        old = np.bincount(ref @ bits, minlength=2**k)
+        seen = (new + old) > 0
+        chi2 = float(((new - old)[seen] ** 2 / (new + old)[seen]).sum())
+        assert chi2 < _chi2_bound(int(seen.sum()) - 1)
+
+    def test_one_draw_per_batch(self, monkeypatch):
+        seen = _draws(monkeypatch)
+        rng = np.random.default_rng(79)
+        for k in (2, 5, 8):
+            for eps in (0.1, 0.9, 0.999):
+                seen.clear()
+                oracle._sample_batch(rng, 1000, k, eps)
+                assert [pm.shape for pm, _ in seen] == [(1000, k)]
+
+    @pytest.mark.parametrize("eps", [0.75, 0.9, 0.999])
+    def test_atom_at_exactly_one_minus_eps(self, monkeypatch, eps):
+        # the atom at 1 - eps is the only possible anchor: the others carry
+        # about eps, each raised above 1 - eps, and their float sum often
+        # lands an ulp below eps
+        seen = _draws(monkeypatch)
+        rng = np.random.default_rng(89)
+        for k in range(2, 9):
+            rows = np.empty((2000, k))
+            rows[:, 0] = 1.0 - eps
+            rows[:, 1:] = eps * random_simplex(rng, 2000, k - 1)
+            rows[:, 1:] = np.maximum(rows[:, 1:], np.nextafter(1.0 - eps, 1.0))
+            monkeypatch.setattr(oracle, "_simplex", lambda rng, n, k, rows=rows: rows.copy())
+            pm, qm = oracle._sample_batch(rng, 2000, k, eps)
+            assert not seen[-1][1][:, 0].any()
+            assert np.all(qm >= 0.0)
+            assert np.all(np.abs(batch_total_variation(pm, qm) - eps) <= DEFAULT_TOLS.tv_match)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_eps_near_one(self, monkeypatch, k):
+        seen = _draws(monkeypatch)
+        eps = 0.999
+        pm, qm = oracle._sample_batch(np.random.default_rng(97), 5000, k, eps)
+        p, b = seen[0]
+        # some atom of mass <= 1 - eps stays out of B: the anchor
+        assert np.all((~b & (p <= 1.0 - eps)).any(axis=1))
+        assert np.all(qm >= 0.0)
+        assert np.all(np.abs(batch_total_variation(pm, qm) - eps) <= DEFAULT_TOLS.tv_match)
 
 
 class TestFineGrids:

@@ -35,7 +35,6 @@ from .coding import (
     shannon_code,
     tightened_bound,
 )
-from .config import DEFAULT_TOLS, Tolerances
 from .dist import (
     FiniteDist,
     align,
@@ -70,7 +69,6 @@ from .jensen import (
 )
 from .oracle import (
     ORACLE_MEASURES,
-    TVConstrainedSampler,
     VerifyPointReport,
     grid_verify,
     sample_pair,

@@ -5,17 +5,22 @@ natural throughout the library; base-d quantities are converted at the
 boundary (see :func:`entropy_base`).  Values are immutable after construction
 and every operation here is a pure function, so everything is safe to share
 across threads.
+
+Two tolerances bound the mass sum.  A raw input sum may miss 1 by the
+``normalization`` keyword of :func:`make_dist` (default
+:data:`NORMALIZATION_TOL`) before it is rescaled; user files reach it
+through the text readers and ``--tol-normalization``.  A constructed
+:class:`FiniteDist` must sum to 1 within the fixed :data:`EQUALITY_TOL`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
 from .errors import DistributionError
 
 __all__ = [
@@ -27,22 +32,26 @@ __all__ = [
     "entropy_base",
 ]
 
+# the default allowed |sum - 1| of raw input before make_dist rescales it
+NORMALIZATION_TOL = 1e-9
+# the allowed |sum - 1| of a constructed distribution
+EQUALITY_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class FiniteDist:
     """A probability vector on a labeled finite alphabet.
 
     Invariants (checked at construction): labels are unique, all masses are
-    finite and nonnegative, and the masses sum to 1 within ``equality`` (by
-    default ``DEFAULT_TOLS.equality``).  Use :func:`make_dist` to build one
-    from raw user input; it clamps tiny negative round-off and renormalizes.
+    finite and nonnegative, and the masses sum to 1 within
+    :data:`EQUALITY_TOL`.  Use :func:`make_dist` to build one from raw user
+    input; it clamps tiny negative round-off and renormalizes.
     """
 
     labels: tuple[str, ...]
     mass: np.ndarray
-    equality: InitVar[float] = DEFAULT_TOLS.equality
 
-    def __post_init__(self, equality: float):
+    def __post_init__(self):
         labels = tuple(map(str, self.labels))
         mass = np.array(self.mass, dtype=float, copy=True)
         if mass.ndim != 1 or len(labels) != mass.shape[0]:
@@ -56,7 +65,7 @@ class FiniteDist:
         if np.any(mass < 0.0):
             raise DistributionError("negative probability mass")
         s = float(mass.sum())
-        if abs(s - 1.0) > equality:
+        if abs(s - 1.0) > EQUALITY_TOL:
             raise DistributionError(f"masses sum to {s!r}, not 1")
         mass.setflags(write=False)
         object.__setattr__(self, "labels", labels)
@@ -75,16 +84,17 @@ class FiniteDist:
 def make_dist(
     labels: Sequence[str],
     mass: Iterable[float],
-    tols: Tolerances = DEFAULT_TOLS,
+    normalization: float = NORMALIZATION_TOL,
 ) -> FiniteDist:
     """Validate and normalize raw input into a :class:`FiniteDist`.
 
     Entries in [-1e-15, 0) are treated as round-off and clamped to zero;
     anything more negative is rejected.  The sum must be within
-    ``tols.normalization`` of 1 and is then rescaled; the rescaled sum must
-    be within ``tols.equality`` of 1.  The labels and the rescaled masses are
-    validated once, by :class:`FiniteDist`.
+    ``normalization`` (a number >= 0) of 1 and is then rescaled.  The labels
+    and the rescaled masses are validated once, by :class:`FiniteDist`.
     """
+    if not normalization >= 0.0:  # NaN too, which would pass every sum
+        raise ValueError(f"normalization={normalization!r} must be a number >= 0")
     m = np.asarray(mass if isinstance(mass, np.ndarray) else list(mass), dtype=float)
     if len(labels) != m.shape[0]:
         raise DistributionError(
@@ -95,11 +105,11 @@ def make_dist(
         raise DistributionError(f"negative probability mass {bad!r}")
     m = np.where(m < 0.0, 0.0, m)
     s = float(m.sum())
-    if abs(s - 1.0) > tols.normalization:
+    if abs(s - 1.0) > normalization:
         raise DistributionError(f"masses sum to {s!r}, outside tolerance of 1")
     with np.errstate(invalid="ignore"):  # 0/0 and inf/inf: FiniteDist rejects the NaN
         m = m / s
-    return FiniteDist(labels, m, equality=tols.equality)
+    return FiniteDist(labels, m)
 
 
 def align(p: FiniteDist, q: FiniteDist) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:

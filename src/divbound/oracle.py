@@ -11,9 +11,11 @@ normalized exponentials, split the alphabet into a sign set B (mass moves
 off it) and its complement A, rescale the B side proportionally by
 1 - eps / mass(B) and push mass eps onto A with fresh simplex weights.  The
 resulting Q stays in the simplex and the pair sits at total variation eps
-exactly, which is checked, not assumed.  When a drawn P cannot carry a
-mass-eps sign set on a proper subset (min mass > 1 - eps), the smallest
-atom is rescaled into the feasible range and the rest renormalized.
+exactly, which is checked, not assumed: a batch with a pair farther than the
+fixed ``TV_MATCH_TOL`` = 1e-9 from eps raises BoundViolationError (the draw
+meets eps to a few ulps).  When a drawn P cannot carry a mass-eps sign set
+on a proper subset (min mass > 1 - eps), the smallest atom is rescaled into
+the feasible range and the rest renormalized.
 
 B is the prefix of a random order of the atoms that first reaches mass eps,
 plus fair coins on the later atoms but the last, the anchor, which stays in
@@ -35,14 +37,12 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import MEASURES, BoundCurve, Measure, extremal_pair, find_measure
-from .config import DEFAULT_TOLS
+from .bounds import MEASURES, Measure, extremal_pair, find_measure
 from .dist import FiniteDist
 from .errors import BoundViolationError
 from .fdiv import batch_total_variation
 
 __all__ = [
-    "TVConstrainedSampler",
     "sample_pair",
     "ORACLE_MEASURES",
     "VerifyPointReport",
@@ -54,24 +54,8 @@ __all__ = [
 RNG_NAME = "numpy PCG64"
 _VIOLATION_SLACK = 1e-9
 _ATTAIN_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TVConstrainedSampler:
-    """Configuration for drawing pairs at fixed total variation distance."""
-
-    support_size: int
-    eps_target: float
-    seed: int
-    tol: float = DEFAULT_TOLS.tv_match
-
-    def __post_init__(self):
-        if not 2 <= self.support_size <= 8:
-            raise ValueError(f"support_size={self.support_size!r} outside [2, 8]")
-        if not 0.0 <= self.eps_target < 1.0:
-            raise ValueError(f"eps_target={self.eps_target!r} outside [0, 1)")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+# the largest |TV - eps| a sampled pair may show
+TV_MATCH_TOL = 1e-9
 
 
 def _simplex(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
@@ -107,11 +91,7 @@ def _draw_sign_sets(rng, pm: np.ndarray, eps: float):
 
 
 def _sample_batch(
-    rng: np.random.Generator,
-    n: int,
-    k: int,
-    eps: float,
-    tol: float = DEFAULT_TOLS.tv_match,
+    rng: np.random.Generator, n: int, k: int, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """n pairs of k-point distributions at total variation exactly eps."""
     pm = _simplex(rng, n, k)
@@ -134,16 +114,20 @@ def _sample_batch(
     weights = spread / spread.sum(axis=1, keepdims=True)
     qm = np.maximum(np.where(b, pm * (1.0 - eps / mass_b)[:, None], pm + eps * weights), 0.0)
     tv = batch_total_variation(pm, qm)
-    if not np.all(np.abs(tv - eps) <= tol):
+    if not np.all(np.abs(tv - eps) <= TV_MATCH_TOL):
         raise BoundViolationError(f"sampler left the TV constraint {eps!r} on support {k}")
     return pm, qm
 
 
-def sample_pair(sampler: TVConstrainedSampler) -> tuple[FiniteDist, FiniteDist]:
-    """The pair determined by the sampler's seed; pure in the sampler."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(sampler.seed)))
-    pm, qm = _sample_batch(rng, 1, sampler.support_size, sampler.eps_target, sampler.tol)
-    labels = tuple(f"x{i + 1}" for i in range(sampler.support_size))
+def sample_pair(support_size: int, eps: float, seed: int) -> tuple[FiniteDist, FiniteDist]:
+    """One pair on support_size atoms at total variation eps; pure in its arguments."""
+    if not 2 <= support_size <= 8:
+        raise ValueError(f"support_size={support_size!r} outside [2, 8]")
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"eps={eps!r} outside [0, 1)")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    pm, qm = _sample_batch(rng, 1, support_size, eps)
+    labels = tuple(f"x{i + 1}" for i in range(support_size))
     return FiniteDist(labels, pm[0]), FiniteDist(labels, qm[0])
 
 
@@ -212,13 +196,11 @@ def verify_min(
     measure: str,
     eps: float,
     n_samples: int,
-    closed_form: Optional[float] = None,
     seed: int = 0,
     support_sizes: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
     fine_step: Optional[float] = 1e-3,
     gap_threshold: Optional[float] = None,
     stream_key: int = 0,
-    tol: float = DEFAULT_TOLS.tv_match,
 ) -> VerifyPointReport:
     """Stress one closed-form extreme at one eps.
 
@@ -227,43 +209,40 @@ def verify_min(
     (i) no value crosses the closed form by more than 1e-9,
     (ii) the extremal pair attains it within 1e-9, and
     (iii) the empirical extreme is within gap_threshold when one is given.
+    The witness is the worst crossing pair over every batch and fine grid.
     """
     om = find_measure(ORACLE_MEASURES, measure)
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps={eps!r} outside the sampler domain [0, 1)")
-    cf = om.closed_form(eps) if closed_form is None else float(closed_form)
+    if gap_threshold is not None and math.isnan(gap_threshold):
+        raise ValueError("gap_threshold is NaN, which would pass every gap")
+    cf = om.closed_form(eps)
     sign = 1.0 if om.direction == "min" else -1.0
+    line = sign * cf - _VIOLATION_SLACK  # a signed value below it crosses
 
-    best = math.inf
+    best = math.inf  # the least signed value scanned so far
     violations = 0
     witness = None
 
     def scan(pm, qm):
         nonlocal best, violations, witness
         vals = sign * om.evaluate(pm, qm)
-        crossing = vals < sign * cf - _VIOLATION_SLACK
-        if crossing.any():
-            violations += int(crossing.sum())
-            if witness is None:
-                i = int(np.argmin(vals))
-                labels = tuple(f"x{j + 1}" for j in range(pm.shape[1]))
-                witness = (FiniteDist(labels, pm[i]), FiniteDist(labels, qm[i]))
-        return float(vals.min())
+        violations += int(np.count_nonzero(vals < line))
+        i = int(np.argmin(vals))
+        low = float(vals[i])
+        if low < min(best, line):
+            labels = tuple(f"x{j + 1}" for j in range(pm.shape[1]))
+            witness = (FiniteDist(labels, pm[i]), FiniteDist(labels, qm[i]))
+        best = min(best, low)
+        return low
 
     if n_samples > 0:
         for s in support_sizes:
-            rng = _stream(seed, stream_key, s)
-            pm, qm = _sample_batch(rng, n_samples, s, eps, tol)
-            best = min(best, scan(pm, qm))
+            scan(*_sample_batch(_stream(seed, stream_key, s), n_samples, s, eps))
 
     fine_best = None
     if fine_step is not None:
-        fine_best = math.inf
-        for s in (2, 3):
-            pm, qm = fine_grid_pairs(eps, s, step=fine_step)
-            fine_best = min(fine_best, scan(pm, qm))
-        best = min(best, fine_best)
-        fine_best = sign * fine_best
+        fine_best = sign * min(scan(*fine_grid_pairs(eps, s, step=fine_step)) for s in (2, 3))
 
     pair = extremal_pair(eps, om.extremal_kind)
     extremal_value = float(om.evaluate(pair.p.mass[None, :], pair.q.mass[None, :])[0])
@@ -314,9 +293,8 @@ def grid_verify(
     support_sizes: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
     fine_step: Optional[float] = 1e-3,
     gap_threshold: Optional[float] = None,
-    tol: float = DEFAULT_TOLS.tv_match,
-) -> tuple[BoundCurve, BoundCurve, list[VerifyPointReport]]:
-    """Run verify_min over a grid; returns (closed curve, empirical curve, reports).
+) -> list[VerifyPointReport]:
+    """Run verify_min at each grid point, on stream key = the point's index.
 
     The whole grid is domain-checked before any sampling starts.
     """
@@ -325,26 +303,16 @@ def grid_verify(
     outside = [e for e in eps_grid if not 0.0 <= e < 1.0]
     if outside:
         raise ValueError(f"grid point eps={outside[0]!r} outside the sampler domain [0, 1)")
-
-    reports = []
-    for i, e in enumerate(eps_grid):
-        reports.append(
-            verify_min(
-                measure,
-                e,
-                n_samples,
-                seed=seed,
-                support_sizes=support_sizes,
-                fine_step=fine_step,
-                gap_threshold=gap_threshold,
-                stream_key=i,
-                tol=tol,
-            )
+    return [
+        verify_min(
+            measure,
+            e,
+            n_samples,
+            seed=seed,
+            support_sizes=support_sizes,
+            fine_step=fine_step,
+            gap_threshold=gap_threshold,
+            stream_key=i,
         )
-    closed = BoundCurve(
-        f"{measure}_closed", tuple((r.eps, r.closed_form) for r in reports)
-    )
-    empirical = BoundCurve(
-        f"{measure}_empirical", tuple((r.eps, r.sample_extreme) for r in reports)
-    )
-    return closed, empirical, reports
+        for i, e in enumerate(eps_grid)
+    ]

@@ -2,7 +2,9 @@
 
 Distribution files are UTF-8, one ``label<TAB>probability`` per line; blank
 lines and lines starting with ``#`` are ignored.  Codeword-length files use
-the same layout with a positive integer in the second column.
+the same layout with a positive integer in the second column.  The
+distribution readers hand their ``normalization`` keyword to
+:func:`~divbound.dist.make_dist`, which rescales the masses.
 
 A file in the canonical layout (see :func:`_columns`) is split in one pass
 over the whole text and its value column converted in bulk; any other file,
@@ -19,8 +21,7 @@ import os
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
-from .dist import FiniteDist, make_dist
+from .dist import NORMALIZATION_TOL, FiniteDist, make_dist
 from .errors import DistFileError
 
 __all__ = ["fmt_g12", "parse_dist_text", "read_dist_file", "parse_lengths_text", "read_lengths_file"]
@@ -83,10 +84,10 @@ def _floats(values: list[str]) -> np.ndarray:
     return np.fromiter(map(float, values), dtype=float, count=len(values))
 
 
-def parse_dist_text(text: str, tols: Tolerances = DEFAULT_TOLS) -> FiniteDist:
+def parse_dist_text(text: str, normalization: float = NORMALIZATION_TOL) -> FiniteDist:
     columns = _columns(text, _floats)
     if columns is not None:
-        return make_dist(*columns, tols=tols)
+        return make_dist(*columns, normalization=normalization)
     labels, mass = [], []
     for lineno, label, value in _rows(text):
         try:
@@ -96,12 +97,14 @@ def parse_dist_text(text: str, tols: Tolerances = DEFAULT_TOLS) -> FiniteDist:
         labels.append(label)
     if not labels:
         raise DistFileError("no distribution entries found", line=1)
-    return make_dist(labels, mass, tols=tols)
+    return make_dist(labels, mass, normalization=normalization)
 
 
-def read_dist_file(path: str | os.PathLike, tols: Tolerances = DEFAULT_TOLS) -> FiniteDist:
+def read_dist_file(
+    path: str | os.PathLike, normalization: float = NORMALIZATION_TOL
+) -> FiniteDist:
     with open(path, encoding="utf-8") as fh:
-        return parse_dist_text(fh.read(), tols=tols)
+        return parse_dist_text(fh.read(), normalization=normalization)
 
 
 def _ints(values: list[str]) -> list[int]:

@@ -99,6 +99,22 @@ class TestDivergence:
         assert "non-finite probability mass" in r.stderr
         assert "Warning" not in r.stderr
 
+    @pytest.mark.parametrize("tol", ["nan", "-1e-9", "-inf"])
+    def test_nan_or_negative_tolerance_is_usage_error(self, runner, tmp_path, dist_files, tol):
+        # NaN would accept this file, a negative tolerance every file's rejection
+        off = tmp_path / "off.txt"
+        off.write_text("a\t0.5\nb\t0.6\n", encoding="utf-8")
+        r = runner.invoke(
+            main,
+            [
+                "divergence", "--divergence", "kl", "--p", str(off), "--q", dist_files[0],
+                "--tol-normalization", tol,
+            ],
+        )
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert "Invalid value for '--tol-normalization'" in r.stderr
+
     def test_malformed_file_reports_line_under_python_O(self, tmp_path, dist_files):
         # the fallback to the line loop rests on no assert, which -O strips
         bad = tmp_path / "bad.txt"
@@ -152,7 +168,10 @@ class TestBounds:
     # bounds and verify read the same start:step:stop grid
     @pytest.mark.parametrize(
         "grid",
-        ["0.9:0.1:0.1", "nan:0.1:0.5", "0.1:0.1:inf", "0.1:0.1", "0.1:0.1:0.5:0.9", "0:1e-320:1"],
+        [
+            "0.9:0.1:0.1", "nan:0.1:0.5", "0.1:0.1:inf", "0.1:0.1", "0.1:0.1:0.5:0.9", "0:1e-320:1",
+            "0.5:1e-17:0.5000000000000001",  # 12 points that round onto 2 floats
+        ],
     )
     def test_bad_grid(self, runner, grid):
         for args in (["bounds", "--measure", "jeffreys"], ["verify", "--measure", "tv"]):
@@ -340,6 +359,20 @@ class TestVerify:
         )
         assert r.exit_code == 1
         assert "FAIL" in r.stderr
+
+    def test_nan_gap_threshold_is_usage_error(self, runner):
+        # NaN would pass every gap
+        r = runner.invoke(
+            main,
+            ["verify", "--measure", "tv", "--grid", "0.5:0.1:0.5", "--gap-threshold", "nan"],
+        )
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert "Invalid value for '--gap-threshold'" in r.stderr
+
+    def test_tv_tolerance_is_not_settable(self, runner):
+        r = runner.invoke(main, ["verify", "--help"])
+        assert "--tol" not in r.stdout
 
     def test_grid_outside_domain(self, runner):
         r = runner.invoke(

@@ -14,7 +14,6 @@ from divbound.dist import (
     make_dist,
     total_variation,
 )
-from divbound.config import Tolerances
 from divbound.errors import DistributionError
 
 from util import as_dist, random_simplex
@@ -47,6 +46,11 @@ class TestMakeDist:
     def test_tiny_negative_clamped(self):
         d = make_dist(["a", "b"], [1.0, -5e-16])
         assert d.mass[1] == 0.0
+
+    def test_normalization_keyword(self):
+        with pytest.raises(DistributionError, match="outside tolerance"):
+            make_dist(["a", "b"], [0.5, 0.5 + 2e-9])  # the default is 1e-9
+        assert make_dist(["a", "b"], [0.5, 0.6], normalization=0.2).mass[0] == 0.5 / 1.1
 
     def test_renormalizes(self):
         d = make_dist(["a", "b"], [0.5 + 2e-10, 0.5])
@@ -203,17 +207,24 @@ def test_non_finite_mass_rejected(bad):
     with pytest.raises(DistributionError, match="non-finite"):
         FiniteDist(("a", "b"), np.array([bad, 0.5]))
     with pytest.raises(DistributionError):
-        make_dist(["a", "b"], [bad, 0.5], tols=Tolerances(normalization=math.inf))
+        make_dist(["a", "b"], [bad, 0.5], normalization=math.inf)
 
 
-def test_make_dist_applies_its_own_equality_tolerance():
+def test_make_dist_applies_the_fixed_equality_tolerance():
     # (0.6, 0.3, 0.1) sums to 1 - 2^-53, and rescaled to 1 + 2^-52: inside
-    # the default tolerance, outside a zero one; make_dist applies the one it got
+    # the fixed 1e-12, which make_dist and direct construction both apply
     mass = np.array([0.6, 0.3, 0.1])
     rescaled = mass / mass.sum()
     assert float(rescaled.sum()) == 1.0 + 2.0**-52
     assert make_dist(["a", "b", "c"], mass).mass.tobytes() == rescaled.tobytes()
-    with pytest.raises(DistributionError, match="not 1"):
-        make_dist(["a", "b", "c"], mass, tols=Tolerances(equality=0.0))
-    # constructed directly, a FiniteDist keeps the default
     assert FiniteDist(("a", "b", "c"), rescaled).mass.tobytes() == rescaled.tobytes()
+    with pytest.raises(DistributionError, match="not 1"):
+        FiniteDist(("a", "b"), np.array([0.5, 0.5 + 2e-12]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1e-9, -math.inf])
+def test_nan_or_negative_normalization_rejected(bad):
+    # NaN would pass every sum, a negative bound none
+    with pytest.raises(ValueError, match="normalization"):
+        make_dist(["a", "b"], [0.5, 0.5], normalization=bad)
+

@@ -6,17 +6,10 @@ import pytest
 
 import divbound.oracle as oracle
 from divbound.bounds import jeffreys_min
-from divbound.config import DEFAULT_TOLS
 from divbound.dist import total_variation
 from divbound.errors import BoundViolationError
 from divbound.fdiv import batch_total_variation
-from divbound.oracle import (
-    TVConstrainedSampler,
-    fine_grid_pairs,
-    grid_verify,
-    sample_pair,
-    verify_min,
-)
+from divbound.oracle import TV_MATCH_TOL, fine_grid_pairs, grid_verify, sample_pair, verify_min
 
 from util import random_simplex, rejection_sign_sets
 
@@ -24,46 +17,56 @@ from util import random_simplex, rejection_sign_sets
 class TestSampler:
     def test_invalid_support(self):
         for k in (1, 9):
-            with pytest.raises(ValueError):
-                TVConstrainedSampler(support_size=k, eps_target=0.5, seed=0)
+            with pytest.raises(ValueError, match="support_size"):
+                sample_pair(k, 0.5, seed=0)
 
     def test_invalid_eps(self):
-        for eps in (-0.1, 1.0, 1.5):
-            with pytest.raises(ValueError):
-                TVConstrainedSampler(support_size=3, eps_target=eps, seed=0)
+        for eps in (-0.1, 1.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match="eps"):
+                sample_pair(3, eps, seed=0)
 
     def test_deterministic_given_seed(self):
-        s = TVConstrainedSampler(support_size=4, eps_target=0.37, seed=123)
-        p1, q1 = sample_pair(s)
-        p2, q2 = sample_pair(s)
+        p1, q1 = sample_pair(4, 0.37, seed=123)
+        p2, q2 = sample_pair(4, 0.37, seed=123)
         assert np.array_equal(p1.mass, p2.mass)
         assert np.array_equal(q1.mass, q2.mass)
 
     def test_different_seeds_differ(self):
-        a = sample_pair(TVConstrainedSampler(support_size=4, eps_target=0.3, seed=1))
-        b = sample_pair(TVConstrainedSampler(support_size=4, eps_target=0.3, seed=2))
+        a = sample_pair(4, 0.3, seed=1)
+        b = sample_pair(4, 0.3, seed=2)
         assert not np.array_equal(a[0].mass, b[0].mass)
 
     def test_eps_zero_returns_same_dist(self):
-        p, q = sample_pair(TVConstrainedSampler(support_size=3, eps_target=0.0, seed=5))
+        p, q = sample_pair(3, 0.0, seed=5)
         assert np.array_equal(p.mass, q.mass)
 
     def test_extreme_eps_small_support(self):
         # the mirrored two-point family is feasible for every eps < 1
-        s = TVConstrainedSampler(support_size=2, eps_target=0.999, seed=11)
-        p, q = sample_pair(s)
+        p, q = sample_pair(2, 0.999, seed=11)
         assert total_variation(p, q) == pytest.approx(0.999, abs=1e-9)
 
     @pytest.mark.parametrize("k", [2, 5, 8])
     @pytest.mark.parametrize("eps", [0.05, 0.5, 0.9])
     def test_constraint_always_met(self, k, eps):
-        s = TVConstrainedSampler(support_size=k, eps_target=eps, seed=31)
         for seed in range(31, 41):
-            p, q = sample_pair(
-                TVConstrainedSampler(support_size=k, eps_target=eps, seed=seed)
-            )
-            assert abs(total_variation(p, q) - eps) <= s.tol
+            p, q = sample_pair(k, eps, seed=seed)
+            assert abs(total_variation(p, q) - eps) <= TV_MATCH_TOL
             assert np.all(p.mass >= 0.0) and np.all(q.mass >= 0.0)
+
+    def test_same_draw_as_one_row_of_a_batch(self):
+        pm, qm = oracle._sample_batch(
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(17))), 1, 6, 0.42
+        )
+        p, q = sample_pair(6, 0.42, seed=17)
+        assert p.mass.tobytes() == pm[0].tobytes() and q.mass.tobytes() == qm[0].tobytes()
+
+
+def _force_closed_form(monkeypatch, name: str, value: float):
+    """Make the oracle check name against a constant closed form."""
+    om = oracle.ORACLE_MEASURES[name]
+    monkeypatch.setitem(
+        oracle.ORACLE_MEASURES, name, dataclasses.replace(om, closed_form=lambda eps: value)
+    )
 
 
 def _chi2_bound(dof: int) -> float:
@@ -137,7 +140,7 @@ class TestSignSets:
             pm, qm = oracle._sample_batch(rng, 2000, k, eps)
             assert not seen[-1][1][:, 0].any()
             assert np.all(qm >= 0.0)
-            assert np.all(np.abs(batch_total_variation(pm, qm) - eps) <= DEFAULT_TOLS.tv_match)
+            assert np.all(np.abs(batch_total_variation(pm, qm) - eps) <= TV_MATCH_TOL)
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_eps_near_one(self, monkeypatch, k):
@@ -148,7 +151,7 @@ class TestSignSets:
         # some atom of mass <= 1 - eps stays out of B: the anchor
         assert np.all((~b & (p <= 1.0 - eps)).any(axis=1))
         assert np.all(qm >= 0.0)
-        assert np.all(np.abs(batch_total_variation(pm, qm) - eps) <= DEFAULT_TOLS.tv_match)
+        assert np.all(np.abs(batch_total_variation(pm, qm) - eps) <= TV_MATCH_TOL)
 
 
 class TestFineGrids:
@@ -222,13 +225,39 @@ class TestVerifyMin:
         with pytest.raises(ValueError):
             verify_min("jeffreys", 1.0, 10)
 
-    def test_forced_failure_records_witness(self):
+    def test_forced_failure_records_witness(self, monkeypatch):
         # an impossibly high closed form must be crossed by samples
-        r = verify_min("jeffreys", 0.3, 200, closed_form=10.0, seed=7)
+        _force_closed_form(monkeypatch, "jeffreys", 10.0)
+        r = verify_min("jeffreys", 0.3, 200, seed=7)
         assert not r.passed
         assert r.violations > 0
         assert r.witness is not None
         assert r.failure is not None
+
+    def test_witness_is_the_worst_crossing_row_over_all_batches(self, monkeypatch):
+        # every pair crosses 10; the least sampled value lies in a later
+        # batch than the first, and the fine grids go lower still
+        _force_closed_form(monkeypatch, "jeffreys", 10.0)
+        evaluate = oracle.ORACLE_MEASURES["jeffreys"].evaluate
+        sampled = [
+            evaluate(*oracle._sample_batch(oracle._stream(7, 0, s), 2000, s, 0.3)).min()
+            for s in range(2, 9)
+        ]
+        assert np.argmin(sampled) > 0
+
+        def witness_value(r):
+            wp, wq = r.witness
+            return evaluate(wp.mass[None, :], wq.mass[None, :])[0]
+
+        r = verify_min("jeffreys", 0.3, 2000, seed=7, fine_step=None)
+        assert witness_value(r) == min(sampled)
+        assert len(r.witness[0]) == 2 + int(np.argmin(sampled))
+        r = verify_min("jeffreys", 0.3, 2000, seed=7)
+        assert witness_value(r) == r.fine_extreme < min(sampled)
+
+    def test_nan_gap_threshold_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            verify_min("jeffreys", 0.5, 10, gap_threshold=math.nan)
 
     def test_gap_threshold_enforced(self):
         r = verify_min("jeffreys", 0.5, 100, seed=7, gap_threshold=-1.0)
@@ -242,22 +271,19 @@ class TestVerifyMin:
 
 class TestGridVerify:
     def test_empty_grid(self):
-        closed, empirical, reports = grid_verify("jeffreys", [], 10)
-        assert closed.points == ()
-        assert empirical.points == ()
-        assert reports == []
+        assert grid_verify("jeffreys", [], 10) == []
 
     def test_domain_error_before_sampling(self):
         with pytest.raises(ValueError):
             grid_verify("jeffreys", [0.2, 1.2], 10)
 
-    def test_curves_and_reports(self):
-        closed, empirical, reports = grid_verify(
-            "capacitory", [0.2, 0.5, 0.8], 300, seed=13
-        )
-        assert [e for e, _ in closed.points] == [0.2, 0.5, 0.8]
+    def test_reports_follow_the_grid(self):
+        reports = grid_verify("capacitory", [0.2, 0.5, 0.8], 300, seed=13)
+        assert [r.eps for r in reports] == [0.2, 0.5, 0.8]
         assert all(r.passed for r in reports)
-        assert np.all(empirical.values() >= closed.values() - 1e-9)
+        assert all(r.sample_extreme >= r.closed_form - 1e-9 for r in reports)
+        # point i draws from stream key i
+        assert reports[1] == verify_min("capacitory", 0.5, 300, seed=13, stream_key=1)
 
     def test_bit_for_bit_determinism(self):
         kw = dict(n_samples=300, seed=99, support_sizes=(2, 3, 4), fine_step=None)

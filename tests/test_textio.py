@@ -9,13 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divbound.textio as textio
-from divbound.config import Tolerances
 from divbound.errors import DistFileError, DistributionError
 from divbound.textio import parse_dist_text, parse_lengths_text
 
-# any positive sum is accepted, so that most texts parse and their masses
-# can be compared bit for bit; the sum check itself is make_dist's
-_ANY_SUM = Tolerances(normalization=math.inf)
 
 
 def _outcome(parse, text):
@@ -44,7 +40,9 @@ def _same_dist(fast, slow):
 
 
 def _parse_dist(text):
-    return parse_dist_text(text, tols=_ANY_SUM)
+    # any positive sum is accepted, so that most texts parse and their masses
+    # can be compared bit for bit; the sum check itself is make_dist's
+    return parse_dist_text(text, normalization=math.inf)
 
 
 def _parse_lengths(text):

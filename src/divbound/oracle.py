@@ -27,11 +27,23 @@ orders were redrawn until one did (the tests keep that reference route).
 Randomness comes from numpy's PCG64 with streams derived from
 (seed, grid index, support size), so grid points are independent and a run
 is reproducible bit for bit; the generator name is recorded on each report.
+
+verify_min scans blocks on a thread pool with one worker per CPU the
+process may run on (numpy releases the GIL inside its loops).  A block is
+one sampled support, drawn from its own stream, or 2^14 rows of a fine
+grid; it returns its crossing count and its least signed value with that
+row.  The main thread merges the results in a fixed order: supports in the
+order given, then fine grid 2, then fine grid 3.  Within a piece the least
+block value wins, the first on ties or NaN, as an argmin over the whole
+array would pick; across pieces a row becomes the witness only when it lies
+strictly below the line and every value before it.  So the report does not
+depend on the number of CPUs or on which block finishes first.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,6 +68,8 @@ _VIOLATION_SLACK = 1e-9
 _ATTAIN_TOL = 1e-9
 # the largest |TV - eps| a sampled pair may show
 TV_MATCH_TOL = 1e-9
+# fine-grid rows per block of the scan
+_BLOCK_ROWS = 1 << 14
 
 
 def _simplex(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
@@ -187,6 +201,19 @@ class VerifyPointReport:
     failure: Optional[str]
 
 
+def _check_support_sizes(support_sizes) -> None:
+    outside = [s for s in support_sizes if not 2 <= s <= 8]
+    if outside:
+        raise ValueError(f"support size {outside[0]!r} outside [2, 8]")
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _stream(seed: int, stream_key: int, support: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_key, support))
     return np.random.Generator(np.random.PCG64(ss))
@@ -216,33 +243,53 @@ def verify_min(
         raise ValueError(f"eps={eps!r} outside the sampler domain [0, 1)")
     if gap_threshold is not None and math.isnan(gap_threshold):
         raise ValueError("gap_threshold is NaN, which would pass every gap")
+    _check_support_sizes(support_sizes)
     cf = om.closed_form(eps)
     sign = 1.0 if om.direction == "min" else -1.0
     line = sign * cf - _VIOLATION_SLACK  # a signed value below it crosses
 
-    best = math.inf  # the least signed value scanned so far
+    def least(pm, qm):
+        # crossings, the least signed value and its row, of one block; the
+        # row is copied so that the result does not keep the batch alive
+        vals = sign * om.evaluate(pm, qm)
+        i = int(np.argmin(vals))
+        return int(np.count_nonzero(vals < line)), float(vals[i]), pm[i].copy(), qm[i].copy()
+
+    def sampled(s):
+        return least(*_sample_batch(_stream(seed, stream_key, s), n_samples, s, eps))
+
+    from concurrent.futures import ThreadPoolExecutor  # here: `divbound --help` skips its import
+
+    # one list of blocks per piece, in merge order: supports, then fine grids
+    pool = ThreadPoolExecutor(max_workers=_cpu_count())
+    try:
+        pieces = [[pool.submit(sampled, s)] for s in support_sizes] if n_samples > 0 else []
+        if fine_step is not None:
+            for s in (2, 3):
+                pm, qm = fine_grid_pairs(eps, s, step=fine_step)
+                pieces.append([
+                    pool.submit(least, pm[i : i + _BLOCK_ROWS], qm[i : i + _BLOCK_ROWS])
+                    for i in range(0, len(pm), _BLOCK_ROWS)
+                ])
+        results = [[f.result() for f in piece] for piece in pieces]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+    best = math.inf  # the least signed value merged so far
     violations = 0
     witness = None
-
-    def scan(pm, qm):
-        nonlocal best, violations, witness
-        vals = sign * om.evaluate(pm, qm)
-        violations += int(np.count_nonzero(vals < line))
-        i = int(np.argmin(vals))
-        low = float(vals[i])
+    lows = []
+    for blocks in results:
+        # argmin over the block minima picks the row argmin over the whole
+        # piece would: the first least value, or the first NaN
+        _, low, p, q = blocks[int(np.argmin([b[1] for b in blocks]))]
+        violations += sum(b[0] for b in blocks)
         if low < min(best, line):
-            labels = tuple(f"x{j + 1}" for j in range(pm.shape[1]))
-            witness = (FiniteDist(labels, pm[i]), FiniteDist(labels, qm[i]))
+            labels = tuple(f"x{j + 1}" for j in range(p.size))
+            witness = (FiniteDist(labels, p), FiniteDist(labels, q))
         best = min(best, low)
-        return low
-
-    if n_samples > 0:
-        for s in support_sizes:
-            scan(*_sample_batch(_stream(seed, stream_key, s), n_samples, s, eps))
-
-    fine_best = None
-    if fine_step is not None:
-        fine_best = sign * min(scan(*fine_grid_pairs(eps, s, step=fine_step)) for s in (2, 3))
+        lows.append(low)
+    fine_best = None if fine_step is None else sign * min(lows[-2:])
 
     pair = extremal_pair(eps, om.extremal_kind)
     extremal_value = float(om.evaluate(pair.p.mass[None, :], pair.q.mass[None, :])[0])
@@ -303,6 +350,7 @@ def grid_verify(
     outside = [e for e in eps_grid if not 0.0 <= e < 1.0]
     if outside:
         raise ValueError(f"grid point eps={outside[0]!r} outside the sampler domain [0, 1)")
+    _check_support_sizes(support_sizes)
     return [
         verify_min(
             measure,

@@ -408,6 +408,17 @@ class TestVerify:
         assert "DIVBOUND_SEED" in r.stderr and "'abc' is not a valid integer" in r.stderr
 
 
+def test_import_leaves_out_the_thread_pool():
+    # verify imports concurrent.futures when it runs, so start-up does not pay for it
+    env = dict(os.environ, PYTHONPATH=str(Path(divbound.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, divbound.cli; print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_help_lists_subcommands(runner):
     r = runner.invoke(main, ["--help"])
     assert r.exit_code == 0

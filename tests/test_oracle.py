@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from divbound.errors import BoundViolationError
 from divbound.fdiv import batch_total_variation
 from divbound.oracle import TV_MATCH_TOL, fine_grid_pairs, grid_verify, sample_pair, verify_min
 
-from util import random_simplex, rejection_sign_sets
+from util import assert_same_report, random_simplex, reference_verify_min, rejection_sign_sets
 
 
 class TestSampler:
@@ -285,14 +286,130 @@ class TestGridVerify:
         # point i draws from stream key i
         assert reports[1] == verify_min("capacitory", 0.5, 300, seed=13, stream_key=1)
 
-    def test_bit_for_bit_determinism(self):
-        kw = dict(n_samples=300, seed=99, support_sizes=(2, 3, 4), fine_step=None)
-        r1 = verify_min("jeffreys", 0.4, **kw)
-        r2 = verify_min("jeffreys", 0.4, **kw)
-        for f in dataclasses.fields(r1):
-            if f.name == "witness":
-                continue
-            assert getattr(r1, f.name) == getattr(r2, f.name), f.name
+    def test_bit_for_bit_determinism(self, monkeypatch):
+        # fine grids on, so the blocked scan is pinned; the forced closed
+        # form makes the second pair of runs keep a witness
+        kw = dict(n_samples=300, seed=99, support_sizes=(2, 3, 4), fine_step=2e-3)
+        for forced in (False, True):
+            if forced:
+                _force_closed_form(monkeypatch, "jeffreys", 10.0)
+            r1 = verify_min("jeffreys", 0.4, **kw)
+            r2 = verify_min("jeffreys", 0.4, **kw)
+            assert (r1.witness is not None) == forced
+            assert_same_report(r1, r2)
+
+    @pytest.mark.parametrize("sizes", [(1,), (0,), (9,), (2, 3, 9)])
+    def test_support_sizes_outside_range(self, monkeypatch, sizes):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the support sizes were checked")
+
+        monkeypatch.setattr(oracle, "_sample_batch", no_sampling)
+        monkeypatch.setattr(oracle, "fine_grid_pairs", no_sampling)
+        with pytest.raises(ValueError, match="support size"):
+            verify_min("tv", 0.5, 10, support_sizes=sizes)
+        with pytest.raises(ValueError, match="support size"):
+            grid_verify("tv", [0.2, 0.5], 10, support_sizes=sizes)
+
+
+class TestBlockScan:
+    """The pooled block scan against one sequential scan of whole arrays."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5, 0.97])
+    @pytest.mark.parametrize("name", sorted(oracle.ORACLE_MEASURES))
+    def test_matches_the_whole_array_scan(self, name, eps):
+        kw = dict(n_samples=200, seed=5, fine_step=2e-3, stream_key=3)
+        assert_same_report(verify_min(name, eps, **kw), reference_verify_min(name, eps, **kw))
+
+    @pytest.mark.parametrize(
+        "kw", [dict(n_samples=0), dict(n_samples=300, fine_step=None)], ids=["samples-0", "no-fine-grids"]
+    )
+    def test_one_kind_of_piece(self, kw):
+        for name in ("chernoff", "bhattacharyya_upper"):
+            assert_same_report(verify_min(name, 0.3, seed=11, **kw), reference_verify_min(name, 0.3, seed=11, **kw))
+
+    def test_crossings_in_several_fine_grid_blocks(self, monkeypatch):
+        # every row whose value lies under 0.2 crosses; those rows fill
+        # blocks across the support-3 grid, the lowest not in the first
+        _force_closed_form(monkeypatch, "jeffreys", 0.2)
+        evaluate = oracle.ORACLE_MEASURES["jeffreys"].evaluate
+        vals = evaluate(*fine_grid_pairs(0.1, 3))
+        blocks = np.unique(np.flatnonzero(vals < 0.2) // oracle._BLOCK_ROWS)
+        assert blocks.size >= 3 and np.argmin(vals) // oracle._BLOCK_ROWS > blocks[0]
+        r = verify_min("jeffreys", 0.1, 0, seed=2)
+        assert r.violations > 0 and len(r.witness[0]) == 3
+        assert_same_report(r, reference_verify_min("jeffreys", 0.1, 0, seed=2))
+
+    def test_ties_keep_the_first_row(self, monkeypatch):
+        # every row sits at TV 0.1 up to rounding and crosses 0.5: the least
+        # value recurs across blocks and grids, and the first row of it wins
+        _force_closed_form(monkeypatch, "tv", 0.5)
+        r = verify_min("tv", 0.1, 0, seed=2)
+        assert len(r.witness[0]) == 2
+        assert_same_report(r, reference_verify_min("tv", 0.1, 0, seed=2))
+        # flatten the support-3 grid below the rest: its first row wins
+        om = oracle.ORACLE_MEASURES["tv"]
+
+        def flat(pm, qm):
+            return np.zeros(len(pm)) if pm.shape[1] == 3 else om.evaluate(pm, qm)
+
+        monkeypatch.setitem(oracle.ORACLE_MEASURES, "tv", dataclasses.replace(om, evaluate=flat))
+        r = verify_min("tv", 0.1, 0, seed=2)
+        assert np.array_equal(r.witness[0].mass, fine_grid_pairs(0.1, 3)[0][0])
+        assert_same_report(r, reference_verify_min("tv", 0.1, 0, seed=2))
+
+    def test_nan_before_the_least_block(self, monkeypatch):
+        # the whole-array argmin stops at the first NaN, so the support-3
+        # grid, whose least row (block 18) would be the witness, gives none
+        _force_closed_form(monkeypatch, "jeffreys", 0.2)
+        om = oracle.ORACLE_MEASURES["jeffreys"]
+        nan_row = oracle.fine_grid_pairs(0.1, 3)[0][3 * oracle._BLOCK_ROWS + 5]
+
+        def with_nan(pm, qm):
+            vals = om.evaluate(pm, qm)
+            if pm.shape[1] != 3:
+                return vals
+            return np.where((pm == nan_row).all(axis=1), math.nan, vals)
+
+        monkeypatch.setitem(oracle.ORACLE_MEASURES, "jeffreys", dataclasses.replace(om, evaluate=with_nan))
+        r = verify_min("jeffreys", 0.1, 0, seed=2)
+        assert len(r.witness[0]) == 2
+        assert_same_report(r, reference_verify_min("jeffreys", 0.1, 0, seed=2))
+
+
+class TestPool:
+    @staticmethod
+    def _failing_block(monkeypatch, name, eps):
+        """Make name's evaluator raise on the third support-3 fine-grid block only."""
+        om = oracle.ORACLE_MEASURES[name]
+        first_row = oracle.fine_grid_pairs(eps, 3)[0][2 * oracle._BLOCK_ROWS]
+
+        def evaluate(pm, qm):
+            if pm.shape[1] == 3 and np.array_equal(pm[0], first_row):
+                raise BoundViolationError("evaluator failed on one block")
+            return om.evaluate(pm, qm)
+
+        monkeypatch.setitem(oracle.ORACLE_MEASURES, name, dataclasses.replace(om, evaluate=evaluate))
+
+    def test_error_in_one_block_and_threads_joined(self, monkeypatch):
+        before = threading.active_count()
+        assert verify_min("tv", 0.1, 200, seed=1).passed
+        assert threading.active_count() == before
+        self._failing_block(monkeypatch, "tv", 0.1)
+        with pytest.raises(BoundViolationError, match="one block"):
+            verify_min("tv", 0.1, 200, seed=1)
+        assert threading.active_count() == before
+        assert verify_min("tv", 0.1, 200, seed=1, fine_step=None).passed
+
+    def test_cli_exits_one_on_a_failed_block(self, monkeypatch):
+        from click.testing import CliRunner
+
+        from divbound.cli import main
+
+        self._failing_block(monkeypatch, "tv", 0.1)
+        r = CliRunner().invoke(main, ["verify", "--measure", "tv", "--grid", "0.1:0.1:0.1", "--samples", "50"])
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr == "error: evaluator failed on one block\n"
 
 
 def test_pair_off_the_tv_constraint_raises(monkeypatch):

@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
+import math
+
 import numpy as np
 
 from divbound.dist import FiniteDist
@@ -63,3 +66,100 @@ def rejection_sign_sets(rng, pm: np.ndarray, eps: float) -> np.ndarray:
         b[todo[ok]] = drawn[ok]
         todo = todo[~ok]
     return b
+
+
+def reference_verify_min(
+    measure: str,
+    eps: float,
+    n_samples: int,
+    seed: int = 0,
+    support_sizes: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
+    fine_step=1e-3,
+    gap_threshold=None,
+    stream_key: int = 0,
+):
+    """verify_min as one sequential scan of whole arrays: the reference route for its block scan.
+
+    Each sampled batch, then each whole fine grid, is evaluated in one call
+    and merged as it comes: the worst crossing row replaces the witness only
+    when it lies strictly below both the line and every value seen so far.
+    """
+    from divbound import oracle
+    from divbound.bounds import extremal_pair, find_measure
+
+    om = find_measure(oracle.ORACLE_MEASURES, measure)
+    cf = om.closed_form(eps)
+    sign = 1.0 if om.direction == "min" else -1.0
+    line = sign * cf - oracle._VIOLATION_SLACK
+
+    best = math.inf
+    violations = 0
+    witness = None
+
+    def scan(pm, qm):
+        nonlocal best, violations, witness
+        vals = sign * om.evaluate(pm, qm)
+        violations += int(np.count_nonzero(vals < line))
+        i = int(np.argmin(vals))
+        low = float(vals[i])
+        if low < min(best, line):
+            witness = (as_dist(pm[i]), as_dist(qm[i]))
+        best = min(best, low)
+        return low
+
+    if n_samples > 0:
+        for s in support_sizes:
+            scan(*oracle._sample_batch(oracle._stream(seed, stream_key, s), n_samples, s, eps))
+
+    fine_best = None
+    if fine_step is not None:
+        fine_best = sign * min(scan(*oracle.fine_grid_pairs(eps, s, step=fine_step)) for s in (2, 3))
+
+    pair = extremal_pair(eps, om.extremal_kind)
+    extremal_value = float(om.evaluate(pair.p.mass[None, :], pair.q.mass[None, :])[0])
+    attained = abs(extremal_value - cf) <= oracle._ATTAIN_TOL
+    best = min(best, sign * extremal_value)
+    gap = abs(sign * best - cf)
+
+    failure = None
+    if violations:
+        failure = f"{violations} sampled pair(s) crossed the closed form; worst witness retained"
+    elif not attained:
+        failure = f"extremal {om.extremal_kind} pair gives {extremal_value!r}, closed form {cf!r}"
+    elif gap_threshold is not None and gap > gap_threshold:
+        failure = f"empirical gap {gap!r} exceeds threshold {gap_threshold!r}"
+
+    return oracle.VerifyPointReport(
+        measure=measure,
+        direction=om.direction,
+        eps=eps,
+        closed_form=cf,
+        n_samples=n_samples,
+        support_sizes=tuple(support_sizes),
+        seed=seed,
+        rng_name=oracle.RNG_NAME,
+        sample_extreme=sign * best,
+        fine_extreme=fine_best,
+        extremal_value=extremal_value,
+        violations=violations,
+        witness=witness,
+        attained=attained,
+        gap=gap,
+        passed=failure is None,
+        failure=failure,
+    )
+
+
+def assert_same_report(a, b) -> None:
+    """Every field of two VerifyPointReports equal, floats to the bit and witness masses by np.array_equal."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "witness":
+            assert (x is None) == (y is None), f.name
+            if x is not None:
+                for dx, dy in zip(x, y):
+                    assert dx.labels == dy.labels and np.array_equal(dx.mass, dy.mass), f.name
+        elif isinstance(x, float):
+            assert isinstance(y, float) and x.hex() == y.hex(), (f.name, x, y)
+        else:
+            assert x == y, (f.name, x, y)

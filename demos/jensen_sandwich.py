@@ -34,9 +34,9 @@ print(f"right  r_max D(Q||P)              = {r.right:.12f}")
 assert r.left <= r.middle <= r.right
 
 print()
-print("Sandwich for f = dual_chi_squared (so g = t - 1, D_g = 0)")
+print("Sandwich for f = dual_chi2 (so g = t - 1, D_g = 0)")
 print("-" * 72)
-r2 = sandwich(REGISTRY["dual_chi_squared"], p, q)
+r2 = sandwich(REGISTRY["dual_chi2"], p, q)
 print(f"middle equals chi^2/(1 + chi^2)   = {r2.middle:.12f}")
 print(f"check: chi2/(1+chi2)              = {r2.chi2 / (1 + r2.chi2):.12f}")
 print(f"bracketed by r_min chi^2(Q,P) = {r2.left:.6f} and r_max chi^2(Q,P) = {r2.right:.6f}")

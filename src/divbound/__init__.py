@@ -9,7 +9,6 @@ are pure functions.
 """
 
 from .bounds import (
-    BoundCurve,
     ExtremalPair,
     bhattacharyya_bounds,
     bound_curve,

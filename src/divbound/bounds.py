@@ -44,7 +44,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dist import FiniteDist, make_dist
-from .errors import DivboundError
+from .errors import BoundViolationError
 from .fdiv import batch_bhattacharyya, batch_chernoff, batch_f_divergence, batch_total_variation
 from .generators import FGenerator, get_generator
 # unused here, but perfbench/spans.py rebinds both names on this module
@@ -52,7 +52,6 @@ from .search import bisect_increasing, golden_section_min  # noqa: F401
 
 __all__ = [
     "ExtremalPair",
-    "BoundCurve",
     "Measure",
     "MEASURES",
     "symmetric_fdiv_min",
@@ -346,50 +345,6 @@ def inverse_jeffreys(x):
     return _invert(x, 0.5, _jeffreys_h_slope, np.tanh, *_J_SATURATE)
 
 
-@dataclass(frozen=True)
-class BoundCurve:
-    """A named, tabulated (eps, value) curve; CSV-serializable."""
-
-    name: str
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        pts = tuple((float(e), float(v)) for e, v in self.points)
-        eps = [e for e, _ in pts]
-        if any(b <= a for a, b in zip(eps, eps[1:])):
-            raise DivboundError(f"curve {self.name!r}: grid not strictly increasing")
-        for e, v in pts:
-            if math.isnan(v) or (math.isinf(v) and e != 1.0):
-                raise DivboundError(
-                    f"curve {self.name!r}: value {v!r} at eps={e!r}; only eps = 1 may be inf"
-                )
-        object.__setattr__(self, "points", pts)
-
-    def eps_grid(self) -> np.ndarray:
-        return np.array([e for e, _ in self.points])
-
-    def values(self) -> np.ndarray:
-        return np.array([v for _, v in self.points])
-
-    def to_csv(self) -> str:
-        from .textio import fmt_g12
-
-        lines = ["eps,value"]
-        lines += [f"{fmt_g12(e)},{fmt_g12(v)}" for e, v in self.points]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, name: str, text: str) -> "BoundCurve":
-        rows = [r for r in text.strip().splitlines() if r]
-        if not rows or rows[0] != "eps,value":
-            raise DivboundError("expected an 'eps,value' CSV header")
-        pts = []
-        for r in rows[1:]:
-            e, v = r.split(",")
-            pts.append((float(e), float(v)))
-        return cls(name, tuple(pts))
-
-
 def _f_divergence(name: str):
     gen = get_generator(name)
     # batch_f_divergence is looked up when called, so rebinding the name reaches it
@@ -411,7 +366,7 @@ class Measure:
     evaluate: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 
-# keyed by the command-line name
+# keyed by the command-line name, which an f-divergence shares with its generator
 MEASURES: dict[str, Measure] = {
     "tv": Measure("min", "two_point", _tv, 1.0, batch_total_variation),
     "hellinger2": Measure("min", "two_point", _hellinger2, 2.0, _f_divergence("hellinger2")),
@@ -440,8 +395,11 @@ def find_measure(table: dict[str, Measure], name: str) -> Measure:
         raise ValueError(f"unknown measure {name!r}; known: {known}") from None
 
 
-def bound_curve(measure: str, eps_grid) -> BoundCurve:
-    """Tabulate one tight bound over an increasing eps grid in [0, 1]."""
+def bound_curve(measure: str, eps_grid) -> np.ndarray:
+    """One tight bound at each point of an eps grid in [0, 1], as a float array.
+
+    Raises BoundViolationError if a value is NaN, or infinite below eps = 1.
+    """
     m = find_measure(MEASURES, measure)
     grid = np.asarray(eps_grid, dtype=float)
     outside = ~((grid >= 0.0) & (grid <= 1.0))
@@ -450,4 +408,11 @@ def bound_curve(measure: str, eps_grid) -> BoundCurve:
     values = np.full(grid.shape, m.at_one)
     below = grid < 1.0
     values[below] = m.closed_form(grid[below])
-    return BoundCurve(measure, tuple(zip(grid, values)))
+    bad = np.isnan(values) | (np.isinf(values) & below)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise BoundViolationError(
+            f"bound {measure!r}: value {float(values[i])!r} at eps={float(grid[i])!r}; "
+            "only eps = 1 may be inf"
+        )
+    return values

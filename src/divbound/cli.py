@@ -30,7 +30,7 @@ from .errors import (
     KraftViolationError,
 )
 from .fdiv import f_divergence
-from .generators import GENERATOR_ALIASES, get_generator
+from .generators import REGISTRY, get_generator
 from .jensen import sandwich as eval_sandwich
 from .oracle import ORACLE_MEASURES, grid_verify
 from .textio import fmt_g12, read_dist_file, read_lengths_file
@@ -125,7 +125,7 @@ def main():
     "--divergence",
     "name",
     required=True,
-    type=click.Choice(sorted(GENERATOR_ALIASES)),
+    type=click.Choice(sorted(REGISTRY)),
     help="Which f-divergence to evaluate.",
 )
 @click.option("--p", "p_path", required=True, type=click.Path(exists=True, dir_okay=False))
@@ -160,11 +160,15 @@ def divergence(name, p_path, q_path, output, tol_normalization):
 @_mapped_errors
 def bounds(measure, grid, output):
     """Tabulate a closed-form bound over a grid of total variation values."""
+    eps_grid = _linear_grid(grid)
     try:
-        curve = bound_curve(measure, _linear_grid(grid))
+        values = bound_curve(measure, eps_grid)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    _emit(curve.to_csv(), output)
+    lines = ["eps,value"]
+    for e, v in zip(eps_grid, values.tolist()):
+        lines.append(f"{fmt_g12(e)},{fmt_g12(v)}")
+    _emit("\n".join(lines) + "\n", output)
 
 
 @main.command()
@@ -172,7 +176,7 @@ def bounds(measure, grid, output):
     "--f",
     "name",
     required=True,
-    type=click.Choice(sorted(GENERATOR_ALIASES)),
+    type=click.Choice(sorted(REGISTRY)),
     help="Generator f; g(t) = -t f(t) must be convex (certified: dual_kl, dual_chi2).",
 )
 @click.option("--p", "p_path", required=True, type=click.Path(exists=True, dir_okay=False))
@@ -348,8 +352,8 @@ def verify(measure, grid, samples, seed, gap_threshold, output):
                 _write(sys.stderr, f"  {r.measure} at eps={fmt_g12(r.eps)}: {r.failure}\n")
                 if r.witness is not None:
                     wp, wq = r.witness
-                    _write(sys.stderr, f"    witness P = {list(wp.mass)!r}\n")
-                    _write(sys.stderr, f"    witness Q = {list(wq.mass)!r}\n")
+                    _write(sys.stderr, f"    witness P = {wp.mass.tolist()!r}\n")
+                    _write(sys.stderr, f"    witness Q = {wq.mass.tolist()!r}\n")
         sys.exit(1)
 
 

@@ -7,13 +7,15 @@ strictly positive P, Q on a common finite alphabet,
         <=  -D_g(P||Q) - f(1 + chi2(P, Q))
         <=  max_x P(x)/Q(x) * D_f(P||Q).
 
-Two (f, g) pairings are certified here:
+Two (f, g) pairings are certified here, keyed by the registry name of f:
 
-    f = dual_kl          g = kl       middle term = log(1 + chi2) - D(P||Q)
-    f = dual_chi_squared g = linear   middle term = chi2 / (1 + chi2)
+    f = dual_kl     g = kl       middle term = log(1 + chi2) - D(P||Q)
+    f = dual_chi2   g = t - 1    middle term = chi2 / (1 + chi2)
 
-Any other f is accepted at the caller's risk: the derived g is spot-checked
-for convexity at call time and rejected loudly when the check fails.
+The partner t - 1 of dual_chi2 gives D_g = 0 for every pair, so it lives
+here rather than in the registry.  Any other f is accepted at the caller's
+risk: the derived g is spot-checked for convexity at call time and rejected
+loudly when the check fails.
 """
 
 from __future__ import annotations
@@ -40,9 +42,14 @@ __all__ = [
 # Strict positivity guard: masses below this count as zero (denormal floor).
 _POSITIVE_FLOOR = 1e-300
 
+_LINEAR = FGenerator(
+    "linear", lambda t: np.asarray(t, dtype=float) - 1.0, -1.0, 1.0, 1.0, symmetry_constant=2.0
+)
+validate_generator(_LINEAR)
+
 _CERTIFIED_G = {
     "dual_kl": REGISTRY["kl"],
-    "dual_chi_squared": REGISTRY["linear"],
+    "dual_chi2": _LINEAR,
 }
 
 _ORDER_SLACK = 1e-10

@@ -216,7 +216,7 @@ def test_criterion_7_sandwich():
         for a, b in zip(pm, qm):
             p, q = as_dist(a), as_dist(b)
             r1 = sandwich(REGISTRY["dual_kl"], p, q)
-            r2 = sandwich(REGISTRY["dual_chi_squared"], p, q)
+            r2 = sandwich(REGISTRY["dual_chi2"], p, q)
             worst_order = min(
                 worst_order,
                 r1.middle - r1.left,

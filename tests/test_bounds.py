@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ import divbound.bounds as bounds_mod
 from divbound.bounds import (
     MEASURES,
     PAIR_KINDS,
-    BoundCurve,
     bhattacharyya_bounds,
     bound_curve,
     capacitory_min,
@@ -23,13 +23,13 @@ from divbound.bounds import (
 )
 from divbound.coding import jeffreys_bound
 from divbound.dist import binary_divergence, total_variation
-from divbound.errors import DivboundError
+from divbound.errors import BoundViolationError, DivboundError
 from divbound.fdiv import batch_f_divergence, bhattacharyya, chernoff_information, f_divergence
-from divbound.generators import REGISTRY, get_generator
+from divbound.generators import REGISTRY
 from divbound.oracle import ORACLE_MEASURES
 from divbound.textio import fmt_g12
 
-from util import as_dist, random_pairs_with_zeros
+from util import GENERATORS, as_dist, random_pairs_with_zeros
 
 LN2 = math.log(2.0)
 EPS_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
@@ -76,7 +76,7 @@ class TestSymmetricFdivMin:
         "name", ["total_variation", "squared_hellinger", "jeffreys", "capacitory"]
     )
     def test_zero_at_zero(self, name):
-        assert symmetric_fdiv_min(REGISTRY[name], 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert symmetric_fdiv_min(GENERATORS[name], 0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_jeffreys_half(self):
         assert symmetric_fdiv_min(REGISTRY["jeffreys"], 0.5) == pytest.approx(
@@ -89,22 +89,20 @@ class TestSymmetricFdivMin:
         )
 
     def test_asymmetric_rejected(self):
-        for name in ("kl", "dual_kl", "chi_squared", "dual_chi_squared"):
+        for name in ("kl", "dual_kl", "chi2", "dual_chi2"):
             with pytest.raises(ValueError):
                 symmetric_fdiv_min(REGISTRY[name], 0.5)
 
     def test_tv_bound_is_identity(self):
         for eps in EPS_GRID + [0.0, 1.0]:
-            assert symmetric_fdiv_min(
-                REGISTRY["total_variation"], eps
-            ) == pytest.approx(eps, abs=1e-12)
+            assert symmetric_fdiv_min(REGISTRY["tv"], eps) == pytest.approx(eps, abs=1e-12)
 
     def test_boundary_limits(self):
         assert symmetric_fdiv_min(REGISTRY["jeffreys"], 1.0) == math.inf
         assert symmetric_fdiv_min(REGISTRY["capacitory"], 1.0) == pytest.approx(
             2.0 * LN2, abs=1e-12
         )
-        assert symmetric_fdiv_min(REGISTRY["squared_hellinger"], 1.0) == pytest.approx(
+        assert symmetric_fdiv_min(REGISTRY["hellinger2"], 1.0) == pytest.approx(
             2.0, abs=1e-12
         )
 
@@ -114,11 +112,10 @@ class TestSymmetricFdivMin:
 
     def test_lower_bound_validity_on_random_pairs(self):
         rng = np.random.default_rng(59)
-        names = [n for n, g in REGISTRY.items() if g.symmetry_constant is not None]
+        symmetric = [g for g in GENERATORS.values() if g.symmetry_constant is not None]
         for k in (2, 4, 7):
             pm, qm = random_pairs_with_zeros(rng, 300, k)
-            for name in names:
-                gen = REGISTRY[name]
+            for gen in symmetric:
                 vals = batch_f_divergence(gen, pm, qm)
                 for a, b, v in zip(pm, qm, vals):
                     eps = total_variation(as_dist(a), as_dist(b))
@@ -193,7 +190,7 @@ class TestClosedForms:
         assert worst_capacitory <= 1e-14
 
 
-# entries bounding a symmetric f-divergence, named as get_generator knows them
+# entries bounding a symmetric f-divergence, each under its generator's name
 SYMMETRIC_MEASURES = ("tv", "hellinger2", "jeffreys", "capacitory")
 # the last row `divbound bounds` prints for each measure on a grid ending at 1
 VALUE_AT_ONE = {
@@ -226,7 +223,7 @@ def test_measure_table_entry(name):
 
     interior = np.linspace(0.005, 0.995, 199)
     if name in SYMMETRIC_MEASURES:
-        gen = get_generator(name)
+        gen = REGISTRY[name]
         for e, v in zip(interior, m.closed_form(interior)):
             assert v == pytest.approx(symmetric_fdiv_min(gen, float(e)), abs=1e-10)
         assert m.at_one == symmetric_fdiv_min(gen, 1.0)
@@ -243,8 +240,7 @@ def test_measure_table_entry(name):
             assert got == pytest.approx(m.closed_form(e), abs=1e-9)
 
     assert fmt_g12(m.at_one) == VALUE_AT_ONE[name]
-    curve = bound_curve(name, [0.0, 0.5, 1.0])
-    assert curve.to_csv().splitlines()[-1] == f"1,{VALUE_AT_ONE[name]}"
+    assert fmt_g12(bound_curve(name, [0.0, 0.5, 1.0])[-1]) == VALUE_AT_ONE[name]
 
 
 class TestExactKl:
@@ -477,27 +473,36 @@ def test_attainment_on_designated_pairs(eps):
 
 
 class TestBoundCurve:
-    def test_round_trip(self):
-        curve = bound_curve("jeffreys", EPS_GRID)
-        again = BoundCurve.from_csv("jeffreys", curve.to_csv())
-        assert again.to_csv() == curve.to_csv()
-
     def test_known_values(self):
-        curve = bound_curve("chernoff", [0.0, 0.5])
-        assert curve.values()[1] == pytest.approx(-0.5 * math.log1p(-0.25), abs=1e-12)
+        values = bound_curve("chernoff", [0.0, 0.5])
+        assert isinstance(values, np.ndarray) and values.dtype == float and values.shape == (2,)
+        assert values[0] == 0.0
+        assert values[1] == pytest.approx(-0.5 * math.log1p(-0.25), abs=1e-12)
 
-    def test_grid_must_increase(self):
-        with pytest.raises(DivboundError):
-            BoundCurve("x", ((0.2, 1.0), (0.1, 2.0)))
+    def test_values_align_with_the_grid_in_any_order(self):
+        grid = [0.7, 0.2, 1.0, 0.2]
+        assert bound_curve("tv", grid).tolist() == grid
+        assert bound_curve("jeffreys", grid).tolist() == [
+            jeffreys_min(0.7), jeffreys_min(0.2), math.inf, jeffreys_min(0.2)
+        ]
 
-    def test_inf_only_at_one(self):
-        BoundCurve("x", ((0.5, 1.0), (1.0, math.inf)))
-        with pytest.raises(DivboundError):
-            BoundCurve("x", ((0.5, math.inf), (1.0, 1.0)))
-        with pytest.raises(DivboundError, match=r"eps=1\.5; only eps = 1 may"):
-            BoundCurve("x", ((0.5, 1.0), (1.5, math.inf)))
-        with pytest.raises(DivboundError):
-            BoundCurve("x", ((0.5, 1.0), (1.0, math.nan)))
+    def test_inf_only_at_one(self, monkeypatch):
+        assert issubclass(BoundViolationError, DivboundError)
+
+        def force(closed_form, at_one):
+            m = dataclasses.replace(MEASURES["tv"], closed_form=closed_form, at_one=at_one)
+            monkeypatch.setitem(MEASURES, "tv", m)
+
+        force(lambda eps: np.where(eps == 0.5, np.inf, eps), math.inf)
+        assert bound_curve("tv", [0.25, 1.0]).tolist() == [0.25, math.inf]
+        with pytest.raises(BoundViolationError, match=r"value inf at eps=0\.5; only eps = 1 may"):
+            bound_curve("tv", [0.25, 0.5, 1.0])
+        force(lambda eps: eps, math.nan)
+        with pytest.raises(BoundViolationError, match=r"value nan at eps=1\.0"):
+            bound_curve("tv", [0.5, 1.0])
+        force(lambda eps: np.full_like(eps, np.nan), 1.0)
+        with pytest.raises(BoundViolationError, match=r"value nan at eps=0\.5"):
+            bound_curve("tv", [0.5])
 
     @pytest.mark.parametrize("name", ["tv", "exact_kl"])
     def test_grid_outside_unit_interval(self, name):
@@ -511,5 +516,4 @@ class TestBoundCurve:
             bound_curve("nope", [0.1])
 
     def test_exact_kl_curve_inf_at_one(self):
-        curve = bound_curve("exact_kl", [0.5, 1.0])
-        assert curve.values()[1] == math.inf
+        assert bound_curve("exact_kl", [0.5, 1.0])[1] == math.inf

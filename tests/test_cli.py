@@ -1,17 +1,28 @@
+import ast
+import dataclasses
 import gc
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import divbound
 import divbound.cli as cli
+import divbound.jensen as jensen
+import divbound.oracle as oracle
+from divbound.bounds import MEASURES
 from divbound.cli import main
+from divbound.fdiv import f_divergence
+from divbound.generators import REGISTRY
+from divbound.oracle import grid_verify
+from divbound.textio import fmt_g12, read_dist_file
 
 
 @pytest.fixture
@@ -140,6 +151,23 @@ class TestDivergence:
         assert out.read_text(encoding="utf-8") == "measure,value\ntv,0.25\n"
 
 
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_divergence_prints_the_registry_generator(runner, dist_files, name):
+    p, q = dist_files
+    r = runner.invoke(main, ["divergence", "--divergence", name, "--p", p, "--q", q])
+    assert r.exit_code == 0
+    value = f_divergence(REGISTRY[name], read_dist_file(p), read_dist_file(q))
+    assert r.stdout == f"measure,value\n{name},{fmt_g12(value)}\n"
+
+
+def test_generator_choices_are_the_registry_names():
+    names = ["capacitory", "chi2", "dual_chi2", "dual_kl", "hellinger2", "jeffreys", "kl", "tv"]
+    assert sorted(REGISTRY) == names
+    for command in (cli.divergence, cli.sandwich):
+        option = next(p for p in command.params if p.name == "name")
+        assert list(option.type.choices) == names
+
+
 class TestBounds:
     def test_jeffreys_grid(self, runner):
         r = runner.invoke(main, ["bounds", "--measure", "jeffreys", "--grid", "0.05:0.05:0.95"])
@@ -155,8 +183,6 @@ class TestBounds:
         reemitted = [lines[0]]
         for row in lines[1:]:
             e, v = row.split(",")
-            from divbound.textio import fmt_g12
-
             reemitted.append(f"{fmt_g12(float(e))},{fmt_g12(float(v))}")
         assert "\n".join(reemitted) + "\n" == r.stdout
 
@@ -196,6 +222,14 @@ class TestBounds:
         assert r.stdout == ""
         assert r.stderr.endswith("Error: grid point eps=1.5 outside [0, 1]\n")
 
+    def test_non_finite_value_exits_one(self, runner, monkeypatch):
+        m = dataclasses.replace(MEASURES["tv"], closed_form=lambda eps: eps * np.nan)
+        monkeypatch.setitem(MEASURES, "tv", m)
+        r = runner.invoke(main, ["bounds", "--measure", "tv", "--grid", "0.5:0.5:1"])
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr == "error: bound 'tv': value nan at eps=0.5; only eps = 1 may be inf\n"
+
     def test_capacitory_keeps_full_precision_at_small_eps(self, runner):
         r = runner.invoke(
             main, ["bounds", "--measure", "capacitory", "--grid", "0.000001:0.000001:0.000003"]
@@ -220,6 +254,20 @@ class TestSandwich:
         p, q = dist_files
         r = runner.invoke(main, ["sandwich", "--f", "kl", "--p", p, "--q", q])
         assert r.exit_code == 1
+
+    def test_nonconvex_partner_names_the_generator(self, runner, dist_files):
+        p, q = dist_files
+        r = runner.invoke(main, ["sandwich", "--f", "chi2", "--p", p, "--q", q])
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: g(t) = -t f(t) for f = chi2 is not convex")
+        assert "np.float64" not in r.stderr
+
+    def test_help_names_the_certified_pairings(self, runner):
+        r = runner.invoke(main, ["sandwich", "--help"])
+        assert r.exit_code == 0
+        certified = re.search(r"\(certified: ([^)]*)\)", " ".join(r.stdout.split())).group(1)
+        assert sorted(certified.split(", ")) == sorted(jensen._CERTIFIED_G)
 
     def test_nan_mass_is_usage_error(self, runner, nan_file, dist_files):
         r = runner.invoke(
@@ -359,6 +407,24 @@ class TestVerify:
         )
         assert r.exit_code == 1
         assert "FAIL" in r.stderr
+
+    def test_witness_lines_are_plain_float_lists(self, runner, monkeypatch):
+        # an impossibly high closed form is crossed, so every report fails with a witness
+        om = oracle.ORACLE_MEASURES["jeffreys"]
+        monkeypatch.setitem(
+            oracle.ORACLE_MEASURES, "jeffreys", dataclasses.replace(om, closed_form=lambda eps: 10.0)
+        )
+        r = runner.invoke(
+            main, ["verify", "--measure", "jeffreys", "--grid", "0.5:0.1:0.5", "--samples", "20"]
+        )
+        assert r.exit_code == 1
+        [report] = grid_verify("jeffreys", [0.5], 20, seed=0)
+        lines = [ln.strip() for ln in r.stderr.splitlines() if ln.startswith("    witness")]
+        assert [ln.split(" = ")[0] for ln in lines] == ["witness P", "witness Q"]
+        for line, dist in zip(lines, report.witness):
+            masses = ast.literal_eval(line.split(" = ", 1)[1])
+            assert all(type(m) is float for m in masses)
+            assert masses == dist.mass.tolist()
 
     def test_nan_gap_threshold_is_usage_error(self, runner):
         # NaN would pass every gap

@@ -1,3 +1,4 @@
+import ast
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from divbound.errors import GeneratorError
 from divbound.generators import (
-    GENERATOR_ALIASES,
     REGISTRY,
     FGenerator,
     check_symmetry,
@@ -13,6 +13,8 @@ from divbound.generators import (
     register_generator,
     validate_generator,
 )
+
+from util import GENERATORS
 
 LN2 = math.log(2.0)
 
@@ -24,33 +26,39 @@ SYMMETRIC = {
     "linear": 2.0,
 }
 ASYMMETRIC = ("kl", "dual_kl", "chi_squared", "dual_chi_squared")
+# the names the command line takes, one per built-in generator
+CLI_NAMES = ("capacitory", "chi2", "dual_chi2", "dual_kl", "hellinger2", "jeffreys", "kl", "tv")
 
 
 def test_registry_contents():
-    for name in list(SYMMETRIC) + list(ASYMMETRIC):
-        assert name in REGISTRY
+    assert sorted(REGISTRY) == list(CLI_NAMES)
+    for name, gen in REGISTRY.items():
+        assert gen.name == name
+    # the tables below cover every built-in and nothing else
+    assert sorted(GENERATORS) == sorted([*SYMMETRIC, *ASYMMETRIC])
+    assert {g.name for g in GENERATORS.values()} == {*REGISTRY, "linear"}
 
 
-@pytest.mark.parametrize("name", sorted(REGISTRY))
-def test_all_generators_pass_spot_checks(name):
-    validate_generator(REGISTRY[name])
+@pytest.mark.parametrize("gen", GENERATORS.values(), ids=list(GENERATORS))
+def test_all_generators_pass_spot_checks(gen):
+    validate_generator(gen)
 
 
-@pytest.mark.parametrize("name", sorted(REGISTRY))
-def test_f_of_one_is_zero(name):
-    assert abs(float(REGISTRY[name].fn(1.0))) <= 1e-12
+@pytest.mark.parametrize("gen", GENERATORS.values(), ids=list(GENERATORS))
+def test_f_of_one_is_zero(gen):
+    assert abs(float(gen.fn(1.0))) <= 1e-12
 
 
 @pytest.mark.parametrize("name,constant", sorted(SYMMETRIC.items()))
 def test_symmetric_entries_carry_constant(name, constant):
-    gen = REGISTRY[name]
+    gen = GENERATORS[name]
     assert gen.symmetry_constant == pytest.approx(constant, abs=1e-15)
     assert check_symmetry(gen) == pytest.approx(constant, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", ASYMMETRIC)
 def test_asymmetric_entries_carry_none(name):
-    gen = REGISTRY[name]
+    gen = GENERATORS[name]
     assert gen.symmetry_constant is None
     assert check_symmetry(gen) is None
 
@@ -83,23 +91,32 @@ def test_capacitory_fn_stable_at_extremes():
 
 def test_generator_fns_vectorized():
     t = np.array([0.5, 1.0, 2.0, 10.0])
-    for gen in REGISTRY.values():
+    for gen in GENERATORS.values():
         out = np.asarray(gen.fn(t), dtype=float)
         assert out.shape == t.shape
         assert np.isfinite(out).all()
 
 
-def test_get_generator_aliases():
-    assert get_generator("tv") is REGISTRY["total_variation"]
-    assert get_generator("hellinger2") is REGISTRY["squared_hellinger"]
-    assert get_generator("chi2") is REGISTRY["chi_squared"]
-    assert get_generator("dual_chi2") is REGISTRY["dual_chi_squared"]
-    assert set(GENERATOR_ALIASES.values()) <= set(REGISTRY)
-
-
 def test_get_generator_unknown():
-    with pytest.raises(GeneratorError):
+    with pytest.raises(GeneratorError) as info:
         get_generator("renyi")
+    known = str(info.value).split("; known: ")[1]
+    assert known.split(", ") == sorted(REGISTRY)
+    # one name per generator: the spelled-out names and the private partner are unknown
+    for name in ("total_variation", "squared_hellinger", "chi_squared", "linear"):
+        with pytest.raises(GeneratorError):
+            get_generator(name)
+
+
+def test_convexity_error_prints_plain_floats():
+    bad = FGenerator("concave", lambda t: -((np.asarray(t) - 1.0) ** 2), 0.0, 0.0, 0.0)
+    with pytest.raises(GeneratorError) as info:
+        validate_generator(bad)
+    message = str(info.value)
+    assert "np.float64" not in message
+    triple = message.split("(s, t, u) = ")[1]
+    s, t, u = ast.literal_eval(triple)
+    assert all(type(x) is float for x in (s, t, u)) and s < t < u
 
 
 def test_register_rejects_nonconvex():

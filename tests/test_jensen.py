@@ -41,7 +41,7 @@ class TestSandwich:
 
     def test_dual_chi_squared_middle_form(self):
         rng = np.random.default_rng(61)
-        gen = REGISTRY["dual_chi_squared"]
+        gen = REGISTRY["dual_chi2"]
         for k in (2, 3, 5):
             pm, qm = random_positive_pairs(rng, 100, k)
             for a, b in zip(pm, qm):
@@ -59,6 +59,12 @@ class TestSandwich:
         with pytest.raises(DistributionError):
             sandwich(REGISTRY["dual_kl"], P, z)
 
+    def test_certified_pairings_are_keyed_by_registry_names(self):
+        assert sorted(jensen._CERTIFIED_G) == ["dual_chi2", "dual_kl"]
+        assert set(jensen._CERTIFIED_G) <= set(REGISTRY)
+        # the partner of dual_chi2 is private: D_g = 0 for every pair
+        assert jensen._CERTIFIED_G["dual_chi2"].name not in REGISTRY
+
     def test_kl_pairing_rejected(self):
         # g(t) = -t^2 log t is not convex on all of (0, inf)
         with pytest.raises(GeneratorError):
@@ -72,7 +78,7 @@ class TestSandwich:
 
     def test_ordering_on_random_pairs(self):
         rng = np.random.default_rng(67)
-        for gen_name in ("dual_kl", "dual_chi_squared"):
+        for gen_name in ("dual_kl", "dual_chi2"):
             gen = REGISTRY[gen_name]
             for k in (2, 4, 8):
                 pm, qm = random_positive_pairs(rng, 300, k)
@@ -98,7 +104,7 @@ class TestJensenFunctional:
 
     def test_likelihood_ratio_tuple_reproduces_divergence(self):
         rng = np.random.default_rng(71)
-        for gen_name in ("kl", "dual_kl", "chi_squared", "squared_hellinger"):
+        for gen_name in ("kl", "dual_kl", "chi2", "hellinger2"):
             gen = REGISTRY[gen_name]
             pm, qm = random_positive_pairs(rng, 100, 4)
             for a, b in zip(pm, qm):
@@ -112,7 +118,7 @@ class TestJensenFunctional:
             k = int(rng.integers(2, 8))
             w = as_dist(random_positive_pairs(rng, 1, k)[0][0])
             u = np.exp(rng.normal(size=k))
-            for gen_name in ("kl", "dual_kl", "chi_squared"):
+            for gen_name in ("kl", "dual_kl", "chi2"):
                 assert jensen_functional(REGISTRY[gen_name], u, w) >= -1e-12
 
     def test_length_mismatch(self):

@@ -6,6 +6,23 @@ import math
 import numpy as np
 
 from divbound.dist import FiniteDist
+from divbound.generators import REGISTRY
+from divbound.jensen import _LINEAR
+
+# Every built-in generator, jensen's private partner of dual_chi2 included,
+# keyed by the pytest id the registry-wide tests give it: the divergence
+# spelled out, where the registry uses the short command-line name.
+GENERATORS = {
+    "total_variation": REGISTRY["tv"],
+    "kl": REGISTRY["kl"],
+    "dual_kl": REGISTRY["dual_kl"],
+    "squared_hellinger": REGISTRY["hellinger2"],
+    "jeffreys": REGISTRY["jeffreys"],
+    "capacitory": REGISTRY["capacitory"],
+    "chi_squared": REGISTRY["chi2"],
+    "dual_chi_squared": REGISTRY["dual_chi2"],
+    "linear": _LINEAR,
+}
 
 
 def labels(k: int) -> tuple[str, ...]:

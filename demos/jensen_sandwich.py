@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """The refined-Jensen sandwich between f-divergences, on concrete pairs.
 
-Shows the three-term inequality for the two certified generator pairings,
+Shows the three-term inequality for the closed-form pairings dual_kl and
+dual_chi2 (capacitory, the third certified f, pairs with -t f(t)),
 the specialization that wedges log(1 + chi^2) - D(P||Q) between scaled
 copies of the dual divergence, and the classical chi^2 >= e^D - 1 bound it
 strengthens.

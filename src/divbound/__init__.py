@@ -61,8 +61,8 @@ from .generators import (
 )
 from .jensen import (
     SandwichResult,
+    batch_sandwich,
     chi2_exp_bound_check,
-    dragomir_sandwich_check,
     jensen_functional,
     sandwich,
 )

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .fdiv import f_divergence
 from .generators import REGISTRY, get_generator
-from .jensen import sandwich as eval_sandwich
+from .jensen import PARTNERS, sandwich as eval_sandwich
 from .oracle import ORACLE_MEASURES, grid_verify
 from .textio import fmt_g12, read_dist_file, read_lengths_file
 
@@ -176,8 +176,9 @@ def bounds(measure, grid, output):
     "--f",
     "name",
     required=True,
-    type=click.Choice(sorted(REGISTRY)),
-    help="Generator f; g(t) = -t f(t) must be convex (certified: dual_kl, dual_chi2).",
+    type=click.Choice(sorted(PARTNERS)),
+    help="Generator f whose g(t) = -t f(t) is convex "
+    f"(certified: {', '.join(sorted(PARTNERS))}).",
 )
 @click.option("--p", "p_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--q", "q_path", required=True, type=click.Path(exists=True, dir_okay=False))

@@ -7,15 +7,15 @@ strictly positive P, Q on a common finite alphabet,
         <=  -D_g(P||Q) - f(1 + chi2(P, Q))
         <=  max_x P(x)/Q(x) * D_f(P||Q).
 
-Two (f, g) pairings are certified here, keyed by the registry name of f:
+Whether g is convex depends on f alone, so :data:`PARTNERS` settles it once,
+at import, keyed by the registry name of f:
 
-    f = dual_kl     g = kl       middle term = log(1 + chi2) - D(P||Q)
-    f = dual_chi2   g = t - 1    middle term = chi2 / (1 + chi2)
+    f = dual_kl     g = kl        middle term = log(1 + chi2) - D(P||Q)
+    f = dual_chi2   g = t - 1     middle term = chi2 / (1 + chi2)
+    any other f     g = -t f(t)   if g passes validate_generator (capacitory)
 
-The partner t - 1 of dual_chi2 gives D_g = 0 for every pair, so it lives
-here rather than in the registry.  Any other f is accepted at the caller's
-risk: the derived g is spot-checked for convexity at call time and rejected
-loudly when the check fails.
+t - 1 (D_g = 0 for every pair) is private to this module.  A generator with
+no entry, including one added later by register_generator, raises GeneratorError.
 """
 
 from __future__ import annotations
@@ -28,14 +28,15 @@ import numpy as np
 
 from .dist import FiniteDist, align
 from .errors import BoundViolationError, DistributionError, GeneratorError
-from .fdiv import batch_f_divergence, f_divergence
+from .fdiv import _as_2d, batch_f_divergence, f_divergence
 from .generators import REGISTRY, FGenerator, validate_generator
 
 __all__ = [
+    "PARTNERS",
     "SandwichResult",
+    "batch_sandwich",
     "sandwich",
     "jensen_functional",
-    "dragomir_sandwich_check",
     "chi2_exp_bound_check",
 ]
 
@@ -47,12 +48,29 @@ _LINEAR = FGenerator(
 )
 validate_generator(_LINEAR)
 
-_CERTIFIED_G = {
-    "dual_kl": REGISTRY["kl"],
-    "dual_chi2": _LINEAR,
-}
-
 _ORDER_SLACK = 1e-10
+
+
+def _certified_partners() -> dict[str, FGenerator]:
+    partners = {"dual_kl": REGISTRY["kl"], "dual_chi2": _LINEAR}
+    for name, f in REGISTRY.items():
+        if name in partners:
+            continue
+        # g(t) = -t f(t), without boundary limits: the sandwich evaluates g
+        # only on strictly positive pairs
+        g = FGenerator(
+            f"neg_t_{name}", lambda t, f=f: -np.asarray(t, dtype=float) * f.fn(t),
+            None, None, -f.fprime_at_1,
+        )
+        try:
+            validate_generator(g)
+        except GeneratorError:
+            continue
+        partners[name] = g
+    return partners
+
+
+PARTNERS: dict[str, FGenerator] = _certified_partners()
 
 
 @dataclass(frozen=True)
@@ -67,70 +85,62 @@ class SandwichResult:
     chi2: float
 
 
-def _require_positive(p: FiniteDist, q: FiniteDist):
-    labels, pm, qm = align(p, q)
+def _require_positive(pm: np.ndarray, qm: np.ndarray) -> None:
     if np.any(pm < _POSITIVE_FLOOR) or np.any(qm < _POSITIVE_FLOOR):
         raise DistributionError(
             "both distributions must be strictly positive on the common alphabet"
         )
-    return labels, pm, qm
 
 
-def _derived_g(gen: FGenerator) -> FGenerator:
-    def g_fn(t):
-        t = np.asarray(t, dtype=float)
-        return -t * gen.fn(t)
-
-    # Boundary limits are never consulted: sandwich() only evaluates g on
-    # strictly positive pairs.
-    g = FGenerator(
-        name=f"neg_t_{gen.name}",
-        fn=g_fn,
-        f_at_0=None,
-        slope_at_inf=None,
-        fprime_at_1=-gen.fprime_at_1,
-    )
-    try:
-        validate_generator(g)
-    except GeneratorError as exc:
+def batch_sandwich(gen: FGenerator, pm, qm):
+    """The columns (r_min, r_max, left, middle, right, chi2) of the sandwich,
+    row by row on (n, k) mass matrices.  A row that breaks the ordering by
+    more than the slack raises BoundViolationError naming the worst row.
+    """
+    g = PARTNERS.get(gen.name)
+    if g is None:
         raise GeneratorError(
-            f"g(t) = -t f(t) for f = {gen.name} is not convex; "
-            f"the sandwich hypothesis fails ({exc})"
-        ) from exc
-    return g
+            f"f = {gen.name} has no certified sandwich partner g(t) = -t f(t); "
+            f"certified: {', '.join(sorted(PARTNERS))}"
+        )
+    pm, qm = _as_2d(pm, qm)
+    _require_positive(pm, qm)
+
+    ratio = pm / qm
+    r_min, r_max = ratio.min(axis=1), ratio.max(axis=1)
+    d_f = batch_f_divergence(gen, pm, qm)
+    d_g = batch_f_divergence(g, pm, qm)
+    chi2 = np.maximum((pm * pm / qm).sum(axis=1) - 1.0, 0.0)
+
+    middle = -d_g - gen.fn(1.0 + chi2)
+    bad = ~np.isfinite(middle)
+    if bad.any():
+        i = int(np.argmax(bad))
+        warnings.warn(
+            f"sandwich middle term is {float(middle[i])!r} (chi2 = {float(chi2[i])!r}) "
+            f"in row {i}; inputs are too extreme for a finite evaluation",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    left, right = r_min * d_f, r_max * d_f
+
+    ok = (left <= middle + _ORDER_SLACK) & (middle <= right + _ORDER_SLACK)
+    if not ok.all():
+        # the row that misses by the most; a NaN row counts as the worst
+        excess = np.nan_to_num(np.maximum(left - middle, middle - right), nan=np.inf)
+        i = int(np.argmax(np.where(ok, -np.inf, excess)))
+        raise BoundViolationError(
+            f"sandwich ordering violated for f = {gen.name} in row {i}: "
+            f"{float(left[i])!r} <= {float(middle[i])!r} <= {float(right[i])!r} fails"
+        )
+    return r_min, r_max, left, middle, right, chi2
 
 
 def sandwich(gen: FGenerator, p: FiniteDist, q: FiniteDist) -> SandwichResult:
     """Evaluate the three sandwich terms for the generator pair (f, g)."""
-    _, pm, qm = _require_positive(p, q)
-    g = _CERTIFIED_G.get(gen.name) or _derived_g(gen)
-
-    ratio = pm / qm
-    r_min = float(ratio.min())
-    r_max = float(ratio.max())
-    d_f = float(batch_f_divergence(gen, pm[None, :], qm[None, :])[0])
-    d_g = float(batch_f_divergence(g, pm[None, :], qm[None, :])[0])
-    chi2 = float((pm * pm / qm).sum() - 1.0)
-    chi2 = max(chi2, 0.0)
-
-    f_at_shifted = float(gen.fn(1.0 + chi2))
-    middle = -d_g - f_at_shifted
-    if not math.isfinite(middle):
-        warnings.warn(
-            f"sandwich middle term is {middle!r} (chi2 = {chi2!r}); "
-            "inputs are too extreme for a finite evaluation",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    left = r_min * d_f
-    right = r_max * d_f
-
-    if not (left <= middle + _ORDER_SLACK and middle <= right + _ORDER_SLACK):
-        raise BoundViolationError(
-            f"sandwich ordering violated for f = {gen.name}: "
-            f"{left!r} <= {middle!r} <= {right!r} fails"
-        )
-    return SandwichResult(r_min, r_max, left, middle, right, chi2)
+    _, pm, qm = align(p, q)
+    cols = batch_sandwich(gen, pm[None, :], qm[None, :])
+    return SandwichResult(*(float(c[0]) for c in cols))
 
 
 def jensen_functional(gen: FGenerator, u, weights: FiniteDist) -> float:
@@ -140,31 +150,16 @@ def jensen_functional(gen: FGenerator, u, weights: FiniteDist) -> float:
         raise ValueError(
             f"u has shape {u.shape}, weights have {len(weights)} entries"
         )
-    if np.any(u <= 0.0):
-        raise ValueError("u entries must be strictly positive")
+    if not np.all((u > 0.0) & (u < math.inf)):  # NaN fails this too
+        raise ValueError("u entries must be finite and strictly positive")
     w = weights.mass
     return float((w * gen.fn(u)).sum() - gen.fn(float((w * u).sum())))
 
 
-def dragomir_sandwich_check(
-    gen: FGenerator, u, p: FiniteDist, q: FiniteDist
-) -> tuple[float, float, float]:
-    """The refined Jensen inequality on an arbitrary positive tuple u:
-
-        min_i(P_i/Q_i) J(f,u,Q)  <=  J(f,u,P)  <=  max_i(P_i/Q_i) J(f,u,Q).
-
-    Returns (left, middle, right).
-    """
-    _, pm, qm = _require_positive(p, q)
-    j_q = jensen_functional(gen, u, q)
-    j_p = jensen_functional(gen, u, p)
-    ratio = pm / qm
-    return float(ratio.min() * j_q), j_p, float(ratio.max() * j_q)
-
-
 def chi2_exp_bound_check(p: FiniteDist, q: FiniteDist) -> tuple[float, float]:
     """Both sides of chi2(P,Q) >= e^{D(P||Q)} - 1 for strictly positive pairs."""
-    _, pm, qm = _require_positive(p, q)
+    _, pm, qm = align(p, q)
+    _require_positive(pm, qm)
     chi2 = float((pm * pm / qm).sum() - 1.0)
     d = f_divergence(REGISTRY["kl"], p, q)
     return chi2, math.expm1(d)

@@ -276,14 +276,12 @@ def verify_min(
         pool.shutdown(cancel_futures=True)
 
     best = math.inf  # the least signed value merged so far
-    violations = 0
     witness = None
     lows = []
     for blocks in results:
         # argmin over the block minima picks the row argmin over the whole
         # piece would: the first least value, or the first NaN
         _, low, p, q = blocks[int(np.argmin([b[1] for b in blocks]))]
-        violations += sum(b[0] for b in blocks)
         if low < min(best, line):
             labels = tuple(f"x{j + 1}" for j in range(p.size))
             witness = (FiniteDist(labels, p), FiniteDist(labels, q))
@@ -297,11 +295,15 @@ def verify_min(
     best = min(best, sign * extremal_value)
     gap = abs(sign * best - cf)
 
+    n_sampled = len(support_sizes) if n_samples > 0 else 0
+    sampled_crossings = sum(b[0] for blocks in results[:n_sampled] for b in blocks)
+    fine_crossings = sum(b[0] for blocks in results[n_sampled:] for b in blocks)
+    violations = sampled_crossings + fine_crossings
     failure = None
     if violations:
         failure = (
-            f"{violations} sampled pair(s) crossed the closed form; "
-            f"worst witness retained"
+            f"{sampled_crossings} sampled and {fine_crossings} fine-grid pair(s) crossed "
+            f"the closed form; worst witness retained"
         )
     elif not attained:
         failure = (

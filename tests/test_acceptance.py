@@ -28,9 +28,9 @@ from divbound.coding import (
     tightened_bound,
 )
 from divbound.dist import make_dist
-from divbound.fdiv import bhattacharyya, chernoff_information, f_divergence
+from divbound.fdiv import batch_f_divergence, bhattacharyya, chernoff_information, f_divergence
 from divbound.generators import REGISTRY
-from divbound.jensen import chi2_exp_bound_check, sandwich
+from divbound.jensen import batch_sandwich, chi2_exp_bound_check
 from divbound.oracle import verify_min
 
 from util import as_dist, random_positive_pairs, random_simplex
@@ -213,21 +213,20 @@ def test_criterion_7_sandwich():
     per_k = n_total // 7
     for k in range(2, 9):
         pm, qm = random_positive_pairs(rng, per_k, k)
+        _, _, left1, mid1, right1, chi2_1 = batch_sandwich(REGISTRY["dual_kl"], pm, qm)
+        _, _, left2, mid2, right2, chi2_2 = batch_sandwich(REGISTRY["dual_chi2"], pm, qm)
+        worst_order = min(
+            worst_order,
+            float((mid1 - left1).min()),
+            float((right1 - mid1).min()),
+            float((mid2 - left2).min()),
+            float((right2 - mid2).min()),
+        )
+        log_form = np.log1p(chi2_1) - batch_f_divergence(kl, pm, qm)
+        worst_log_identity = max(worst_log_identity, float(np.abs(mid1 - log_form).max()))
+        worst_dual = max(worst_dual, float(np.abs(mid2 - chi2_2 / (1.0 + chi2_2)).max()))
         for a, b in zip(pm, qm):
-            p, q = as_dist(a), as_dist(b)
-            r1 = sandwich(REGISTRY["dual_kl"], p, q)
-            r2 = sandwich(REGISTRY["dual_chi2"], p, q)
-            worst_order = min(
-                worst_order,
-                r1.middle - r1.left,
-                r1.right - r1.middle,
-                r2.middle - r2.left,
-                r2.right - r2.middle,
-            )
-            log_form = math.log1p(r1.chi2) - f_divergence(kl, p, q)
-            worst_log_identity = max(worst_log_identity, abs(r1.middle - log_form))
-            worst_dual = max(worst_dual, abs(r2.middle - r2.chi2 / (1.0 + r2.chi2)))
-            chi2, rhs = chi2_exp_bound_check(p, q)
+            chi2, rhs = chi2_exp_bound_check(as_dist(a), as_dist(b))
             if chi2 < rhs - 1e-12:
                 eq16_ok = False
     elapsed = time.perf_counter() - t0

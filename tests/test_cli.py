@@ -163,9 +163,43 @@ def test_divergence_prints_the_registry_generator(runner, dist_files, name):
 def test_generator_choices_are_the_registry_names():
     names = ["capacitory", "chi2", "dual_chi2", "dual_kl", "hellinger2", "jeffreys", "kl", "tv"]
     assert sorted(REGISTRY) == names
-    for command in (cli.divergence, cli.sandwich):
-        option = next(p for p in command.params if p.name == "name")
-        assert list(option.type.choices) == names
+    option = next(p for p in cli.divergence.params if p.name == "name")
+    assert list(option.type.choices) == names
+    # sandwich offers only the generators with a certified partner
+    option = next(p for p in cli.sandwich.params if p.name == "name")
+    assert list(option.type.choices) == sorted(jensen.PARTNERS) == ["capacitory", "dual_chi2", "dual_kl"]
+
+
+# one small valid input per subcommand that has a choice option
+_CHOICE_ARGS = {
+    "divergence": ["--p", "{p}", "--q", "{q}"],
+    "bounds": ["--grid", "0.1:0.1:0.3"],
+    "sandwich": ["--p", "{p}", "--q", "{q}"],
+    "verify": ["--grid", "0.9:0.1:0.9", "--samples", "20"],
+}
+_CHOICES = [
+    (name, param.opts[0], value)
+    for name, command in sorted(main.commands.items())
+    for param in command.params
+    if isinstance(param.type, click.Choice)
+    for value in param.type.choices
+]
+
+
+def test_choice_walk_covers_every_choice_option():
+    options = sorted({(name, opt) for name, opt, _ in _CHOICES})
+    assert options == [
+        ("bounds", "--measure"), ("divergence", "--divergence"),
+        ("sandwich", "--f"), ("verify", "--measure"),
+    ]
+
+
+@pytest.mark.parametrize("command,option,value", _CHOICES)
+def test_every_offered_choice_works(runner, dist_files, command, option, value):
+    p, q = dist_files
+    args = [a.format(p=p, q=q) for a in _CHOICE_ARGS[command]]
+    r = runner.invoke(main, [command, option, value, *args])
+    assert r.exit_code == 0, r.stderr
 
 
 class TestBounds:
@@ -250,24 +284,26 @@ class TestSandwich:
         assert float(vals[5]) == pytest.approx(1.0 / 3.0, abs=1e-11)
         assert float(vals[3]) == pytest.approx(0.14384103622589045, abs=1e-11)
 
-    def test_invalid_pairing_exits_one(self, runner, dist_files):
+    def test_invalid_pairing_is_usage_error(self, runner, dist_files):
         p, q = dist_files
         r = runner.invoke(main, ["sandwich", "--f", "kl", "--p", p, "--q", q])
-        assert r.exit_code == 1
+        assert r.exit_code == 2
+        assert r.stdout == ""
 
     def test_nonconvex_partner_names_the_generator(self, runner, dist_files):
         p, q = dist_files
         r = runner.invoke(main, ["sandwich", "--f", "chi2", "--p", p, "--q", q])
-        assert r.exit_code == 1
+        assert r.exit_code == 2
         assert r.stdout == ""
-        assert r.stderr.startswith("error: g(t) = -t f(t) for f = chi2 is not convex")
+        assert "Invalid value for '--f': 'chi2' is not one of" in r.stderr
         assert "np.float64" not in r.stderr
 
     def test_help_names_the_certified_pairings(self, runner):
         r = runner.invoke(main, ["sandwich", "--help"])
         assert r.exit_code == 0
+        assert "  --f [capacitory|dual_chi2|dual_kl]\n" in r.stdout
         certified = re.search(r"\(certified: ([^)]*)\)", " ".join(r.stdout.split())).group(1)
-        assert sorted(certified.split(", ")) == sorted(jensen._CERTIFIED_G)
+        assert certified.split(", ") == sorted(jensen.PARTNERS)
 
     def test_nan_mass_is_usage_error(self, runner, nan_file, dist_files):
         r = runner.invoke(

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import divbound.generators as generators
 import divbound.jensen as jensen
 from divbound.dist import make_dist
 from divbound.errors import BoundViolationError, DistributionError, GeneratorError
 from divbound.fdiv import f_divergence
-from divbound.generators import REGISTRY
+from divbound.generators import REGISTRY, FGenerator, register_generator, validate_generator
 from divbound.jensen import (
+    PARTNERS,
+    batch_sandwich,
     chi2_exp_bound_check,
-    dragomir_sandwich_check,
     jensen_functional,
     sandwich,
 )
@@ -60,15 +62,31 @@ class TestSandwich:
             sandwich(REGISTRY["dual_kl"], P, z)
 
     def test_certified_pairings_are_keyed_by_registry_names(self):
-        assert sorted(jensen._CERTIFIED_G) == ["dual_chi2", "dual_kl"]
-        assert set(jensen._CERTIFIED_G) <= set(REGISTRY)
-        # the partner of dual_chi2 is private: D_g = 0 for every pair
-        assert jensen._CERTIFIED_G["dual_chi2"].name not in REGISTRY
+        assert sorted(PARTNERS) == ["capacitory", "dual_chi2", "dual_kl"]
+        assert set(PARTNERS) <= set(REGISTRY)
+        # closed-form partners; the one of dual_chi2 is private: D_g = 0 for every pair
+        assert PARTNERS["dual_kl"] is REGISTRY["kl"]
+        assert PARTNERS["dual_chi2"] is jensen._LINEAR
+        assert PARTNERS["dual_chi2"].name not in REGISTRY
 
     def test_kl_pairing_rejected(self):
         # g(t) = -t^2 log t is not convex on all of (0, inf)
-        with pytest.raises(GeneratorError):
+        with pytest.raises(
+            GeneratorError,
+            match=r"f = kl has no certified .*; certified: capacitory, dual_chi2, dual_kl$",
+        ):
             sandwich(REGISTRY["kl"], P, Q)
+
+    def test_registered_generator_gets_no_partner(self, monkeypatch):
+        # the table is settled at import: a later generator is refused even
+        # when its -t f(t) is convex (here a copy of capacitory)
+        monkeypatch.setattr(generators, "REGISTRY", dict(REGISTRY))
+        cap = REGISTRY["capacitory"]
+        gen = register_generator(
+            FGenerator("capacitory_copy", cap.fn, cap.f_at_0, cap.slope_at_inf, cap.fprime_at_1)
+        )
+        with pytest.raises(GeneratorError, match="f = capacitory_copy has no certified"):
+            sandwich(gen, P, Q)
 
     def test_ordering_violation_is_a_typed_error(self, monkeypatch):
         # a negative slack makes every evaluation fail the ordering check
@@ -86,6 +104,70 @@ class TestSandwich:
                     r = sandwich(gen, as_dist(a), as_dist(b))
                     assert r.left <= r.middle + 1e-10
                     assert r.middle <= r.right + 1e-10
+
+
+def _neg_t(gen):
+    return FGenerator(
+        f"neg_t_{gen.name}", lambda t: -np.asarray(t, dtype=float) * gen.fn(t), None, None, 0.0
+    )
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_partner_table_holds_exactly_the_convex_partners(name):
+    try:
+        validate_generator(_neg_t(REGISTRY[name]))
+        convex = True
+    except GeneratorError:
+        convex = False
+    assert (name in PARTNERS) == convex
+
+
+class TestBatchSandwich:
+    @pytest.mark.parametrize("name", sorted(PARTNERS))
+    def test_rows_equal_the_pairwise_route_bit_for_bit(self, name):
+        rng = np.random.default_rng(97)
+        gen = REGISTRY[name]
+        for k in range(2, 9):
+            pm, qm = random_positive_pairs(rng, 200, k)
+            cols = batch_sandwich(gen, pm, qm)
+            assert all(c.shape == (200,) for c in cols)
+            for i in range(200):
+                r = sandwich(gen, as_dist(pm[i]), as_dist(qm[i]))
+                got = [float(c[i]).hex() for c in cols]
+                want = [r.r_min, r.r_max, r.left, r.middle, r.right, r.chi2]
+                assert got == [v.hex() for v in want]
+
+    def test_violation_names_the_worst_row(self, monkeypatch):
+        rng = np.random.default_rng(101)
+        pm, qm = random_positive_pairs(rng, 50, 4)
+        _, _, left, middle, right, _ = batch_sandwich(REGISTRY["dual_kl"], pm, qm)
+        worst = int(np.argmax(np.maximum(left - middle, middle - right)))
+        monkeypatch.setattr(jensen, "_ORDER_SLACK", -1.0)
+        with pytest.raises(BoundViolationError, match=rf"for f = dual_kl in row {worst}: "):
+            batch_sandwich(REGISTRY["dual_kl"], pm, qm)
+
+    def test_non_finite_middle_warns_with_its_row(self, monkeypatch):
+        # a partner that overflows on ratios above 2 gives a middle of -inf;
+        # the ordering check then fails on that row too
+        inf_g = FGenerator(
+            "inf_above_2",
+            lambda t: np.where(np.asarray(t, dtype=float) > 2.0, np.inf, 0.0),
+            None, None, 0.0,
+        )
+        monkeypatch.setitem(jensen.PARTNERS, "dual_kl", inf_g)
+        pm = np.array([[0.5, 0.5], [0.9, 0.1], [0.95, 0.05]])
+        qm = np.array([[0.5, 0.5], [0.3, 0.7], [0.3, 0.7]])
+        with pytest.warns(RuntimeWarning, match=r"middle term is -inf .* in row 1;"):
+            with pytest.raises(BoundViolationError, match="in row 1: "):
+                batch_sandwich(REGISTRY["dual_kl"], pm, qm)
+
+    def test_zero_mass_rejected(self):
+        pm = np.array([[0.5, 0.5], [1.0, 0.0]])
+        qm = np.array([[0.25, 0.75], [0.25, 0.75]])
+        with pytest.raises(DistributionError):
+            batch_sandwich(REGISTRY["dual_kl"], pm, qm)
+        with pytest.raises(DistributionError):
+            batch_sandwich(REGISTRY["dual_kl"], qm, pm)
 
 
 class TestJensenFunctional:
@@ -131,33 +213,11 @@ class TestJensenFunctional:
         with pytest.raises(ValueError):
             jensen_functional(REGISTRY["kl"], [1.0, 0.0], w)
 
-
-class TestDragomir:
-    def test_equal_pair_degenerates(self):
-        d = make_dist(["a", "b"], [0.4, 0.6])
-        left, mid, right = dragomir_sandwich_check(REGISTRY["kl"], [2.0, 0.5], d, d)
-        assert left == pytest.approx(mid, abs=1e-12)
-        assert right == pytest.approx(mid, abs=1e-12)
-
-    def test_ordering_on_random_instances(self):
-        rng = np.random.default_rng(79)
-        for _ in range(200):
-            pm, qm = random_positive_pairs(rng, 1, 5)
-            u = np.exp(rng.normal(size=5))
-            left, mid, right = dragomir_sandwich_check(
-                REGISTRY["kl"], u, as_dist(pm[0]), as_dist(qm[0])
-            )
-            assert left <= mid + 1e-10
-            assert mid <= right + 1e-10
-
-    def test_likelihood_ratio_specialization_matches_sandwich(self):
-        rng = np.random.default_rng(83)
-        gen = REGISTRY["dual_kl"]
-        pm, qm = random_positive_pairs(rng, 100, 4)
-        for a, b in zip(pm, qm):
-            p, q = as_dist(a), as_dist(b)
-            _, mid, _ = dragomir_sandwich_check(gen, a / b, p, q)
-            assert mid == pytest.approx(sandwich(gen, p, q).middle, abs=1e-10)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry(self, bad):
+        w = make_dist(["a", "b"], [0.5, 0.5])
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            jensen_functional(REGISTRY["kl"], [bad, 1.0], w)
 
 
 class TestChi2ExpBound:

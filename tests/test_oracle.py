@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import threading
 
 import numpy as np
@@ -234,6 +235,20 @@ class TestVerifyMin:
         assert r.violations > 0
         assert r.witness is not None
         assert r.failure is not None
+
+    @pytest.mark.parametrize("fine_step", [1e-3, None])
+    def test_failure_counts_sampled_and_fine_pairs_apart(self, monkeypatch, fine_step):
+        _force_closed_form(monkeypatch, "jeffreys", 10.0)
+        r = verify_min("jeffreys", 0.5, 20, fine_step=fine_step)
+        m = re.fullmatch(
+            r"(\d+) sampled and (\d+) fine-grid pair\(s\) crossed the closed form; "
+            r"worst witness retained",
+            r.failure,
+        )
+        sampled, fine = int(m[1]), int(m[2])
+        assert sampled <= 20 * len(r.support_sizes)
+        assert sampled + fine == r.violations
+        assert (fine > 0) == (fine_step is not None)
 
     def test_witness_is_the_worst_crossing_row_over_all_batches(self, monkeypatch):
         # every pair crosses 10; the least sampled value lies in a later

@@ -110,13 +110,13 @@ def reference_verify_min(
     line = sign * cf - oracle._VIOLATION_SLACK
 
     best = math.inf
-    violations = 0
+    crossed = {"sampled": 0, "fine": 0}
     witness = None
 
-    def scan(pm, qm):
-        nonlocal best, violations, witness
+    def scan(pm, qm, source):
+        nonlocal best, witness
         vals = sign * om.evaluate(pm, qm)
-        violations += int(np.count_nonzero(vals < line))
+        crossed[source] += int(np.count_nonzero(vals < line))
         i = int(np.argmin(vals))
         low = float(vals[i])
         if low < min(best, line):
@@ -126,11 +126,13 @@ def reference_verify_min(
 
     if n_samples > 0:
         for s in support_sizes:
-            scan(*oracle._sample_batch(oracle._stream(seed, stream_key, s), n_samples, s, eps))
+            scan(*oracle._sample_batch(oracle._stream(seed, stream_key, s), n_samples, s, eps), "sampled")
 
     fine_best = None
     if fine_step is not None:
-        fine_best = sign * min(scan(*oracle.fine_grid_pairs(eps, s, step=fine_step)) for s in (2, 3))
+        fine_best = sign * min(
+            scan(*oracle.fine_grid_pairs(eps, s, step=fine_step), "fine") for s in (2, 3)
+        )
 
     pair = extremal_pair(eps, om.extremal_kind)
     extremal_value = float(om.evaluate(pair.p.mass[None, :], pair.q.mass[None, :])[0])
@@ -138,9 +140,13 @@ def reference_verify_min(
     best = min(best, sign * extremal_value)
     gap = abs(sign * best - cf)
 
+    violations = crossed["sampled"] + crossed["fine"]
     failure = None
     if violations:
-        failure = f"{violations} sampled pair(s) crossed the closed form; worst witness retained"
+        failure = (
+            f"{crossed['sampled']} sampled and {crossed['fine']} fine-grid pair(s) crossed "
+            "the closed form; worst witness retained"
+        )
     elif not attained:
         failure = f"extremal {om.extremal_kind} pair gives {extremal_value!r}, closed form {cf!r}"
     elif gap_threshold is not None and gap > gap_threshold:

@@ -14,6 +14,8 @@ import numpy as np
 
 from divbound import (
     REGISTRY,
+    batch_chi2_exp_bound_check,
+    batch_sandwich,
     chi2_exp_bound_check,
     f_divergence,
     jensen_functional,
@@ -64,14 +66,22 @@ floor = r.r_min * f_divergence(REGISTRY["kl"], q, p)
 print(f"the log-form gap {gap:.12f} stays above r_min D(Q||P) = {floor:.12f} >= 0")
 
 print()
-print("Random strictly positive pairs never violate the ordering:")
+print("Random strictly positive pairs never violate the ordering, nor chi^2 >= e^D - 1:")
 rng = np.random.default_rng(0)
-worst = math.inf
+by_support = {}
 for _ in range(2000):
     k = int(rng.integers(2, 8))
     a = rng.dirichlet(np.ones(k))
     b = rng.dirichlet(np.ones(k))
     labels = [f"x{i}" for i in range(k)]
-    rr = sandwich(REGISTRY["dual_kl"], make_dist(labels, a), make_dist(labels, b))
-    worst = min(worst, rr.middle - rr.left, rr.right - rr.middle)
+    by_support.setdefault(k, []).append((make_dist(labels, a).mass, make_dist(labels, b).mass))
+worst = worst_exp = math.inf
+for rows in by_support.values():
+    pm, qm = (np.array(side) for side in zip(*rows))
+    _, _, left, middle, right, _ = batch_sandwich(REGISTRY["dual_kl"], pm, qm)
+    worst = min(worst, float((middle - left).min()), float((right - middle).min()))
+    chi2, rhs = batch_chi2_exp_bound_check(pm, qm)
+    worst_exp = min(worst_exp, float((chi2 - rhs).min()))
 print(f"smallest slack over 2000 pairs: {worst:.3e}")
+print(f"smallest chi^2 - (e^D - 1) over them: {worst_exp:.3e}")
+assert worst_exp >= 0.0

@@ -61,6 +61,7 @@ from .generators import (
 )
 from .jensen import (
     SandwichResult,
+    batch_chi2_exp_bound_check,
     batch_sandwich,
     chi2_exp_bound_check,
     jensen_functional,

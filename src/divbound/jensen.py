@@ -28,7 +28,7 @@ import numpy as np
 
 from .dist import FiniteDist, align
 from .errors import BoundViolationError, DistributionError, GeneratorError
-from .fdiv import _as_2d, batch_f_divergence, f_divergence
+from .fdiv import _as_2d, batch_f_divergence
 from .generators import REGISTRY, FGenerator, validate_generator
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "batch_sandwich",
     "sandwich",
     "jensen_functional",
+    "batch_chi2_exp_bound_check",
     "chi2_exp_bound_check",
 ]
 
@@ -86,9 +87,14 @@ class SandwichResult:
 
 
 def _require_positive(pm: np.ndarray, qm: np.ndarray) -> None:
-    if np.any(pm < _POSITIVE_FLOOR) or np.any(qm < _POSITIVE_FLOOR):
+    """Raise DistributionError naming the row with the least mass below the floor."""
+    low = np.fmin(pm, qm)
+    below = low < _POSITIVE_FLOOR
+    if below.any():
+        i, j = divmod(int(np.argmin(np.where(below, low, np.inf))), low.shape[1])
         raise DistributionError(
-            "both distributions must be strictly positive on the common alphabet"
+            "both distributions must be strictly positive on the common alphabet: "
+            f"row {i} has mass {float(low[i, j])!r}"
         )
 
 
@@ -156,10 +162,22 @@ def jensen_functional(gen: FGenerator, u, weights: FiniteDist) -> float:
     return float((w * gen.fn(u)).sum() - gen.fn(float((w * u).sum())))
 
 
+def batch_chi2_exp_bound_check(pm, qm) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of chi2(P,Q) >= e^{D(P||Q)} - 1, row by row on (n, k)
+    strictly positive mass matrices.  A mass below the floor raises
+    DistributionError naming the row with the least one.
+    """
+    pm, qm = _as_2d(pm, qm)
+    _require_positive(pm, qm)
+    chi2 = (pm * pm / qm).sum(axis=1) - 1.0
+    d = batch_f_divergence(REGISTRY["kl"], pm, qm)
+    # libm's expm1, as the pairwise form always took: numpy's SIMD expm1 can
+    # differ from it in the last bit
+    return chi2, np.fromiter(map(math.expm1, d.tolist()), float, d.size)
+
+
 def chi2_exp_bound_check(p: FiniteDist, q: FiniteDist) -> tuple[float, float]:
     """Both sides of chi2(P,Q) >= e^{D(P||Q)} - 1 for strictly positive pairs."""
     _, pm, qm = align(p, q)
-    _require_positive(pm, qm)
-    chi2 = float((pm * pm / qm).sum() - 1.0)
-    d = f_divergence(REGISTRY["kl"], p, q)
-    return chi2, math.expm1(d)
+    chi2, rhs = batch_chi2_exp_bound_check(pm, qm)
+    return float(chi2[0]), float(rhs[0])

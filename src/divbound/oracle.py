@@ -24,6 +24,15 @@ uniformly from S and swapped into the last slot of an independent uniform
 permutation: a uniform order conditioned on ending in S, as when whole
 orders were redrawn until one did (the tests keep that reference route).
 
+Rows hold only 2 to 8 masses, and numpy reduces so short a last axis 10-40
+times slower than it runs the same arithmetic over whole columns.  So the
+sampler reduces by columns: row sums by fdiv._row_sums, which adds in
+numpy's own order (in turn below 8 columns, a pairwise tree at 8, both
+onto +0.0); row minima by np.minimum across the columns; running sums by
+running column adds, in np.cumsum's order; and each "first column where"
+(argmax) by counting the leading False columns.  Each gives numpy's result
+bit for bit, so the draws are those of the plain reductions.
+
 Randomness comes from numpy's PCG64 with streams derived from
 (seed, grid index, support size), so grid points are independent and a run
 is reproducible bit for bit; the generator name is recorded on each report.
@@ -42,6 +51,7 @@ depend on the number of CPUs or on which block finishes first.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -52,7 +62,7 @@ import numpy as np
 from .bounds import MEASURES, Measure, extremal_pair, find_measure
 from .dist import FiniteDist
 from .errors import BoundViolationError
-from .fdiv import batch_total_variation
+from .fdiv import _row_sums, batch_total_variation
 
 __all__ = [
     "sample_pair",
@@ -74,7 +84,29 @@ _BLOCK_ROWS = 1 << 14
 
 def _simplex(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     e = rng.exponential(size=(n, k))
-    return e / e.sum(axis=1, keepdims=True)
+    return e / _row_sums(e)[:, None]
+
+
+def _cumsum_rows(a: np.ndarray) -> np.ndarray:
+    """np.cumsum(a, axis=1), bit for bit, by running column adds."""
+    out = np.empty(a.shape, dtype=np.int_ if a.dtype == bool else a.dtype)
+    out[:, 0] = a[:, 0]
+    for j in range(1, a.shape[1]):
+        np.add(out[:, j - 1], a[:, j], out=out[:, j])
+    return out
+
+
+def _first_true(mask: np.ndarray) -> np.ndarray:
+    """mask.argmax(axis=1) for a bool matrix, column by column: the first
+    True column of each row, counted as its leading False columns, and 0
+    where a row has none."""
+    none = ~mask[:, 0]
+    idx = none.astype(np.intp)
+    for j in range(1, mask.shape[1]):
+        none &= ~mask[:, j]
+        idx += none
+    idx[none] = 0
+    return idx
 
 
 # kept as its own function, called once per batch: perfbench/spans.py
@@ -86,19 +118,21 @@ def _draw_sign_sets(rng, pm: np.ndarray, eps: float):
     """
     m, k = pm.shape
     perm = rng.permuted(np.tile(np.arange(k), (m, 1)), axis=1)
-    feasible = pm <= 1.0 - eps
-    rank = rng.integers(feasible.sum(axis=1))
-    anchor = (np.cumsum(feasible, axis=1) > rank[:, None]).argmax(axis=1)
-    slot = (perm == anchor[:, None]).argmax(axis=1)
+    counts = _cumsum_rows(pm <= 1.0 - eps)  # running counts of feasible anchors
+    rank = rng.integers(counts[:, -1])
+    anchor = _first_true(counts > rank[:, None])
+    slot = _first_true(perm == anchor[:, None])
     perm[np.arange(m), slot] = perm[:, -1]
     perm[:, -1] = anchor
-    cums = np.cumsum(np.take_along_axis(pm, perm, axis=1), axis=1)
+    cums = _cumsum_rows(np.take_along_axis(pm, perm, axis=1))
     # the mass before the anchor is 1 - p(anchor) >= eps, but its float sum
     # can land an ulp below eps: the anchor never joins the prefix
-    prefix_len = np.minimum((cums >= eps).argmax(axis=1), k - 2)
-    pos = np.arange(k)[None, :]
-    in_b = pos <= prefix_len[:, None]
-    in_b |= (rng.random((m, k)) < 0.5) & (pos > prefix_len[:, None]) & (pos < k - 1)
+    prefix_len = np.minimum(_first_true(cums >= eps), k - 2)
+    # the coins only matter past the prefix, which joins B whatever they
+    # show, and never on the anchor's slot
+    in_b = rng.random((m, k)) < 0.5
+    in_b[:, -1] = False
+    in_b |= np.arange(k) <= prefix_len[:, None]
     b = np.zeros((m, k), dtype=bool)
     np.put_along_axis(b, perm, in_b, axis=1)
     return b, np.ones(m, dtype=bool)
@@ -114,18 +148,19 @@ def _sample_batch(
 
     # no proper subset of these rows carries mass eps: shrink the smallest
     # atom into [0, 1 - eps), a possible anchor, and renormalize the rest
-    stuck = np.flatnonzero(1.0 - pm.min(axis=1) < eps)
+    low = functools.reduce(np.minimum, pm.T)  # the row minima, column by column
+    stuck = np.flatnonzero(1.0 - low < eps)
     if stuck.size:
-        jmin = pm[stuck].argmin(axis=1)
+        jmin = _first_true(pm[stuck] == low[stuck, None])
         old = pm[stuck, jmin]
         new = (1.0 - eps) * rng.random(stuck.size)
         pm[stuck] *= ((1.0 - new) / (1.0 - old))[:, None]
         pm[stuck, jmin] = new
 
     b, _ = _draw_sign_sets(rng, pm, eps)
-    mass_b = np.where(b, pm, 0.0).sum(axis=1)
+    mass_b = _row_sums(np.where(b, pm, 0.0))
     spread = rng.exponential(size=pm.shape) * ~b
-    weights = spread / spread.sum(axis=1, keepdims=True)
+    weights = spread / _row_sums(spread)[:, None]
     qm = np.maximum(np.where(b, pm * (1.0 - eps / mass_b)[:, None], pm + eps * weights), 0.0)
     tv = batch_total_variation(pm, qm)
     if not np.all(np.abs(tv - eps) <= TV_MATCH_TOL):
@@ -167,11 +202,12 @@ def fine_grid_pairs(eps: float, support: int, step: float = 1e-3):
         a = np.repeat(a_vals, n_b)
         j = np.arange(a.size) - np.repeat(np.cumsum(n_b) - n_b, n_b)
         b = np.minimum(j * step, 1.0 - a)
-        p = np.stack([a, b, 1.0 - a - b], axis=1)
-        q = np.stack([a - eps, b, 1.0 - a - b + eps], axis=1)
+        c = 1.0 - a - b
+        p = np.stack([a, b, c], axis=1)
+        q = np.stack([a - eps, b, c + eps], axis=1)
     else:
         raise ValueError("fine grids are defined for supports 2 and 3 only")
-    return np.maximum(p, 0.0), np.maximum(q, 0.0)
+    return np.maximum(p, 0.0, out=p), np.maximum(q, 0.0, out=q)
 
 
 # the measures the harness can verify: those with a batch evaluator

@@ -408,7 +408,23 @@ class TestSourcecodeSweep:
         assert column == ["0.000999999958333", "0.00999995833332", "0.0999583316006", "0.958196846233"]
 
 
+# the stdout of verify for the six measures in turn, recorded before the
+# sampler and the batch evaluators moved to column arithmetic
+VERIFY_GOLDEN = Path(__file__).resolve().parent / "data" / "verify_grid_0.1_0.4_0.9_samples2000_seed7.csv"
+
+
 class TestVerify:
+    def test_stdout_is_pinned(self, runner):
+        out = []
+        for m in ("tv", "hellinger2", "jeffreys", "capacitory", "chernoff", "bhattacharyya"):
+            r = runner.invoke(
+                main,
+                ["verify", "--measure", m, "--grid", "0.1:0.4:0.9", "--samples", "2000", "--seed", "7"],
+            )
+            assert r.exit_code == 0, r.stderr
+            out.append(r.stdout)
+        assert "".join(out) == VERIFY_GOLDEN.read_text(encoding="utf-8")
+
     def test_pass_run(self, runner):
         r = runner.invoke(
             main,

@@ -226,6 +226,23 @@ def _ulp_slack(x: float) -> float:
     return 1e-15 * max(1.0, abs(x))
 
 
+def _grid_chernoff(p, q) -> float:
+    """Chernoff information of one strictly positive pair on a lam grid refined
+    seven times around its least point, with g summed exactly by math.fsum."""
+    lq, d = np.log(q), np.log(p) - np.log(q)
+
+    def g(lam):
+        return math.log(math.fsum(np.exp(lq + lam * d)))
+
+    lo, hi = 0.0, 1.0
+    for _ in range(7):
+        lams = np.linspace(lo, hi, 21)
+        vals = [g(lam) for lam in lams]
+        i = int(np.argmin(vals))
+        lo, hi = lams[max(i - 1, 0)], lams[min(i + 1, 20)]
+    return -min(vals)
+
+
 class TestChernoffSolver:
     """The safeguarded Newton solve of g'(lam) = 0 behind batch_chernoff."""
 
@@ -301,6 +318,26 @@ class TestChernoffSolver:
             pm, qm = (m[keep] / m[keep].sum(axis=1, keepdims=True) for m in (pm, qm))
             assert fdiv._min_log_tilt(pm, qm)[1] <= 25
 
+    def test_wide_rows_match_a_lam_grid_reference(self):
+        # a same-order pair of 10^4 labels, as in the benchmark's large files.
+        # Row sums past 8 columns are numpy's pairwise sums: blocks of 128
+        # terms in 8 running sums, then a tree over the blocks, off by at
+        # most about 26 ulps of a sum near 1, which g = log(sum) carries
+        tol = 32 * np.finfo(float).eps
+        rng = np.random.default_rng(71)
+        n = 10_000
+        p = rng.exponential(size=n)
+        p /= p.sum()
+        q = p * np.exp(0.5 * rng.standard_normal(n))
+        q /= q.sum()
+        labels = [f"w{j:05d}" for j in range(n)]
+        c = chernoff_information(make_dist(labels, p), make_dist(labels, q))
+        assert c == pytest.approx(_grid_chernoff(p, q), rel=0.0, abs=tol)
+        for k in (9, 40):
+            pm, qm = random_positive_pairs(rng, 6, k)
+            want = [_grid_chernoff(a, b) for a, b in zip(pm, qm)]
+            assert batch_chernoff(pm, qm) == pytest.approx(want, rel=0.0, abs=tol)
+
     def test_no_floating_point_warnings_on_zero_masses(self):
         rng = np.random.default_rng(59)
         pm, qm = random_pairs_with_zeros(rng, 500, 4)
@@ -311,6 +348,40 @@ class TestChernoffSolver:
             c = batch_chernoff(pm, qm)
         assert c[-2] == math.inf
         assert c[-1] == 0.0
+
+
+def _row_sum_cases():
+    """Float matrices of widths 0 to 12, with zeros, -0.0 rows, +-inf and NaN."""
+    rng = np.random.default_rng(43)
+    for k in range(13):
+        for n in (1, 200):
+            a = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-20, 21, (n, k))
+            a[rng.random((n, k)) < 0.1] = 0.0
+            yield a
+            yield np.where(rng.random((n, k)) < 0.5, -0.0, a)
+            yield np.full((n, k), -0.0)
+            for special in (np.inf, -np.inf, np.nan):
+                yield np.where(rng.random((n, k)) < 0.1, special, a)
+            yield np.asfortranarray(a)
+
+
+class TestRowSums:
+    """fdiv._row_sums against numpy's own reduction, byte for byte."""
+
+    def test_floats_equal_numpy_byte_for_byte(self):
+        for a in _row_sum_cases():
+            got, want = fdiv._row_sums(a), a.sum(axis=-1)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), a.shape
+
+    def test_bools_count_like_numpy(self):
+        for a in _row_sum_cases():
+            for mask in (a > 0.0, np.isnan(a), np.zeros(a.shape, dtype=bool)):
+                got, want = fdiv._row_sums(mask), mask.sum(axis=-1)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), a.shape
+
+    def test_negative_zero_rows_sum_to_positive_zero(self):
+        for k in range(2, 9):
+            assert fdiv._row_sums(np.full((3, k), -0.0)).tobytes() == np.zeros(3).tobytes()
 
 
 def _f_divergence_by_terms(gen, p, q) -> tuple[float, float]:

@@ -11,6 +11,7 @@ from divbound.fdiv import f_divergence
 from divbound.generators import REGISTRY, FGenerator, register_generator, validate_generator
 from divbound.jensen import (
     PARTNERS,
+    batch_chi2_exp_bound_check,
     batch_sandwich,
     chi2_exp_bound_check,
     jensen_functional,
@@ -263,3 +264,34 @@ class TestChi2ExpBound:
         z = make_dist(["a", "b"], [1.0, 0.0])
         with pytest.raises(DistributionError):
             chi2_exp_bound_check(z, Q)
+
+    def test_batch_rows_equal_the_pairwise_formula_bit_for_bit(self):
+        rng = np.random.default_rng(103)
+        kl = REGISTRY["kl"]
+        for k in (2, 3, 5, 8, 13, 40):
+            pm, qm = random_positive_pairs(rng, 100, k)
+            chi2, rhs = batch_chi2_exp_bound_check(pm, qm)
+            assert chi2.shape == rhs.shape == (100,)
+            for i in range(100):
+                p, q = as_dist(pm[i]), as_dist(qm[i])
+                want = (
+                    float((pm[i] * pm[i] / qm[i]).sum() - 1.0),
+                    math.expm1(f_divergence(kl, p, q)),
+                )
+                got = (float(chi2[i]), float(rhs[i]))
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+                assert [v.hex() for v in chi2_exp_bound_check(p, q)] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("check", [
+        batch_chi2_exp_bound_check,
+        lambda pm, qm: batch_sandwich(REGISTRY["dual_kl"], pm, qm),
+    ], ids=["chi2_exp", "sandwich"])
+    def test_batch_zero_mass_names_the_worst_row(self, check):
+        rng = np.random.default_rng(107)
+        pm, qm = random_positive_pairs(rng, 6, 3)
+        pm[1, 2] = 1e-310
+        qm[4, 0] = 0.0
+        with pytest.raises(DistributionError, match=r"row 4 has mass 0\.0$"):
+            check(pm, qm)
+        with pytest.raises(DistributionError, match=r"row 4 has mass 0\.0$"):
+            check(qm, pm)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import re
 import threading
@@ -14,6 +15,25 @@ from divbound.fdiv import batch_total_variation
 from divbound.oracle import TV_MATCH_TOL, fine_grid_pairs, grid_verify, sample_pair, verify_min
 
 from util import assert_same_report, random_simplex, reference_verify_min, rejection_sign_sets
+
+
+# sha256 over the P and Q bytes of _sample_batch(_stream(7, 3, k), 2000, k, eps)
+# for k = 2..8 in turn, recorded before the sampler moved to column arithmetic
+SAMPLER_PINS = {
+    0.0: "34520bc1c9cc409c527d485403f516ab4aa20f676eb16145a2971e75cb67c050",
+    0.1: "dde3e185458a7a7ed5eb1627ab2a46262dfe0902ef844a98a0557a054a97eb09",
+    0.5: "4ef4d9525b2f970bb7c5d304b82a650fd7633941ff3a934027ec97acdda31bbf",
+    0.9: "7acb9f0ac72243904ce3a741ccd1ff21141b0e33c0e8b4e71fc98adde32b4707",
+    0.999: "a856e0f132d232423db0fe5965c21d62e241a9cd6955e6541c1badc9cfab2b78",
+}
+# the same over fine_grid_pairs(eps, s) for s = 2, 3, recorded with them
+FINE_GRID_PINS = {
+    0.0: "949d7da7bc78405a5da96fd9aeedfe78578426d33e733238dd82866f3d272dc9",
+    0.1: "0c4c651c43cba7007a62e4851bd9c33aa146039c4f9f2e30ea630fc4e070b19f",
+    0.5: "843b0747397f1556dc1b1dd0927999be9384336aaddb582179bd0559ed19b0b8",
+    0.9: "7516c9654291e212065ff760b9e586b453dd1f644c001816f032fb868a7452be",
+    0.999: "20316d6734ef625888d43d7b59dc0cc5f1decde811ba1681ca27d8746fb5ec89",
+}
 
 
 class TestSampler:
@@ -54,6 +74,34 @@ class TestSampler:
             p, q = sample_pair(k, eps, seed=seed)
             assert abs(total_variation(p, q) - eps) <= TV_MATCH_TOL
             assert np.all(p.mass >= 0.0) and np.all(q.mass >= 0.0)
+
+    @pytest.mark.parametrize("eps", sorted(SAMPLER_PINS))
+    def test_stream_is_pinned(self, eps):
+        digest = hashlib.sha256()
+        for k in range(2, 9):
+            pm, qm = oracle._sample_batch(oracle._stream(7, 3, k), 2000, k, eps)
+            digest.update(pm.tobytes())
+            digest.update(qm.tobytes())
+        assert digest.hexdigest() == SAMPLER_PINS[eps]
+
+    def test_pins_cover_stuck_rows(self):
+        # at eps = 0.999 every support draws rows whose least atom exceeds
+        # 1 - eps, so the pinned bytes include the shrink of stuck rows
+        for k in range(2, 9):
+            pm = oracle._simplex(oracle._stream(7, 3, k), 2000, k)
+            assert np.any(pm.min(axis=1) > 1.0 - 0.999)
+
+    def test_column_helpers_match_numpy(self):
+        rng = np.random.default_rng(83)
+        for k in range(1, 10):
+            a = rng.exponential(size=(300, k))
+            a[rng.random(a.shape) < 0.2] = -0.0
+            for mask in (rng.random((300, k)) < 0.3, np.zeros((300, k), dtype=bool)):
+                assert np.array_equal(oracle._first_true(mask), mask.argmax(axis=1))
+                want = np.cumsum(mask, axis=1)
+                assert oracle._cumsum_rows(mask).tobytes() == want.tobytes()
+                assert oracle._cumsum_rows(mask).dtype == want.dtype
+            assert oracle._cumsum_rows(a).tobytes() == np.cumsum(a, axis=1).tobytes()
 
     def test_same_draw_as_one_row_of_a_batch(self):
         pm, qm = oracle._sample_batch(
@@ -157,6 +205,15 @@ class TestSignSets:
 
 
 class TestFineGrids:
+    @pytest.mark.parametrize("eps", sorted(FINE_GRID_PINS))
+    def test_grids_are_pinned(self, eps):
+        digest = hashlib.sha256()
+        for s in (2, 3):
+            p, q = fine_grid_pairs(eps, s)
+            digest.update(p.tobytes())
+            digest.update(q.tobytes())
+        assert digest.hexdigest() == FINE_GRID_PINS[eps]
+
     def test_support2_shape_and_constraint(self):
         p, q = fine_grid_pairs(0.25, 2, step=1e-3)
         assert p.shape == q.shape

@@ -6,10 +6,11 @@ The divergence sum is D_f(P||Q) = sum_x Q(x) f(P(x)/Q(x)) with
     P(x) = a > 0, Q(x) = 0  contributing  a * lim_{u->inf} f(u)/u,
     P(x) = 0, Q(x) > 0      contributing  Q(x) * lim_{t->0+} f(t).
 
-Infinities are values, never errors; NaN is always a bug and raises
-BoundViolationError.  The ``batch_*`` functions operate on (n, k) mass
-matrices, one pair per row, and are what the oracle harness drives; the
-scalar operations wrap them.
+Infinite divergences are values, never errors; a NaN result is always a
+bug and raises BoundViolationError.  The ``batch_*`` functions operate on
+(n, k) mass matrices, one pair per row, and are what the oracle harness
+drives; a NaN or infinite mass in either matrix raises DistributionError,
+as FiniteDist does.  The scalar operations wrap them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from .dist import FiniteDist, align
-from .errors import BoundViolationError
+from .errors import BoundViolationError, DistributionError
 from .generators import FGenerator
 # unused here, but perfbench/spans.py rebinds the name on this module
 from .search import golden_section_min  # noqa: F401
@@ -40,6 +41,9 @@ def _as_2d(p, q):
     q = np.atleast_2d(np.asarray(q, dtype=float))
     if p.shape != q.shape:
         raise ValueError(f"mass matrices differ in shape: {p.shape} vs {q.shape}")
+    # NaN fails every mass test (> 0, <= 0) and would drop out of the sums
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise DistributionError("non-finite probability mass")
     return p, q
 
 

@@ -39,14 +39,17 @@ is reproducible bit for bit; the generator name is recorded on each report.
 
 verify_min scans blocks on a thread pool with one worker per CPU the
 process may run on (numpy releases the GIL inside its loops).  A block is
-one sampled support, drawn from its own stream, or 2^14 rows of a fine
-grid; it returns its crossing count and its least signed value with that
-row.  The main thread merges the results in a fixed order: supports in the
-order given, then fine grid 2, then fine grid 3.  Within a piece the least
-block value wins, the first on ties or NaN, as an argmin over the whole
-array would pick; across pieces a row becomes the witness only when it lies
-strictly below the line and every value before it.  So the report does not
-depend on the number of CPUs or on which block finishes first.
+one sampled support, drawn from its own stream, or a range of 2^14 rows of
+a fine grid, which the worker builds itself: the main thread only counts
+the rows and submits the ranges, so no grid is ever held whole and memory
+grows with the number of workers, not with the grid.  A block returns its
+crossing count and its least signed value with that row.  The main thread
+merges the results in a fixed order: supports in the order given, then
+fine grid 2, then fine grid 3.  Within a piece the least block value wins,
+the first on ties or NaN, as an argmin over the whole array would pick;
+across pieces a row becomes the witness only when it lies strictly below
+the line and every value before it.  So the report does not depend on the
+number of CPUs or on which block finishes first.
 """
 
 from __future__ import annotations
@@ -180,33 +183,62 @@ def sample_pair(support_size: int, eps: float, seed: int) -> tuple[FiniteDist, F
     return FiniteDist(labels, pm[0]), FiniteDist(labels, qm[0])
 
 
-def fine_grid_pairs(eps: float, support: int, step: float = 1e-3):
-    """Deterministic pair families on supports 2 and 3 at total variation eps.
+def _check_step(step: float) -> None:
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"fine_step={step!r}: the fine-grid step must be finite and > 0")
+
+
+def _fine_grid_rows(eps: float, support: int, step: float) -> tuple:
+    """The number of rows of the fine grid on support 2 or 3, with the
+    support-3 grid's values of a and how many rows (one per b) each spans."""
+    _check_step(step)
+    n = int(round((1.0 - eps) / step)) + 1
+    if support == 2:
+        return n, None, None
+    if support == 3:
+        a_vals = np.minimum(eps + np.arange(n) * step, 1.0)
+        n_b = np.rint((1.0 - a_vals) / step).astype(np.intp) + 1
+        return int(n_b.sum()), a_vals, n_b
+    raise ValueError("fine grids are defined for supports 2 and 3 only")
+
+
+def fine_grid_pairs(
+    eps: float, support: int, step: float = 1e-3, start: int = 0, stop: Optional[int] = None
+):
+    """Rows [start, stop) of a deterministic pair family on support 2 or 3
+    at total variation eps; stop=None means the last row, so by default
+    the whole grid.
 
     Support 2 sweeps the free endpoint: P = (q1 + eps, 1 - q1 - eps),
-    Q = (q1, 1 - q1).  Support 3 moves mass eps from the first atom to the
-    third across a free middle: P = (a, b, 1 - a - b),
-    Q = (a - eps, b, 1 - a - b + eps).  Both families contain every
-    designated extremal pair when eps sits on the grid.
+    Q = (q1, 1 - q1), with q1 = i * step for row i.  Support 3 moves mass
+    eps from the first atom to the third across a free middle:
+    P = (a, b, 1 - a - b), Q = (a - eps, b, 1 - a - b + eps), with rows
+    ordered by a = eps + i * step, then b = j * step.  Each coordinate is
+    capped so that the masses stay in the simplex.  Both families contain
+    every designated extremal pair when eps sits on the grid.  A row range
+    builds only its own rows, bit for bit the rows of the whole grid.
     """
+    n, a_vals, n_b = _fine_grid_rows(eps, support, step)
+    stop = n if stop is None else stop
+    if not 0 <= start <= stop <= n:
+        raise ValueError(f"rows [{start!r}, {stop!r}) outside the grid's [0, {n})")
     if support == 2:
-        n = int(round((1.0 - eps) / step)) + 1
-        q1 = np.minimum(np.arange(n) * step, 1.0 - eps)
+        q1 = np.minimum(np.arange(start, stop) * step, 1.0 - eps)
         p = np.stack([q1 + eps, 1.0 - q1 - eps], axis=1)
         q = np.stack([q1, 1.0 - q1], axis=1)
-    elif support == 3:
-        n_a = int(round((1.0 - eps) / step)) + 1
-        a_vals = np.minimum(eps + np.arange(n_a) * step, 1.0)
-        # b runs over j * step, j = 0 .. n_b - 1, for each a
-        n_b = np.rint((1.0 - a_vals) / step).astype(np.intp) + 1
-        a = np.repeat(a_vals, n_b)
-        j = np.arange(a.size) - np.repeat(np.cumsum(n_b) - n_b, n_b)
+    else:
+        first = np.cumsum(n_b) - n_b  # the first row of each a
+        lo = int(np.searchsorted(first, start, side="right")) - 1
+        hi = int(np.searchsorted(first, stop))
+        first, ends = first[lo:hi], first[lo:hi] + n_b[lo:hi]
+        # the rows of each a that fall inside [start, stop)
+        runs = np.minimum(ends, stop) - np.maximum(first, start)
+        a = np.repeat(a_vals[lo:hi], runs)
+        j = np.arange(start, stop) - np.repeat(first, runs)
         b = np.minimum(j * step, 1.0 - a)
         c = 1.0 - a - b
         p = np.stack([a, b, c], axis=1)
         q = np.stack([a - eps, b, c + eps], axis=1)
-    else:
-        raise ValueError("fine grids are defined for supports 2 and 3 only")
     return np.maximum(p, 0.0, out=p), np.maximum(q, 0.0, out=q)
 
 
@@ -280,6 +312,8 @@ def verify_min(
     if gap_threshold is not None and math.isnan(gap_threshold):
         raise ValueError("gap_threshold is NaN, which would pass every gap")
     _check_support_sizes(support_sizes)
+    if fine_step is not None:
+        _check_step(fine_step)
     cf = om.closed_form(eps)
     sign = 1.0 if om.direction == "min" else -1.0
     line = sign * cf - _VIOLATION_SLACK  # a signed value below it crosses
@@ -294,6 +328,10 @@ def verify_min(
     def sampled(s):
         return least(*_sample_batch(_stream(seed, stream_key, s), n_samples, s, eps))
 
+    def fine(s, start, stop):
+        # built here, on the worker that scans it
+        return least(*fine_grid_pairs(eps, s, fine_step, start, stop))
+
     from concurrent.futures import ThreadPoolExecutor  # here: `divbound --help` skips its import
 
     # one list of blocks per piece, in merge order: supports, then fine grids
@@ -302,10 +340,9 @@ def verify_min(
         pieces = [[pool.submit(sampled, s)] for s in support_sizes] if n_samples > 0 else []
         if fine_step is not None:
             for s in (2, 3):
-                pm, qm = fine_grid_pairs(eps, s, step=fine_step)
+                n = _fine_grid_rows(eps, s, fine_step)[0]
                 pieces.append([
-                    pool.submit(least, pm[i : i + _BLOCK_ROWS], qm[i : i + _BLOCK_ROWS])
-                    for i in range(0, len(pm), _BLOCK_ROWS)
+                    pool.submit(fine, s, i, min(i + _BLOCK_ROWS, n)) for i in range(0, n, _BLOCK_ROWS)
                 ])
         results = [[f.result() for f in piece] for piece in pieces]
     finally:
@@ -389,6 +426,8 @@ def grid_verify(
     if outside:
         raise ValueError(f"grid point eps={outside[0]!r} outside the sampler domain [0, 1)")
     _check_support_sizes(support_sizes)
+    if fine_step is not None:
+        _check_step(fine_step)
     return [
         verify_min(
             measure,

@@ -15,7 +15,7 @@ import divbound
 import divbound.fdiv as fdiv
 from divbound.bounds import bhattacharyya_bounds, extremal_pair
 from divbound.dist import make_dist, total_variation
-from divbound.errors import BoundViolationError
+from divbound.errors import BoundViolationError, DistributionError
 from divbound.fdiv import (
     batch_bhattacharyya,
     batch_chernoff,
@@ -26,6 +26,7 @@ from divbound.fdiv import (
     f_divergence,
 )
 from divbound.generators import REGISTRY, FGenerator
+from divbound.jensen import batch_chi2_exp_bound_check, batch_sandwich
 from divbound.search import golden_section_min
 
 from util import GENERATORS, as_dist, random_pairs_with_zeros, random_positive_pairs
@@ -450,7 +451,7 @@ class TestNumericalGuards:
             """
             import math
             import numpy as np
-            from divbound.errors import BoundViolationError
+            from divbound.errors import BoundViolationError, DistributionError
             from divbound.fdiv import batch_f_divergence
             from divbound.generators import FGenerator
 
@@ -481,3 +482,24 @@ class TestNumericalGuards:
         monkeypatch.setattr(fdiv, "_min_log_tilt", solve)
         with pytest.raises(BoundViolationError, match=message):
             fdiv.batch_chernoff([[0.5, 0.5]], [[0.25, 0.75]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_non_finite_mass_raises(self, bad, side):
+        # a NaN atom fails every mass test (> 0, <= 0), so without the check
+        # it drops out of the kl and Chernoff sums and gives a finite value
+        good = [[0.5, 0.5], [0.25, 0.75]]
+        bad_rows = [[0.5, 0.5], [bad, 0.5]]
+        p, q = (bad_rows, good) if side == "p" else (good, bad_rows)
+        routes = {
+            "f_divergence": lambda p, q: batch_f_divergence(REGISTRY["kl"], p, q),
+            "total_variation": batch_total_variation,
+            "bhattacharyya": batch_bhattacharyya,
+            "chernoff": batch_chernoff,
+            "sandwich": lambda p, q: batch_sandwich(REGISTRY["dual_kl"], p, q),
+            "chi2_exp_bound_check": batch_chi2_exp_bound_check,
+        }
+        for name, route in routes.items():
+            with pytest.raises(DistributionError, match="non-finite probability mass"):
+                route(p, q)
+                pytest.fail(f"{name} accepted a mass of {bad!r} in {side}")

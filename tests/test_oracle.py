@@ -1,8 +1,12 @@
 import dataclasses
 import hashlib
+import inspect
+import itertools
 import math
 import re
 import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +256,42 @@ class TestFineGrids:
         p, q = fine_grid_pairs(eps, 3, step=step)
         assert np.array_equal(p, want_p) and np.array_equal(q, want_q)
 
+    @staticmethod
+    def _join(eps, s, step, widths):
+        """fine_grid_pairs over consecutive row ranges whose widths cycle through widths."""
+        n = oracle._fine_grid_rows(eps, s, step)[0]
+        cuts, width = [0], itertools.cycle(widths)
+        while cuts[-1] < n:
+            cuts.append(min(cuts[-1] + next(width), n))
+        parts = [fine_grid_pairs(eps, s, step, a, b) for a, b in zip(cuts, cuts[1:])]
+        return np.concatenate([p for p, _ in parts]), np.concatenate([q for _, q in parts])
+
+    @pytest.mark.parametrize("step", [1e-3, 2e-3, 7e-3])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5, 0.9, 0.999])
+    def test_row_ranges_join_to_the_whole_grid(self, eps, step):
+        # the widths cycle in each of their four rotations, so ranges start
+        # and end at many places inside and between the runs of one a; a
+        # join of one width alone is made when it takes at most 3000 ranges
+        widths = (1, 7, 1000, oracle._BLOCK_ROWS)
+        for s in (2, 3):
+            p, q = fine_grid_pairs(eps, s, step)
+            n = len(p)
+            assert oracle._fine_grid_rows(eps, s, step)[0] == n
+            joins = [widths[r:] + widths[:r] for r in range(len(widths))]
+            joins += [(w,) for w in widths if n <= 3000 * w]
+            for join in joins:
+                jp, jq = self._join(eps, s, step, join)
+                assert jp.tobytes() == p.tobytes() and jq.tobytes() == q.tobytes(), join
+
+    def test_row_range_bounds(self):
+        n = oracle._fine_grid_rows(0.3, 3, 1e-2)[0]
+        for start in (0, 17, n):
+            p, q = fine_grid_pairs(0.3, 3, 1e-2, start, start)
+            assert p.shape == q.shape == (0, 3)
+        for start, stop in ((-1, 5), (5, 4), (0, n + 1), (n + 1, None)):
+            with pytest.raises(ValueError, match="outside the grid"):
+                fine_grid_pairs(0.3, 3, 1e-2, start, stop)
+
 
 class TestVerifyMin:
     def test_jeffreys_passes(self):
@@ -372,7 +412,12 @@ class TestGridVerify:
 
     @pytest.mark.parametrize("sizes", [(1,), (0,), (9,), (2, 3, 9)])
     def test_support_sizes_outside_range(self, monkeypatch, sizes):
+        # a call on a pool worker is only seen in the list: its error stays
+        # in a future that the main thread's ValueError leaves unread
+        called = []
+
         def no_sampling(*args):
+            called.append(args)
             raise AssertionError("sampled before the support sizes were checked")
 
         monkeypatch.setattr(oracle, "_sample_batch", no_sampling)
@@ -381,6 +426,29 @@ class TestGridVerify:
             verify_min("tv", 0.5, 10, support_sizes=sizes)
         with pytest.raises(ValueError, match="support size"):
             grid_verify("tv", [0.2, 0.5], 10, support_sizes=sizes)
+        assert not called
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+    def test_fine_step_must_be_finite_and_positive(self, monkeypatch, step):
+        called = []
+
+        def no_sampling(*args):
+            called.append(args)
+            raise AssertionError("sampled before the fine step was checked")
+
+        monkeypatch.setattr(oracle, "_sample_batch", no_sampling)
+        monkeypatch.setattr(oracle, "fine_grid_pairs", no_sampling)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="fine_step=.* must be finite and > 0"):
+                verify_min("tv", 0.5, 10, fine_step=step)
+            for grid in ([0.2, 0.5], []):
+                with pytest.raises(ValueError, match="fine_step=.* must be finite and > 0"):
+                    grid_verify("tv", grid, 10, fine_step=step)
+            for s in (2, 3):
+                with pytest.raises(ValueError, match="fine_step=.* must be finite and > 0"):
+                    fine_grid_pairs(0.5, s, step)
+        assert not called
 
 
 class TestBlockScan:
@@ -446,6 +514,48 @@ class TestBlockScan:
         r = verify_min("jeffreys", 0.1, 0, seed=2)
         assert len(r.witness[0]) == 2
         assert_same_report(r, reference_verify_min("jeffreys", 0.1, 0, seed=2))
+
+    def test_blocks_are_built_on_the_workers(self, monkeypatch):
+        # each fine-grid block is built by the worker that scans it, from its
+        # own row range; together the ranges cover each grid once, in order
+        build = oracle.fine_grid_pairs
+        calls = []
+
+        def recorded(*args, **kwargs):
+            p, q = build(*args, **kwargs)
+            call = inspect.signature(build).bind(*args, **kwargs)
+            call.apply_defaults()
+            on_main = threading.current_thread() is threading.main_thread()
+            calls.append((call.arguments, len(p), on_main))
+            return p, q
+
+        monkeypatch.setattr(oracle, "fine_grid_pairs", recorded)
+        r = verify_min("jeffreys", 0.1, 50, seed=4)
+        monkeypatch.undo()
+        assert_same_report(r, reference_verify_min("jeffreys", 0.1, 50, seed=4))
+        assert not any(on_main for _, _, on_main in calls)
+        assert all(a["eps"] == 0.1 and a["step"] == 1e-3 for a, _, _ in calls)
+        assert all(rows == a["stop"] - a["start"] <= oracle._BLOCK_ROWS for a, rows, _ in calls)
+        for s in (2, 3):
+            n = len(fine_grid_pairs(0.1, s)[0])
+            cuts = sorted((a["start"], a["stop"]) for a, _, _ in calls if a["support"] == s)
+            assert len(cuts) == -(-n // oracle._BLOCK_ROWS)
+            assert [c[0] for c in cuts] == [0] + [c[1] for c in cuts[:-1]] and cuts[-1][1] == n
+
+    def test_memory_does_not_grow_with_the_grid(self, monkeypatch):
+        # a block's rows live only on the worker scanning it, so the traced
+        # peak is set by workers x block size; four workers keep the figure
+        # the same on every machine.  The support-3 grid has 1.6e6 rows
+        # here, 78 MB for P and Q: held whole, the peak was about 155 MB
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 4)
+        tracemalloc.start()
+        try:
+            r = verify_min("tv", 0.1, 0, fine_step=5e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.passed
+        assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestPool:

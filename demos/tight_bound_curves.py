@@ -11,19 +11,15 @@ import numpy as np
 from divbound import (
     REGISTRY,
     bhattacharyya,
-    bhattacharyya_bounds,
     bound_curve,
-    capacitory_min,
     chernoff_information,
-    chernoff_min,
     extremal_pair,
     f_divergence,
-    jeffreys_min,
     symmetric_fdiv_min,
 )
 
 eps_grid = np.arange(0.1, 1.0, 0.1)
-# bound_curve tabulates a measure over a whole grid as one float array
+# bound_curve gives a bound at one eps as a float, over a grid as a float array
 columns = {
     name: bound_curve(name, eps_grid)
     for name in ("jeffreys", "capacitory", "chernoff", "hellinger2",
@@ -49,15 +45,15 @@ print("-" * 74)
 e = 0.6
 two = extremal_pair(e, "two_point")
 three = extremal_pair(e, "three_point")
-print(f"two-point pair   P = {two.p.mass}, Q = {two.q.mass}")
-print(f"three-point pair P = {three.p.mass}, Q = {three.q.mass}")
+print(f"two-point pair   P = {two[0].mass}, Q = {two[1].mass}")
+print(f"three-point pair P = {three[0].mass}, Q = {three[1].mass}")
 
 rows = [
-    ("jeffreys on two-point", f_divergence(REGISTRY["jeffreys"], two.p, two.q), jeffreys_min(e)),
-    ("capacitory on two-point", f_divergence(REGISTRY["capacitory"], two.p, two.q), capacitory_min(e)),
-    ("chernoff on two-point", chernoff_information(two.p, two.q), chernoff_min(e)),
-    ("Z on two-point (upper)", bhattacharyya(two.p, two.q), bhattacharyya_bounds(e)[1]),
-    ("Z on three-point (lower)", bhattacharyya(three.p, three.q), bhattacharyya_bounds(e)[0]),
+    ("jeffreys on two-point", f_divergence(REGISTRY["jeffreys"], *two), bound_curve("jeffreys", e)),
+    ("capacitory on two-point", f_divergence(REGISTRY["capacitory"], *two), bound_curve("capacitory", e)),
+    ("chernoff on two-point", chernoff_information(*two), bound_curve("chernoff", e)),
+    ("Z on two-point (upper)", bhattacharyya(*two), bound_curve("bhattacharyya_upper", e)),
+    ("Z on three-point (lower)", bhattacharyya(*three), bound_curve("bhattacharyya_lower", e)),
 ]
 for name, got, want in rows:
     print(f"{name:<26} value = {got:.12f}   closed form = {want:.12f}")
@@ -67,4 +63,4 @@ print("The generic formula (1-eps) f((1+eps)/(1-eps)) - a eps reproduces each")
 print("specialized curve; e.g. for the capacitory generator at eps = 0.35:")
 e = 0.35
 print(f"  generic  : {symmetric_fdiv_min(REGISTRY['capacitory'], e):.12f}")
-print(f"  specific : {capacitory_min(e):.12f}")
+print(f"  specific : {bound_curve('capacitory', e):.12f}")

@@ -9,16 +9,11 @@ are pure functions.
 """
 
 from .bounds import (
-    ExtremalPair,
-    bhattacharyya_bounds,
     bound_curve,
-    capacitory_min,
-    chernoff_min,
     exact_kl_min,
     extremal_pair,
     inverse_exact_kl,
     inverse_jeffreys,
-    jeffreys_min,
     symmetric_fdiv_min,
 )
 from .coding import (

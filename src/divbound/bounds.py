@@ -8,7 +8,9 @@ distance eps has the closed form
 with a the symmetry constant (a = 2 f'(1) for smooth f).  :data:`MEASURES`
 holds one record per bounded measure: its closed form on [0, 1), its value
 at eps = 1, the pair attaining it (:func:`extremal_pair`) and the evaluator
-the oracle checks it with.  The closed forms, and their values at eps = 1:
+the oracle checks it with.  :func:`bound_curve` is the one public route to a
+bound's value: ``bound_curve("chernoff", 0.5)`` for a float, or a grid for an
+array.  The closed forms, and their values at eps = 1:
 
     total variation:            eps                                 1
     squared Hellinger:          2 eps^2 / (1 + sqrt(1 - eps^2))     2
@@ -36,7 +38,6 @@ inverses serve the source-coding bounds.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -51,14 +52,9 @@ from .generators import FGenerator, get_generator
 from .search import bisect_increasing, golden_section_min  # noqa: F401
 
 __all__ = [
-    "ExtremalPair",
     "Measure",
     "MEASURES",
     "symmetric_fdiv_min",
-    "bhattacharyya_bounds",
-    "chernoff_min",
-    "capacitory_min",
-    "jeffreys_min",
     "exact_kl_min",
     "inverse_exact_kl",
     "inverse_jeffreys",
@@ -69,18 +65,8 @@ __all__ = [
 PAIR_KINDS = ("two_point", "three_point")
 
 
-@dataclass(frozen=True)
-class ExtremalPair:
-    """The 2- or 3-element pair attaining a tight bound at distance eps."""
-
-    p: FiniteDist
-    q: FiniteDist
-    eps: float
-    kind: str
-
-
-def extremal_pair(eps: float, kind: str) -> ExtremalPair:
-    """Construct the designated bound-attaining pair at total variation eps.
+def extremal_pair(eps: float, kind: str) -> tuple[FiniteDist, FiniteDist]:
+    """The designated pair (P, Q) attaining a tight bound at total variation eps.
 
     two_point:    P = ((1-eps)/2, (1+eps)/2), Q mirrored.
     three_point:  P = (eps, 1-eps, 0),        Q = (0, 1-eps, eps).
@@ -96,7 +82,7 @@ def extremal_pair(eps: float, kind: str) -> ExtremalPair:
         q = make_dist(("x1", "x2", "x3"), (0.0, 1.0 - eps, eps))
     else:
         raise ValueError(f"kind={kind!r}, expected one of {PAIR_KINDS}")
-    return ExtremalPair(p, q, eps, kind)
+    return p, q
 
 
 def symmetric_fdiv_min(gen: FGenerator, eps: float) -> float:
@@ -120,27 +106,11 @@ def symmetric_fdiv_min(gen: FGenerator, eps: float) -> float:
     return float((1.0 - eps) * gen.fn((1.0 + eps) / (1.0 - eps)) - a * eps)
 
 
-def _closed_form(form):
-    """Lift a bound written with numpy ufuncs to eps in [0, 1), float or array.
-
-    A float comes back as a float and an array as an array, with the same
-    bits alone or in a grid.
-    """
-
-    @functools.wraps(form)
-    def closed_form(eps):
-        e = np.asarray(eps, dtype=float)
-        if not np.all((e >= 0.0) & (e < 1.0)):
-            raise ValueError(f"eps={eps!r} outside [0, 1)")
-        return float(form(e)) if e.ndim == 0 else form(e)
-
-    return closed_form
+# The closed forms on [0, 1), written with numpy ufuncs so that a float or an
+# array goes through the same arithmetic; bound_curve checks eps for them.
+_tv = np.copy  # the bound on total variation is eps itself
 
 
-_tv = _closed_form(np.copy)  # the bound on total variation is eps itself
-
-
-@_closed_form
 def _hellinger2(eps):
     # 2 - 2 sqrt(1 - eps^2) without the cancellation: eps^2 + eps^4/4 + ...
     return 2.0 * eps * eps / (1.0 + np.sqrt((1.0 - eps) * (1.0 + eps)))
@@ -157,53 +127,26 @@ def _log1m_sq(eps):
     return np.where(eps < 0.5, np.log1p(-eps * eps), np.log1p(-eps) + np.log1p(eps))
 
 
-@_closed_form
+def _jeffreys(eps):
+    return eps * (np.log1p(eps) - np.log1p(-eps))
+
+
+def _capacitory(eps):
+    # 2 d((1-eps)/2 || 1/2) without its cancellation at small eps:
+    # eps^2 + eps^4/6 + ...
+    return _log1m_sq(eps) + 2.0 * eps * np.arctanh(eps)
+
+
 def _chernoff(eps):
     return -0.5 * _log1m_sq(eps)
 
 
-@_closed_form
 def _bhattacharyya_lower(eps):
     return 1.0 - eps
 
 
-@_closed_form
 def _bhattacharyya_upper(eps):
     return np.sqrt((1.0 - eps) * (1.0 + eps))
-
-
-def _bound_at(measure: str, eps: float) -> float:
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps={eps!r} outside [0, 1]")
-    m = MEASURES[measure]
-    return m.at_one if eps == 1.0 else m.closed_form(eps)
-
-
-def bhattacharyya_bounds(eps: float) -> tuple[float, float]:
-    """Tight (lower, upper) bounds on the Bhattacharyya coefficient."""
-    return _bound_at("bhattacharyya_lower", eps), _bound_at("bhattacharyya_upper", eps)
-
-
-def chernoff_min(eps: float) -> float:
-    """Minimum Chernoff information at total variation eps; +inf at eps = 1."""
-    return _bound_at("chernoff", eps)
-
-
-@_closed_form
-def capacitory_min(eps):
-    """Minimum capacitory discrimination at total variation eps, eps in [0, 1).
-
-    2 d((1-eps)/2 || 1/2), written without its cancellation at small eps:
-    eps^2 + eps^4/6 + ...  Its limit as eps -> 1 is 2 log 2, but eps = 1
-    itself is outside the domain.  Float or array, as for jeffreys_min.
-    """
-    return _log1m_sq(eps) + 2.0 * eps * np.arctanh(eps)
-
-
-@_closed_form
-def jeffreys_min(eps):
-    """Minimum Jeffreys divergence at total variation eps in [0, 1), float or array."""
-    return eps * (np.log1p(eps) - np.log1p(-eps))
 
 
 # Below _T_SERIES the closed forms in q cancel (L to 1.3e-14 relative at
@@ -276,22 +219,24 @@ def _climb(curve_slope, target: np.ndarray, t: np.ndarray) -> np.ndarray:
     return t
 
 
-@_closed_form
 def exact_kl_min(eps):
     """Exact infimum L(eps) of the relative entropy at total variation eps.
 
     Solves V(t) = 2 eps for the FHT parameter t and returns L(t), for a float
-    or an array of eps.  The result dominates the quadratic 2 eps^2.
+    or an array of eps in [0, 1).  The result dominates the quadratic 2 eps^2.
     """
-    eps = np.asarray(eps)
-    out = np.zeros(eps.shape)
-    pos = eps > 0.0
-    v = 2.0 * eps[pos]
+    e = np.asarray(eps, dtype=float)
+    # past 1 the start below would sit under zero; NaN fails this too
+    if not np.all((e >= 0.0) & (e < 1.0)):
+        raise ValueError(f"eps={eps!r} outside [0, 1)")
+    out = np.zeros(e.shape)
+    pos = e > 0.0
+    v = 2.0 * e[pos]
     # lower bounds on the root: V(t) <= t always, and V(t) <= 2 - 1/t for
     # t >= 1, which is where V(t) >= 1
     start = np.where(v < 1.0, v, 1.0 / (2.0 - v))
     out[pos] = _fht(_climb(lambda t: _fht(t)[:2], v, start))[2]
-    return out
+    return float(out) if e.ndim == 0 else out
 
 
 def _jeffreys_h_slope(s: np.ndarray):
@@ -321,7 +266,7 @@ def _invert(x, scale: float, curve_slope, to_eps, x_sat: float, eps_sat: float):
 
 # (x_sat, eps_sat): the inverses saturate at eps_sat, where the curves reach x_sat
 _KL_SATURATE = (exact_kl_min(1.0 - 1e-9), 1.0 - 1e-9)
-_J_SATURATE = (jeffreys_min(1.0 - 1e-12), 1.0 - 1e-12)
+_J_SATURATE = (float(_jeffreys(1.0 - 1e-12)), 1.0 - 1e-12)
 
 
 def inverse_exact_kl(x):
@@ -355,8 +300,12 @@ def _f_divergence(name: str):
 class Measure:
     """One tight bound: closed form on [0, 1), value at 1, extremal pair, evaluator.
 
-    The relative entropy has no extremal_kind and no evaluate: its infimum
-    is attained off the symmetric two-point family, and the oracle skips it.
+    closed_form is the unchecked array form on [0, 1): it maps a float or an
+    array of eps elementwise and need not check it, so at eps = 1 or outside
+    [0, 1] it may give anything.  Read a bound through :func:`bound_curve`,
+    which checks eps and gives at_one at eps = 1.  The relative entropy has no
+    extremal_kind and no evaluate: its infimum is attained off the symmetric
+    two-point family, and the oracle skips it.
     """
 
     direction: str  # "min" or "max"
@@ -370,9 +319,9 @@ class Measure:
 MEASURES: dict[str, Measure] = {
     "tv": Measure("min", "two_point", _tv, 1.0, batch_total_variation),
     "hellinger2": Measure("min", "two_point", _hellinger2, 2.0, _f_divergence("hellinger2")),
-    "jeffreys": Measure("min", "two_point", jeffreys_min, math.inf, _f_divergence("jeffreys")),
+    "jeffreys": Measure("min", "two_point", _jeffreys, math.inf, _f_divergence("jeffreys")),
     "capacitory": Measure(
-        "min", "two_point", capacitory_min, 2.0 * math.log(2.0), _f_divergence("capacitory")
+        "min", "two_point", _capacitory, 2.0 * math.log(2.0), _f_divergence("capacitory")
     ),
     "chernoff": Measure("min", "two_point", _chernoff, math.inf, batch_chernoff),
     "bhattacharyya_lower": Measure(
@@ -395,13 +344,14 @@ def find_measure(table: dict[str, Measure], name: str) -> Measure:
         raise ValueError(f"unknown measure {name!r}; known: {known}") from None
 
 
-def bound_curve(measure: str, eps_grid) -> np.ndarray:
-    """One tight bound at each point of an eps grid in [0, 1], as a float array.
+def bound_curve(measure: str, eps):
+    """A tight bound at eps in [0, 1]: a float for a float, an array for a grid.
 
-    Raises BoundViolationError if a value is NaN, or infinite below eps = 1.
+    eps = 1 gives the measure's at_one.  Raises BoundViolationError if a
+    value is NaN, or infinite below eps = 1.
     """
     m = find_measure(MEASURES, measure)
-    grid = np.asarray(eps_grid, dtype=float)
+    grid = np.asarray(eps, dtype=float)
     outside = ~((grid >= 0.0) & (grid <= 1.0))
     if outside.any():
         raise ValueError(f"grid point eps={float(grid[outside][0])!r} outside [0, 1]")
@@ -412,7 +362,7 @@ def bound_curve(measure: str, eps_grid) -> np.ndarray:
     if bad.any():
         i = int(np.argmax(bad))
         raise BoundViolationError(
-            f"bound {measure!r}: value {float(values[i])!r} at eps={float(grid[i])!r}; "
+            f"bound {measure!r}: value {float(values.flat[i])!r} at eps={float(grid.flat[i])!r}; "
             "only eps = 1 may be inf"
         )
-    return values
+    return float(values) if grid.ndim == 0 else values

@@ -1,5 +1,14 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "DivboundError",
+    "DistributionError",
+    "DistFileError",
+    "GeneratorError",
+    "KraftViolationError",
+    "BoundViolationError",
+]
+
 
 class DivboundError(Exception):
     """Base class for all library errors."""

@@ -191,6 +191,8 @@ def _check_step(step: float) -> None:
 def _fine_grid_rows(eps: float, support: int, step: float) -> tuple:
     """The number of rows of the fine grid on support 2 or 3, with the
     support-3 grid's values of a and how many rows (one per b) each spans."""
+    if not 0.0 <= eps < 1.0:  # NaN fails this too
+        raise ValueError(f"eps={eps!r} outside [0, 1)")
     _check_step(step)
     n = int(round((1.0 - eps) / step)) + 1
     if support == 2:
@@ -314,7 +316,7 @@ def verify_min(
     _check_support_sizes(support_sizes)
     if fine_step is not None:
         _check_step(fine_step)
-    cf = om.closed_form(eps)
+    cf = float(om.closed_form(eps))
     sign = 1.0 if om.direction == "min" else -1.0
     line = sign * cf - _VIOLATION_SLACK  # a signed value below it crosses
 
@@ -362,8 +364,8 @@ def verify_min(
         lows.append(low)
     fine_best = None if fine_step is None else sign * min(lows[-2:])
 
-    pair = extremal_pair(eps, om.extremal_kind)
-    extremal_value = float(om.evaluate(pair.p.mass[None, :], pair.q.mass[None, :])[0])
+    p, q = extremal_pair(eps, om.extremal_kind)
+    extremal_value = float(om.evaluate(p.mass[None, :], q.mass[None, :])[0])
     attained = abs(extremal_value - cf) <= _ATTAIN_TOL
     best = min(best, sign * extremal_value)
     gap = abs(sign * best - cf)

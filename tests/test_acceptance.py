@@ -9,14 +9,11 @@ import time
 import numpy as np
 
 from divbound.bounds import (
-    bhattacharyya_bounds,
-    capacitory_min,
-    chernoff_min,
+    bound_curve,
     exact_kl_min,
     extremal_pair,
     inverse_exact_kl,
     inverse_jeffreys,
-    jeffreys_min,
 )
 from divbound.coding import (
     csiszar_bound,
@@ -63,13 +60,14 @@ def test_criterion_1_attainment():
         two = extremal_pair(eps, "two_point")
         three = extremal_pair(eps, "three_point")
         checks = [
-            ("bhattacharyya_upper", bhattacharyya(two.p, two.q), bhattacharyya_bounds(eps)[1]),
-            ("bhattacharyya_lower", bhattacharyya(three.p, three.q), bhattacharyya_bounds(eps)[0]),
-            ("chernoff", chernoff_information(two.p, two.q), chernoff_min(eps)),
-            ("capacitory", f_divergence(REGISTRY["capacitory"], two.p, two.q), capacitory_min(eps)),
-            ("jeffreys", f_divergence(REGISTRY["jeffreys"], two.p, two.q), jeffreys_min(eps)),
+            ("bhattacharyya_upper", bhattacharyya(*two)),
+            ("bhattacharyya_lower", bhattacharyya(*three)),
+            ("chernoff", chernoff_information(*two)),
+            ("capacitory", f_divergence(REGISTRY["capacitory"], *two)),
+            ("jeffreys", f_divergence(REGISTRY["jeffreys"], *two)),
         ]
-        for name, got, want in checks:
+        for name, got in checks:
+            want = bound_curve(name, eps)
             if abs(got - want) > 1e-9:
                 bad.append((name, eps, got, want))
     elapsed = time.perf_counter() - t0
@@ -252,7 +250,7 @@ def test_criterion_8_inverse_round_trips():
         abs(inverse_exact_kl(exact_kl_min(float(e))) - float(e)) for e in grid
     )
     worst_je = max(
-        abs(inverse_jeffreys(jeffreys_min(float(e))) - float(e)) for e in grid
+        abs(inverse_jeffreys(bound_curve("jeffreys", float(e))) - float(e)) for e in grid
     )
     small_x = inverse_jeffreys(1e-6)
     small_ok = abs(small_x - math.sqrt(5e-7)) <= 0.01 * math.sqrt(5e-7)

@@ -10,15 +10,11 @@ import divbound.bounds as bounds_mod
 from divbound.bounds import (
     MEASURES,
     PAIR_KINDS,
-    bhattacharyya_bounds,
     bound_curve,
-    capacitory_min,
-    chernoff_min,
     exact_kl_min,
     extremal_pair,
     inverse_exact_kl,
     inverse_jeffreys,
-    jeffreys_min,
     symmetric_fdiv_min,
 )
 from divbound.coding import jeffreys_bound
@@ -122,61 +118,65 @@ class TestSymmetricFdivMin:
                     assert v >= symmetric_fdiv_min(gen, eps) - 1e-10
 
 
+def _z_bounds(eps):
+    """The (lower, upper) bounds on the Bhattacharyya coefficient at eps."""
+    return bound_curve("bhattacharyya_lower", eps), bound_curve("bhattacharyya_upper", eps)
+
+
 class TestClosedForms:
     def test_bhattacharyya_endpoints(self):
-        assert bhattacharyya_bounds(0.0) == (1.0, 1.0)
-        assert bhattacharyya_bounds(1.0) == (0.0, 0.0)
+        assert _z_bounds(0.0) == (1.0, 1.0)
+        assert _z_bounds(1.0) == (0.0, 0.0)
 
     def test_bhattacharyya_mid(self):
-        lo, hi = bhattacharyya_bounds(0.6)
+        lo, hi = _z_bounds(0.6)
         assert lo == pytest.approx(0.4, abs=1e-15)
         assert hi == pytest.approx(0.8, abs=1e-15)
 
     def test_chernoff_values(self):
-        assert chernoff_min(0.0) == 0.0
-        assert chernoff_min(0.5) == pytest.approx(-0.5 * math.log1p(-0.25), abs=1e-15)
-        assert chernoff_min(1.0) == math.inf
+        assert bound_curve("chernoff", 0.0) == 0.0
+        assert bound_curve("chernoff", 0.5) == pytest.approx(-0.5 * math.log1p(-0.25), abs=1e-15)
+        assert bound_curve("chernoff", 1.0) == math.inf
 
     def test_capacitory_values(self):
-        assert capacitory_min(0.0) == pytest.approx(0.0, abs=1e-15)
-        assert capacitory_min(0.5) == pytest.approx(0.26162407188227392, abs=1e-14)
-        # approaches 2 log 2 from below as eps -> 1
-        assert capacitory_min(1.0 - 1e-9) == pytest.approx(2.0 * LN2, abs=1e-6)
+        assert bound_curve("capacitory", 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert bound_curve("capacitory", 0.5) == pytest.approx(0.26162407188227392, abs=1e-14)
+        # approaches 2 log 2 from below as eps -> 1, the value at eps = 1
+        assert bound_curve("capacitory", 1.0 - 1e-9) == pytest.approx(2.0 * LN2, abs=1e-6)
+        assert bound_curve("capacitory", 1.0) == 2.0 * LN2
         with pytest.raises(ValueError):
-            capacitory_min(1.0)
+            bound_curve("capacitory", 1.5)
 
     def test_jeffreys_values(self):
-        assert jeffreys_min(0.0) == 0.0
-        assert jeffreys_min(0.5) == pytest.approx(0.5 * math.log(3.0), abs=1e-15)
-        assert jeffreys_min(0.9) == pytest.approx(2.6499950812497964, abs=1e-13)
+        assert bound_curve("jeffreys", 0.0) == 0.0
+        assert bound_curve("jeffreys", 0.5) == pytest.approx(0.5 * math.log(3.0), abs=1e-15)
+        assert bound_curve("jeffreys", 0.9) == pytest.approx(2.6499950812497964, abs=1e-13)
+        assert bound_curve("jeffreys", 1.0) == math.inf
         with pytest.raises(ValueError):
-            jeffreys_min(1.0)
+            bound_curve("jeffreys", 1.5)
 
     @pytest.mark.parametrize("eps", EPS_GRID)
     def test_specializations_agree_with_generic_form(self, eps):
-        assert capacitory_min(eps) == pytest.approx(
-            symmetric_fdiv_min(REGISTRY["capacitory"], eps), abs=1e-10
-        )
-        assert jeffreys_min(eps) == pytest.approx(
-            symmetric_fdiv_min(REGISTRY["jeffreys"], eps), abs=1e-10
-        )
+        for name in ("capacitory", "jeffreys"):
+            assert bound_curve(name, eps) == pytest.approx(
+                symmetric_fdiv_min(REGISTRY[name], eps), abs=1e-10
+            )
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-6, 1e-5, 1e-4, 5e-4, 1e-3])
     def test_stable_forms_at_small_eps(self, eps):
         # the textbook forms lose ~log10(1/eps^2) digits here; these must not
         capacitory = eps**2 + eps**4 / 6 + eps**6 / 15
         hellinger2 = eps**2 + eps**4 / 4 + eps**6 / 8
-        assert capacitory_min(eps) == pytest.approx(capacitory, rel=1e-14, abs=0.0)
-        hellinger2_min = MEASURES["hellinger2"].closed_form
-        assert hellinger2_min(eps) == pytest.approx(hellinger2, rel=1e-14, abs=0.0)
+        assert bound_curve("capacitory", eps) == pytest.approx(capacitory, rel=1e-14, abs=0.0)
+        assert bound_curve("hellinger2", eps) == pytest.approx(hellinger2, rel=1e-14, abs=0.0)
 
     def test_log_one_minus_eps_squared_forms_across_the_domain(self):
         # against 50-digit references on 8000 eps in [1e-8, 1 - 1e-15]: the
         # closed forms through log(1 - eps^2) keep their digits as eps -> 1
         mp = pytest.importorskip("mpmath")
         eps = np.concatenate([np.geomspace(1e-8, 0.5, 4000), 1.0 - np.geomspace(1e-15, 0.5, 4000)])
-        chernoff = MEASURES["chernoff"].closed_form(eps)
-        capacitory = capacitory_min(eps)
+        chernoff = bound_curve("chernoff", eps)
+        capacitory = bound_curve("capacitory", eps)
         worst_chernoff = worst_capacitory = 0.0
         with mp.workdps(50):
             for e, ch, ca in zip(eps.tolist(), chernoff.tolist(), capacitory.tolist()):
@@ -213,18 +213,23 @@ def test_measure_table_entry(name):
     eps = np.concatenate(
         [[0.0, 1e-300], np.geomspace(1e-9, 0.5, 30), np.linspace(0.5, 1.0 - 1e-9, 30)]
     )
-    values = m.closed_form(eps)
+    values = bound_curve(name, eps)
     assert isinstance(values, np.ndarray) and values.shape == eps.shape
+    # the route adds no arithmetic to the raw form below eps = 1
+    assert values.tobytes() == np.asarray(m.closed_form(eps), dtype=float).tobytes()
     for e, v in zip(eps, values):
-        got = m.closed_form(float(e))
+        got = bound_curve(name, float(e))
         assert type(got) is float and got == v
-    with pytest.raises(ValueError):
-        m.closed_form(1.0)  # eps = 1 is at_one's
+    at_one = bound_curve(name, 1.0)
+    assert type(at_one) is float and at_one == m.at_one
+    for e in (math.nan, -1e-300, -0.5, np.nextafter(1.0, 2.0), 1.5, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"grid point eps=.* outside \[0, 1\]"):
+            bound_curve(name, e)
 
     interior = np.linspace(0.005, 0.995, 199)
     if name in SYMMETRIC_MEASURES:
         gen = REGISTRY[name]
-        for e, v in zip(interior, m.closed_form(interior)):
+        for e, v in zip(interior, bound_curve(name, interior)):
             assert v == pytest.approx(symmetric_fdiv_min(gen, float(e)), abs=1e-10)
         assert m.at_one == symmetric_fdiv_min(gen, 1.0)
 
@@ -235,9 +240,9 @@ def test_measure_table_entry(name):
     if m.evaluate is not None:
         assert ORACLE_MEASURES[name] is m and m.extremal_kind in PAIR_KINDS
         for e in EPS_GRID:
-            pair = extremal_pair(e, m.extremal_kind)
-            got = m.evaluate(pair.p.mass[None, :], pair.q.mass[None, :])[0]
-            assert got == pytest.approx(m.closed_form(e), abs=1e-9)
+            p, q = extremal_pair(e, m.extremal_kind)
+            got = m.evaluate(p.mass[None, :], q.mass[None, :])[0]
+            assert got == pytest.approx(bound_curve(name, e), abs=1e-9)
 
     assert fmt_g12(m.at_one) == VALUE_AT_ONE[name]
     assert fmt_g12(bound_curve(name, [0.0, 0.5, 1.0])[-1]) == VALUE_AT_ONE[name]
@@ -262,8 +267,8 @@ class TestExactKl:
     def test_below_two_point_value(self):
         kl = REGISTRY["kl"]
         for eps in EPS_GRID:
-            pair = extremal_pair(eps, "two_point")
-            assert exact_kl_min(eps) <= f_divergence(kl, pair.p, pair.q) + 1e-12
+            p, q = extremal_pair(eps, "two_point")
+            assert exact_kl_min(eps) <= f_divergence(kl, p, q) + 1e-12
 
     @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_offset_restriction_matches_full_interval(self, eps):
@@ -365,7 +370,7 @@ class TestInverses:
 
     def test_inverse_jeffreys_residual_roundtrip(self):
         for x in (1e-4, 0.01, 0.3, 1.0, 3.0):
-            assert jeffreys_min(inverse_jeffreys(x)) == pytest.approx(x, abs=1e-9)
+            assert bound_curve("jeffreys", inverse_jeffreys(x)) == pytest.approx(x, abs=1e-9)
 
     @pytest.mark.parametrize("x,expected", sorted(INVERSE_JEFFREYS_FIXTURES.items()))
     def test_inverse_jeffreys_frozen_values(self, x, expected):
@@ -375,10 +380,11 @@ class TestInverses:
     @given(st.floats(min_value=1e-150, max_value=1.0 - 1e-6))
     def test_round_trips(self, eps):
         assert inverse_exact_kl(exact_kl_min(eps)) == pytest.approx(eps, rel=1e-15, abs=0.0)
-        assert inverse_jeffreys(jeffreys_min(eps)) == pytest.approx(eps, rel=1e-15, abs=0.0)
+        jeffreys = bound_curve("jeffreys", eps)
+        assert inverse_jeffreys(jeffreys) == pytest.approx(eps, rel=1e-15, abs=0.0)
 
     def test_inverse_jeffreys_saturates(self):
-        for x in (jeffreys_min(1.0 - 1e-12), 50.0, math.inf):
+        for x in (bound_curve("jeffreys", 1.0 - 1e-12), 50.0, math.inf):
             assert inverse_jeffreys(x) == 1.0 - 1e-12
 
     def test_jeffreys_scalar_and_array_calls_agree_bit_for_bit(self):
@@ -422,25 +428,25 @@ class TestInverses:
 
 class TestExtremalPair:
     def test_zero_two_point(self):
-        pair = extremal_pair(0.0, "two_point")
-        np.testing.assert_allclose(pair.p.mass, [0.5, 0.5])
-        np.testing.assert_allclose(pair.q.mass, [0.5, 0.5])
+        p, q = extremal_pair(0.0, "two_point")
+        np.testing.assert_allclose(p.mass, [0.5, 0.5])
+        np.testing.assert_allclose(q.mass, [0.5, 0.5])
 
     def test_three_point(self):
-        pair = extremal_pair(0.4, "three_point")
-        np.testing.assert_allclose(pair.p.mass, [0.4, 0.6, 0.0])
-        np.testing.assert_allclose(pair.q.mass, [0.0, 0.6, 0.4])
+        p, q = extremal_pair(0.4, "three_point")
+        np.testing.assert_allclose(p.mass, [0.4, 0.6, 0.0])
+        np.testing.assert_allclose(q.mass, [0.0, 0.6, 0.4])
 
     def test_boundary(self):
-        pair = extremal_pair(1.0, "two_point")
-        np.testing.assert_allclose(pair.p.mass, [0.0, 1.0])
-        np.testing.assert_allclose(pair.q.mass, [1.0, 0.0])
+        p, q = extremal_pair(1.0, "two_point")
+        np.testing.assert_allclose(p.mass, [0.0, 1.0])
+        np.testing.assert_allclose(q.mass, [1.0, 0.0])
 
     @pytest.mark.parametrize("kind", ["two_point", "three_point"])
     def test_tv_matches_eps(self, kind):
         for eps in EPS_GRID:
-            pair = extremal_pair(eps, kind)
-            assert total_variation(pair.p, pair.q) == pytest.approx(eps, abs=1e-12)
+            p, q = extremal_pair(eps, kind)
+            assert total_variation(p, q) == pytest.approx(eps, abs=1e-12)
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
@@ -455,21 +461,11 @@ class TestExtremalPair:
 def test_attainment_on_designated_pairs(eps):
     two = extremal_pair(eps, "two_point")
     three = extremal_pair(eps, "three_point")
-    assert bhattacharyya(two.p, two.q) == pytest.approx(
-        bhattacharyya_bounds(eps)[1], abs=1e-9
-    )
-    assert bhattacharyya(three.p, three.q) == pytest.approx(
-        bhattacharyya_bounds(eps)[0], abs=1e-9
-    )
-    assert chernoff_information(two.p, two.q) == pytest.approx(
-        chernoff_min(eps), abs=1e-9
-    )
-    assert f_divergence(REGISTRY["capacitory"], two.p, two.q) == pytest.approx(
-        capacitory_min(eps), abs=1e-9
-    )
-    assert f_divergence(REGISTRY["jeffreys"], two.p, two.q) == pytest.approx(
-        jeffreys_min(eps), abs=1e-9
-    )
+    assert bhattacharyya(*two) == pytest.approx(bound_curve("bhattacharyya_upper", eps), abs=1e-9)
+    assert bhattacharyya(*three) == pytest.approx(bound_curve("bhattacharyya_lower", eps), abs=1e-9)
+    assert chernoff_information(*two) == pytest.approx(bound_curve("chernoff", eps), abs=1e-9)
+    for name in ("capacitory", "jeffreys"):
+        assert f_divergence(REGISTRY[name], *two) == pytest.approx(bound_curve(name, eps), abs=1e-9)
 
 
 class TestBoundCurve:
@@ -483,7 +479,7 @@ class TestBoundCurve:
         grid = [0.7, 0.2, 1.0, 0.2]
         assert bound_curve("tv", grid).tolist() == grid
         assert bound_curve("jeffreys", grid).tolist() == [
-            jeffreys_min(0.7), jeffreys_min(0.2), math.inf, jeffreys_min(0.2)
+            bound_curve("jeffreys", e) for e in grid
         ]
 
     def test_inf_only_at_one(self, monkeypatch):
@@ -503,6 +499,8 @@ class TestBoundCurve:
         force(lambda eps: np.full_like(eps, np.nan), 1.0)
         with pytest.raises(BoundViolationError, match=r"value nan at eps=0\.5"):
             bound_curve("tv", [0.5])
+        with pytest.raises(BoundViolationError, match=r"value nan at eps=0\.5"):
+            bound_curve("tv", 0.5)
 
     @pytest.mark.parametrize("name", ["tv", "exact_kl"])
     def test_grid_outside_unit_interval(self, name):

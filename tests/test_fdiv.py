@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import divbound
 import divbound.fdiv as fdiv
-from divbound.bounds import bhattacharyya_bounds, extremal_pair
+from divbound.bounds import bound_curve, extremal_pair
 from divbound.dist import make_dist, total_variation
 from divbound.errors import BoundViolationError, DistributionError
 from divbound.fdiv import (
@@ -278,8 +278,8 @@ class TestChernoffSolver:
     @settings(max_examples=300, deadline=None)
     @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
     def test_two_point_pair_attains_the_closed_form(self, eps):
-        pair = extremal_pair(eps, "two_point")
-        c = batch_chernoff(pair.p.mass[None, :], pair.q.mass[None, :])[0]
+        p, q = extremal_pair(eps, "two_point")
+        c = batch_chernoff(p.mass[None, :], q.mass[None, :])[0]
         # -1/2 log(1 - eps^2) with the factors split, so it keeps its digits
         # as eps -> 1; near eps = 0, C ~ eps^2 / 2 is the distance of the
         # tilted sum from 1 and carries its absolute rounding (2 ulps of 1)
@@ -425,7 +425,7 @@ class TestBatchEvaluators:
         z = batch_bhattacharyya(p, q)[0]
         assert batch_bhattacharyya(q, p)[0] == z
         tv = min(float(batch_total_variation(p, q)[0]), 1.0)
-        lower, upper = bhattacharyya_bounds(tv)
+        lower, upper = (bound_curve(n, tv) for n in ("bhattacharyya_lower", "bhattacharyya_upper"))
         # at most 8 square roots and the TV's own rounding
         assert lower - 1e-14 <= z <= upper + 1e-14
 

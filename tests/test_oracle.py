@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import divbound.oracle as oracle
-from divbound.bounds import jeffreys_min
+from divbound.bounds import bound_curve
 from divbound.dist import total_variation
 from divbound.errors import BoundViolationError
 from divbound.fdiv import batch_total_variation
@@ -115,7 +115,7 @@ class TestSampler:
         assert p.mass.tobytes() == pm[0].tobytes() and q.mass.tobytes() == qm[0].tobytes()
 
 
-def _force_closed_form(monkeypatch, name: str, value: float):
+def _force_bound(monkeypatch, name: str, value: float):
     """Make the oracle check name against a constant closed form."""
     om = oracle.ORACLE_MEASURES[name]
     monkeypatch.setitem(
@@ -283,6 +283,18 @@ class TestFineGrids:
                 jp, jq = self._join(eps, s, step, join)
                 assert jp.tobytes() == p.tobytes() and jq.tobytes() == q.tobytes(), join
 
+    @pytest.mark.parametrize("eps", [-0.5, 1.0, 1.5, math.nan, math.inf, -math.inf])
+    def test_eps_outside_the_unit_interval(self, eps):
+        # one ValueError naming eps, from the row count the builder shares,
+        # where -0.5 built rows off the simplex and 1.5 or NaN failed later
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (2, 3):
+                with pytest.raises(ValueError, match=r"eps=.* outside \[0, 1\)"):
+                    oracle._fine_grid_rows(eps, s, 1e-3)
+                with pytest.raises(ValueError, match=r"eps=.* outside \[0, 1\)"):
+                    fine_grid_pairs(eps, s)
+
     def test_row_range_bounds(self):
         n = oracle._fine_grid_rows(0.3, 3, 1e-2)[0]
         for start in (0, 17, n):
@@ -297,7 +309,7 @@ class TestVerifyMin:
     def test_jeffreys_passes(self):
         r = verify_min("jeffreys", 0.5, 500, seed=7)
         assert r.passed and r.attained and r.violations == 0
-        assert r.closed_form == pytest.approx(jeffreys_min(0.5), abs=1e-15)
+        assert r.closed_form == pytest.approx(bound_curve("jeffreys", 0.5), abs=1e-15)
         assert r.sample_extreme >= r.closed_form - 1e-9
         assert r.rng_name == "numpy PCG64"
 
@@ -326,7 +338,7 @@ class TestVerifyMin:
 
     def test_forced_failure_records_witness(self, monkeypatch):
         # an impossibly high closed form must be crossed by samples
-        _force_closed_form(monkeypatch, "jeffreys", 10.0)
+        _force_bound(monkeypatch, "jeffreys", 10.0)
         r = verify_min("jeffreys", 0.3, 200, seed=7)
         assert not r.passed
         assert r.violations > 0
@@ -335,7 +347,7 @@ class TestVerifyMin:
 
     @pytest.mark.parametrize("fine_step", [1e-3, None])
     def test_failure_counts_sampled_and_fine_pairs_apart(self, monkeypatch, fine_step):
-        _force_closed_form(monkeypatch, "jeffreys", 10.0)
+        _force_bound(monkeypatch, "jeffreys", 10.0)
         r = verify_min("jeffreys", 0.5, 20, fine_step=fine_step)
         m = re.fullmatch(
             r"(\d+) sampled and (\d+) fine-grid pair\(s\) crossed the closed form; "
@@ -350,7 +362,7 @@ class TestVerifyMin:
     def test_witness_is_the_worst_crossing_row_over_all_batches(self, monkeypatch):
         # every pair crosses 10; the least sampled value lies in a later
         # batch than the first, and the fine grids go lower still
-        _force_closed_form(monkeypatch, "jeffreys", 10.0)
+        _force_bound(monkeypatch, "jeffreys", 10.0)
         evaluate = oracle.ORACLE_MEASURES["jeffreys"].evaluate
         sampled = [
             evaluate(*oracle._sample_batch(oracle._stream(7, 0, s), 2000, s, 0.3)).min()
@@ -404,7 +416,7 @@ class TestGridVerify:
         kw = dict(n_samples=300, seed=99, support_sizes=(2, 3, 4), fine_step=2e-3)
         for forced in (False, True):
             if forced:
-                _force_closed_form(monkeypatch, "jeffreys", 10.0)
+                _force_bound(monkeypatch, "jeffreys", 10.0)
             r1 = verify_min("jeffreys", 0.4, **kw)
             r2 = verify_min("jeffreys", 0.4, **kw)
             assert (r1.witness is not None) == forced
@@ -470,7 +482,7 @@ class TestBlockScan:
     def test_crossings_in_several_fine_grid_blocks(self, monkeypatch):
         # every row whose value lies under 0.2 crosses; those rows fill
         # blocks across the support-3 grid, the lowest not in the first
-        _force_closed_form(monkeypatch, "jeffreys", 0.2)
+        _force_bound(monkeypatch, "jeffreys", 0.2)
         evaluate = oracle.ORACLE_MEASURES["jeffreys"].evaluate
         vals = evaluate(*fine_grid_pairs(0.1, 3))
         blocks = np.unique(np.flatnonzero(vals < 0.2) // oracle._BLOCK_ROWS)
@@ -482,7 +494,7 @@ class TestBlockScan:
     def test_ties_keep_the_first_row(self, monkeypatch):
         # every row sits at TV 0.1 up to rounding and crosses 0.5: the least
         # value recurs across blocks and grids, and the first row of it wins
-        _force_closed_form(monkeypatch, "tv", 0.5)
+        _force_bound(monkeypatch, "tv", 0.5)
         r = verify_min("tv", 0.1, 0, seed=2)
         assert len(r.witness[0]) == 2
         assert_same_report(r, reference_verify_min("tv", 0.1, 0, seed=2))
@@ -500,7 +512,7 @@ class TestBlockScan:
     def test_nan_before_the_least_block(self, monkeypatch):
         # the whole-array argmin stops at the first NaN, so the support-3
         # grid, whose least row (block 18) would be the witness, gives none
-        _force_closed_form(monkeypatch, "jeffreys", 0.2)
+        _force_bound(monkeypatch, "jeffreys", 0.2)
         om = oracle.ORACLE_MEASURES["jeffreys"]
         nan_row = oracle.fine_grid_pairs(0.1, 3)[0][3 * oracle._BLOCK_ROWS + 5]
 

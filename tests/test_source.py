@@ -1,6 +1,7 @@
 """Checks on the library's source text."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import divbound
@@ -18,6 +19,29 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_export_lists_name_what_exists_and_what_the_package_imports():
+    # a removed name may linger in neither a module's __all__ nor __init__.py
+    modules = {
+        p.stem: importlib.import_module(f"divbound.{p.stem}") for p in MODULES if p.stem != "__init__"
+    }
+    missing = [
+        f"{stem}.{name}"
+        for stem, mod in modules.items()
+        for name in getattr(mod, "__all__", ())
+        if not hasattr(mod, name)
+    ]
+    assert missing == []
+    init = Path(divbound.__file__).resolve()
+    unlisted = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(init.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in getattr(modules[node.module], "__all__", ())
+    ]
+    assert unlisted == []
 
 
 _REDUCTIONS = {"sum", "min", "max", "argmin", "argmax", "cumsum"}

@@ -105,7 +105,7 @@ def reference_verify_min(
     from divbound.bounds import extremal_pair, find_measure
 
     om = find_measure(oracle.ORACLE_MEASURES, measure)
-    cf = om.closed_form(eps)
+    cf = float(om.closed_form(eps))
     sign = 1.0 if om.direction == "min" else -1.0
     line = sign * cf - oracle._VIOLATION_SLACK
 
@@ -134,8 +134,8 @@ def reference_verify_min(
             scan(*oracle.fine_grid_pairs(eps, s, step=fine_step), "fine") for s in (2, 3)
         )
 
-    pair = extremal_pair(eps, om.extremal_kind)
-    extremal_value = float(om.evaluate(pair.p.mass[None, :], pair.q.mass[None, :])[0])
+    p, q = extremal_pair(eps, om.extremal_kind)
+    extremal_value = float(om.evaluate(p.mass[None, :], q.mass[None, :])[0])
     attained = abs(extremal_value - cf) <= oracle._ATTAIN_TOL
     best = min(best, sign * extremal_value)
     gap = abs(sign * best - cf)

@@ -78,17 +78,22 @@ def _jeffreys_fn(t):
 
 
 def _capacitory_fn(t):
-    # Two algebraically equal forms; the t > 1 branch avoids the inf - inf
-    # that t log t - (t+1) log(1+t) produces once t log t overflows.
+    # Two algebraically equal forms: t log t - (t+1) log(1+t) + 2 log 2 up
+    # to t = 1, and above it -t log(1 + 1/t) - log(1+t) + 2 log 2, which
+    # avoids the inf - inf the first gives once t log t overflows.  Both are
+    # t h - m log(1+t) + 2 log 2, so whole-array passes give each element its
+    # own form's value bit for bit (-t x is -(t x), 1 * x is x); 1/t is taken
+    # of max(t, 1), as it overflows for a tiny t that does not use it.
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    out = np.empty_like(t)
     big = t > 1.0
-    tb = t[big]
-    ts = t[~big]
-    out[big] = -tb * np.log1p(1.0 / tb) - np.log1p(tb) + 2.0 * _LN2
-    out[~big] = ts * np.log(ts) - (ts + 1.0) * np.log1p(ts) + 2.0 * _LN2
+    h = np.maximum(t, 1.0)
+    np.log1p(np.divide(1.0, h, out=h), out=h)
+    h = np.where(big, np.negative(h, out=h), np.log(t))
+    out = np.multiply(t, h, out=h)
+    out -= np.where(big, 1.0, t + 1.0) * np.log1p(t)
+    out += 2.0 * _LN2
     return out[0] if scalar else out
 
 

@@ -42,14 +42,18 @@ process may run on (numpy releases the GIL inside its loops).  A block is
 one sampled support, drawn from its own stream, or a range of 2^14 rows of
 a fine grid, which the worker builds itself: the main thread only counts
 the rows and submits the ranges, so no grid is ever held whole and memory
-grows with the number of workers, not with the grid.  A block returns its
+grows with the number of workers, not with the grid.  The streams do not
+depend on the measure, so one block serves every measure of the run: the
+worker draws or builds it once, calls each distinct evaluator on it once
+(the two Bhattacharyya entries share one), and returns per measure its
 crossing count and its least signed value with that row.  The main thread
-merges the results in a fixed order: supports in the order given, then
-fine grid 2, then fine grid 3.  Within a piece the least block value wins,
-the first on ties or NaN, as an argmin over the whole array would pick;
-across pieces a row becomes the witness only when it lies strictly below
-the line and every value before it.  So the report does not depend on the
-number of CPUs or on which block finishes first.
+merges each measure's results in a fixed order: supports in the order
+given, then fine grid 2, then fine grid 3.  Within a piece the least block
+value wins, the first on ties or NaN, as an argmin over the whole array
+would pick; across pieces a row becomes the witness only when it lies
+strictly below the line and every value before it.  So a report does not
+depend on the number of CPUs, on which block finishes first, or on the
+other measures of the run.
 """
 
 from __future__ import annotations
@@ -171,12 +175,18 @@ def _sample_batch(
     return pm, qm
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed={seed!r} is negative; the RNG takes seeds >= 0")
+
+
 def sample_pair(support_size: int, eps: float, seed: int) -> tuple[FiniteDist, FiniteDist]:
     """One pair on support_size atoms at total variation eps; pure in its arguments."""
     if not 2 <= support_size <= 8:
         raise ValueError(f"support_size={support_size!r} outside [2, 8]")
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps={eps!r} outside [0, 1)")
+    _check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     pm, qm = _sample_batch(rng, 1, support_size, eps)
     labels = tuple(f"x{i + 1}" for i in range(support_size))
@@ -289,8 +299,28 @@ def _stream(seed: int, stream_key: int, support: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _check_run(n_samples: int, seed: int, support_sizes, fine_step: Optional[float]) -> None:
+    """The checks verify_min and grid_verify make before any sampling."""
+    if n_samples < 0:
+        raise ValueError(f"n_samples={n_samples!r} is negative")
+    _check_seed(seed)
+    _check_support_sizes(support_sizes)
+    if fine_step is not None:
+        _check_step(fine_step)
+
+
+def _names(measures) -> list[str]:
+    """One measure name or a sequence of them, as a list of known names."""
+    names = [measures] if isinstance(measures, str) else list(measures)
+    if not names:
+        raise ValueError("no measure to verify")
+    for name in names:
+        find_measure(ORACLE_MEASURES, name)
+    return names
+
+
 def verify_min(
-    measure: str,
+    measures,
     eps: float,
     n_samples: int,
     seed: int = 0,
@@ -298,8 +328,8 @@ def verify_min(
     fine_step: Optional[float] = 1e-3,
     gap_threshold: Optional[float] = None,
     stream_key: int = 0,
-) -> VerifyPointReport:
-    """Stress one closed-form extreme at one eps.
+):
+    """Stress closed-form extremes at one eps.
 
     Draws n_samples pairs per support size, adds deterministic fine grids on
     supports 2 and 3 plus the designated extremal pair, and checks that
@@ -307,25 +337,41 @@ def verify_min(
     (ii) the extremal pair attains it within 1e-9, and
     (iii) the empirical extreme is within gap_threshold when one is given.
     The witness is the worst crossing pair over every batch and fine grid.
+
+    measures is one name, which gives its VerifyPointReport, or a sequence
+    of names, which gives a list of reports in the same order.  Every
+    measure is checked on the same blocks, each drawn or built once and
+    passed once to each distinct evaluator, and each report equals that of
+    its single-measure run.
     """
-    om = find_measure(ORACLE_MEASURES, measure)
+    names = _names(measures)
+    oms = [ORACLE_MEASURES[name] for name in names]
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps={eps!r} outside the sampler domain [0, 1)")
     if gap_threshold is not None and math.isnan(gap_threshold):
         raise ValueError("gap_threshold is NaN, which would pass every gap")
-    _check_support_sizes(support_sizes)
-    if fine_step is not None:
-        _check_step(fine_step)
-    cf = float(om.closed_form(eps))
-    sign = 1.0 if om.direction == "min" else -1.0
-    line = sign * cf - _VIOLATION_SLACK  # a signed value below it crosses
+    _check_run(n_samples, seed, support_sizes, fine_step)
+    cfs = [float(om.closed_form(eps)) for om in oms]
+    signs = [1.0 if om.direction == "min" else -1.0 for om in oms]
+    # a signed value below its line crosses
+    lines = [sign * cf - _VIOLATION_SLACK for sign, cf in zip(signs, cfs)]
+    # the measures each distinct evaluator serves
+    served: dict = {}
+    for j, om in enumerate(oms):
+        served.setdefault(om.evaluate, []).append(j)
 
     def least(pm, qm):
-        # crossings, the least signed value and its row, of one block; the
-        # row is copied so that the result does not keep the batch alive
-        vals = sign * om.evaluate(pm, qm)
-        i = int(np.argmin(vals))
-        return int(np.count_nonzero(vals < line)), float(vals[i]), pm[i].copy(), qm[i].copy()
+        # per measure: crossings, the least signed value and its row, of one
+        # block; the row is copied so that the result does not keep the
+        # batch alive
+        out = [None] * len(oms)
+        for evaluate, js in served.items():
+            vals = evaluate(pm, qm)
+            for j in js:
+                v = signs[j] * vals
+                i = int(np.argmin(v))
+                out[j] = (int(np.count_nonzero(v < lines[j])), float(v[i]), pm[i].copy(), qm[i].copy())
+        return out
 
     def sampled(s):
         return least(*_sample_batch(_stream(seed, stream_key, s), n_samples, s, eps))
@@ -349,68 +395,74 @@ def verify_min(
         results = [[f.result() for f in piece] for piece in pieces]
     finally:
         pool.shutdown(cancel_futures=True)
-
-    best = math.inf  # the least signed value merged so far
-    witness = None
-    lows = []
-    for blocks in results:
-        # argmin over the block minima picks the row argmin over the whole
-        # piece would: the first least value, or the first NaN
-        _, low, p, q = blocks[int(np.argmin([b[1] for b in blocks]))]
-        if low < min(best, line):
-            labels = tuple(f"x{j + 1}" for j in range(p.size))
-            witness = (FiniteDist(labels, p), FiniteDist(labels, q))
-        best = min(best, low)
-        lows.append(low)
-    fine_best = None if fine_step is None else sign * min(lows[-2:])
-
-    p, q = extremal_pair(eps, om.extremal_kind)
-    extremal_value = float(om.evaluate(p.mass[None, :], q.mass[None, :])[0])
-    attained = abs(extremal_value - cf) <= _ATTAIN_TOL
-    best = min(best, sign * extremal_value)
-    gap = abs(sign * best - cf)
-
     n_sampled = len(support_sizes) if n_samples > 0 else 0
-    sampled_crossings = sum(b[0] for blocks in results[:n_sampled] for b in blocks)
-    fine_crossings = sum(b[0] for blocks in results[n_sampled:] for b in blocks)
-    violations = sampled_crossings + fine_crossings
-    failure = None
-    if violations:
-        failure = (
-            f"{sampled_crossings} sampled and {fine_crossings} fine-grid pair(s) crossed "
-            f"the closed form; worst witness retained"
-        )
-    elif not attained:
-        failure = (
-            f"extremal {om.extremal_kind} pair gives {extremal_value!r}, "
-            f"closed form {cf!r}"
-        )
-    elif gap_threshold is not None and gap > gap_threshold:
-        failure = f"empirical gap {gap!r} exceeds threshold {gap_threshold!r}"
 
-    return VerifyPointReport(
-        measure=measure,
-        direction=om.direction,
-        eps=eps,
-        closed_form=cf,
-        n_samples=n_samples,
-        support_sizes=tuple(support_sizes),
-        seed=seed,
-        rng_name=RNG_NAME,
-        sample_extreme=sign * best,
-        fine_extreme=fine_best,
-        extremal_value=extremal_value,
-        violations=violations,
-        witness=witness,
-        attained=attained,
-        gap=gap,
-        passed=failure is None,
-        failure=failure,
-    )
+    def report(j):
+        om, cf, sign, line = oms[j], cfs[j], signs[j], lines[j]
+        best = math.inf  # the least signed value merged so far
+        witness = None
+        lows = []
+        for piece in results:
+            blocks = [b[j] for b in piece]
+            # argmin over the block minima picks the row argmin over the
+            # whole piece would: the first least value, or the first NaN
+            _, low, p, q = blocks[int(np.argmin([b[1] for b in blocks]))]
+            if low < min(best, line):
+                labels = tuple(f"x{i + 1}" for i in range(p.size))
+                witness = (FiniteDist(labels, p), FiniteDist(labels, q))
+            best = min(best, low)
+            lows.append(low)
+        fine_best = None if fine_step is None else sign * min(lows[-2:])
+
+        p, q = extremal_pair(eps, om.extremal_kind)
+        extremal_value = float(om.evaluate(p.mass[None, :], q.mass[None, :])[0])
+        attained = abs(extremal_value - cf) <= _ATTAIN_TOL
+        best = min(best, sign * extremal_value)
+        gap = abs(sign * best - cf)
+
+        sampled_crossings = sum(b[j][0] for piece in results[:n_sampled] for b in piece)
+        fine_crossings = sum(b[j][0] for piece in results[n_sampled:] for b in piece)
+        violations = sampled_crossings + fine_crossings
+        failure = None
+        if violations:
+            failure = (
+                f"{sampled_crossings} sampled and {fine_crossings} fine-grid pair(s) crossed "
+                f"the closed form; worst witness retained"
+            )
+        elif not attained:
+            failure = (
+                f"extremal {om.extremal_kind} pair gives {extremal_value!r}, "
+                f"closed form {cf!r}"
+            )
+        elif gap_threshold is not None and gap > gap_threshold:
+            failure = f"empirical gap {gap!r} exceeds threshold {gap_threshold!r}"
+
+        return VerifyPointReport(
+            measure=names[j],
+            direction=om.direction,
+            eps=eps,
+            closed_form=cf,
+            n_samples=n_samples,
+            support_sizes=tuple(support_sizes),
+            seed=seed,
+            rng_name=RNG_NAME,
+            sample_extreme=sign * best,
+            fine_extreme=fine_best,
+            extremal_value=extremal_value,
+            violations=violations,
+            witness=witness,
+            attained=attained,
+            gap=gap,
+            passed=failure is None,
+            failure=failure,
+        )
+
+    reports = [report(j) for j in range(len(oms))]
+    return reports[0] if isinstance(measures, str) else reports
 
 
 def grid_verify(
-    measure: str,
+    measures,
     eps_grid,
     n_samples: int,
     seed: int = 0,
@@ -420,19 +472,20 @@ def grid_verify(
 ) -> list[VerifyPointReport]:
     """Run verify_min at each grid point, on stream key = the point's index.
 
-    The whole grid is domain-checked before any sampling starts.
+    measures is one name or a sequence of names; every measure of a point
+    shares that point's one scan.  The reports come measure by measure in
+    the order given, each measure's in grid order.  The whole grid is
+    domain-checked before any sampling starts.
     """
+    names = _names(measures)
     eps_grid = [float(e) for e in eps_grid]
-    find_measure(ORACLE_MEASURES, measure)
     outside = [e for e in eps_grid if not 0.0 <= e < 1.0]
     if outside:
         raise ValueError(f"grid point eps={outside[0]!r} outside the sampler domain [0, 1)")
-    _check_support_sizes(support_sizes)
-    if fine_step is not None:
-        _check_step(fine_step)
-    return [
+    _check_run(n_samples, seed, support_sizes, fine_step)
+    points = [
         verify_min(
-            measure,
+            names,
             e,
             n_samples,
             seed=seed,
@@ -443,3 +496,4 @@ def grid_verify(
         )
         for i, e in enumerate(eps_grid)
     ]
+    return [point[j] for j in range(len(names)) for point in points]

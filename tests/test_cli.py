@@ -515,6 +515,47 @@ class TestVerify:
         assert r.exit_code == 2
         assert "-5 is not in the range x>=0" in r.stderr
 
+    def test_negative_seed_is_usage_error(self, runner):
+        args = ["verify", "--measure", "tv", "--grid", "0.5:0.1:0.5", "--samples", "10"]
+        for extra, env in ((["--seed", "-1"], None), ([], dict(os.environ, DIVBOUND_SEED="-1"))):
+            r = runner.invoke(main, args + extra, env=env)
+            assert r.exit_code == 2
+            assert r.stdout == ""
+            assert "Invalid value for '--seed'" in r.stderr and "-1 is not in the range x>=0" in r.stderr
+
+    def test_several_measures_match_their_single_runs(self, runner, monkeypatch):
+        # jeffreys fails with witness lines; the other two pass
+        om = oracle.ORACLE_MEASURES["jeffreys"]
+        monkeypatch.setitem(
+            oracle.ORACLE_MEASURES, "jeffreys", dataclasses.replace(om, closed_form=lambda eps: 10.0)
+        )
+        args = ["--grid", "0.2:0.3:0.8", "--samples", "200", "--seed", "3"]
+        measures = ["tv", "jeffreys", "bhattacharyya"]
+        both = runner.invoke(main, ["verify", *(a for m in measures for a in ("--measure", m)), *args])
+        singles = [runner.invoke(main, ["verify", "--measure", m, *args]) for m in measures]
+        assert both.exit_code == 1 and [r.exit_code for r in singles] == [0, 1, 0]
+        header = both.stdout.splitlines()[0]
+        assert both.stdout.splitlines() == [header] + [
+            row for r in singles for row in r.stdout.splitlines()[1:]
+        ]
+        first, *rest = both.stderr.splitlines()
+        assert first == (
+            "verify tv,jeffreys,bhattacharyya: 12 check(s), 200 samples/support, "
+            "seed 3, rng numpy PCG64: FAIL"
+        )
+        assert any(line.startswith("    witness P = ") for line in rest)
+        assert rest == [line for r in singles for line in r.stderr.splitlines()[1:]]
+
+    def test_all_names_every_measure_once(self, runner):
+        args = ["--grid", "0.9:0.1:0.9", "--samples", "20"]
+        r = runner.invoke(main, ["verify", "--measure", "all", *args])
+        assert r.exit_code == 0, r.stderr
+        assert [row.split(",")[0] for row in r.stdout.splitlines()[1:]] == sorted(oracle.ORACLE_MEASURES)
+        r = runner.invoke(main, ["verify", "--measure", "tv", "--measure", "bhattacharyya", "--measure", "all", *args])
+        assert [row.split(",")[0] for row in r.stdout.splitlines()[1:]] == [
+            "tv", "bhattacharyya_lower", "bhattacharyya_upper", "capacitory", "chernoff", "hellinger2", "jeffreys",
+        ]
+
     def test_bad_env_seed_is_usage_error(self, runner):
         env = dict(os.environ, DIVBOUND_SEED="abc")
         r = runner.invoke(
@@ -555,7 +596,7 @@ def test_help_lists_subcommands(runner):
         (
             "verify",
             "bhattacharyya_lower|bhattacharyya_upper|capacitory|chernoff|hellinger2|"
-            "jeffreys|tv|bhattacharyya",
+            "jeffreys|tv|bhattacharyya|all",
         ),
     ],
 )

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import divbound
 import divbound.fdiv as fdiv
+import divbound.oracle as oracle
 from divbound.bounds import bound_curve, extremal_pair
 from divbound.dist import make_dist, total_variation
 from divbound.errors import BoundViolationError, DistributionError
@@ -29,7 +30,7 @@ from divbound.generators import REGISTRY, FGenerator
 from divbound.jensen import batch_chi2_exp_bound_check, batch_sandwich
 from divbound.search import golden_section_min
 
-from util import GENERATORS, as_dist, random_pairs_with_zeros, random_positive_pairs
+from util import GENERATORS, as_dist, random_pairs_with_zeros, random_positive_pairs, reference_min_log_tilt
 
 P_HALF = make_dist(["a", "b"], [0.5, 0.5])
 Q_QUARTER = make_dist(["a", "b"], [0.25, 0.75])
@@ -339,6 +340,31 @@ class TestChernoffSolver:
             want = [_grid_chernoff(a, b) for a, b in zip(pm, qm)]
             assert batch_chernoff(pm, qm) == pytest.approx(want, rel=0.0, abs=tol)
 
+    def test_column_solve_matches_the_row_reference(self):
+        # values to the byte, so sign bits too, and the pass count, against
+        # the solve on the row layout; support 8 pins numpy's pairwise tree,
+        # which a transposed 8-column view would silently swap for adds in turn
+        def cases():
+            for eps in (0.0, 0.1, 0.5, 0.9, 0.999):
+                for k in range(2, 9):
+                    yield oracle._sample_batch(oracle._stream(5, 0, k), 1000, k, eps)
+            for k in (2, 3):
+                yield oracle.fine_grid_pairs(0.1, k)
+            rng = np.random.default_rng(73)
+            for k in (3, 5, 8, 12):
+                yield random_pairs_with_zeros(rng, 400, k)
+            yield (
+                np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]),
+                np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.2, 0.3, 0.5]]),
+            )
+            p, q = rng.exponential(size=(2, 100_000))
+            yield (p / p.sum())[None, :], (q / q.sum())[None, :]
+
+        for p, q in cases():
+            got, want = fdiv._min_log_tilt(p, q), reference_min_log_tilt(p, q)
+            assert got[0].tobytes() == want[0].tobytes(), p.shape
+            assert got[1] == want[1], p.shape
+
     def test_no_floating_point_warnings_on_zero_masses(self):
         rng = np.random.default_rng(59)
         pm, qm = random_pairs_with_zeros(rng, 500, 4)
@@ -379,6 +405,14 @@ class TestRowSums:
             for mask in (a > 0.0, np.isnan(a), np.zeros(a.shape, dtype=bool)):
                 got, want = fdiv._row_sums(mask), mask.sum(axis=-1)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), a.shape
+
+    def test_column_layout_sums_equal_numpy_byte_for_byte(self):
+        # _col_sums reads each column of a C-ordered matrix as one row of its
+        # transpose, and must add as numpy adds the matrix's rows
+        for a in _row_sum_cases():
+            a = np.ascontiguousarray(a)
+            got, want = fdiv._col_sums(np.ascontiguousarray(a.T)), a.sum(axis=-1)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), a.shape
 
     def test_negative_zero_rows_sum_to_positive_zero(self):
         for k in range(2, 9):
@@ -438,6 +472,17 @@ def test_alignment_across_alphabets():
     assert bhattacharyya(p, q) == pytest.approx(0.5, abs=1e-15)
 
 
+# every batch route that checks its mass matrices
+_BATCH_ROUTES = {
+    "f_divergence": lambda p, q: batch_f_divergence(REGISTRY["kl"], p, q),
+    "total_variation": batch_total_variation,
+    "bhattacharyya": batch_bhattacharyya,
+    "chernoff": batch_chernoff,
+    "sandwich": lambda p, q: batch_sandwich(REGISTRY["dual_kl"], p, q),
+    "chi2_exp_bound_check": batch_chi2_exp_bound_check,
+}
+
+
 class TestNumericalGuards:
     """NaN and sign guards are typed errors, so they hold under python -O."""
 
@@ -483,6 +528,31 @@ class TestNumericalGuards:
         with pytest.raises(BoundViolationError, match=message):
             fdiv.batch_chernoff([[0.5, 0.5]], [[0.25, 0.75]])
 
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_negative_mass_raises(self, side):
+        # without the check kl came out 1.648 and Chernoff 0.693 on this pair
+        good = [[0.5, 0.5], [0.25, 0.75]]
+        bad_rows = [[0.5, 0.5], [1.5, -0.5]]
+        p, q = (bad_rows, good) if side == "p" else (good, bad_rows)
+        for name, route in _BATCH_ROUTES.items():
+            with pytest.raises(DistributionError, match="negative probability mass"):
+                route(p, q)
+                pytest.fail(f"{name} accepted a negative mass in {side}")
+
+    def test_negative_zero_mass_is_zero(self):
+        p, q = [[0.5, 0.5, 0.0]], [[0.25, 0.5, 0.25]]
+        p_neg = [[0.5, 0.5, -0.0]]
+        for name in ("f_divergence", "total_variation", "bhattacharyya", "chernoff"):
+            route = _BATCH_ROUTES[name]
+            assert route(p_neg, q).tobytes() == route(p, q).tobytes(), name
+
+    def test_more_than_two_dimensions_raises(self):
+        cube = np.full((2, 2, 2), 0.5)
+        for name, route in _BATCH_ROUTES.items():
+            with pytest.raises(ValueError, match="at most 2 dimensions"):
+                route(cube, cube)
+                pytest.fail(f"{name} accepted a 3-dimensional input")
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("side", ["p", "q"])
     def test_non_finite_mass_raises(self, bad, side):
@@ -491,15 +561,7 @@ class TestNumericalGuards:
         good = [[0.5, 0.5], [0.25, 0.75]]
         bad_rows = [[0.5, 0.5], [bad, 0.5]]
         p, q = (bad_rows, good) if side == "p" else (good, bad_rows)
-        routes = {
-            "f_divergence": lambda p, q: batch_f_divergence(REGISTRY["kl"], p, q),
-            "total_variation": batch_total_variation,
-            "bhattacharyya": batch_bhattacharyya,
-            "chernoff": batch_chernoff,
-            "sandwich": lambda p, q: batch_sandwich(REGISTRY["dual_kl"], p, q),
-            "chi2_exp_bound_check": batch_chi2_exp_bound_check,
-        }
-        for name, route in routes.items():
+        for name, route in _BATCH_ROUTES.items():
             with pytest.raises(DistributionError, match="non-finite probability mass"):
                 route(p, q)
                 pytest.fail(f"{name} accepted a mass of {bad!r} in {side}")

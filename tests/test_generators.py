@@ -89,6 +89,39 @@ def test_capacitory_fn_stable_at_extremes():
     assert float(fn(1e-14)) == pytest.approx(2.0 * LN2, abs=1e-12)
 
 
+def _split_capacitory(t):
+    """The capacitory generator by a boolean split of t at 1: the reference
+    route for its whole-array form."""
+    t = np.asarray(t, dtype=float)
+    scalar = t.ndim == 0
+    t = np.atleast_1d(t)
+    out = np.empty_like(t)
+    big = t > 1.0
+    tb, ts = t[big], t[~big]
+    out[big] = -tb * np.log1p(1.0 / tb) - np.log1p(tb) + 2.0 * LN2
+    out[~big] = ts * np.log(ts) - (ts + 1.0) * np.log1p(ts) + 2.0 * LN2
+    return out[0] if scalar else out
+
+
+def test_capacitory_fn_equals_the_split_form_bit_for_bit():
+    fn = REGISTRY["capacitory"].fn
+    rng = np.random.default_rng(89)
+    one = [1.0, *np.nextafter(1.0, [0.0, 2.0]), *(1.0 + np.arange(-4, 5) * 2.0**-52)]
+    t = np.concatenate([
+        10.0 ** rng.uniform(-300.0, 300.0, 20_000),
+        np.exp(rng.normal(0.0, 2.0, 20_000)),
+        1.0 + rng.uniform(-1e-6, 1e-6, 2000),
+        [1e-300, 1e300, *one],
+    ])
+    with np.errstate(all="raise"):
+        got, want = fn(t), _split_capacitory(t)
+        assert got.tobytes() == want.tobytes()
+        assert fn(t.reshape(-1, 2)).tobytes() == want.tobytes()
+        for x in [*t[::400], *one]:
+            got, want = fn(float(x)), _split_capacitory(float(x))
+            assert type(got) is type(want) and got.tobytes() == want.tobytes(), x
+
+
 def test_generator_fns_vectorized():
     t = np.array([0.5, 1.0, 2.0, 10.0])
     for gen in GENERATORS.values():

@@ -463,6 +463,110 @@ class TestGridVerify:
         assert not called
 
 
+def _no_sampling(monkeypatch):
+    """Make drawing or building any block fail; returns the list of attempts."""
+    called = []
+
+    def no_sampling(*args):
+        called.append(args)
+        raise AssertionError("sampled before the arguments were checked")
+
+    monkeypatch.setattr(oracle, "_sample_batch", no_sampling)
+    monkeypatch.setattr(oracle, "fine_grid_pairs", no_sampling)
+    return called
+
+
+class TestArguments:
+    def test_negative_sample_count_raises_before_sampling(self, monkeypatch):
+        called = _no_sampling(monkeypatch)
+        with pytest.raises(ValueError, match="n_samples=-5 is negative"):
+            verify_min("tv", 0.5, -5)
+        for grid in ([0.2, 0.5], []):
+            with pytest.raises(ValueError, match="n_samples=-5 is negative"):
+                grid_verify("tv", grid, -5)
+        assert not called
+
+    def test_negative_seed_raises_before_sampling(self, monkeypatch):
+        called = _no_sampling(monkeypatch)
+        with pytest.raises(ValueError, match="seed=-1 is negative"):
+            verify_min("tv", 0.5, 10, seed=-1)
+        for grid in ([0.2, 0.5], []):
+            with pytest.raises(ValueError, match="seed=-1 is negative"):
+                grid_verify("tv", grid, 10, seed=-1)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="seed=-1 is negative"):
+            sample_pair(3, 0.5, -1)
+        assert not called
+
+    def test_no_measure_raises(self, monkeypatch):
+        called = _no_sampling(monkeypatch)
+        for run in (lambda: verify_min([], 0.5, 10), lambda: grid_verify((), [0.5], 10)):
+            with pytest.raises(ValueError, match="no measure"):
+                run()
+        assert not called
+
+
+class TestSeveralMeasures:
+    """verify_min and grid_verify on several measures at once: one scan."""
+
+    def test_each_report_equals_its_single_run(self, monkeypatch):
+        # the forced bound makes jeffreys fail with a witness while the
+        # others pass; the two bhattacharyya entries share one evaluator
+        _force_bound(monkeypatch, "jeffreys", 10.0)
+        names = ["jeffreys", *sorted(set(oracle.ORACLE_MEASURES) - {"jeffreys"})]
+        kw = dict(n_samples=200, seed=5, fine_step=2e-3, stream_key=3)
+        reports = verify_min(names, 0.3, **kw)
+        assert [r.measure for r in reports] == names
+        assert reports[0].witness is not None
+        for name, r in zip(names, reports):
+            assert_same_report(r, verify_min(name, 0.3, **kw))
+
+    def test_a_name_gives_a_report_and_a_sequence_a_list(self):
+        r = verify_min("tv", 0.5, 10, seed=1)
+        assert isinstance(r, oracle.VerifyPointReport)
+        assert verify_min(("tv",), 0.5, 10, seed=1) == [r]
+        assert verify_min(["tv", "tv"], 0.5, 10, seed=1) == [r, r]
+
+    def test_each_block_is_drawn_once_and_each_evaluator_runs_once_on_it(self, monkeypatch):
+        draws = []
+        sample = oracle._sample_batch
+
+        def counted_sample(*args):
+            draws.append(args[2])
+            return sample(*args)
+
+        monkeypatch.setattr(oracle, "_sample_batch", counted_sample)
+        # one counting wrapper per distinct evaluator, so that the two
+        # bhattacharyya entries still share theirs
+        calls = []
+        wrappers = {}
+        names = ["tv", "chernoff", "bhattacharyya_lower", "bhattacharyya_upper"]
+        for name in names:
+            om = oracle.ORACLE_MEASURES[name]
+
+            def counted(pm, qm, evaluate=om.evaluate):
+                if len(pm) > 1:  # a block, not the extremal pair
+                    calls.append(evaluate)
+                return evaluate(pm, qm)
+
+            wrapper = wrappers.setdefault(om.evaluate, counted)
+            monkeypatch.setitem(oracle.ORACLE_MEASURES, name, dataclasses.replace(om, evaluate=wrapper))
+        reports = verify_min(names, 0.4, 50, seed=2, support_sizes=(2, 5, 8), fine_step=None)
+        assert all(r.passed for r in reports)
+        assert sorted(draws) == [2, 5, 8]
+        assert len(wrappers) == 3
+        assert sorted(map(id, calls)) == sorted(id(e) for e in wrappers for _ in range(3))
+
+    def test_grid_reports_come_measure_by_measure(self):
+        names = ["chernoff", "tv", "bhattacharyya_upper"]
+        kw = dict(n_samples=100, seed=3, fine_step=1e-2)
+        reports = grid_verify(names, [0.2, 0.6, 0.9], **kw)
+        singles = [r for name in names for r in grid_verify(name, [0.2, 0.6, 0.9], **kw)]
+        assert len(reports) == len(singles) == 9
+        for a, b in zip(reports, singles):
+            assert_same_report(a, b)
+
+
 class TestBlockScan:
     """The pooled block scan against one sequential scan of whole arrays."""
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from divbound import fdiv
 from divbound.dist import FiniteDist
 from divbound.generators import REGISTRY
 from divbound.jensen import _LINEAR
@@ -186,3 +187,50 @@ def assert_same_report(a, b) -> None:
             assert isinstance(y, float) and x.hex() == y.hex(), (f.name, x, y)
         else:
             assert x == y, (f.name, x, y)
+
+
+def reference_min_log_tilt(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
+    """fdiv._min_log_tilt on the row layout: the reference route for its column solve.
+
+    Each pass gathers the active rows of the (n, k) matrices d = log(P/Q)
+    and log Q and takes one safeguarded Newton step on g' = 0 for each, as
+    the solve's docstring says.  Returns the row minima of g and the passes.
+    """
+    common = (p > 0.0) & (q > 0.0)
+    pc = np.where(common, p, 0.0)
+    qc = np.where(common, q, 0.0)
+    lq = np.log(q, out=np.zeros(q.shape), where=common)
+    d = np.log(p, out=np.zeros(p.shape), where=common) - lq  # 0 off the common support
+    lq[~common] = -np.inf  # so exp(lq + lam * d) is 0 there
+    sp, sq = fdiv._row_sums(pc), fdiv._row_sums(qc)
+    has_common = sq > 0.0
+    sp, sq = np.where(has_common, sp, 1.0), np.where(has_common, sq, 1.0)
+    gmin = np.where(has_common, np.minimum(np.log(sp), np.log(sq)), -np.inf)
+    slope0 = fdiv._row_sums(qc * d) / sq
+    slope1 = fdiv._row_sums(pc * d) / sp
+
+    rows = np.flatnonzero(has_common & (slope0 < 0.0) & (slope1 > 0.0))
+    lam = slope0[rows] / (slope0[rows] - slope1[rows])
+    lo, hi = np.zeros(rows.size), np.ones(rows.size)
+    passes = 0
+    while rows.size and passes < fdiv._MAX_TILT_PASSES:
+        passes += 1
+        dr = d[rows]
+        w = np.exp(lq[rows] + lam[:, None] * dr)
+        wd = w * dr
+        sw, swd, swdd = fdiv._row_sums(w), fdiv._row_sums(wd), fdiv._row_sums(wd * dr)
+        g = np.log(sw)
+        gmin[rows] = np.minimum(gmin[rows], g)
+        slope = swd / sw
+        curv = swdd / sw - slope * slope
+        lo = np.where(slope < 0.0, lam, lo)
+        hi = np.where(slope > 0.0, lam, hi)
+        step = np.divide(slope, curv, out=np.full(rows.size, np.inf), where=curv > 0.0)
+        # the stop test comes before the safeguard: a step below one ulp of
+        # lam would otherwise count as leaving the bracket
+        going = (np.abs(step) > fdiv._TILT_TOL) & (hi - lo > fdiv._TILT_TOL)
+        going &= np.abs(slope) * (hi - lo) > fdiv._TILT_CERT * np.maximum(1.0, np.abs(g))
+        nxt = lam - step
+        nxt = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
+        rows, lam, lo, hi = rows[going], nxt[going], lo[going], hi[going]
+    return gmin, passes

@@ -62,7 +62,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -309,7 +309,7 @@ def _check_run(n_samples: int, seed: int, support_sizes, fine_step: Optional[flo
         _check_step(fine_step)
 
 
-def _names(measures) -> list[str]:
+def _names(measures: str | Sequence[str]) -> list[str]:
     """One measure name or a sequence of them, as a list of known names."""
     names = [measures] if isinstance(measures, str) else list(measures)
     if not names:
@@ -320,7 +320,7 @@ def _names(measures) -> list[str]:
 
 
 def verify_min(
-    measures,
+    measures: str | Sequence[str],
     eps: float,
     n_samples: int,
     seed: int = 0,
@@ -328,7 +328,7 @@ def verify_min(
     fine_step: Optional[float] = 1e-3,
     gap_threshold: Optional[float] = None,
     stream_key: int = 0,
-):
+) -> VerifyPointReport | list[VerifyPointReport]:
     """Stress closed-form extremes at one eps.
 
     Draws n_samples pairs per support size, adds deterministic fine grids on
@@ -462,7 +462,7 @@ def verify_min(
 
 
 def grid_verify(
-    measures,
+    measures: str | Sequence[str],
     eps_grid,
     n_samples: int,
     seed: int = 0,

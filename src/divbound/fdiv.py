@@ -200,20 +200,26 @@ def _min_log_tilt(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
     passes = 0
     while rows.size and passes < _MAX_TILT_PASSES:
         passes += 1
-        w = np.exp(lq + lam * d)
-        wd = w * d
-        sw, swd, swdd = _col_sums(w), _col_sums(wd), _col_sums(wd * d)
+        # w, then w d, then w d^2, in one buffer
+        w = lam * d
+        w += lq
+        np.exp(w, out=w)
+        sw = _col_sums(w)
+        swd = _col_sums(np.multiply(w, d, out=w))
+        swdd = _col_sums(np.multiply(w, d, out=w))
         g = np.log(sw)
-        low = np.minimum(low, g)
-        slope = swd / sw
-        curv = swdd / sw - slope * slope
+        np.minimum(low, g, out=low)
+        slope = np.divide(swd, sw, out=swd)
+        curv = np.divide(swdd, sw, out=swdd)
+        curv -= slope * slope
         lo = np.where(slope < 0.0, lam, lo)
         hi = np.where(slope > 0.0, lam, hi)
         step = np.divide(slope, curv, out=np.full(rows.size, np.inf), where=curv > 0.0)
         # the stop test comes before the safeguard: a step below one ulp of
         # lam would otherwise count as leaving the bracket
-        going = (np.abs(step) > _TILT_TOL) & (hi - lo > _TILT_TOL)
-        going &= np.abs(slope) * (hi - lo) > _TILT_CERT * np.maximum(1.0, np.abs(g))
+        width = hi - lo
+        going = (np.abs(step) > _TILT_TOL) & (width > _TILT_TOL)
+        going &= np.abs(slope) * width > _TILT_CERT * np.maximum(1.0, np.abs(g))
         lam = lam - step
         lam = np.where((lam > lo) & (lam < hi), lam, 0.5 * (lo + hi))
         if not going.all():

@@ -91,7 +91,8 @@ _BLOCK_ROWS = 1 << 14
 
 def _simplex(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     e = rng.exponential(size=(n, k))
-    return e / _row_sums(e)[:, None]
+    e /= _row_sums(e)[:, None]
+    return e
 
 
 def _cumsum_rows(a: np.ndarray) -> np.ndarray:
@@ -129,19 +130,32 @@ def _draw_sign_sets(rng, pm: np.ndarray, eps: float):
     rank = rng.integers(counts[:, -1])
     anchor = _first_true(counts > rank[:, None])
     slot = _first_true(perm == anchor[:, None])
-    perm[np.arange(m), slot] = perm[:, -1]
-    perm[:, -1] = anchor
-    cums = _cumsum_rows(np.take_along_axis(pm, perm, axis=1))
-    # the mass before the anchor is 1 - p(anchor) >= eps, but its float sum
-    # can land an ulp below eps: the anchor never joins the prefix
-    prefix_len = np.minimum(_first_true(cums >= eps), k - 2)
+    # perm becomes flat indices into pm: one gather and one scatter below
+    # cost less than take_along_axis and put_along_axis
+    rows = np.arange(0, m * k, k)
+    perm += rows[:, None]
+    perm.ravel()[rows + slot] = perm[:, -1]
+    perm[:, -1] = rows + anchor
+    # the prefix sums run as _cumsum_rows adds them; the mass before the
+    # anchor is 1 - p(anchor) >= eps, but its float sum can land an ulp
+    # below eps: the anchor never joins the prefix
+    masses = np.take(pm, perm)
+    total = masses[:, 0]
+    short = total < eps
+    prefix_len = short.astype(np.intp)
+    for j in range(1, k):
+        total = total + masses[:, j]
+        short &= total < eps
+        prefix_len += short
+    prefix_len[short] = 0
+    np.minimum(prefix_len, k - 2, out=prefix_len)
     # the coins only matter past the prefix, which joins B whatever they
     # show, and never on the anchor's slot
     in_b = rng.random((m, k)) < 0.5
     in_b[:, -1] = False
     in_b |= np.arange(k) <= prefix_len[:, None]
-    b = np.zeros((m, k), dtype=bool)
-    np.put_along_axis(b, perm, in_b, axis=1)
+    b = np.empty((m, k), dtype=bool)
+    b.ravel()[perm] = in_b  # each row's perm covers the row once
     return b, np.ones(m, dtype=bool)
 
 
@@ -165,10 +179,18 @@ def _sample_batch(
         pm[stuck, jmin] = new
 
     b, _ = _draw_sign_sets(rng, pm, eps)
-    mass_b = _row_sums(np.where(b, pm, 0.0))
-    spread = rng.exponential(size=pm.shape) * ~b
-    weights = spread / _row_sums(spread)[:, None]
-    qm = np.maximum(np.where(b, pm * (1.0 - eps / mass_b)[:, None], pm + eps * weights), 0.0)
+    # pm >= +0.0, so pm * b is np.where(b, pm, 0.0) bit for bit, without
+    # the branch per element that a random mask makes costly
+    mass_b = _row_sums(pm * b)
+    # outside B, q = p + eps * (spread / its row sum); inside, p shrunk to
+    # carry eps less
+    spread = rng.exponential(size=pm.shape)
+    spread *= ~b
+    spread /= _row_sums(spread)[:, None]
+    spread *= eps
+    spread += pm
+    qm = np.where(b, pm * (1.0 - eps / mass_b)[:, None], spread)
+    np.maximum(qm, 0.0, out=qm)
     tv = batch_total_variation(pm, qm)
     if not np.all(np.abs(tv - eps) <= TV_MATCH_TOL):
         raise BoundViolationError(f"sampler left the TV constraint {eps!r} on support {k}")

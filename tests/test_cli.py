@@ -448,6 +448,15 @@ class TestVerify:
             "bhattacharyya_lower",
             "bhattacharyya_upper",
         }
+        # one scan per direction or one shared scan: the same rows
+        both = runner.invoke(
+            main,
+            [
+                "verify", "--measure", "bhattacharyya_lower", "--measure", "bhattacharyya_upper",
+                "--grid", "0.5:0.1:0.5", "--samples", "200", "--seed", "1",
+            ],
+        )
+        assert both.exit_code == 0 and both.stdout == r.stdout
 
     def test_failure_exits_one(self, runner):
         r = runner.invoke(

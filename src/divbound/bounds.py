@@ -46,7 +46,13 @@ import numpy as np
 
 from .dist import FiniteDist, make_dist
 from .errors import BoundViolationError
-from .fdiv import batch_bhattacharyya, batch_chernoff, batch_f_divergence, batch_total_variation
+from .fdiv import (
+    _chernoff_floor,
+    batch_bhattacharyya,
+    batch_chernoff,
+    batch_f_divergence,
+    batch_total_variation,
+)
 from .generators import FGenerator, get_generator
 # unused here, but perfbench/spans.py rebinds both names on this module
 from .search import bisect_increasing, golden_section_min  # noqa: F401
@@ -306,6 +312,14 @@ class Measure:
     which checks eps and gives at_one at eps = 1.  The relative entropy has no
     extremal_kind and no evaluate: its infimum is attained off the symmetric
     two-point family, and the oracle skips it.
+
+    screen, when set, is (name, floor): floor maps the values of the entry
+    name's evaluator on some rows to a bound on this entry's evaluate value
+    of each row, from below for "min" and from above for "max".  It serves
+    verify_min alone, which solves only the rows the bound cannot rule out
+    (see divbound.oracle), and finds the evaluator in the oracle's table
+    when it runs, as it does the entries'.  Only chernoff has one: the
+    Bhattacharyya exponent -log Z, less the solver's margin.
     """
 
     direction: str  # "min" or "max"
@@ -313,6 +327,7 @@ class Measure:
     closed_form: Callable
     at_one: float
     evaluate: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
+    screen: Optional[tuple[str, Callable[[np.ndarray], np.ndarray]]] = None
 
 
 # keyed by the command-line name, which an f-divergence shares with its generator
@@ -323,7 +338,10 @@ MEASURES: dict[str, Measure] = {
     "capacitory": Measure(
         "min", "two_point", _capacitory, 2.0 * math.log(2.0), _f_divergence("capacitory")
     ),
-    "chernoff": Measure("min", "two_point", _chernoff, math.inf, batch_chernoff),
+    "chernoff": Measure(
+        "min", "two_point", _chernoff, math.inf, batch_chernoff,
+        screen=("bhattacharyya_lower", _chernoff_floor),
+    ),
     "bhattacharyya_lower": Measure(
         "min", "three_point", _bhattacharyya_lower, 0.0, batch_bhattacharyya
     ),

@@ -119,15 +119,15 @@ def align(p: FiniteDist, q: FiniteDist) -> tuple[tuple[str, ...], np.ndarray, np
     """
     if p.labels == q.labels:
         return p.labels, p.mass, q.mass
-    known = set(p.labels)
-    extra = [x for x in q.labels if x not in known]
+    pos = dict(zip(p.labels, range(len(p.labels))))
+    extra = [x for x in q.labels if x not in pos]
+    pos.update(zip(extra, range(len(p.labels), len(p.labels) + len(extra))))
     labels = p.labels + tuple(extra)
     pm = np.zeros(len(labels))
     qm = np.zeros(len(labels))
     pm[: len(p.labels)] = p.mass
-    pos = {x: i for i, x in enumerate(labels)}
-    for x, v in zip(q.labels, q.mass):
-        qm[pos[x]] = v
+    # q's labels are unique, so one scatter puts each mass in its place
+    qm[np.fromiter(map(pos.__getitem__, q.labels), np.intp, len(q.labels))] = q.mass
     return labels, pm, qm
 
 

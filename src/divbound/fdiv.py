@@ -25,6 +25,7 @@ boolean index on that axis costs about ten times as much.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -98,6 +99,16 @@ def _add_columns(c: list) -> np.ndarray:
     for col in c[1:]:
         out += col
     return out
+
+
+def _row_extremes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a.min(axis=1), a.max(axis=1)), bit for bit, by whole-column
+    np.minimum and np.maximum on 2 to 8 columns, as _row_sums adds them;
+    every other width goes to numpy."""
+    if not 2 <= a.shape[1] <= 8:
+        return a.min(axis=1), a.max(axis=1)
+    cols = list(a.T)
+    return functools.reduce(np.minimum, cols), functools.reduce(np.maximum, cols)
 
 
 def batch_f_divergence(gen: FGenerator, p, q) -> np.ndarray:
@@ -229,6 +240,38 @@ def _min_log_tilt(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
             d, lq = np.take(d, keep, axis=1), np.take(lq, keep, axis=1)
     gmin[rows] = low
     return gmin, passes
+
+
+def _chernoff_floor(z: np.ndarray) -> np.ndarray:
+    """A floor under batch_chernoff's value of each row whose Bhattacharyya
+    coefficient is z: -log(z + 2^-500) less a margin.
+
+    C = -min g >= -g(1/2) = -log Z holds exactly.  A product P Q that falls
+    below the normal range loses at most 2^-1075, so each sqrt(P Q) at most
+    2^-537.5 and z at most 2^-500 from k < 2^37 of them; the 2^-500 takes
+    that back, and changes no z above 2^-447.  The margin,
+    _TILT_TOL max(1, s) with s the log, covers how far the solver's value
+    and s may stray from the two sides of the chain, for a row whose C lies
+    within a hair of s (otherwise C clears the floor anyway):
+    - a row stops at an end lam of a bracket that holds the minimizer, so by
+      convexity its value falls short of C by at most |g'(lam)| (hi - lo).
+      The certificate rule makes that at most _TILT_CERT max(1, C).  The
+      bracket rule (hi - lo <= _TILT_TOL) makes it at most
+      sup g'' _TILT_TOL^2, since g' changes sign inside the bracket; the
+      step rule (|g' / g''| <= _TILT_TOL) about g'^2 / (2 g''), the same
+      bound, in the quadratic model that is exact to higher order at so
+      small a step.  g'' = Var_w(d) <= (2 * 745)^2 / 4 < 6e5, as
+      |log P/Q| < 2 * 745 for doubles, so both are below 6e-19;
+    - g(lam) is the log of a sum of k exponentials of log Q + lam d, each
+      argument below 2 * 745 in size, so the exponents carry under 3e3 ulps
+      (3.3e-13) absolute and the sum and log about k + 2 ulps relative;
+    - s carries about k + 2 ulps relative of z, plus one of s.
+    With k <= 8 these add up to under 4e-13 + 1e-15 max(1, C), inside the
+    margin.  A NaN z gives a NaN floor, which rules nothing out.
+    """
+    s = -np.log(z + 2.0**-500)
+    # s - _TILT_TOL max(1, s)
+    return np.minimum(s - _TILT_TOL, s * (1.0 - _TILT_TOL))
 
 
 def batch_chernoff(p, q) -> np.ndarray:

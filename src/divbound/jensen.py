@@ -28,7 +28,7 @@ import numpy as np
 
 from .dist import FiniteDist, align
 from .errors import BoundViolationError, DistributionError, GeneratorError
-from .fdiv import _as_2d, batch_f_divergence
+from .fdiv import _as_2d, _row_extremes, _row_sums, batch_f_divergence
 from .generators import REGISTRY, FGenerator, validate_generator
 
 __all__ = [
@@ -113,10 +113,10 @@ def batch_sandwich(gen: FGenerator, pm, qm):
     _require_positive(pm, qm)
 
     ratio = pm / qm
-    r_min, r_max = ratio.min(axis=1), ratio.max(axis=1)
+    r_min, r_max = _row_extremes(ratio)
     d_f = batch_f_divergence(gen, pm, qm)
     d_g = batch_f_divergence(g, pm, qm)
-    chi2 = np.maximum((pm * pm / qm).sum(axis=1) - 1.0, 0.0)
+    chi2 = np.maximum(_row_sums(pm * pm / qm) - 1.0, 0.0)
 
     middle = -d_g - gen.fn(1.0 + chi2)
     bad = ~np.isfinite(middle)
@@ -169,7 +169,7 @@ def batch_chi2_exp_bound_check(pm, qm) -> tuple[np.ndarray, np.ndarray]:
     """
     pm, qm = _as_2d(pm, qm)
     _require_positive(pm, qm)
-    chi2 = (pm * pm / qm).sum(axis=1) - 1.0
+    chi2 = _row_sums(pm * pm / qm) - 1.0
     d = batch_f_divergence(REGISTRY["kl"], pm, qm)
     # libm's expm1, as the pairwise form always took: numpy's SIMD expm1 can
     # differ from it in the last bit

@@ -243,6 +243,10 @@ def test_measure_table_entry(name):
             p, q = extremal_pair(e, m.extremal_kind)
             got = m.evaluate(p.mass[None, :], q.mass[None, :])[0]
             assert got == pytest.approx(bound_curve(name, e), abs=1e-9)
+    # a screen reads an entry the oracle evaluates; only chernoff has one
+    assert (m.screen is not None) == (name == "chernoff")
+    if m.screen is not None:
+        assert m.screen[0] in ORACLE_MEASURES
 
     assert fmt_g12(m.at_one) == VALUE_AT_ONE[name]
     assert fmt_g12(bound_curve(name, [0.0, 0.5, 1.0])[-1]) == VALUE_AT_ONE[name]

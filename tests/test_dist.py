@@ -113,6 +113,33 @@ class TestTotalVariation:
         # linear time: the quadratic version takes minutes at this size
         assert elapsed < 5.0
 
+    @pytest.mark.parametrize("shape", ["permuted", "extra", "subset", "disjoint"])
+    def test_alignment_matches_the_dict_loop(self, shape):
+        # the reference: the union's positions in a dict, q's masses placed
+        # one label at a time
+        rng = np.random.default_rng(13)
+        n = 3000
+        p_labels = [f"s{i}" for i in range(n)]
+        q_labels = {
+            "permuted": p_labels,
+            "extra": p_labels[: n - 200] + [f"x{i}" for i in range(500)],
+            "subset": p_labels[::3],
+            "disjoint": [f"x{i}" for i in range(700)],
+        }[shape]
+        q_labels = [q_labels[i] for i in rng.permutation(len(q_labels))]
+        p = FiniteDist(tuple(p_labels), random_simplex(rng, 1, n)[0])
+        q = FiniteDist(tuple(q_labels), random_simplex(rng, 1, len(q_labels))[0])
+        known = set(p_labels)
+        labels = tuple(p_labels) + tuple(x for x in q_labels if x not in known)
+        pos = {x: i for i, x in enumerate(labels)}
+        want_p, want_q = np.zeros(len(labels)), np.zeros(len(labels))
+        want_p[:n] = p.mass
+        for x, v in zip(q.labels, q.mass):
+            want_q[pos[x]] = v
+        lab, pm, qm = align(p, q)
+        assert lab == labels
+        assert pm.tobytes() == want_p.tobytes() and qm.tobytes() == want_q.tobytes()
+
     def test_twice_tv_is_l1(self):
         rng = np.random.default_rng(7)
         for k in range(2, 7):

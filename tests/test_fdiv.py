@@ -245,6 +245,51 @@ def _grid_chernoff(p, q) -> float:
     return -min(vals)
 
 
+def _assert_chain(p, q):
+    """C >= -log Z >= -1/2 log(1 - eps^2) on each row of (n, k) masses at
+    TV eps: the first link within the margin of fdiv._chernoff_floor, the
+    second as Z^2 <= 1 - eps^2 within the rounding of eps (a few ulps of 1),
+    since near eps = 1 that rounding decides the log."""
+    c = batch_chernoff(p, q)
+    z = batch_bhattacharyya(p, q)
+    assert np.all(c >= fdiv._chernoff_floor(z))
+    eps = batch_total_variation(p, q)
+    assert np.all(z * z <= (1.0 - eps) * (1.0 + eps) + 16 * np.finfo(float).eps)
+
+
+class TestChernoffChain:
+    """The chain verify's screen rests on, row by row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pairs(st.floats(min_value=1e-3, max_value=1.0)))
+    def test_positive_rows(self, pair):
+        _assert_chain(*pair)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pairs(_TINY_MASS))
+    # every product P Q underflows, though the supports meet at 1e-300
+    @example(_normalized_pair([1e-300, 1.0, 0.0], [1e-300, 0.0, 1.0]))
+    def test_rows_with_zeros_and_tiny_masses(self, pair):
+        _assert_chain(*pair)
+
+    def test_sampled_and_fine_grid_rows(self):
+        for eps in (0.0, 0.1, 0.5, 0.9, 0.999):
+            for k in range(2, 9):
+                _assert_chain(*oracle._sample_batch(oracle._stream(9, 0, k), 2000, k, eps))
+            for k in (2, 3):
+                _assert_chain(*oracle.fine_grid_pairs(eps, k))
+
+    def test_disjoint_supports(self):
+        p = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+        q = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+        assert not batch_bhattacharyya(p, q).any()
+        assert np.all(batch_chernoff(p, q) == np.inf)
+        _assert_chain(p, q)
+        # the floor stays finite there: Z = 0 may also be products that
+        # underflowed, whose C is finite
+        assert fdiv._chernoff_floor(np.zeros(1))[0] == pytest.approx(500 * math.log(2.0), rel=1e-11)
+
+
 class TestChernoffSolver:
     """The safeguarded Newton solve of g'(lam) = 0 behind batch_chernoff."""
 
@@ -393,7 +438,7 @@ def _row_sum_cases():
 
 
 class TestRowSums:
-    """fdiv._row_sums against numpy's own reduction, byte for byte."""
+    """fdiv._row_sums and fdiv._row_extremes against numpy's own reductions, byte for byte."""
 
     def test_floats_equal_numpy_byte_for_byte(self):
         for a in _row_sum_cases():
@@ -413,6 +458,14 @@ class TestRowSums:
             a = np.ascontiguousarray(a)
             got, want = fdiv._col_sums(np.ascontiguousarray(a.T)), a.sum(axis=-1)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), a.shape
+
+    def test_row_extremes_equal_numpy_byte_for_byte(self):
+        for a in _row_sum_cases():
+            if a.shape[1] == 0:  # numpy has no minimum of an empty row
+                continue
+            got, want = fdiv._row_extremes(a), (a.min(axis=1), a.max(axis=1))
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), a.shape
 
     def test_negative_zero_rows_sum_to_positive_zero(self):
         for k in range(2, 9):

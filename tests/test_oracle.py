@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import divbound.oracle as oracle
+from divbound import fdiv
 from divbound.bounds import bound_curve
 from divbound.dist import total_variation
 from divbound.errors import BoundViolationError
@@ -541,12 +542,12 @@ class TestSeveralMeasures:
         calls = []
         wrappers = {}
         names = ["tv", "chernoff", "bhattacharyya_lower", "bhattacharyya_upper"]
+        chernoff = oracle.ORACLE_MEASURES["chernoff"].evaluate
         for name in names:
             om = oracle.ORACLE_MEASURES[name]
 
             def counted(pm, qm, evaluate=om.evaluate):
-                if len(pm) > 1:  # a block, not the extremal pair
-                    calls.append(evaluate)
+                calls.append((evaluate, pm))
                 return evaluate(pm, qm)
 
             wrapper = wrappers.setdefault(om.evaluate, counted)
@@ -555,7 +556,14 @@ class TestSeveralMeasures:
         assert all(r.passed for r in reports)
         assert sorted(draws) == [2, 5, 8]
         assert len(wrappers) == 3
-        assert sorted(map(id, calls)) == sorted(id(e) for e in wrappers for _ in range(3))
+        # tv and the shared bhattacharyya evaluator run once on each whole
+        # block, the latter also serving chernoff's screen
+        blocks = [e for e, pm in calls if len(pm) == 50]
+        assert sorted(map(id, blocks)) == sorted(id(e) for e in wrappers if e is not chernoff for _ in range(3))
+        # chernoff runs only on the rows its screen leaves, none twice: here
+        # never a whole block
+        rows = [r.tobytes() for e, pm in calls if e is chernoff for r in pm]
+        assert len(set(rows)) == len(rows) < 3 * 50
 
     def test_grid_reports_come_measure_by_measure(self):
         names = ["chernoff", "tv", "bhattacharyya_upper"]
@@ -672,6 +680,152 @@ class TestBlockScan:
             tracemalloc.stop()
         assert r.passed
         assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def _unscreened(monkeypatch):
+    """Make verify_min solve every chernoff row."""
+    om = oracle.ORACLE_MEASURES["chernoff"]
+    monkeypatch.setitem(oracle.ORACLE_MEASURES, "chernoff", dataclasses.replace(om, screen=None))
+
+
+def _solved_rows(monkeypatch) -> list:
+    """Record each row, P then Q, that chernoff's evaluator solves."""
+    om = oracle.ORACLE_MEASURES["chernoff"]
+    seen = []
+
+    def evaluate(pm, qm):
+        seen.extend(np.hstack([pm, qm]).tolist())
+        return om.evaluate(pm, qm)
+
+    monkeypatch.setitem(oracle.ORACLE_MEASURES, "chernoff", dataclasses.replace(om, evaluate=evaluate))
+    return seen
+
+
+class TestScreen:
+    """verify_min's Chernoff screen against the full solve of every row."""
+
+    @staticmethod
+    def _same_as_unscreened(monkeypatch, names, eps, **kw):
+        screened = verify_min(names, eps, **kw)
+        with monkeypatch.context() as m:
+            _unscreened(m)
+            full = verify_min(names, eps, **kw)
+        for a, b in zip(screened, full):
+            assert_same_report(a, b)
+        return screened
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99])
+    def test_equals_the_full_solve(self, monkeypatch, eps):
+        kw = dict(n_samples=300, seed=5, fine_step=2e-3, stream_key=3)
+        self._same_as_unscreened(monkeypatch, ["chernoff"], eps, **kw)
+
+    @pytest.mark.parametrize(
+        "kw", [dict(n_samples=0), dict(n_samples=500, fine_step=None)], ids=["samples-0", "no-fine-grids"]
+    )
+    def test_one_kind_of_piece(self, monkeypatch, kw):
+        for eps in (0.0, 0.3, 0.9):
+            self._same_as_unscreened(monkeypatch, ["chernoff"], eps, seed=11, **kw)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.4, 0.9])
+    def test_alongside_bhattacharyya_lower(self, monkeypatch, eps):
+        # the block's one Bhattacharyya pass serves both
+        kw = dict(n_samples=300, seed=7, fine_step=2e-3)
+        self._same_as_unscreened(monkeypatch, ["chernoff", "bhattacharyya_lower"], eps, **kw)
+
+    @pytest.mark.parametrize("factor", [1.2, 1e3])
+    def test_forced_high_closed_form(self, monkeypatch, factor):
+        # 1.2 times the bound puts the line among the rows' values, so the
+        # crossings are some rows only; 1e3 times puts it above them all
+        eps = 0.3
+        _force_bound(monkeypatch, "chernoff", factor * bound_curve("chernoff", eps))
+        kw = dict(n_samples=500, seed=3, fine_step=2e-3)
+        (r,) = self._same_as_unscreened(monkeypatch, ["chernoff"], eps, **kw)
+        assert r.violations > 0 and r.witness is not None
+        assert_same_report(r, reference_verify_min("chernoff", eps, **kw))
+
+    def test_solves_few_rows(self, monkeypatch):
+        solved = _solved_rows(monkeypatch)
+        r = verify_min("chernoff", 0.5, 5000, seed=1)
+        rows = 7 * 5000 + sum(oracle._fine_grid_rows(0.5, s, 1e-3)[0] for s in (2, 3))
+        assert r.passed and 0 < len(solved) < rows / 100
+
+    @staticmethod
+    def _block(eps=0.4):
+        pm, qm = oracle._sample_batch(oracle._stream(3, 0, 4), 200, 4, eps)
+        return pm, qm, fdiv.batch_chernoff(pm, qm)
+
+    @staticmethod
+    def _spy(values):
+        """An evaluator returning values[rows], with the rows of each call."""
+        calls = []
+
+        def evaluate(pm, qm):
+            rows = [int(r) for r in pm[:, 0]]
+            calls.append(rows)
+            return values[rows]
+
+        return evaluate, calls
+
+    def test_a_row_just_inside_the_margin_is_solved(self):
+        _, _, values = self._block()
+        i = int(np.argmin(values))
+        t = values[i]
+        margin = fdiv._TILT_TOL * max(1.0, t)
+        # every row's Z puts its screen far above the least value, but for
+        # row i, one row just inside the margin and one just outside
+        s = values + 1.0
+        s[i] = values[i]
+        inside, outside = (i + 1) % 200, (i + 2) % 200
+        s[inside], s[outside] = t + 0.5 * margin, t + 2.0 * margin
+        floor = fdiv._chernoff_floor(np.exp(-s))
+        evaluate, calls = self._spy(values)
+        pm = np.arange(200.0)[:, None]  # each row carries its index
+        v = oracle._screened(evaluate, 1.0, -1.0, floor, pm, pm)
+        assert calls == [[i], [inside]]
+        assert v[i] == values[i] and v[inside] == values[inside] and v[outside] == math.inf
+        # a floor exactly at the least value is solved, one an ulp above is not
+        floor[outside] = t
+        floor[inside] = np.nextafter(t, math.inf)
+        evaluate, calls = self._spy(values)
+        oracle._screened(evaluate, 1.0, -1.0, floor, pm, pm)
+        assert calls == [[i], [outside]]
+
+    def test_ties_keep_the_first_row(self):
+        # rows 20 and 50 tie for the least value; row 50 has the lower
+        # floor, so it is solved first, and row 20 must still win
+        _, _, values = self._block()
+        values = values.copy()
+        values[20] = values[50] = values.min() - 0.01
+        floor = values - 1e-3
+        floor[50] = values[50] - 1e-2
+        evaluate, calls = self._spy(values)
+        pm = np.arange(200.0)[:, None]
+        v = oracle._screened(evaluate, 1.0, -1.0, floor, pm, pm)
+        assert calls[0] == [50] and 20 in calls[1]
+        assert int(np.argmin(v)) == 20
+
+    def test_nan_screen_rows_are_solved(self, monkeypatch):
+        # finite masses keep Z from NaN today; a NaN there must not let a
+        # row go unchecked, so the rows it hits are solved
+        src = oracle.ORACLE_MEASURES["bhattacharyya_lower"]
+        hit = {}
+
+        def nan_bhattacharyya(pm, qm):
+            z = src.evaluate(pm, qm)
+            z[::97] = math.nan
+            hit.update((tuple(row), True) for row in np.hstack([pm, qm])[::97].tolist())
+            return z
+
+        kw = dict(n_samples=500, seed=2, fine_step=2e-3)
+        monkeypatch.setitem(
+            oracle.ORACLE_MEASURES, "bhattacharyya_lower", dataclasses.replace(src, evaluate=nan_bhattacharyya)
+        )
+        solved = _solved_rows(monkeypatch)
+        r = verify_min("chernoff", 0.3, **kw)
+        assert hit and set(hit) <= set(map(tuple, solved))
+        monkeypatch.undo()
+        _unscreened(monkeypatch)
+        assert_same_report(r, verify_min("chernoff", 0.3, **kw))
 
 
 class TestPool:

@@ -65,7 +65,30 @@ that value and the line, and no other.  A skipped row's value lies
 strictly above both, so it can neither cross nor be the block's least,
 and the counts, values and witness rows are those of the full solve bit
 for bit: the tilt solve treats each row on its own.  On verify's blocks
-about one row in 700 is solved.
+at 5000 samples per support about one row in 3500 is solved.
+
+A measure with a run floor (bounds.Measure.run_floor) scans only the
+support-3 fine-grid runs that can matter.  The grid's rows come in runs,
+one per value of a: P = (a, b, c), Q = (a - eps, b, c + eps), b + c = 1 - a.
+Merging atoms 2 and 3 of any row gives the run's first row (b = 0), and
+merging two atoms never raises an f-divergence or Chernoff information and
+never lowers Z (data processing), so the first row's signed value floors
+its run's for hellinger2, jeffreys, capacitory, chernoff and
+bhattacharyya_upper.  For bhattacharyya_lower, Z = sqrt(a (a - eps)) + b +
+sqrt(c (c + eps)), and sqrt(c (c + eps)) - c grows with c, so the last row,
+with the least c (0 when the step divides 1 - a), floors Z.  Before it
+submits the support-3 blocks, verify_min evaluates each measure's floor
+rows, one per run, bit for bit the grid's own; t is the larger of the
+least floor, a real row's value, and the line.  A run whose floor less a
+margin lies above t for every measure of the scan is skipped: its rows lie
+strictly above t, so they can neither cross nor be the grid's least, and
+every report is that of the full scan bit for bit.  The margin,
+2^-36 max(1, |floor|), covers the rounding of the masses and the sums and
+the Chernoff solver's shortfall (derived at _less_run_margin).  The kept
+runs are cut into blocks of at most 2^14 rows, in grid order.  tv has no
+floor: every row sits at TV eps up to rounding, so no run can be ruled
+out, tv is the cheapest evaluator anyway, and a scan with tv covers every
+run.
 """
 
 from __future__ import annotations
@@ -207,8 +230,13 @@ def _sample_batch(
     spread *= ~b
     spread /= _row_sums(spread)[:, None]
     spread *= eps
-    spread += pm
-    qm = np.where(b, pm * (1.0 - eps / mass_b)[:, None], spread)
+    # q = p * f + spread, with f the factor on B and 1 off it, where spread
+    # is 0: each element gets p * factor + 0 or p * 1 + spread, the bits of
+    # a np.where on b, without its branch per element
+    qm = b * (1.0 - eps / mass_b)[:, None]
+    qm += ~b
+    qm *= pm
+    qm += spread
     np.maximum(qm, 0.0, out=qm)
     tv = batch_total_variation(pm, qm)
     if not np.all(np.abs(tv - eps) <= TV_MATCH_TOL):
@@ -275,23 +303,28 @@ def fine_grid_pairs(
     stop = n if stop is None else stop
     if not 0 <= start <= stop <= n:
         raise ValueError(f"rows [{start!r}, {stop!r}) outside the grid's [0, {n})")
-    if support == 2:
-        q1 = np.minimum(np.arange(start, stop) * step, 1.0 - eps)
-        p = np.stack([q1 + eps, 1.0 - q1 - eps], axis=1)
-        q = np.stack([q1, 1.0 - q1], axis=1)
-    else:
+    if support == 3:
         first = np.cumsum(n_b) - n_b  # the first row of each a
         lo = int(np.searchsorted(first, start, side="right")) - 1
         hi = int(np.searchsorted(first, stop))
         first, ends = first[lo:hi], first[lo:hi] + n_b[lo:hi]
         # the rows of each a that fall inside [start, stop)
         runs = np.minimum(ends, stop) - np.maximum(first, start)
-        a = np.repeat(a_vals[lo:hi], runs)
         j = np.arange(start, stop) - np.repeat(first, runs)
-        b = np.minimum(j * step, 1.0 - a)
-        c = 1.0 - a - b
-        p = np.stack([a, b, c], axis=1)
-        q = np.stack([a - eps, b, c + eps], axis=1)
+        return _grid3_rows(eps, step, np.repeat(a_vals[lo:hi], runs), j)
+    q1 = np.minimum(np.arange(start, stop) * step, 1.0 - eps)
+    p = np.stack([q1 + eps, 1.0 - q1 - eps], axis=1)
+    q = np.stack([q1, 1.0 - q1], axis=1)
+    return np.maximum(p, 0.0, out=p), np.maximum(q, 0.0, out=q)
+
+
+def _grid3_rows(eps: float, step: float, a: np.ndarray, j: np.ndarray):
+    """The support-3 fine-grid rows with first mass a and middle index j:
+    the one formula for the grid's blocks and verify_min's run floors."""
+    b = np.minimum(j * step, 1.0 - a)
+    c = 1.0 - a - b
+    p = np.stack([a, b, c], axis=1)
+    q = np.stack([a - eps, b, c + eps], axis=1)
     return np.maximum(p, 0.0, out=p), np.maximum(q, 0.0, out=q)
 
 
@@ -380,6 +413,76 @@ def _screened(evaluate, sign: float, line: float, floor: np.ndarray, pm, qm) -> 
     return v
 
 
+# the run floors' margin: relative to |floor| above 1, absolute below
+_RUN_MARGIN = 2.0**-36
+
+
+def _less_run_margin(floor: np.ndarray) -> np.ndarray:
+    """floor - _RUN_MARGIN max(1, |floor|) for each run floor; +-inf stay
+    as they are, with no inf - inf, and NaN stays NaN.
+
+    The floor F of a run is one of its rows' signed values as the evaluator
+    computes it, while the fact in the module docstring holds for exact
+    values.  A row's computed value V can fall short of F by the sum of
+    these, each bounded for a row whose V lies within a hair of F
+    (otherwise V clears the floor anyway):
+    - the masses.  The first row has b = 0 and c = u = fl(1 - a).  Row j
+      has c = fl(u - b), exact by Sterbenz when b >= u / 2 and otherwise
+      within half an ulp, so b + c is u to 2^-53 u.  Each Q carries one
+      more rounding, fl(c + eps).  So the merged atoms of row j and the
+      third atom of the first row differ by under 2^-51 relative in P and
+      in Q; atom 1 is the same floats in every row of a run.  On a term
+      q f(p/q) with t = p / q <= 1 that moves the value by at most
+      (|t f'(t)| + |f(t) - t f'(t)|) 2^-51 q, q <= 1.  For jeffreys that
+      factor is under 39, as every mass is 0 or above 2^-107 (u is 0 or
+      at least 2^-53, and u - b is exact near u), so |log t| < 75: under
+      2e-14.  For hellinger2 and capacitory it is under 2: under 1e-15.
+      Chernoff's sum at each lam and Z move by under 2^-51 relative, so
+      -log of them by under 5e-16, and the last row's Z falls short of any
+      other row's of its run by under 4e-16;
+    - the sums.  Every term of these f-divergences and of Z is >= 0, so
+      each computed term (the ratio, f, the product; or the product and
+      sqrt) and the three-term sum carry under 16 roundings, 2e-15 of V
+      or F relative, plus, where f nearly cancels near t = 1 (capacitory),
+      a few ulps of its O(1) parts per unit of q, under 1e-15;
+    - the Chernoff solver, bounded in fdiv._chernoff_floor: a row's value
+      falls short of its C by under 4e-13 + 1e-15 max(1, C), and the
+      floor row's value exceeds its C by the rounding of g, as much again.
+    The worst case adds up to under 1e-12 + 1e-14 max(1, |F|), which
+    2^-36 max(1, |F|) (1.46e-11 at |F| <= 1) covers ten times over.
+    """
+    return np.minimum(floor - _RUN_MARGIN, floor * (1.0 - np.copysign(_RUN_MARGIN, floor)))
+
+
+def _floor_rows(kind: str, eps: float, step: float, a_vals, n_b):
+    """The "first" or "last" row of each run of the support-3 fine grid."""
+    j = np.zeros(a_vals.size, dtype=np.intp) if kind == "first" else n_b - 1
+    return _grid3_rows(eps, step, a_vals, j)
+
+
+def _kept_runs(oms, signs, lines, eps: float, step: float, a_vals, n_b) -> np.ndarray:
+    """Which runs of the support-3 fine grid the scan of oms must cover.
+
+    A measure with no run floor keeps every run.  For the others, each
+    run's floor row, bit for bit the grid's own, is evaluated, and t is the
+    larger of the least floor (NaN floors aside) and the line: the least
+    floor is a real row's value, so the grid's least value is at most t.
+    A run is kept when some measure's floor less its margin is at most its
+    t, and so when that floor is NaN.
+    """
+    if any(om.run_floor is None for om in oms):
+        return np.ones(a_vals.size, dtype=bool)
+    rows = {}
+    keep = np.zeros(a_vals.size, dtype=bool)
+    for om, sign, line in zip(oms, signs, lines):
+        if om.run_floor not in rows:
+            rows[om.run_floor] = _floor_rows(om.run_floor, eps, step, a_vals, n_b)
+        floor = sign * om.evaluate(*rows[om.run_floor])
+        t = np.fmax(np.fmin.reduce(floor), line)
+        keep |= ~(_less_run_margin(floor) > t)
+    return keep
+
+
 def verify_min(
     measures: str | Sequence[str],
     eps: float,
@@ -461,9 +564,19 @@ def verify_min(
         pieces = [[pool.submit(sampled, s)] for s in support_sizes] if n_samples > 0 else []
         if fine_step is not None:
             for s in (2, 3):
-                n = _fine_grid_rows(eps, s, fine_step)[0]
+                n, a_vals, n_b = _fine_grid_rows(eps, s, fine_step)
+                spans = [(0, n)]
+                if s == 3:
+                    # the kept runs, joined where they adjoin: a span starts
+                    # where keep turns on and stops where it turns off
+                    keep = _kept_runs(oms, signs, lines, eps, fine_step, a_vals, n_b)
+                    turns = np.flatnonzero(np.diff(keep, prepend=False, append=False))
+                    firsts = np.concatenate([[0], np.cumsum(n_b)]).tolist()
+                    spans = [(firsts[lo], firsts[hi]) for lo, hi in zip(turns[::2], turns[1::2])]
                 pieces.append([
-                    pool.submit(fine, s, i, min(i + _BLOCK_ROWS, n)) for i in range(0, n, _BLOCK_ROWS)
+                    pool.submit(fine, s, i, min(i + _BLOCK_ROWS, stop))
+                    for start, stop in spans
+                    for i in range(start, stop, _BLOCK_ROWS)
                 ])
         results = [[f.result() for f in piece] for piece in pieces]
     finally:

@@ -641,30 +641,41 @@ class TestBlockScan:
 
     def test_blocks_are_built_on_the_workers(self, monkeypatch):
         # each fine-grid block is built by the worker that scans it, from its
-        # own row range; together the ranges cover each grid once, in order
+        # own row range; together the ranges cover each grid once, in order,
+        # but for jeffreys, whose support-3 ranges cover exactly the runs its
+        # floors keep
         build = oracle.fine_grid_pairs
-        calls = []
+        for name in ("tv", "jeffreys"):
+            calls = []
 
-        def recorded(*args, **kwargs):
-            p, q = build(*args, **kwargs)
-            call = inspect.signature(build).bind(*args, **kwargs)
-            call.apply_defaults()
-            on_main = threading.current_thread() is threading.main_thread()
-            calls.append((call.arguments, len(p), on_main))
-            return p, q
+            def recorded(*args, **kwargs):
+                p, q = build(*args, **kwargs)
+                call = inspect.signature(build).bind(*args, **kwargs)
+                call.apply_defaults()
+                on_main = threading.current_thread() is threading.main_thread()
+                calls.append((call.arguments, len(p), on_main))
+                return p, q
 
-        monkeypatch.setattr(oracle, "fine_grid_pairs", recorded)
-        r = verify_min("jeffreys", 0.1, 50, seed=4)
-        monkeypatch.undo()
-        assert_same_report(r, reference_verify_min("jeffreys", 0.1, 50, seed=4))
-        assert not any(on_main for _, _, on_main in calls)
-        assert all(a["eps"] == 0.1 and a["step"] == 1e-3 for a, _, _ in calls)
-        assert all(rows == a["stop"] - a["start"] <= oracle._BLOCK_ROWS for a, rows, _ in calls)
-        for s in (2, 3):
-            n = len(fine_grid_pairs(0.1, s)[0])
-            cuts = sorted((a["start"], a["stop"]) for a, _, _ in calls if a["support"] == s)
-            assert len(cuts) == -(-n // oracle._BLOCK_ROWS)
-            assert [c[0] for c in cuts] == [0] + [c[1] for c in cuts[:-1]] and cuts[-1][1] == n
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "fine_grid_pairs", recorded)
+                r = verify_min(name, 0.1, 50, seed=4)
+            assert_same_report(r, reference_verify_min(name, 0.1, 50, seed=4))
+            assert not any(on_main for _, _, on_main in calls)
+            assert all(a["eps"] == 0.1 and a["step"] == 1e-3 for a, _, _ in calls)
+            assert all(rows == a["stop"] - a["start"] <= oracle._BLOCK_ROWS for a, rows, _ in calls)
+            for s in (2, 3):
+                n, a_vals, n_b = oracle._fine_grid_rows(0.1, s, 1e-3)
+                cuts = sorted((a["start"], a["stop"]) for a, _, _ in calls if a["support"] == s)
+                if s == 2 or name == "tv":
+                    assert len(cuts) == -(-n // oracle._BLOCK_ROWS)
+                    assert [c[0] for c in cuts] == [0] + [c[1] for c in cuts[:-1]] and cuts[-1][1] == n
+                    continue
+                om = oracle.ORACLE_MEASURES[name]
+                keep = oracle._kept_runs([om], [1.0], [r.closed_form - oracle._VIOLATION_SLACK], 0.1, 1e-3, a_vals, n_b)
+                first = np.cumsum(n_b) - n_b
+                kept = np.concatenate([np.arange(f, f + k) for f, k in zip(first[keep], n_b[keep])])
+                assert 0 < keep.sum() < keep.size
+                assert np.array_equal(np.concatenate([np.arange(*c) for c in cuts]), kept)
 
     def test_memory_does_not_grow_with_the_grid(self, monkeypatch):
         # a block's rows live only on the worker scanning it, so the traced
@@ -826,6 +837,178 @@ class TestScreen:
         monkeypatch.undo()
         _unscreened(monkeypatch)
         assert_same_report(r, verify_min("chernoff", 0.3, **kw))
+
+
+FLOORED = sorted(k for k, om in oracle.ORACLE_MEASURES.items() if om.run_floor is not None)
+
+
+def _unfloored(monkeypatch, names):
+    """Make verify_min scan every support-3 run for names."""
+    for name in names:
+        om = oracle.ORACLE_MEASURES[name]
+        monkeypatch.setitem(oracle.ORACLE_MEASURES, name, dataclasses.replace(om, run_floor=None))
+
+
+def _floors_on_main(monkeypatch, name, values):
+    """Make name's evaluator give values(floor) for the run floors, which
+    verify_min evaluates on the main thread, and leave the blocks alone."""
+    om = oracle.ORACLE_MEASURES[name]
+
+    def evaluate(pm, qm):
+        v = om.evaluate(pm, qm)
+        if threading.current_thread() is threading.main_thread() and pm.shape[1] == 3:
+            v = values(v)
+        return v
+
+    monkeypatch.setitem(oracle.ORACLE_MEASURES, name, dataclasses.replace(om, evaluate=evaluate))
+
+
+class TestRunFloors:
+    """verify_min's support-3 run floors against the scan of every run."""
+
+    def test_the_floored_entries(self):
+        floors = {k: om.run_floor for k, om in oracle.ORACLE_MEASURES.items()}
+        assert floors.pop("tv") is None and floors.pop("bhattacharyya_lower") == "last"
+        assert set(floors.values()) == {"first"}
+
+    @pytest.mark.parametrize("step", [1e-3, 7e-3, 0.05])
+    @pytest.mark.parametrize("name", FLOORED)
+    def test_every_row_clears_its_run_floor(self, name, step):
+        # the fact behind the skip, on the computed values: no row of a run
+        # lies below its floor less the margin, and the margin is at least
+        # 1000 times the worst shortfall seen
+        om = oracle.ORACLE_MEASURES[name]
+        sign = 1.0 if om.direction == "min" else -1.0
+        worst = 0.0
+        for eps in (0.0, 1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
+            n, a_vals, n_b = oracle._fine_grid_rows(eps, 3, step)
+            pm, qm = fine_grid_pairs(eps, 3, step)
+            fp, fq = oracle._floor_rows(om.run_floor, eps, step, a_vals, n_b)
+            first = np.cumsum(n_b) - n_b
+            at = first if om.run_floor == "first" else first + n_b - 1
+            assert fp.tobytes() == pm[at].tobytes() and fq.tobytes() == qm[at].tobytes()
+            v = sign * om.evaluate(pm, qm)
+            floor = np.repeat(sign * om.evaluate(fp, fq), n_b)
+            assert not np.any(v < oracle._less_run_margin(floor)), eps
+            assert np.all(v[floor == math.inf] == math.inf)
+            both = np.isfinite(floor) & np.isfinite(v)
+            floor, v = floor[both], v[both]
+            worst = max(worst, float(np.max((floor - v) / np.maximum(1.0, np.abs(floor)), initial=0.0)))
+        assert 1000.0 * worst <= oracle._RUN_MARGIN
+
+    def test_margin_keeps_infinities(self):
+        x = np.array([math.inf, -math.inf, math.nan, 0.0, 0.5, -0.5, 2.0, -2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = oracle._less_run_margin(x)
+        m = oracle._RUN_MARGIN
+        assert out[0] == math.inf and out[1] == -math.inf and math.isnan(out[2])
+        assert list(out[3:]) == [-m, 0.5 - m, -0.5 - m, 2.0 - 2.0 * m, -2.0 - 2.0 * m]
+
+    @staticmethod
+    def _same_as_unfloored(monkeypatch, names, eps, **kw):
+        floored = verify_min(names, eps, **kw)
+        with monkeypatch.context() as m:
+            _unfloored(m, names)
+            full = verify_min(names, eps, **kw)
+        for a, b in zip(floored, full):
+            assert_same_report(a, b)
+        return floored
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999])
+    def test_equals_the_full_scan(self, monkeypatch, eps):
+        # each measure on its own, then all in one scan, whose kept runs are
+        # the union of theirs
+        kw = dict(n_samples=100, seed=5, fine_step=2e-3, stream_key=3)
+        for name in FLOORED:
+            self._same_as_unfloored(monkeypatch, [name], eps, **kw)
+        self._same_as_unfloored(monkeypatch, FLOORED, eps, **kw)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(n_samples=0), dict(n_samples=300, fine_step=None), dict(n_samples=0, fine_step=0.3)],
+        ids=["samples-0", "no-fine-grids", "coarse-step"],
+    )
+    def test_one_kind_of_piece(self, monkeypatch, kw):
+        for eps in (0.0, 0.3, 0.9):
+            self._same_as_unfloored(monkeypatch, FLOORED, eps, seed=11, **kw)
+
+    @pytest.mark.parametrize("factor", [1.2, 1e3])
+    @pytest.mark.parametrize("name", FLOORED)
+    def test_forced_closed_form(self, monkeypatch, name, factor):
+        # a line 1.2 times the bound lies among the runs, so that rows of
+        # several runs cross; 1e3 times puts it above every row.  A "max"
+        # entry gets the bound divided by the factor instead
+        eps = 0.3
+        om = oracle.ORACLE_MEASURES[name]
+        _force_bound(monkeypatch, name, bound_curve(name, eps) * (factor if om.direction == "min" else 1.0 / factor))
+        kw = dict(n_samples=0, fine_step=5e-3)
+        (r,) = self._same_as_unfloored(monkeypatch, [name], eps, **kw)
+        assert r.violations > 0 and len(r.witness[0]) in (2, 3)
+        assert_same_report(r, reference_verify_min(name, eps, **kw))
+        n, a_vals, n_b = oracle._fine_grid_rows(eps, 3, 5e-3)
+        sign = 1.0 if om.direction == "min" else -1.0
+        line = sign * r.closed_form - oracle._VIOLATION_SLACK
+        keep = oracle._kept_runs([oracle.ORACLE_MEASURES[name]], [sign], [line], eps, 5e-3, a_vals, n_b)
+        assert keep.sum() > 1
+
+    def test_nan_floors_keep_their_runs(self, monkeypatch):
+        def nan_every_7th(v):
+            v = v.copy()
+            v[::7] = math.nan
+            return v
+
+        _floors_on_main(monkeypatch, "jeffreys", nan_every_7th)
+        om = oracle.ORACLE_MEASURES["jeffreys"]
+        n, a_vals, n_b = oracle._fine_grid_rows(0.1, 3, 1e-3)
+        line = bound_curve("jeffreys", 0.1) - oracle._VIOLATION_SLACK
+        keep = oracle._kept_runs([om], [1.0], [line], 0.1, 1e-3, a_vals, n_b)
+        assert keep[::7].all() and not keep.all()
+        self._same_as_unfloored(monkeypatch, ["jeffreys"], 0.1, n_samples=0)
+
+    @pytest.mark.parametrize("every", [False, True], ids=["every-5th", "all"])
+    def test_inf_floors_skip_their_runs(self, monkeypatch, every):
+        # an inf floor rules its run out without an inf - inf, even the
+        # least floor's; when every floor is inf, so is the least, and every
+        # run is kept
+        n, a_vals, n_b = oracle._fine_grid_rows(0.1, 3, 1e-3)
+        line = bound_curve("chernoff", 0.1) - oracle._VIOLATION_SLACK
+
+        def kept():
+            om = oracle.ORACLE_MEASURES["chernoff"]
+            return oracle._kept_runs([om], [1.0], [line], 0.1, 1e-3, a_vals, n_b)
+
+        # the one run kept holds the pair of the closed form
+        assert np.flatnonzero(kept()).tolist() == [450]
+        hit = np.arange(a_vals.size) % (1 if every else 5) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _floors_on_main(monkeypatch, "chernoff", lambda v: np.where(hit, math.inf, v))
+            keep = kept()
+            floored = verify_min("chernoff", 0.1, 0)
+        assert keep.all() if every else keep.any() and not keep[hit].any()
+        _unfloored(monkeypatch, ["chernoff"])
+        assert_same_report(floored, verify_min("chernoff", 0.1, 0))
+
+    def test_work_pin(self, monkeypatch):
+        # at eps 0.1 and step 1e-3, jeffreys builds at most 2 support-3 runs
+        # and tv every one of the grid's 406,351 rows
+        build = oracle.fine_grid_pairs
+        for name, runs, rows in (("jeffreys", (1, 2), None), ("tv", (901,), 406351)):
+            built = []
+
+            def recorded(eps, support, *args, **kwargs):
+                p, q = build(eps, support, *args, **kwargs)
+                if support == 3:
+                    built.append(p)
+                return p, q
+
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "fine_grid_pairs", recorded)
+                assert verify_min(name, 0.1, 0).passed
+            p = np.concatenate(built)
+            assert np.unique(p[:, 0]).size in runs
+            assert rows is None or len(p) == rows
 
 
 class TestPool:

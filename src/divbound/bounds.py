@@ -66,6 +66,7 @@ __all__ = [
     "inverse_jeffreys",
     "extremal_pair",
     "bound_curve",
+    "checked_measures",
 ]
 
 PAIR_KINDS = ("two_point", "three_point")
@@ -366,6 +367,11 @@ MEASURES: dict[str, Measure] = {
     # looked up when called, as the evaluators are, so rebinding the name reaches it
     "exact_kl": Measure("min", None, lambda eps: exact_kl_min(eps), math.inf, None),
 }
+
+
+def checked_measures() -> dict[str, Measure]:
+    """The MEASURES entries with an evaluate: those the oracle can check."""
+    return {k: m for k, m in MEASURES.items() if m.evaluate is not None}
 
 
 def find_measure(table: dict[str, Measure], name: str) -> Measure:

@@ -20,8 +20,9 @@ from typing import Optional
 import click
 import numpy as np
 
-from .bounds import MEASURES, bound_curve
-from .coding import CodeSpec, l1_bounds, redundancy_sweep, shannon_code
+# oracle and coding are imported by the commands that run them, so that the
+# others start without them
+from .bounds import MEASURES, bound_curve, checked_measures
 from .dist import NORMALIZATION_TOL
 from .errors import (
     BoundViolationError,
@@ -32,7 +33,6 @@ from .errors import (
 from .fdiv import f_divergence
 from .generators import REGISTRY, get_generator
 from .jensen import PARTNERS, sandwich as eval_sandwich
-from .oracle import ORACLE_MEASURES, grid_verify
 from .textio import fmt_g12, read_dist_file, read_lengths_file
 
 
@@ -227,6 +227,8 @@ _REPORT_COLUMNS = (
 @_mapped_errors
 def sourcecode(dist_path, base_d, lengths_path, output):
     """Redundancy, divergence identities, and L1 bounds for one source/code pair."""
+    from .coding import CodeSpec, l1_bounds, shannon_code
+
     p = read_dist_file(dist_path)
     if lengths_path is None:
         code = shannon_code(p, base_d)
@@ -259,6 +261,8 @@ def sourcecode(dist_path, base_d, lengths_path, output):
 @_mapped_errors
 def sourcecode_sweep(grid, output):
     """Compare the three L1 bounds across redundancy values x = Delta log d."""
+    from .coding import redundancy_sweep
+
     xs = _log_grid(grid)
     cs, ti, je = redundancy_sweep(xs)
     lines = ["delta_log_d,bound_csiszar,bound_tightened,bound_jeffreys"]
@@ -270,7 +274,7 @@ def sourcecode_sweep(grid, output):
 # the names --measure of verify takes for several oracle entries at once
 _MEASURE_GROUPS = {
     "bhattacharyya": ("bhattacharyya_lower", "bhattacharyya_upper"),
-    "all": tuple(sorted(ORACLE_MEASURES)),
+    "all": tuple(sorted(checked_measures())),
 }
 
 
@@ -279,7 +283,7 @@ _MEASURE_GROUPS = {
     "--measure",
     required=True,
     multiple=True,
-    type=click.Choice([*sorted(ORACLE_MEASURES), *_MEASURE_GROUPS]),
+    type=click.Choice([*_MEASURE_GROUPS["all"], *_MEASURE_GROUPS]),
     help="Measure to verify; repeat the option for several, which share one scan. "
     "'bhattacharyya' runs both directions, one scan each, 'all' every measure.",
 )
@@ -316,6 +320,8 @@ def verify(measure, grid, samples, seed, gap_threshold, output):
     check and the bound's 1e-9 slack are fixed.  The rows come measure by
     measure in the order given, each named once.
     """
+    from .oracle import grid_verify
+
     eps_grid = _linear_grid(grid)
     names = list(dict.fromkeys(n for m in measure for n in _MEASURE_GROUPS.get(m, (m,))))
     # the bhattacharyya shorthand keeps one scan per direction, the draw

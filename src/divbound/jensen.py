@@ -52,17 +52,21 @@ validate_generator(_LINEAR)
 _ORDER_SLACK = 1e-10
 
 
+def _neg_t(f: FGenerator) -> FGenerator:
+    """g(t) = -t f(t), without boundary limits: the sandwich evaluates g
+    only on strictly positive pairs."""
+    return FGenerator(
+        f"neg_t_{f.name}", lambda t: -np.asarray(t, dtype=float) * f.fn(t),
+        None, None, -f.fprime_at_1,
+    )
+
+
 def _certified_partners() -> dict[str, FGenerator]:
     partners = {"dual_kl": REGISTRY["kl"], "dual_chi2": _LINEAR}
     for name, f in REGISTRY.items():
         if name in partners:
             continue
-        # g(t) = -t f(t), without boundary limits: the sandwich evaluates g
-        # only on strictly positive pairs
-        g = FGenerator(
-            f"neg_t_{name}", lambda t, f=f: -np.asarray(t, dtype=float) * f.fn(t),
-            None, None, -f.fprime_at_1,
-        )
+        g = _neg_t(f)
         try:
             validate_generator(g)
         except GeneratorError:

@@ -101,7 +101,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import MEASURES, Measure, extremal_pair, find_measure
+from .bounds import Measure, checked_measures, extremal_pair, find_measure
 from .dist import FiniteDist
 from .errors import BoundViolationError
 from .fdiv import _row_sums, batch_total_variation
@@ -329,7 +329,7 @@ def _grid3_rows(eps: float, step: float, a: np.ndarray, j: np.ndarray):
 
 
 # the measures the harness can verify: those with a batch evaluator
-ORACLE_MEASURES: dict[str, Measure] = {k: m for k, m in MEASURES.items() if m.evaluate is not None}
+ORACLE_MEASURES: dict[str, Measure] = checked_measures()
 
 
 @dataclass(frozen=True)

@@ -577,14 +577,24 @@ class TestVerify:
 
 
 def test_import_leaves_out_the_thread_pool():
-    # verify imports concurrent.futures when it runs, so start-up does not pay for it
+    # verify imports concurrent.futures and the oracle when it runs, the coding
+    # commands the coding module, so start-up pays for none of them.
+    # numpy.random is judged against a bare numpy import: numpy < 2 loads it
+    # itself.
     env = dict(os.environ, PYTHONPATH=str(Path(divbound.__file__).resolve().parents[1]))
+    code = (
+        "import sys, numpy, click\n"
+        "late = {'concurrent.futures', 'divbound.oracle', 'divbound.coding', 'numpy.random'}\n"
+        "late -= set(sys.modules)\n"
+        "for module in ('divbound', 'divbound.cli'):\n"
+        "    __import__(module)\n"
+        "    print(module, sorted(late & set(sys.modules)))\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, divbound.cli; print('concurrent.futures' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "divbound []\ndivbound.cli []\n"
 
 
 def test_help_lists_subcommands(runner):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from divbound import generators, jensen
 from divbound.errors import GeneratorError
 from divbound.generators import (
     REGISTRY,
@@ -14,7 +15,7 @@ from divbound.generators import (
     validate_generator,
 )
 
-from util import GENERATORS
+from util import GENERATORS, seeded_triples
 
 LN2 = math.log(2.0)
 
@@ -28,6 +29,7 @@ SYMMETRIC = {
 ASYMMETRIC = ("kl", "dual_kl", "chi_squared", "dual_chi_squared")
 # the names the command line takes, one per built-in generator
 CLI_NAMES = ("capacitory", "chi2", "dual_chi2", "dual_kl", "hellinger2", "jeffreys", "kl", "tv")
+CONCAVE = FGenerator("concave", lambda t: -((np.asarray(t) - 1.0) ** 2), 0.0, 0.0, 0.0)
 
 
 def test_registry_contents():
@@ -142,9 +144,8 @@ def test_get_generator_unknown():
 
 
 def test_convexity_error_prints_plain_floats():
-    bad = FGenerator("concave", lambda t: -((np.asarray(t) - 1.0) ** 2), 0.0, 0.0, 0.0)
     with pytest.raises(GeneratorError) as info:
-        validate_generator(bad)
+        validate_generator(CONCAVE)
     message = str(info.value)
     assert "np.float64" not in message
     triple = message.split("(s, t, u) = ")[1]
@@ -153,9 +154,33 @@ def test_convexity_error_prints_plain_floats():
 
 
 def test_register_rejects_nonconvex():
-    bad = FGenerator("concave", lambda t: -((np.asarray(t) - 1.0) ** 2), 0.0, 0.0, 0.0)
     with pytest.raises(GeneratorError):
-        register_generator(bad)
+        register_generator(CONCAVE)
+
+
+def _verdict(gen):
+    """None if gen passes validate_generator, else which check failed."""
+    try:
+        validate_generator(gen)
+    except GeneratorError as exc:
+        return str(exc).split(" at ")[0]
+    return None
+
+
+# the built-ins, -t f(t) of each registry entry (a superset of the sandwich
+# partners jensen tries) and a concave f
+VERDICT_CASES = {
+    **GENERATORS,
+    **{f"neg_t_{name}": jensen._neg_t(f) for name, f in REGISTRY.items()},
+    "concave": CONCAVE,
+}
+
+
+@pytest.mark.parametrize("gen", VERDICT_CASES.values(), ids=list(VERDICT_CASES))
+def test_fixed_triples_give_the_seeded_draws_verdict(gen, monkeypatch):
+    fixed = _verdict(gen)
+    monkeypatch.setattr(generators, "_TRIPLES", seeded_triples())
+    assert _verdict(gen) == fixed
 
 
 def test_register_rejects_nonzero_at_one():

@@ -4,6 +4,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import divbound
 
 MODULES = sorted(Path(divbound.__file__).resolve().parent.glob("*.py"))
@@ -34,14 +36,25 @@ def test_export_lists_name_what_exists_and_what_the_package_imports():
     ]
     assert missing == []
     init = Path(divbound.__file__).resolve()
-    unlisted = [
-        f"{node.module}.{alias.name}"
+    eager = [
+        (node.module, alias.name)
         for node in ast.walk(ast.parse(init.read_text(encoding="utf-8")))
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
-        if alias.name not in getattr(modules[node.module], "__all__", ())
     ]
+    unlisted = [f"{m}.{n}" for m, n in eager if n not in getattr(modules[m], "__all__", ())]
     assert unlisted == []
+    # the names __init__.py resolves on first access: listed by their modules,
+    # reachable from the package, and with the eager ones all of __all__
+    lazy = divbound._HOME
+    assert sorted(divbound._LAZY) == ["coding", "oracle"]
+    assert [f"{m}.{n}" for n, m in lazy.items() if n not in modules[m].__all__] == []
+    assert all(getattr(divbound, n) is getattr(modules[m], n) for n, m in lazy.items())
+    assert sorted(divbound.__all__) == sorted([*(n for _, n in eager), *lazy])
+    assert len(set(divbound.__all__)) == len(divbound.__all__)
+    assert set(divbound.__all__) <= set(dir(divbound))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        divbound.no_such_name
 
 
 _REDUCTIONS = {"sum", "min", "max", "argmin", "argmax", "cumsum"}

@@ -26,6 +26,15 @@ GENERATORS = {
 }
 
 
+def seeded_triples(n: int = 1000) -> np.ndarray:
+    """Convexity triples drawn from default_rng(20150426), s, t and u in three
+    rows: the reference route for validate_generator's fixed point set."""
+    rng = np.random.default_rng(20150426)
+    pts = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=(n, 3)))
+    pts.sort(axis=1)
+    return pts.T.copy()
+
+
 def labels(k: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(k))
 

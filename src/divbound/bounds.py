@@ -33,7 +33,11 @@ V(t) and sqrt(2 L(t)) increase with t and are concave, so L(eps) and its
 inverse are each one Newton solve for t from below, vectorized over a grid:
 V(t) = 2 eps forward, L(t) = x backward.  The same climb in s = atanh eps,
 where the Jeffreys curve reads 2 s tanh s, inverts that curve too; the two
-inverses serve the source-coding bounds.
+inverses serve the source-coding bounds.  Each point is evaluated by one of
+two branches, a series below t = 2 and a form in exp(-2t) from there on,
+and only the branches its grid needs run.  The climb's stopping pass, which
+moves no point, is taken at every root, so the output (L, or V / 2) is read
+from it rather than from a further evaluation.
 """
 
 from __future__ import annotations
@@ -168,21 +172,17 @@ _AB_SERIES = np.array([
 ])
 
 
-def _fht(t: np.ndarray):
-    """(V, dV/dt, L) of the FHT pair with parameter t > 0, elementwise.
-
-    Below _T_SERIES they are t - c k, 1 - k (k + 2 z / t) and
-    c + z - log(1 + a), with c = t coth t - 1, k = c / t and
-    z = 1 - t^2 / sinh^2 t; V and L lose only a few units in the last place.
-    Above, they are written in q = exp(-2u), with coth u = 1 + p and
-    sinh u = (1 - q) e^u / 2, so nothing overflows however large u gets.
-    """
-    m = np.minimum(t, _T_SERIES)
-    a, b = (m[..., None, None] ** _AB_POWERS * _AB_SERIES).sum(axis=-1).T
+def _fht_series(t: np.ndarray):
+    """(V, dV/dt, L) for 0 < t < _T_SERIES, from the series a and b."""
+    a, b = (t[..., None, None] ** _AB_POWERS * _AB_SERIES).sum(axis=-1).T
     c = b / (1.0 + a)
-    k = c / m
+    k = c / t
     z = a * (2.0 + a) / (1.0 + a) ** 2
-    u = np.maximum(t, _T_SERIES)
+    return t - c * k, 1.0 - k * (k + 2.0 * z / t), c + z - np.log1p(a)
+
+
+def _fht_far(u: np.ndarray):
+    """(V, dV/dt, L) for u >= _T_SERIES, in q = exp(-2u)."""
     q = np.exp(-2.0 * u)
     w = -np.expm1(-2.0 * u)
     p = 2.0 * q / w
@@ -191,39 +191,64 @@ def _fht(t: np.ndarray):
     dv = 1.0 / (u * u) - p * (p + 2.0) + 4.0 * u * (1.0 - r) * p / w
     # log(u / sinh u) + u coth u - u^2 / sinh^2 u
     l = np.log(2.0 * u) - np.log1p(-q) + u * p - 2.0 * u * u * p / w
+    return u * r * (2.0 - r), dv, l
+
+
+def _fht(t: np.ndarray):
+    """(V, dV/dt, L) of the FHT pair with parameter t > 0, elementwise.
+
+    Below _T_SERIES they are t - c k, 1 - k (k + 2 z / t) and
+    c + z - log(1 + a), with c = t coth t - 1, k = c / t and
+    z = 1 - t^2 / sinh^2 t; V and L lose only a few units in the last place.
+    From _T_SERIES on, they are written in q = exp(-2u), with coth u = 1 + p
+    and sinh u = (1 - q) e^u / 2, so nothing overflows however large u gets.
+    Each point goes through its own branch alone, and a branch no point
+    needs is not evaluated, so a point's values do not depend on the grid.
+    """
     small = t < _T_SERIES
-    return (
-        np.where(small, m - c * k, u * r * (2.0 - r)),
-        np.where(small, 1.0 - k * (k + 2.0 * z / m), dv),
-        np.where(small, c + z - np.log1p(a), l),
-    )
+    if small.all():
+        return _fht_series(t)
+    if not small.any():
+        return _fht_far(t)
+    out = np.empty((3,) + t.shape)
+    out[:, small] = _fht_series(t[small])
+    out[:, ~small] = _fht_far(t[~small])
+    return tuple(out)
 
 
 def _fht_g_slope(t: np.ndarray):
-    """sqrt(2 L(t)) and its slope, from dL/dt = t dV/dt: unlike L, concave in t."""
-    _, dv, l = _fht(t)
+    """sqrt(2 L(t)), its slope from dL/dt = t dV/dt, and V(t).
+
+    Unlike L, sqrt(2 L) is concave in t.
+    """
+    v, dv, l = _fht(t)
     g = np.sqrt(2.0 * l)
-    return g, t * dv / g
+    return g, t * dv / g, v
 
 
-def _climb(curve_slope, target: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _climb(curve_slope, target: np.ndarray, t: np.ndarray):
     """Solve curve(t) = target elementwise by Newton's method from below.
 
-    curve_slope(t) returns the curve and its slope.  The curve must be
-    increasing and concave, and t must start at or below each root.  The
-    tangent of a concave function lies above it, so every step lands at or
-    below the root: the iterates climb monotonically and converge
-    quadratically.  An element stops once a step no longer moves it up,
-    which happens where the rounded curve meets the target.  Elements never
-    interact, so a point gets the same t alone or in a grid.
+    curve_slope(t) returns the curve and its slope first, then anything
+    else the caller wants at the root.  The curve must be increasing and
+    concave, and t must start at or below each root.  The tangent of a
+    concave function lies above it, so every step lands at or below the
+    root: the iterates climb monotonically and converge quadratically.  An
+    element stops once a step no longer moves it up, which happens where
+    the rounded curve meets the target.  Elements never interact, so a
+    point gets the same t alone or in a grid.
+
+    Returns t and curve_slope(t): the stopping pass moves no element, so
+    its evaluation was taken at every element's final t.
     """
     active = np.ones(t.shape, dtype=bool)
-    while active.any():
-        value, slope = curve_slope(t)
-        nxt = t + (target - value) / slope
+    while True:
+        ev = curve_slope(t)
+        nxt = t + (target - ev[0]) / ev[1]
         active &= nxt > t
+        if not active.any():
+            return t, ev
         t = np.where(active, nxt, t)
-    return t
 
 
 def exact_kl_min(eps):
@@ -242,7 +267,8 @@ def exact_kl_min(eps):
     # lower bounds on the root: V(t) <= t always, and V(t) <= 2 - 1/t for
     # t >= 1, which is where V(t) >= 1
     start = np.where(v < 1.0, v, 1.0 / (2.0 - v))
-    out[pos] = _fht(_climb(lambda t: _fht(t)[:2], v, start))[2]
+    _, (_, _, l) = _climb(_fht, v, start)
+    out[pos] = l
     return float(out) if e.ndim == 0 else out
 
 
@@ -256,10 +282,10 @@ def _jeffreys_h_slope(s: np.ndarray):
 def _invert(x, scale: float, curve_slope, to_eps, x_sat: float, eps_sat: float):
     """The eps at which a curve reaches x >= 0, for a float or an array.
 
-    The curve reads g(t) = sqrt(scale x) in a parameter t that to_eps maps
-    to eps, with g increasing, concave and g(t) <= t, so _climb can start
-    from the target itself.  Every x beyond x_sat, the curve at eps_sat,
-    gives eps_sat.
+    The curve reads g(t) = sqrt(scale x) in a parameter t, with g
+    increasing, concave and g(t) <= t, so _climb can start from the target
+    itself.  to_eps maps the root t and curve_slope(t) there to eps.  Every
+    x beyond x_sat, the curve at eps_sat, gives eps_sat.
     """
     xa = np.asarray(x, dtype=float)
     if not np.all(xa >= 0.0):  # NaN fails this too
@@ -267,7 +293,7 @@ def _invert(x, scale: float, curve_slope, to_eps, x_sat: float, eps_sat: float):
     target = np.sqrt(scale * np.minimum(xa, x_sat))
     pos = target > 0.0  # scale * x may underflow to 0 for the least subnormal x
     out = np.zeros(xa.shape)
-    out[pos] = np.minimum(to_eps(_climb(curve_slope, target[pos], target[pos])), eps_sat)
+    out[pos] = np.minimum(to_eps(*_climb(curve_slope, target[pos], target[pos])), eps_sat)
     return float(out) if xa.ndim == 0 else out
 
 
@@ -283,7 +309,7 @@ def inverse_exact_kl(x):
     V(t) / 2, so the round trip through exact_kl_min holds to floating-point
     resolution.  x beyond L(1 - 1e-9) saturates at 1 - 1e-9.  Float or array.
     """
-    return _invert(x, 2.0, _fht_g_slope, lambda t: 0.5 * _fht(t)[0], *_KL_SATURATE)
+    return _invert(x, 2.0, _fht_g_slope, lambda t, ev: 0.5 * ev[2], *_KL_SATURATE)
 
 
 def inverse_jeffreys(x):
@@ -294,7 +320,7 @@ def inverse_jeffreys(x):
     sqrt(x / 2) for x near 0.  x beyond the curve at 1 - 1e-12 saturates
     there.  Float or array.
     """
-    return _invert(x, 0.5, _jeffreys_h_slope, np.tanh, *_J_SATURATE)
+    return _invert(x, 0.5, _jeffreys_h_slope, lambda s, ev: np.tanh(s), *_J_SATURATE)
 
 
 def _f_divergence(name: str):

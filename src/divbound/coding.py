@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import inverse_exact_kl, inverse_jeffreys
-from .dist import FiniteDist, entropy_base, make_dist
+from .dist import FiniteDist, _checked_labels, entropy_base, make_dist
 from .errors import BoundViolationError, DistributionError, KraftViolationError
 from .fdiv import f_divergence
 from .generators import REGISTRY
@@ -73,7 +73,9 @@ class CodeSpec:
     kraft_sum: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        alphabet = tuple(map(str, self.alphabet))
+        alphabet = self.alphabet
+        if not isinstance(alphabet, (tuple, list)):
+            alphabet = tuple(alphabet)
         # the lengths as a tuple of Python ints and as an array; input that
         # does not make an integer array goes through int() first
         length_array = np.array(self.lengths)
@@ -86,8 +88,7 @@ class CodeSpec:
             raise DistributionError(
                 f"{len(alphabet)} symbols but {len(lengths)} lengths"
             )
-        if len(set(alphabet)) != len(alphabet):
-            raise DistributionError("code alphabet labels must be unique")
+        alphabet = _checked_labels(alphabet, "code alphabet labels must be unique")
         if lengths and length_array.min() < 1:
             raise DistributionError("codeword lengths must be positive integers")
         if int(self.base_d) != self.base_d or self.base_d < 2:

@@ -38,6 +38,29 @@ NORMALIZATION_TOL = 1e-9
 EQUALITY_TOL = 1e-12
 
 
+class _Labels(tuple):
+    """Labels already checked to be distinct strs; see :func:`_checked_labels`."""
+
+    __slots__ = ()
+
+
+def _checked_labels(labels: Sequence, message: str) -> _Labels:
+    """labels as distinct strs, marked so that no later check repeats.
+
+    Labels that are not str go through str() first.  Raises
+    DistributionError(message) if two of them are equal.  :class:`FiniteDist`
+    and :class:`~divbound.coding.CodeSpec` take marked labels as they are,
+    so a code built on p.labels, and the distribution it induces, check
+    nothing again.
+    """
+    if type(labels) is _Labels:
+        return labels
+    labels = _Labels(labels if set(map(type, labels)) <= {str} else map(str, labels))
+    if len(set(labels)) != len(labels):
+        raise DistributionError(message)
+    return labels
+
+
 @dataclass(frozen=True)
 class FiniteDist:
     """A probability vector on a labeled finite alphabet.
@@ -52,14 +75,15 @@ class FiniteDist:
     mass: np.ndarray
 
     def __post_init__(self):
-        labels = tuple(map(str, self.labels))
+        labels = self.labels
+        if not isinstance(labels, (tuple, list)):
+            labels = tuple(labels)
         mass = np.array(self.mass, dtype=float, copy=True)
         if mass.ndim != 1 or len(labels) != mass.shape[0]:
             raise DistributionError(
                 f"got {len(labels)} labels but {mass.shape} masses"
             )
-        if len(set(labels)) != len(labels):
-            raise DistributionError("labels must be unique")
+        labels = _checked_labels(labels, "labels must be unique")
         if not np.isfinite(mass).all():
             raise DistributionError("non-finite probability mass")
         if np.any(mass < 0.0):

@@ -53,11 +53,13 @@ def _columns(text: str, convert):
     """
     if not text.isascii() or "#" in text:
         return None
-    body = text[:-1] if text.endswith("\n") else text
-    separators = body.encode("ascii").translate(None, _PRINTABLE)
-    if separators != b"\t\n" * (len(separators) // 2) + b"\t":
+    end = text.endswith("\n")
+    separators = text.encode("ascii").translate(None, _PRINTABLE)
+    if separators != b"\t\n" * (len(separators) // 2) + (b"" if end else b"\t"):
         return None
-    fields = body.replace("\n", "\t").split("\t")
+    fields = text.replace("\n", "\t").split("\t")
+    if end:
+        fields.pop()  # the empty field after the final newline
     labels = fields[0::2]
     if min(labels) < "!":  # an empty label, or one the line loop would strip
         return None

@@ -17,7 +17,7 @@ from divbound.bounds import (
     inverse_jeffreys,
     symmetric_fdiv_min,
 )
-from divbound.coding import jeffreys_bound
+from divbound.coding import jeffreys_bound, tightened_bound
 from divbound.dist import binary_divergence, total_variation
 from divbound.errors import BoundViolationError, DivboundError
 from divbound.fdiv import batch_f_divergence, bhattacharyya, chernoff_information, f_divergence
@@ -428,6 +428,71 @@ class TestInverses:
         xs = np.linspace(1e-4, 2.0, 40)
         assert np.all(np.diff(inverse_exact_kl(xs)) > 0.0)
         assert np.all(np.diff(inverse_jeffreys(xs)) > 0.0)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestCurveLayer:
+    """The FHT branches evaluated per point, and the climb's stopping pass as output."""
+
+    def test_climb_returns_the_evaluation_at_its_root(self):
+        v = 2.0 * np.concatenate([np.geomspace(1e-9, 0.5, 40), np.linspace(0.5, 1.0 - 1e-9, 40)])
+        t, ev = bounds_mod._climb(bounds_mod._fht, v, np.where(v < 1.0, v, 1.0 / (2.0 - v)))
+        assert [_bits(a) for a in ev] == [_bits(a) for a in bounds_mod._fht(t)]
+        target = np.sqrt(2.0 * np.geomspace(1e-12, 20.0, 80))
+        t, ev = bounds_mod._climb(bounds_mod._fht_g_slope, target, target)
+        assert [_bits(a) for a in ev] == [_bits(a) for a in bounds_mod._fht_g_slope(t)]
+
+    def test_one_sided_grids_evaluate_one_branch(self, monkeypatch):
+        calls = {"series": 0, "far": 0}
+
+        def counted(name, f):
+            def wrapped(t):
+                calls[name] += 1
+                return f(t)
+            return wrapped
+
+        monkeypatch.setattr(bounds_mod, "_fht_series", counted("series", bounds_mod._fht_series))
+        monkeypatch.setattr(bounds_mod, "_fht_far", counted("far", bounds_mod._fht_far))
+        # every root lies below t = 2, where V(2) / 2 = 0.711 and L(2) = 1.175
+        exact_kl_min(np.linspace(0.01, 0.7, 50))
+        inverse_exact_kl(np.geomspace(1e-6, 1.17, 50))
+        tightened_bound(np.geomspace(1e-6, 1.0, 50))
+        assert calls["series"] > 0 and calls["far"] == 0
+        calls["series"] = 0
+        # sqrt(2 x) >= 2 starts every climb, and so every iterate, at t >= 2
+        inverse_exact_kl(np.linspace(2.0, 30.0, 50))
+        assert calls["far"] > 0 and calls["series"] == 0
+        calls["far"] = 0
+        bounds_mod._fht(np.array([1.0, 3.0]))
+        assert calls["series"] == 1 and calls["far"] == 1
+
+    def test_points_near_the_switch_match_alone_and_in_a_mixed_grid(self):
+        v2, _, l2 = (float(a[0]) for a in bounds_mod._fht(np.array([bounds_mod._T_SERIES])))
+        ulps = np.arange(-6, 7)
+        eps = np.concatenate([[0.1], 0.5 * v2 + ulps * np.spacing(0.5 * v2), [0.95]])
+        x = np.concatenate([[0.01], l2 + ulps * np.spacing(l2), [5.0]])
+        # the roots straddle the switch, so the grids mix both branches
+        v = 2.0 * eps
+        t, _ = bounds_mod._climb(bounds_mod._fht, v, np.where(v < 1.0, v, 1.0 / (2.0 - v)))
+        assert np.any(t[1:-1] < bounds_mod._T_SERIES) and np.any(t[1:-1] >= bounds_mod._T_SERIES)
+        for f, grid in ((exact_kl_min, eps), (inverse_exact_kl, x)):
+            values = f(grid)
+            assert [_bits(f(float(g))) for g in grid] == [_bits(v) for v in values]
+            assert [_bits(f(grid[i:i + 1])) for i in range(len(grid))] == [_bits(v) for v in values]
+
+    def test_empty_zero_and_saturated_inputs(self):
+        empty = np.array([])
+        for f in (exact_kl_min, inverse_exact_kl, inverse_jeffreys):
+            assert f(empty).shape == (0,)
+            assert f(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+            assert f(0.0) == 0.0
+        t, ev = bounds_mod._climb(bounds_mod._fht, empty, empty)
+        assert t.shape == (0,) and all(a.shape == (0,) for a in ev)
+        assert inverse_exact_kl(np.array([0.0, 50.0, math.inf])).tolist() == [0.0, 1.0 - 1e-9, 1.0 - 1e-9]
+        assert inverse_jeffreys(np.array([0.0, 50.0, math.inf])).tolist() == [0.0, 1.0 - 1e-12, 1.0 - 1e-12]
 
 
 class TestExtremalPair:

@@ -408,6 +408,22 @@ class TestSourcecodeSweep:
         assert column == ["0.000999999958333", "0.00999995833332", "0.0999583316006", "0.958196846233"]
 
 
+# curve CSVs recorded before the FHT branches were split per point and the
+# climb began to return its stopping pass
+CURVE_GOLDEN = [
+    (["sourcecode-sweep", "--grid", "1e-6:1:50"], "sourcecode_sweep_grid_1e-6_1_50.csv"),
+    (["bounds", "--measure", "exact_kl", "--grid", "0.05:0.05:0.95"], "bounds_exact_kl_grid_0.05_0.05_0.95.csv"),
+    (["bounds", "--measure", "exact_kl", "--grid", "0.01:0.01:0.99"], "bounds_exact_kl_grid_0.01_0.01_0.99.csv"),
+]
+
+
+@pytest.mark.parametrize("argv,golden", CURVE_GOLDEN, ids=[g for _, g in CURVE_GOLDEN])
+def test_curve_stdout_is_pinned(runner, argv, golden):
+    r = runner.invoke(main, argv)
+    assert r.exit_code == 0, r.stderr
+    assert r.stdout == (Path(__file__).resolve().parent / "data" / golden).read_text(encoding="utf-8")
+
+
 # the stdout of verify for the six measures in turn, recorded before the
 # sampler and the batch evaluators moved to column arithmetic
 VERIFY_GOLDEN = Path(__file__).resolve().parent / "data" / "verify_grid_0.1_0.4_0.9_samples2000_seed7.csv"

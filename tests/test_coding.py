@@ -17,8 +17,9 @@ from divbound.coding import (
     shannon_code,
     tightened_bound,
 )
-from divbound.dist import entropy_base, make_dist
+from divbound.dist import FiniteDist, entropy_base, make_dist
 from divbound.errors import DistributionError, KraftViolationError
+from divbound.textio import read_dist_file
 
 from util import as_dist, random_simplex
 
@@ -93,6 +94,51 @@ class TestCodeSpec:
 
     def test_empty_code(self):
         assert CodeSpec((), (), 2).kraft_sum == 0.0
+
+
+class TestLabelChecks:
+    """Labels are checked once: a code on p.labels and its Q check nothing again."""
+
+    def test_duplicates_raise_the_same_text_on_every_route(self, tmp_path):
+        f = tmp_path / "dup.tsv"
+        f.write_text("a\t0.5\nb\t0.25\na\t0.25\n", encoding="utf-8")
+        routes = [
+            lambda: FiniteDist(("a", "b", "a"), np.array([0.5, 0.25, 0.25])),
+            lambda: make_dist(["a", "b", "a"], [0.5, 0.25, 0.25]),
+            lambda: read_dist_file(f),
+        ]
+        for route in routes:
+            with pytest.raises(DistributionError) as err:
+                route()
+            assert str(err.value) == "labels must be unique"
+        with pytest.raises(DistributionError) as err:
+            CodeSpec(("a", "b", "a"), (1, 2, 2), 2)
+        assert str(err.value) == "code alphabet labels must be unique"
+
+    def test_labels_that_are_not_str_become_str(self):
+        assert make_dist([1, 2], [0.5, 0.5]).labels == ("1", "2")
+        assert FiniteDist((1, "b"), np.array([0.5, 0.5])).labels == ("1", "b")
+        assert CodeSpec((1, 2), (1, 1), 2).alphabet == ("1", "2")
+        # equal once they are strs
+        with pytest.raises(DistributionError, match="labels must be unique"):
+            make_dist([1, "1"], [0.5, 0.5])
+        with pytest.raises(DistributionError, match="code alphabet labels must be unique"):
+            CodeSpec((1, "1"), (1, 1), 2)
+
+    def test_a_code_keeps_the_source_labels(self):
+        p = make_dist(["a", "b", "c"], [0.6, 0.3, 0.1])
+        code = shannon_code(p, 2)
+        assert code_distribution(code).labels == p.labels
+        # passed on as they are, not checked and copied again
+        assert code.alphabet is p.labels and code_distribution(code).labels is p.labels
+
+    def test_a_count_mismatch_is_reported_before_duplicates(self):
+        with pytest.raises(DistributionError, match=r"got 3 labels but \(2,\) masses"):
+            FiniteDist(("a", "a", "b"), np.array([0.5, 0.5]))
+        with pytest.raises(DistributionError, match="got 3 labels but 2 masses"):
+            make_dist(["a", "a", "b"], [0.5, 0.5])
+        with pytest.raises(DistributionError, match="3 symbols but 2 lengths"):
+            CodeSpec(("a", "a", "b"), (1, 1), 2)
 
 
 class TestCodeDistribution:

@@ -346,7 +346,7 @@ class Measure:
     verify_min alone, which solves only the rows the bound cannot rule out
     (see divbound.oracle), and finds the evaluator in the oracle's table
     when it runs, as it does the entries'.  Only chernoff has one: the
-    Bhattacharyya exponent -log Z, less the solver's margin.
+    Bhattacharyya exponent -log Z.
 
     run_floor, when set, names the row of each run of verify_min's support-3
     fine grid (one run per first mass a; see divbound.oracle) whose signed

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import inverse_exact_kl, inverse_jeffreys
-from .dist import FiniteDist, _checked_labels, entropy_base, make_dist
+from .dist import FiniteDist, _check_base, _checked_labels, entropy_base, make_dist
 from .errors import BoundViolationError, DistributionError, KraftViolationError
 from .fdiv import f_divergence
 from .generators import REGISTRY
@@ -91,8 +91,7 @@ class CodeSpec:
         alphabet = _checked_labels(alphabet, "code alphabet labels must be unique")
         if lengths and length_array.min() < 1:
             raise DistributionError("codeword lengths must be positive integers")
-        if int(self.base_d) != self.base_d or self.base_d < 2:
-            raise DistributionError(f"code base d={self.base_d!r} must be >= 2")
+        _check_base(self.base_d, "code base")
         # Python's own d ** -n, once per distinct length, summed by Python in
         # alphabet order: the Kraft sum owes nothing to numpy's power or its
         # pairwise sums
@@ -152,8 +151,7 @@ def shannon_code(p: FiniteDist, d: int) -> CodeSpec:
     for every symbol.
     """
     _require_strictly_positive(p)
-    if int(d) != d or d < 2:
-        raise DistributionError(f"code base d={d!r} must be >= 2")
+    _check_base(d, "code base")
     v = -np.log(p.mass) / math.log(d)
     nearest = np.rint(v)
     lengths = np.where(np.abs(v - nearest) <= _DELTA_SLACK, nearest, np.ceil(v))

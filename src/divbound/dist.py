@@ -176,9 +176,15 @@ def binary_divergence(p: float, q: float) -> float:
     return t1 + t2
 
 
+def _check_base(d, what: str) -> None:
+    """Raise DistributionError unless the base d is an integer >= 2: NaN
+    fails d >= 2, and inf is no integer.  what names d in the message."""
+    if not (d >= 2 and d != math.inf and int(d) == d):
+        raise DistributionError(f"{what} d={d!r} must be {'>= 2' if d < 2 else 'an integer >= 2'}")
+
+
 def entropy_base(p: FiniteDist, d: int) -> float:
     """Entropy of p in base-d units, -sum p log_d p with 0 log 0 = 0."""
-    if int(d) != d or d < 2:
-        raise ValueError(f"base d={d!r} must be an integer >= 2")
+    _check_base(d, "base")
     m = p.mass[p.mass > 0.0]
     return float(-(m * np.log(m)).sum() / math.log(d))

@@ -243,35 +243,18 @@ def _min_log_tilt(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _chernoff_floor(z: np.ndarray) -> np.ndarray:
-    """A floor under batch_chernoff's value of each row whose Bhattacharyya
-    coefficient is z: -log(z + 2^-500) less a margin.
+    """A floor under the Chernoff information of each row whose
+    Bhattacharyya coefficient is z: -log(z + 2^-500).
 
     C = -min g >= -g(1/2) = -log Z holds exactly.  A product P Q that falls
     below the normal range loses at most 2^-1075, so each sqrt(P Q) at most
     2^-537.5 and z at most 2^-500 from k < 2^37 of them; the 2^-500 takes
-    that back, and changes no z above 2^-447.  The margin,
-    _TILT_TOL max(1, s) with s the log, covers how far the solver's value
-    and s may stray from the two sides of the chain, for a row whose C lies
-    within a hair of s (otherwise C clears the floor anyway):
-    - a row stops at an end lam of a bracket that holds the minimizer, so by
-      convexity its value falls short of C by at most |g'(lam)| (hi - lo).
-      The certificate rule makes that at most _TILT_CERT max(1, C).  The
-      bracket rule (hi - lo <= _TILT_TOL) makes it at most
-      sup g'' _TILT_TOL^2, since g' changes sign inside the bracket; the
-      step rule (|g' / g''| <= _TILT_TOL) about g'^2 / (2 g''), the same
-      bound, in the quadratic model that is exact to higher order at so
-      small a step.  g'' = Var_w(d) <= (2 * 745)^2 / 4 < 6e5, as
-      |log P/Q| < 2 * 745 for doubles, so both are below 6e-19;
-    - g(lam) is the log of a sum of k exponentials of log Q + lam d, each
-      argument below 2 * 745 in size, so the exponents carry under 3e3 ulps
-      (3.3e-13) absolute and the sum and log about k + 2 ulps relative;
-    - s carries about k + 2 ulps relative of z, plus one of s.
-    With k <= 8 these add up to under 4e-13 + 1e-15 max(1, C), inside the
-    margin.  A NaN z gives a NaN floor, which rules nothing out.
+    that back, and changes no z above 2^-447.  How far batch_chernoff's
+    value and this floor may stray from the two sides of the chain is
+    bounded at oracle._less_margin, whose margin the oracle takes off.  A
+    NaN z gives a NaN floor, which rules nothing out.
     """
-    s = -np.log(z + 2.0**-500)
-    # s - _TILT_TOL max(1, s)
-    return np.minimum(s - _TILT_TOL, s * (1.0 - _TILT_TOL))
+    return -np.log(z + 2.0**-500)
 
 
 def batch_chernoff(p, q) -> np.ndarray:

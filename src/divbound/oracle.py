@@ -55,36 +55,32 @@ strictly below the line and every value before it.  So a report does not
 depend on the number of CPUs, on which block finishes first, or on the
 other measures of the run.
 
+The scan skips what cannot matter by one rule: a row, or a run of rows,
+whose floor less the margin lies above both the line and t, a real row's
+signed value, can neither cross nor hold the least value, so every report
+is that of the full scan bit for bit.  The margin, 2^-36 max(1, |floor|),
+covers the rounding of the masses and the sums and the Chernoff solver's
+shortfall (derived at _less_margin).  The rule has two sources of floors.
 A measure with a screen (bounds.Measure.screen; only chernoff has one)
-skips the rows that cannot matter.  The chain C(P, Q) >= -log Z(P, Q) >=
--1/2 log(1 - eps^2), Z = sum sqrt(PQ), puts a floor under every row's
-Chernoff information for the price of one Bhattacharyya pass, which the
-block shares with a Bhattacharyya entry of the same run.  The row with the
-least floor is solved; then every row whose floor is at most the larger of
-that value and the line, and no other.  A skipped row's value lies
-strictly above both, so it can neither cross nor be the block's least,
-and the counts, values and witness rows are those of the full solve bit
-for bit: the tilt solve treats each row on its own.  On verify's blocks
-at 5000 samples per support about one row in 3500 is solved.
-
-A measure with a run floor (bounds.Measure.run_floor) scans only the
-support-3 fine-grid runs that can matter.  The grid's rows come in runs,
-one per value of a: P = (a, b, c), Q = (a - eps, b, c + eps), b + c = 1 - a.
-Merging atoms 2 and 3 of any row gives the run's first row (b = 0), and
-merging two atoms never raises an f-divergence or Chernoff information and
-never lowers Z (data processing), so the first row's signed value floors
-its run's for hellinger2, jeffreys, capacitory, chernoff and
-bhattacharyya_upper.  For bhattacharyya_lower, Z = sqrt(a (a - eps)) + b +
-sqrt(c (c + eps)), and sqrt(c (c + eps)) - c grows with c, so the last row,
-with the least c (0 when the step divides 1 - a), floors Z.  Before it
-submits the support-3 blocks, verify_min evaluates each measure's floor
-rows, one per run, bit for bit the grid's own; t is the larger of the
-least floor, a real row's value, and the line.  A run whose floor less a
-margin lies above t for every measure of the scan is skipped: its rows lie
-strictly above t, so they can neither cross nor be the grid's least, and
-every report is that of the full scan bit for bit.  The margin,
-2^-36 max(1, |floor|), covers the rounding of the masses and the sums and
-the Chernoff solver's shortfall (derived at _less_run_margin).  The kept
+floors each row by the chain C(P, Q) >= -log Z(P, Q) >= -1/2 log(1 - eps^2),
+Z = sum sqrt(PQ), for the price of one Bhattacharyya pass, which the rows
+share with a Bhattacharyya entry of the same scan.  The row with the least
+floor is solved, its value is t, and then only the rows the rule keeps: on
+verify's blocks at 5000 samples per support about one row in 3500.  The
+tilt solve treats each row on its own, so the values are those of the full
+solve.  A measure with a run floor (bounds.Measure.run_floor) floors each
+run of the support-3 fine grid, one run per value of a: P = (a, b, c),
+Q = (a - eps, b, c + eps), b + c = 1 - a.  Merging atoms 2 and 3 of any row
+gives the run's first row (b = 0), and merging two atoms never raises an
+f-divergence or Chernoff information and never lowers Z (data processing),
+so the first row's signed value floors its run's for hellinger2, jeffreys,
+capacitory, chernoff and bhattacharyya_upper.  For bhattacharyya_lower,
+Z = sqrt(a (a - eps)) + b + sqrt(c (c + eps)), and sqrt(c (c + eps)) - c
+grows with c, so the last row, with the least c (0 when the step divides
+1 - a), floors Z.  Before it submits the support-3 blocks, verify_min
+evaluates the floor rows, one per run, bit for bit the grid's own, by the
+blocks' own path, screen included; t is the least floor.  A run is skipped
+when the rule rules it out for every measure of the scan, and the kept
 runs are cut into blocks of at most 2^14 rows, in grid order.  tv has no
 floor: every row sits at TV eps up to rounding, so no run can be ruled
 out, tv is the cheapest evaluator anyway, and a scan with tv covers every
@@ -395,7 +391,7 @@ def _names(measures: str | Sequence[str]) -> list[str]:
 
 def _screened(evaluate, sign: float, line: float, floor: np.ndarray, pm, qm) -> np.ndarray:
     """sign * evaluate(pm, qm) on the rows that can cross the line or hold
-    the block's least signed value, and +inf on the others.
+    the least signed value, and +inf on the others.
 
     floor[i] <= sign * evaluate's value of row i.  The row with the least
     floor is solved first.  A row whose floor lies above both the line and
@@ -413,19 +409,19 @@ def _screened(evaluate, sign: float, line: float, floor: np.ndarray, pm, qm) -> 
     return v
 
 
-# the run floors' margin: relative to |floor| above 1, absolute below
-_RUN_MARGIN = 2.0**-36
+# the one margin of the scan's rule: relative to |floor| above 1, absolute below
+_MARGIN = 2.0**-36
 
 
-def _less_run_margin(floor: np.ndarray) -> np.ndarray:
-    """floor - _RUN_MARGIN max(1, |floor|) for each run floor; +-inf stay
-    as they are, with no inf - inf, and NaN stays NaN.
+def _less_margin(floor: np.ndarray) -> np.ndarray:
+    """floor - _MARGIN max(1, |floor|) for each floor; +-inf stay as they
+    are, with no inf - inf, and NaN stays NaN.
 
-    The floor F of a run is one of its rows' signed values as the evaluator
-    computes it, while the fact in the module docstring holds for exact
-    values.  A row's computed value V can fall short of F by the sum of
-    these, each bounded for a row whose V lies within a hair of F
-    (otherwise V clears the floor anyway):
+    A floor F holds for exact values: a run's first or last row's signed
+    value (data processing) or a row's Bhattacharyya exponent -log Z (the
+    chain), while the rows' values are computed.  A computed value V can
+    fall short of F by the sum of these, each bounded for a row whose V lies
+    within a hair of F (otherwise V clears the floor anyway):
     - the masses.  The first row has b = 0 and c = u = fl(1 - a).  Row j
       has c = fl(u - b), exact by Sterbenz when b >= u / 2 and otherwise
       within half an ulp, so b + c is u to 2^-53 u.  Each Q carries one
@@ -444,42 +440,71 @@ def _less_run_margin(floor: np.ndarray) -> np.ndarray:
       each computed term (the ratio, f, the product; or the product and
       sqrt) and the three-term sum carry under 16 roundings, 2e-15 of V
       or F relative, plus, where f nearly cancels near t = 1 (capacitory),
-      a few ulps of its O(1) parts per unit of q, under 1e-15;
-    - the Chernoff solver, bounded in fdiv._chernoff_floor: a row's value
-      falls short of its C by under 4e-13 + 1e-15 max(1, C), and the
-      floor row's value exceeds its C by the rounding of g, as much again.
+      a few ulps of its O(1) parts per unit of q, under 1e-15.  A screen
+      floor -log Z carries about k + 2 ulps relative of Z, plus one of
+      its own;
+    - the Chernoff solver.  A row stops at an end lam of a bracket that
+      holds the minimizer, so by convexity its value falls short of C by
+      at most |g'(lam)| (hi - lo): under fdiv._TILT_CERT max(1, C) by the
+      certificate rule, and under sup g'' fdiv._TILT_TOL^2 by the bracket
+      rule, as g' changes sign inside the bracket, or by the step rule,
+      whose g'^2 / (2 g'') is the same bound to higher order.  g'' =
+      Var_w(d) < 6e5, as |log P/Q| < 2 * 745 for doubles, so that is below
+      6e-19.  g(lam), the log of a sum of k <= 8 exponentials of arguments
+      below 2 * 745 in size, carries under 3e3 ulps (3.3e-13) absolute and
+      k + 2 ulps relative.  So a row's value falls short of its C by under
+      4e-13 + 1e-15 max(1, C), and a floor row's exceeds its C by as much.
     The worst case adds up to under 1e-12 + 1e-14 max(1, |F|), which
-    2^-36 max(1, |F|) (1.46e-11 at |F| <= 1) covers ten times over.
+    2^-36 max(1, |F|) (1.46e-11 at |F| <= 1) covers ten times over.  This
+    holds for a screened run floor too: every row of its run has a computed
+    C of at least -log Z of the floor row, less the merge rounding and the
+    solver's shortfall, so a screen floor less the margin above the larger
+    of the line and the first solved row's value rules out the whole run.
     """
-    return np.minimum(floor - _RUN_MARGIN, floor * (1.0 - np.copysign(_RUN_MARGIN, floor)))
+    return np.minimum(floor - _MARGIN, floor * (1.0 - np.copysign(_MARGIN, floor)))
 
 
-def _floor_rows(kind: str, eps: float, step: float, a_vals, n_b):
-    """The "first" or "last" row of each run of the support-3 fine grid."""
-    j = np.zeros(a_vals.size, dtype=np.intp) if kind == "first" else n_b - 1
-    return _grid3_rows(eps, step, a_vals, j)
+def _signed_values(scan, pm, qm) -> list:
+    """Per (measure, sign, line) of scan, its signed values on the rows pm,
+    qm, with +inf on the rows its screen, less the margin, rules out.  Each
+    distinct evaluator runs on the rows once; a screen's source is looked
+    up in ORACLE_MEASURES, as the entries are."""
+    values = {}
+
+    def of(evaluate):
+        if evaluate not in values:
+            values[evaluate] = evaluate(pm, qm)
+        return values[evaluate]
+
+    out = []
+    for om, sign, line in scan:
+        if om.screen is None:
+            out.append(sign * of(om.evaluate))
+        else:
+            source, floor = om.screen
+            floor = _less_margin(sign * floor(of(ORACLE_MEASURES[source].evaluate)))
+            out.append(_screened(om.evaluate, sign, line, floor, pm, qm))
+    return out
 
 
-def _kept_runs(oms, signs, lines, eps: float, step: float, a_vals, n_b) -> np.ndarray:
-    """Which runs of the support-3 fine grid the scan of oms must cover.
+def _kept_runs(scan, eps: float, step: float, a_vals, n_b) -> np.ndarray:
+    """Which runs of the support-3 fine grid the scan of its (measure, sign,
+    line) triples must cover; a measure with no run floor keeps every run.
 
-    A measure with no run floor keeps every run.  For the others, each
-    run's floor row, bit for bit the grid's own, is evaluated, and t is the
-    larger of the least floor (NaN floors aside) and the line: the least
-    floor is a real row's value, so the grid's least value is at most t.
-    A run is kept when some measure's floor less its margin is at most its
-    t, and so when that floor is NaN.
+    For the others, the first or last row of each run, bit for bit the
+    grid's own, goes through _signed_values as a block does, and t is the
+    larger of the line and the least floor (NaN floors aside), a real row's
+    value.  A run is kept when some measure's floor less the margin is at
+    most its t, as a NaN floor is; a floor its screen ruled out is +inf.
     """
-    if any(om.run_floor is None for om in oms):
+    if any(om.run_floor is None for om, _, _ in scan):
         return np.ones(a_vals.size, dtype=bool)
-    rows = {}
     keep = np.zeros(a_vals.size, dtype=bool)
-    for om, sign, line in zip(oms, signs, lines):
-        if om.run_floor not in rows:
-            rows[om.run_floor] = _floor_rows(om.run_floor, eps, step, a_vals, n_b)
-        floor = sign * om.evaluate(*rows[om.run_floor])
+    for om, sign, line in scan:
+        j = np.zeros_like(n_b) if om.run_floor == "first" else n_b - 1
+        (floor,) = _signed_values([(om, sign, line)], *_grid3_rows(eps, step, a_vals, j))
         t = np.fmax(np.fmin.reduce(floor), line)
-        keep |= ~(_less_run_margin(floor) > t)
+        keep |= ~(_less_margin(floor) > t)
     return keep
 
 
@@ -519,31 +544,14 @@ def verify_min(
     signs = [1.0 if om.direction == "min" else -1.0 for om in oms]
     # a signed value below its line crosses
     lines = [sign * cf - _VIOLATION_SLACK for sign, cf in zip(signs, cfs)]
-    # each screen as (its source's evaluator, its floor), looked up now, as
-    # the entries are
-    screens = [
-        None if om.screen is None else (ORACLE_MEASURES[om.screen[0]].evaluate, om.screen[1])
-        for om in oms
-    ]
+    scan = list(zip(oms, signs, lines))
 
     def least(pm, qm):
         # per measure: crossings, the least signed value and its row, of one
         # block; the row is copied so that the result does not keep the
-        # batch alive.  Each distinct evaluator runs on the block once.
-        values = {}
-
-        def of(evaluate):
-            if evaluate not in values:
-                values[evaluate] = evaluate(pm, qm)
-            return values[evaluate]
-
+        # batch alive
         out = []
-        for om, sign, line, screen in zip(oms, signs, lines, screens):
-            if screen is None:
-                v = sign * of(om.evaluate)
-            else:
-                source, floor = screen
-                v = _screened(om.evaluate, sign, line, sign * floor(of(source)), pm, qm)
+        for v, (_, _, line) in zip(_signed_values(scan, pm, qm), scan):
             i = int(np.argmin(v))
             out.append((int(np.count_nonzero(v < line)), float(v[i]), pm[i].copy(), qm[i].copy()))
         return out
@@ -569,7 +577,7 @@ def verify_min(
                 if s == 3:
                     # the kept runs, joined where they adjoin: a span starts
                     # where keep turns on and stops where it turns off
-                    keep = _kept_runs(oms, signs, lines, eps, fine_step, a_vals, n_b)
+                    keep = _kept_runs(scan, eps, fine_step, a_vals, n_b)
                     turns = np.flatnonzero(np.diff(keep, prepend=False, append=False))
                     firsts = np.concatenate([[0], np.cumsum(n_b)]).tolist()
                     spans = [(firsts[lo], firsts[hi]) for lo, hi in zip(turns[::2], turns[1::2])]

@@ -58,6 +58,21 @@ class TestCodeSpec:
         with pytest.raises(DistributionError):
             CodeSpec(("a", "b"), (1, 2), 1)
 
+    @pytest.mark.parametrize(
+        "d, rule",
+        [(math.inf, "an integer >= 2"), (math.nan, "an integer >= 2"), (2.5, "an integer >= 2"),
+         (1, ">= 2"), (-math.inf, ">= 2")],
+        ids=["inf", "nan", "non-integer", "below-2", "minus-inf"],
+    )
+    def test_base_must_be_an_integer_of_two_or_more(self, d, rule):
+        # one typed error for every bad base, where inf and NaN once
+        # escaped as OverflowError and a bare ValueError
+        p = make_dist(["a", "b"], [0.5, 0.5])
+        for build in (lambda: CodeSpec(("a", "b"), (1, 1), d), lambda: shannon_code(p, d)):
+            with pytest.raises(DistributionError) as err:
+                build()
+            assert str(err.value) == f"code base d={d!r} must be {rule}"
+
     def test_length_count_mismatch(self):
         with pytest.raises(DistributionError):
             CodeSpec(("a", "b"), (1, 2, 3), 2)

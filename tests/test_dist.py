@@ -215,6 +215,14 @@ class TestEntropyBase:
         with pytest.raises(ValueError):
             entropy_base(d, 1)
 
+    @pytest.mark.parametrize(
+        "base", [math.inf, math.nan, 2.5, 1, -math.inf], ids=["inf", "nan", "non-integer", "below-2", "minus-inf"]
+    )
+    def test_base_must_be_an_integer_of_two_or_more(self, base):
+        d = make_dist(["a", "b"], [0.5, 0.5])
+        with pytest.raises(DistributionError, match=r"^base d=\S+ must be "):
+            entropy_base(d, base)
+
     def test_bounded_by_log_support(self):
         rng = np.random.default_rng(3)
         for k in range(2, 8):

@@ -671,7 +671,7 @@ class TestBlockScan:
                     assert [c[0] for c in cuts] == [0] + [c[1] for c in cuts[:-1]] and cuts[-1][1] == n
                     continue
                 om = oracle.ORACLE_MEASURES[name]
-                keep = oracle._kept_runs([om], [1.0], [r.closed_form - oracle._VIOLATION_SLACK], 0.1, 1e-3, a_vals, n_b)
+                keep = oracle._kept_runs([(om, 1.0, r.closed_form - oracle._VIOLATION_SLACK)], 0.1, 1e-3, a_vals, n_b)
                 first = np.cumsum(n_b) - n_b
                 kept = np.concatenate([np.arange(f, f + k) for f, k in zip(first[keep], n_b[keep])])
                 assert 0 < keep.sum() < keep.size
@@ -781,14 +781,14 @@ class TestScreen:
         _, _, values = self._block()
         i = int(np.argmin(values))
         t = values[i]
-        margin = fdiv._TILT_TOL * max(1.0, t)
+        margin = oracle._MARGIN * max(1.0, t)
         # every row's Z puts its screen far above the least value, but for
         # row i, one row just inside the margin and one just outside
         s = values + 1.0
         s[i] = values[i]
         inside, outside = (i + 1) % 200, (i + 2) % 200
         s[inside], s[outside] = t + 0.5 * margin, t + 2.0 * margin
-        floor = fdiv._chernoff_floor(np.exp(-s))
+        floor = oracle._less_margin(fdiv._chernoff_floor(np.exp(-s)))
         evaluate, calls = self._spy(values)
         pm = np.arange(200.0)[:, None]  # each row carries its index
         v = oracle._screened(evaluate, 1.0, -1.0, floor, pm, pm)
@@ -850,14 +850,15 @@ def _unfloored(monkeypatch, names):
 
 
 def _floors_on_main(monkeypatch, name, values):
-    """Make name's evaluator give values(floor) for the run floors, which
-    verify_min evaluates on the main thread, and leave the blocks alone."""
+    """Make name's evaluator give values(floor, pm) for the run floors it
+    solves, which verify_min evaluates on the main thread, and leave the
+    blocks alone."""
     om = oracle.ORACLE_MEASURES[name]
 
     def evaluate(pm, qm):
         v = om.evaluate(pm, qm)
         if threading.current_thread() is threading.main_thread() and pm.shape[1] == 3:
-            v = values(v)
+            v = values(v, pm)
         return v
 
     monkeypatch.setitem(oracle.ORACLE_MEASURES, name, dataclasses.replace(om, evaluate=evaluate))
@@ -883,25 +884,31 @@ class TestRunFloors:
         for eps in (0.0, 1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
             n, a_vals, n_b = oracle._fine_grid_rows(eps, 3, step)
             pm, qm = fine_grid_pairs(eps, 3, step)
-            fp, fq = oracle._floor_rows(om.run_floor, eps, step, a_vals, n_b)
-            first = np.cumsum(n_b) - n_b
-            at = first if om.run_floor == "first" else first + n_b - 1
+            j = np.zeros_like(n_b) if om.run_floor == "first" else n_b - 1
+            fp, fq = oracle._grid3_rows(eps, step, a_vals, j)
+            at = np.cumsum(n_b) - n_b + j
             assert fp.tobytes() == pm[at].tobytes() and fq.tobytes() == qm[at].tobytes()
             v = sign * om.evaluate(pm, qm)
             floor = np.repeat(sign * om.evaluate(fp, fq), n_b)
-            assert not np.any(v < oracle._less_run_margin(floor)), eps
+            assert not np.any(v < oracle._less_margin(floor)), eps
+            if om.screen is not None:
+                # nor below its floor row's screen floor less the margin,
+                # which rules the run out when the screen skips that row
+                source, screen = om.screen
+                s = np.repeat(sign * screen(oracle.ORACLE_MEASURES[source].evaluate(fp, fq)), n_b)
+                assert not np.any(v < oracle._less_margin(s)), eps
             assert np.all(v[floor == math.inf] == math.inf)
             both = np.isfinite(floor) & np.isfinite(v)
             floor, v = floor[both], v[both]
             worst = max(worst, float(np.max((floor - v) / np.maximum(1.0, np.abs(floor)), initial=0.0)))
-        assert 1000.0 * worst <= oracle._RUN_MARGIN
+        assert 1000.0 * worst <= oracle._MARGIN
 
     def test_margin_keeps_infinities(self):
         x = np.array([math.inf, -math.inf, math.nan, 0.0, 0.5, -0.5, 2.0, -2.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = oracle._less_run_margin(x)
-        m = oracle._RUN_MARGIN
+            out = oracle._less_margin(x)
+        m = oracle._MARGIN
         assert out[0] == math.inf and out[1] == -math.inf and math.isnan(out[2])
         assert list(out[3:]) == [-m, 0.5 - m, -0.5 - m, 2.0 - 2.0 * m, -2.0 - 2.0 * m]
 
@@ -949,11 +956,11 @@ class TestRunFloors:
         n, a_vals, n_b = oracle._fine_grid_rows(eps, 3, 5e-3)
         sign = 1.0 if om.direction == "min" else -1.0
         line = sign * r.closed_form - oracle._VIOLATION_SLACK
-        keep = oracle._kept_runs([oracle.ORACLE_MEASURES[name]], [sign], [line], eps, 5e-3, a_vals, n_b)
+        keep = oracle._kept_runs([(oracle.ORACLE_MEASURES[name], sign, line)], eps, 5e-3, a_vals, n_b)
         assert keep.sum() > 1
 
     def test_nan_floors_keep_their_runs(self, monkeypatch):
-        def nan_every_7th(v):
+        def nan_every_7th(v, pm):
             v = v.copy()
             v[::7] = math.nan
             return v
@@ -962,7 +969,7 @@ class TestRunFloors:
         om = oracle.ORACLE_MEASURES["jeffreys"]
         n, a_vals, n_b = oracle._fine_grid_rows(0.1, 3, 1e-3)
         line = bound_curve("jeffreys", 0.1) - oracle._VIOLATION_SLACK
-        keep = oracle._kept_runs([om], [1.0], [line], 0.1, 1e-3, a_vals, n_b)
+        keep = oracle._kept_runs([(om, 1.0, line)], 0.1, 1e-3, a_vals, n_b)
         assert keep[::7].all() and not keep.all()
         self._same_as_unfloored(monkeypatch, ["jeffreys"], 0.1, n_samples=0)
 
@@ -976,14 +983,19 @@ class TestRunFloors:
 
         def kept():
             om = oracle.ORACLE_MEASURES["chernoff"]
-            return oracle._kept_runs([om], [1.0], [line], 0.1, 1e-3, a_vals, n_b)
+            return oracle._kept_runs([(om, 1.0, line)], 0.1, 1e-3, a_vals, n_b)
 
         # the one run kept holds the pair of the closed form
         assert np.flatnonzero(kept()).tolist() == [450]
         hit = np.arange(a_vals.size) % (1 if every else 5) == 0
+
+        def inf_hit(v, pm):
+            # the screen passes on only some floor rows: each row's a names its run
+            return np.where(np.isin(pm[:, 0], a_vals[hit]), math.inf, v)
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _floors_on_main(monkeypatch, "chernoff", lambda v: np.where(hit, math.inf, v))
+            _floors_on_main(monkeypatch, "chernoff", inf_hit)
             keep = kept()
             floored = verify_min("chernoff", 0.1, 0)
         assert keep.all() if every else keep.any() and not keep[hit].any()
@@ -1009,6 +1021,64 @@ class TestRunFloors:
             p = np.concatenate(built)
             assert np.unique(p[:, 0]).size in runs
             assert rows is None or len(p) == rows
+
+    def test_chernoff_floor_rows_are_screened(self, monkeypatch):
+        # the run floors go through the screen as the blocks do: each call
+        # of the tilt solve gets one row, where unscreened floors sent it
+        # one row per run, 2,505 over these five eps
+        om = oracle.ORACLE_MEASURES["chernoff"]
+        calls = []
+
+        def evaluate(pm, qm):
+            calls.append(len(pm))
+            return om.evaluate(pm, qm)
+
+        monkeypatch.setitem(oracle.ORACLE_MEASURES, "chernoff", dataclasses.replace(om, evaluate=evaluate))
+        for eps in (0.1, 0.3, 0.5, 0.7, 0.9):
+            assert verify_min("chernoff", eps, 0, seed=1).passed
+        assert calls and max(calls) == 1
+
+    @pytest.mark.parametrize("margins, kept", [(0.5, True), (2.0, False)])
+    def test_screened_run_floor_at_the_margin(self, monkeypatch, margins, kept):
+        # run r's screen floor is forced to t plus 0.5 or 2 margins, t the
+        # value of the floor row the screen solves first; so is its value,
+        # so that only the screen can rule the run out.  Half a margin keeps
+        # the run, two rule it out unsolved, and the report stays that of
+        # the scan of every row
+        eps, step, r = 0.1, 1e-3, 100
+        n, a_vals, n_b = oracle._fine_grid_rows(eps, 3, step)
+        fp, fq = oracle._grid3_rows(eps, step, a_vals, np.zeros_like(n_b))
+        line = bound_curve("chernoff", eps) - oracle._VIOLATION_SLACK
+        floors = oracle._less_margin(fdiv._chernoff_floor(fdiv.batch_bhattacharyya(fp, fq)))
+        i = int(np.argmin(floors))
+        t = fdiv.batch_chernoff(fp[i : i + 1], fq[i : i + 1])[0]
+        assert i != r and t > line
+        x = t + margins * oracle._MARGIN * max(1.0, t)
+        solved = []
+
+        def forced_value(v, pm):
+            at_r = pm[:, 0] == a_vals[r]
+            solved.extend(at_r)
+            return np.where(at_r, x, v)
+
+        _floors_on_main(monkeypatch, "chernoff", forced_value)
+        om = oracle.ORACLE_MEASURES["chernoff"]
+
+        def forced_floor(z):
+            s = fdiv._chernoff_floor(z)
+            if threading.current_thread() is threading.main_thread() and len(z) == a_vals.size:
+                s[r] = x
+            return s
+
+        monkeypatch.setitem(
+            oracle.ORACLE_MEASURES, "chernoff", dataclasses.replace(om, screen=(om.screen[0], forced_floor))
+        )
+        keep = oracle._kept_runs([(oracle.ORACLE_MEASURES["chernoff"], 1.0, line)], eps, step, a_vals, n_b)
+        assert keep[i] and keep[r] == kept and any(solved) == kept
+        floored = verify_min("chernoff", eps, 0)
+        om = oracle.ORACLE_MEASURES["chernoff"]
+        monkeypatch.setitem(oracle.ORACLE_MEASURES, "chernoff", dataclasses.replace(om, screen=None, run_floor=None))
+        assert_same_report(floored, verify_min("chernoff", eps, 0))
 
 
 class TestPool:

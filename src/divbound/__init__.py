@@ -21,7 +21,6 @@ from .bounds import (
 from .dist import (
     FiniteDist,
     align,
-    binary_divergence,
     entropy_base,
     make_dist,
     total_variation,
@@ -38,7 +37,6 @@ from .fdiv import bhattacharyya, chernoff_information, f_divergence
 from .generators import (
     REGISTRY,
     FGenerator,
-    check_symmetry,
     get_generator,
     register_generator,
     validate_generator,
@@ -57,7 +55,7 @@ from .textio import fmt_g12, parse_dist_text, read_dist_file
 # coding commands need them, so `import divbound` and the CLI skip both
 _LAZY = {
     "coding": (
-        "CodeSpec", "CodingReport", "code_distribution", "csiszar_bound", "dual_kl_identity_check",
+        "CodeSpec", "CodingReport", "csiszar_bound", "dual_kl_identity_check",
         "jeffreys_bound", "kl_identity_check", "l1_bounds", "redundancy_sweep", "shannon_code",
         "tightened_bound",
     ),
@@ -68,11 +66,11 @@ _HOME = {name: module for module, names in _LAZY.items() for name in names}
 __all__ = [
     "bound_curve", "exact_kl_min", "extremal_pair", "inverse_exact_kl", "inverse_jeffreys",
     "symmetric_fdiv_min",
-    "FiniteDist", "align", "binary_divergence", "entropy_base", "make_dist", "total_variation",
+    "FiniteDist", "align", "entropy_base", "make_dist", "total_variation",
     "BoundViolationError", "DistFileError", "DistributionError", "DivboundError",
     "GeneratorError", "KraftViolationError",
     "bhattacharyya", "chernoff_information", "f_divergence",
-    "REGISTRY", "FGenerator", "check_symmetry", "get_generator", "register_generator",
+    "REGISTRY", "FGenerator", "get_generator", "register_generator",
     "validate_generator",
     "SandwichResult", "batch_chi2_exp_bound_check", "batch_sandwich", "chi2_exp_bound_check",
     "jensen_functional", "sandwich",

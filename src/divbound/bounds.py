@@ -347,15 +347,6 @@ class Measure:
     (see divbound.oracle), and finds the evaluator in the oracle's table
     when it runs, as it does the entries'.  Only chernoff has one: the
     Bhattacharyya exponent -log Z.
-
-    run_floor, when set, names the row of each run of verify_min's support-3
-    fine grid (one run per first mass a; see divbound.oracle) whose signed
-    value, sign * evaluate, is the least of its run up to rounding: "first"
-    (b = 0, the run's pair with atoms 2 and 3 merged) for the f-divergences,
-    Chernoff information and the upper Bhattacharyya envelope, "last" (the
-    largest b) for the lower one.  verify_min scans only the runs whose
-    floor can matter.  It is a property of the measure on that grid, not a
-    setting, and None, as for tv, means every run is scanned.
     """
 
     direction: str  # "min" or "max"
@@ -364,32 +355,22 @@ class Measure:
     at_one: float
     evaluate: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
     screen: Optional[tuple[str, Callable[[np.ndarray], np.ndarray]]] = None
-    run_floor: Optional[str] = None  # "first", "last" or None
 
 
 # keyed by the command-line name, which an f-divergence shares with its generator
 MEASURES: dict[str, Measure] = {
     "tv": Measure("min", "two_point", _tv, 1.0, batch_total_variation),
-    "hellinger2": Measure(
-        "min", "two_point", _hellinger2, 2.0, _f_divergence("hellinger2"), run_floor="first"
-    ),
-    "jeffreys": Measure(
-        "min", "two_point", _jeffreys, math.inf, _f_divergence("jeffreys"), run_floor="first"
-    ),
+    "hellinger2": Measure("min", "two_point", _hellinger2, 2.0, _f_divergence("hellinger2")),
+    "jeffreys": Measure("min", "two_point", _jeffreys, math.inf, _f_divergence("jeffreys")),
     "capacitory": Measure(
-        "min", "two_point", _capacitory, 2.0 * math.log(2.0), _f_divergence("capacitory"),
-        run_floor="first",
+        "min", "two_point", _capacitory, 2.0 * math.log(2.0), _f_divergence("capacitory")
     ),
     "chernoff": Measure(
         "min", "two_point", _chernoff, math.inf, batch_chernoff,
-        screen=("bhattacharyya_lower", _chernoff_floor), run_floor="first",
+        screen=("bhattacharyya_lower", _chernoff_floor),
     ),
-    "bhattacharyya_lower": Measure(
-        "min", "three_point", _bhattacharyya_lower, 0.0, batch_bhattacharyya, run_floor="last"
-    ),
-    "bhattacharyya_upper": Measure(
-        "max", "two_point", _bhattacharyya_upper, 0.0, batch_bhattacharyya, run_floor="first"
-    ),
+    "bhattacharyya_lower": Measure("min", "three_point", _bhattacharyya_lower, 0.0, batch_bhattacharyya),
+    "bhattacharyya_upper": Measure("max", "two_point", _bhattacharyya_upper, 0.0, batch_bhattacharyya),
     # looked up when called, as the evaluators are, so rebinding the name reaches it
     "exact_kl": Measure("min", None, lambda eps: exact_kl_min(eps), math.inf, None),
 }

@@ -38,7 +38,6 @@ from .generators import REGISTRY
 __all__ = [
     "CodeSpec",
     "CodingReport",
-    "code_distribution",
     "shannon_code",
     "kl_identity_check",
     "dual_kl_identity_check",
@@ -133,7 +132,7 @@ class CodingReport:
     delta_nonneg: bool
 
 
-def code_distribution(code: CodeSpec) -> FiniteDist:
+def _code_distribution(code: CodeSpec) -> FiniteDist:
     """The distribution Q(u) = d^{-l(u)} normalized by the Kraft sum."""
     w = code.kraft_terms
     return FiniteDist(code.alphabet, w / w.sum())
@@ -169,7 +168,7 @@ def _delta(p: FiniteDist, code: CodeSpec) -> np.ndarray:
 def kl_identity_check(p: FiniteDist, code: CodeSpec) -> tuple[float, float]:
     """(direct D(P||Q), Delta log d + log c); equal up to round-off."""
     _require_strictly_positive(p)
-    q = code_distribution(code)
+    q = _code_distribution(code)
     lhs = f_divergence(REGISTRY["kl"], p, q)
     logd = math.log(code.base_d)
     avg_len = float(np.dot(p.mass, code.length_array))
@@ -186,7 +185,7 @@ def dual_kl_identity_check(p: FiniteDist, code: CodeSpec) -> tuple[float, float]
     the test suite confirms it.
     """
     _require_strictly_positive(p)
-    q = code_distribution(code)
+    q = _code_distribution(code)
     lhs = f_divergence(REGISTRY["kl"], q, p)
     logd = math.log(code.base_d)
     c = code.kraft_sum
@@ -223,7 +222,7 @@ def l1_bounds(p: FiniteDist, code: CodeSpec) -> CodingReport:
     beyond a 1e-9 slack.
     """
     _require_strictly_positive(p)
-    q = code_distribution(code)
+    q = _code_distribution(code)
     logd = math.log(code.base_d)
     avg_len = float(np.dot(p.mass, code.length_array))
     h_d = entropy_base(p, code.base_d)

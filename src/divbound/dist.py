@@ -16,6 +16,7 @@ through the text readers and ``--tol-normalization``.  A constructed
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,7 +29,6 @@ __all__ = [
     "make_dist",
     "align",
     "total_variation",
-    "binary_divergence",
     "entropy_base",
 ]
 
@@ -161,7 +161,7 @@ def total_variation(p: FiniteDist, q: FiniteDist) -> float:
     return 0.5 * float(np.abs(pm - qm).sum())
 
 
-def binary_divergence(p: float, q: float) -> float:
+def _binary_divergence(p: float, q: float) -> float:
     """Relative entropy between Bernoulli(p) and Bernoulli(q), natural log.
 
     d(p||q) = p log(p/q) + (1-p) log((1-p)/(1-q)) with 0 log 0 = 0.
@@ -177,10 +177,13 @@ def binary_divergence(p: float, q: float) -> float:
 
 
 def _check_base(d, what: str) -> None:
-    """Raise DistributionError unless the base d is an integer >= 2: NaN
-    fails d >= 2, and inf is no integer.  what names d in the message."""
+    """Raise DistributionError unless the base d is an integer from 2 to the
+    largest float, which the code's float arithmetic needs: NaN fails d >= 2,
+    and inf is no integer.  what names d in the message."""
     if not (d >= 2 and d != math.inf and int(d) == d):
         raise DistributionError(f"{what} d={d!r} must be {'>= 2' if d < 2 else 'an integer >= 2'}")
+    if d > sys.float_info.max:
+        raise DistributionError(f"{what} d={d!r} must be at most the largest float, {sys.float_info.max!r}")
 
 
 def entropy_base(p: FiniteDist, d: int) -> float:

@@ -28,7 +28,6 @@ __all__ = [
     "REGISTRY",
     "get_generator",
     "register_generator",
-    "check_symmetry",
     "validate_generator",
 ]
 
@@ -108,7 +107,7 @@ def _dual_chi2_fn(t):
 _SYMMETRY_GRID = np.logspace(-6.0, 6.0, 121)
 
 
-def check_symmetry(gen: FGenerator, tol: float = 1e-10) -> Optional[float]:
+def _check_symmetry(gen: FGenerator, tol: float = 1e-10) -> Optional[float]:
     """Fit a = 2 f'(1) and test f(u) = u f(1/u) + a (u-1) on a log grid.
 
     Returns the constant on success, None when the identity fails anywhere
@@ -164,7 +163,7 @@ def validate_generator(gen: FGenerator) -> None:
         )
 
     if gen.symmetry_constant is not None:
-        fitted = check_symmetry(gen)
+        fitted = _check_symmetry(gen)
         if fitted is None:
             raise GeneratorError(
                 f"{gen.name}: declared symmetric but the symmetry identity fails"

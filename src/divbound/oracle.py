@@ -55,36 +55,33 @@ strictly below the line and every value before it.  So a report does not
 depend on the number of CPUs, on which block finishes first, or on the
 other measures of the run.
 
-The scan skips what cannot matter by one rule: a row, or a run of rows,
-whose floor less the margin lies above both the line and t, a real row's
-signed value, can neither cross nor hold the least value, so every report
-is that of the full scan bit for bit.  The margin, 2^-36 max(1, |floor|),
-covers the rounding of the masses and the sums and the Chernoff solver's
-shortfall (derived at _less_margin).  The rule has two sources of floors.
-A measure with a screen (bounds.Measure.screen; only chernoff has one)
-floors each row by the chain C(P, Q) >= -log Z(P, Q) >= -1/2 log(1 - eps^2),
-Z = sum sqrt(PQ), for the price of one Bhattacharyya pass, which the rows
-share with a Bhattacharyya entry of the same scan.  The row with the least
-floor is solved, its value is t, and then only the rows the rule keeps: on
-verify's blocks at 5000 samples per support about one row in 3500.  The
-tilt solve treats each row on its own, so the values are those of the full
-solve.  A measure with a run floor (bounds.Measure.run_floor) floors each
-run of the support-3 fine grid, one run per value of a: P = (a, b, c),
-Q = (a - eps, b, c + eps), b + c = 1 - a.  Merging atoms 2 and 3 of any row
-gives the run's first row (b = 0), and merging two atoms never raises an
-f-divergence or Chernoff information and never lowers Z (data processing),
-so the first row's signed value floors its run's for hellinger2, jeffreys,
-capacitory, chernoff and bhattacharyya_upper.  For bhattacharyya_lower,
-Z = sqrt(a (a - eps)) + b + sqrt(c (c + eps)), and sqrt(c (c + eps)) - c
-grows with c, so the last row, with the least c (0 when the step divides
-1 - a), floors Z.  Before it submits the support-3 blocks, verify_min
-evaluates the floor rows, one per run, bit for bit the grid's own, by the
-blocks' own path, screen included; t is the least floor.  A run is skipped
-when the rule rules it out for every measure of the scan, and the kept
-runs are cut into blocks of at most 2^14 rows, in grid order.  tv has no
-floor: every row sits at TV eps up to rounding, so no run can be ruled
-out, tv is the cheapest evaluator anyway, and a scan with tv covers every
-run.
+The fine grids are three 1-D families.  Besides the support-2 grid, the
+support-3 grid keeps two rows of each run of the pairs P = (a, b, c),
+Q = (a - eps, b, c + eps), b + c = 1 - a, one run per value of a: its
+first row (b = 0) and its last (the least c, 0 when the step divides
+1 - a).  The other rows of a run add nothing.  Merging atoms 2 and 3 of
+any row gives the run's first row, and merging two atoms never raises an
+f-divergence or Chernoff information and never lowers Z = sum sqrt(PQ)
+(data processing), so the first row holds the run's least value of
+hellinger2, jeffreys, capacitory and chernoff and its largest Z.  For
+bhattacharyya_lower, Z = sqrt(a (a - eps)) + b + sqrt(c (c + eps)), and
+sqrt(c (c + eps)) - c grows with c, so the last row holds the run's least
+Z.  tv is eps on every row.  The tests check this on the whole 2-D grid,
+up to rounding.
+
+The scan skips what cannot matter by one rule: a row whose floor less the
+margin lies above both the line and t, a real row's signed value, can
+neither cross nor hold the least value, so every report is that of the
+full scan bit for bit.  A measure with a screen (bounds.Measure.screen;
+only chernoff has one) floors each row by the chain
+C(P, Q) >= -log Z(P, Q) >= -1/2 log(1 - eps^2), for the price of one
+Bhattacharyya pass, which the rows share with a Bhattacharyya entry of the
+same scan.  The row with the least floor is solved, its value is t, and
+then only the rows the rule keeps: on verify's blocks at 5000 samples per
+support about one row in 3500.  The margin, 2^-36 max(1, |floor|), covers
+the rounding of the sums and the Chernoff solver's shortfall (derived at
+_less_margin).  The tilt solve treats each row on its own, so the values
+are those of the full solve.
 """
 
 from __future__ import annotations
@@ -263,20 +260,15 @@ def _check_step(step: float) -> None:
         raise ValueError(f"fine_step={step!r}: the fine-grid step must be finite and > 0")
 
 
-def _fine_grid_rows(eps: float, support: int, step: float) -> tuple:
-    """The number of rows of the fine grid on support 2 or 3, with the
-    support-3 grid's values of a and how many rows (one per b) each spans."""
+def _fine_grid_rows(eps: float, support: int, step: float) -> int:
+    """The number of rows of the fine grid on support 2 or 3."""
     if not 0.0 <= eps < 1.0:  # NaN fails this too
         raise ValueError(f"eps={eps!r} outside [0, 1)")
     _check_step(step)
+    if support not in (2, 3):
+        raise ValueError("fine grids are defined for supports 2 and 3 only")
     n = int(round((1.0 - eps) / step)) + 1
-    if support == 2:
-        return n, None, None
-    if support == 3:
-        a_vals = np.minimum(eps + np.arange(n) * step, 1.0)
-        n_b = np.rint((1.0 - a_vals) / step).astype(np.intp) + 1
-        return int(n_b.sum()), a_vals, n_b
-    raise ValueError("fine grids are defined for supports 2 and 3 only")
+    return n if support == 2 else 2 * n
 
 
 def fine_grid_pairs(
@@ -284,43 +276,36 @@ def fine_grid_pairs(
 ):
     """Rows [start, stop) of a deterministic pair family on support 2 or 3
     at total variation eps; stop=None means the last row, so by default
-    the whole grid.
+    the whole family.
 
     Support 2 sweeps the free endpoint: P = (q1 + eps, 1 - q1 - eps),
     Q = (q1, 1 - q1), with q1 = i * step for row i.  Support 3 moves mass
     eps from the first atom to the third across a free middle:
-    P = (a, b, 1 - a - b), Q = (a - eps, b, 1 - a - b + eps), with rows
-    ordered by a = eps + i * step, then b = j * step.  Each coordinate is
-    capped so that the masses stay in the simplex.  Both families contain
-    every designated extremal pair when eps sits on the grid.  A row range
-    builds only its own rows, bit for bit the rows of the whole grid.
+    P = (a, b, 1 - a - b), Q = (a - eps, b, 1 - a - b + eps), with
+    a = eps + i * step.  Of each run of rows b = j * step, j = 0 .. n_b - 1,
+    n_b = round((1 - a) / step) + 1, only the ends are kept, which bound the
+    rest (see the module docstring): row 2i has b = 0 and row 2i + 1 has
+    j = n_b - 1.  Each coordinate is capped so that the masses stay in the
+    simplex.  The families contain every designated extremal pair when eps
+    sits on the grid.  A row range builds only its own rows, bit for bit
+    the rows of the whole family.
     """
-    n, a_vals, n_b = _fine_grid_rows(eps, support, step)
+    n = _fine_grid_rows(eps, support, step)
     stop = n if stop is None else stop
     if not 0 <= start <= stop <= n:
         raise ValueError(f"rows [{start!r}, {stop!r}) outside the grid's [0, {n})")
+    rows = np.arange(start, stop)
     if support == 3:
-        first = np.cumsum(n_b) - n_b  # the first row of each a
-        lo = int(np.searchsorted(first, start, side="right")) - 1
-        hi = int(np.searchsorted(first, stop))
-        first, ends = first[lo:hi], first[lo:hi] + n_b[lo:hi]
-        # the rows of each a that fall inside [start, stop)
-        runs = np.minimum(ends, stop) - np.maximum(first, start)
-        j = np.arange(start, stop) - np.repeat(first, runs)
-        return _grid3_rows(eps, step, np.repeat(a_vals[lo:hi], runs), j)
-    q1 = np.minimum(np.arange(start, stop) * step, 1.0 - eps)
-    p = np.stack([q1 + eps, 1.0 - q1 - eps], axis=1)
-    q = np.stack([q1, 1.0 - q1], axis=1)
-    return np.maximum(p, 0.0, out=p), np.maximum(q, 0.0, out=q)
-
-
-def _grid3_rows(eps: float, step: float, a: np.ndarray, j: np.ndarray):
-    """The support-3 fine-grid rows with first mass a and middle index j:
-    the one formula for the grid's blocks and verify_min's run floors."""
-    b = np.minimum(j * step, 1.0 - a)
-    c = 1.0 - a - b
-    p = np.stack([a, b, c], axis=1)
-    q = np.stack([a - eps, b, c + eps], axis=1)
+        a = np.minimum(eps + (rows // 2) * step, 1.0)
+        last = np.rint((1.0 - a) / step).astype(np.intp)  # n_b - 1
+        b = np.minimum(rows % 2 * last * step, 1.0 - a)
+        c = 1.0 - a - b
+        p = np.stack([a, b, c], axis=1)
+        q = np.stack([a - eps, b, c + eps], axis=1)
+    else:
+        q1 = np.minimum(rows * step, 1.0 - eps)
+        p = np.stack([q1 + eps, 1.0 - q1 - eps], axis=1)
+        q = np.stack([q1, 1.0 - q1], axis=1)
     return np.maximum(p, 0.0, out=p), np.maximum(q, 0.0, out=q)
 
 
@@ -373,6 +358,9 @@ def _check_run(n_samples: int, seed: int, support_sizes, fine_step: Optional[flo
     """The checks verify_min and grid_verify make before any sampling."""
     if n_samples < 0:
         raise ValueError(f"n_samples={n_samples!r} is negative")
+    most = np.iinfo(np.intp).max
+    if n_samples > most:
+        raise ValueError(f"n_samples={n_samples!r} exceeds {most}, numpy's largest array dimension")
     _check_seed(seed)
     _check_support_sizes(support_sizes)
     if fine_step is not None:
@@ -417,32 +405,14 @@ def _less_margin(floor: np.ndarray) -> np.ndarray:
     """floor - _MARGIN max(1, |floor|) for each floor; +-inf stay as they
     are, with no inf - inf, and NaN stays NaN.
 
-    A floor F holds for exact values: a run's first or last row's signed
-    value (data processing) or a row's Bhattacharyya exponent -log Z (the
-    chain), while the rows' values are computed.  A computed value V can
-    fall short of F by the sum of these, each bounded for a row whose V lies
-    within a hair of F (otherwise V clears the floor anyway):
-    - the masses.  The first row has b = 0 and c = u = fl(1 - a).  Row j
-      has c = fl(u - b), exact by Sterbenz when b >= u / 2 and otherwise
-      within half an ulp, so b + c is u to 2^-53 u.  Each Q carries one
-      more rounding, fl(c + eps).  So the merged atoms of row j and the
-      third atom of the first row differ by under 2^-51 relative in P and
-      in Q; atom 1 is the same floats in every row of a run.  On a term
-      q f(p/q) with t = p / q <= 1 that moves the value by at most
-      (|t f'(t)| + |f(t) - t f'(t)|) 2^-51 q, q <= 1.  For jeffreys that
-      factor is under 39, as every mass is 0 or above 2^-107 (u is 0 or
-      at least 2^-53, and u - b is exact near u), so |log t| < 75: under
-      2e-14.  For hellinger2 and capacitory it is under 2: under 1e-15.
-      Chernoff's sum at each lam and Z move by under 2^-51 relative, so
-      -log of them by under 5e-16, and the last row's Z falls short of any
-      other row's of its run by under 4e-16;
-    - the sums.  Every term of these f-divergences and of Z is >= 0, so
-      each computed term (the ratio, f, the product; or the product and
-      sqrt) and the three-term sum carry under 16 roundings, 2e-15 of V
-      or F relative, plus, where f nearly cancels near t = 1 (capacitory),
-      a few ulps of its O(1) parts per unit of q, under 1e-15.  A screen
-      floor -log Z carries about k + 2 ulps relative of Z, plus one of
-      its own;
+    A floor F holds for exact values: a row's Bhattacharyya exponent
+    -log Z (the chain), while the rows' values are computed.  A computed
+    value V can fall short of F by the sum of these, each bounded for a row
+    whose V lies within a hair of F (otherwise V clears the floor anyway):
+    - the sums.  Every term of Z is >= 0, so each computed term (the
+      product and sqrt) and the sum of k <= 8 terms carry about k + 2 ulps
+      relative of Z, and -log Z one more of its own: under 1e-15 of
+      max(1, |F|);
     - the Chernoff solver.  A row stops at an end lam of a bracket that
       holds the minimizer, so by convexity its value falls short of C by
       at most |g'(lam)| (hi - lo): under fdiv._TILT_CERT max(1, C) by the
@@ -453,13 +423,9 @@ def _less_margin(floor: np.ndarray) -> np.ndarray:
       6e-19.  g(lam), the log of a sum of k <= 8 exponentials of arguments
       below 2 * 745 in size, carries under 3e3 ulps (3.3e-13) absolute and
       k + 2 ulps relative.  So a row's value falls short of its C by under
-      4e-13 + 1e-15 max(1, C), and a floor row's exceeds its C by as much.
+      4e-13 + 1e-15 max(1, C).
     The worst case adds up to under 1e-12 + 1e-14 max(1, |F|), which
-    2^-36 max(1, |F|) (1.46e-11 at |F| <= 1) covers ten times over.  This
-    holds for a screened run floor too: every row of its run has a computed
-    C of at least -log Z of the floor row, less the merge rounding and the
-    solver's shortfall, so a screen floor less the margin above the larger
-    of the line and the first solved row's value rules out the whole run.
+    2^-36 max(1, |F|) (1.46e-11 at |F| <= 1) covers ten times over.
     """
     return np.minimum(floor - _MARGIN, floor * (1.0 - np.copysign(_MARGIN, floor)))
 
@@ -487,27 +453,6 @@ def _signed_values(scan, pm, qm) -> list:
     return out
 
 
-def _kept_runs(scan, eps: float, step: float, a_vals, n_b) -> np.ndarray:
-    """Which runs of the support-3 fine grid the scan of its (measure, sign,
-    line) triples must cover; a measure with no run floor keeps every run.
-
-    For the others, the first or last row of each run, bit for bit the
-    grid's own, goes through _signed_values as a block does, and t is the
-    larger of the line and the least floor (NaN floors aside), a real row's
-    value.  A run is kept when some measure's floor less the margin is at
-    most its t, as a NaN floor is; a floor its screen ruled out is +inf.
-    """
-    if any(om.run_floor is None for om, _, _ in scan):
-        return np.ones(a_vals.size, dtype=bool)
-    keep = np.zeros(a_vals.size, dtype=bool)
-    for om, sign, line in scan:
-        j = np.zeros_like(n_b) if om.run_floor == "first" else n_b - 1
-        (floor,) = _signed_values([(om, sign, line)], *_grid3_rows(eps, step, a_vals, j))
-        t = np.fmax(np.fmin.reduce(floor), line)
-        keep |= ~(_less_margin(floor) > t)
-    return keep
-
-
 def verify_min(
     measures: str | Sequence[str],
     eps: float,
@@ -520,8 +465,10 @@ def verify_min(
 ) -> VerifyPointReport | list[VerifyPointReport]:
     """Stress closed-form extremes at one eps.
 
-    Draws n_samples pairs per support size, adds deterministic fine grids on
-    supports 2 and 3 plus the designated extremal pair, and checks that
+    Draws n_samples pairs per support size, adds the deterministic fine
+    grids at step fine_step (fine_grid_pairs: the support-2 grid, and the
+    first and the last row of each run of the support-3 grid) plus the
+    designated extremal pair, and checks that
     (i) no value crosses the closed form by more than 1e-9,
     (ii) the extremal pair attains it within 1e-9, and
     (iii) the empirical extreme is within gap_threshold when one is given.
@@ -572,20 +519,9 @@ def verify_min(
         pieces = [[pool.submit(sampled, s)] for s in support_sizes] if n_samples > 0 else []
         if fine_step is not None:
             for s in (2, 3):
-                n, a_vals, n_b = _fine_grid_rows(eps, s, fine_step)
-                spans = [(0, n)]
-                if s == 3:
-                    # the kept runs, joined where they adjoin: a span starts
-                    # where keep turns on and stops where it turns off
-                    keep = _kept_runs(scan, eps, fine_step, a_vals, n_b)
-                    turns = np.flatnonzero(np.diff(keep, prepend=False, append=False))
-                    firsts = np.concatenate([[0], np.cumsum(n_b)]).tolist()
-                    spans = [(firsts[lo], firsts[hi]) for lo, hi in zip(turns[::2], turns[1::2])]
-                pieces.append([
-                    pool.submit(fine, s, i, min(i + _BLOCK_ROWS, stop))
-                    for start, stop in spans
-                    for i in range(start, stop, _BLOCK_ROWS)
-                ])
+                n = _fine_grid_rows(eps, s, fine_step)
+                cuts = range(0, n, _BLOCK_ROWS)
+                pieces.append([pool.submit(fine, s, i, min(i + _BLOCK_ROWS, n)) for i in cuts])
         results = [[f.result() for f in piece] for piece in pieces]
     finally:
         pool.shutdown(cancel_futures=True)

@@ -18,7 +18,7 @@ from divbound.bounds import (
     symmetric_fdiv_min,
 )
 from divbound.coding import jeffreys_bound, tightened_bound
-from divbound.dist import binary_divergence, total_variation
+from divbound.dist import _binary_divergence, total_variation
 from divbound.errors import BoundViolationError, DivboundError
 from divbound.fdiv import batch_f_divergence, bhattacharyya, chernoff_information, f_divergence
 from divbound.generators import REGISTRY
@@ -81,7 +81,7 @@ class TestSymmetricFdivMin:
 
     def test_capacitory_half(self):
         assert symmetric_fdiv_min(REGISTRY["capacitory"], 0.5) == pytest.approx(
-            2.0 * binary_divergence(0.25, 0.5), abs=1e-12
+            2.0 * _binary_divergence(0.25, 0.5), abs=1e-12
         )
 
     def test_asymmetric_rejected(self):

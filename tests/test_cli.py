@@ -358,6 +358,18 @@ class TestSourcecode:
         )
         assert r.exit_code == 2
 
+    def test_base_past_the_largest_float_is_usage_error(self, runner, source_file, tmp_path):
+        # 10^400 is an integer no float holds: a usage error that names d,
+        # where the code's float(d) once ended in an OverflowError traceback
+        base = "1" + "0" * 400
+        lf = tmp_path / "len.txt"
+        lf.write_text("a\t1\nb\t2\nc\t2\n", encoding="utf-8")
+        for extra in ([], ["--lengths", str(lf)]):
+            r = runner.invoke(main, ["sourcecode", "--dist", source_file, "--base", base, *extra])
+            assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+            assert r.stdout == ""
+            assert f"Error: code base d={base} must be at most the largest float, " in r.stderr
+
     def test_large_mismatch_message_stays_short(self, runner, tmp_path):
         # 10^4 labels, half of them unknown to the lengths file: the error
         # names the first five of each kind and counts the rest
@@ -539,6 +551,13 @@ class TestVerify:
         )
         assert r.exit_code == 2
         assert "-5 is not in the range x>=0" in r.stderr
+
+    def test_samples_past_numpy_is_usage_error(self, runner):
+        # the message names the argument, where numpy's named none
+        n = 10**20
+        r = runner.invoke(main, ["verify", "--measure", "tv", "--grid", "0.5:0.1:0.5", "--samples", str(n)])
+        assert r.exit_code == 2 and r.stdout == ""
+        assert f"Error: n_samples={n} exceeds " in r.stderr
 
     def test_negative_seed_is_usage_error(self, runner):
         args = ["verify", "--measure", "tv", "--grid", "0.5:0.1:0.5", "--samples", "10"]

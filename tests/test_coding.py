@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from divbound.coding import (
     CodeSpec,
-    code_distribution,
+    _code_distribution,
     csiszar_bound,
     dual_kl_identity_check,
     jeffreys_bound,
@@ -61,8 +62,8 @@ class TestCodeSpec:
     @pytest.mark.parametrize(
         "d, rule",
         [(math.inf, "an integer >= 2"), (math.nan, "an integer >= 2"), (2.5, "an integer >= 2"),
-         (1, ">= 2"), (-math.inf, ">= 2")],
-        ids=["inf", "nan", "non-integer", "below-2", "minus-inf"],
+         (1, ">= 2"), (-math.inf, ">= 2"), (10**400, f"at most the largest float, {sys.float_info.max!r}")],
+        ids=["inf", "nan", "non-integer", "below-2", "minus-inf", "past-the-largest-float"],
     )
     def test_base_must_be_an_integer_of_two_or_more(self, d, rule):
         # one typed error for every bad base, where inf and NaN once
@@ -143,9 +144,9 @@ class TestLabelChecks:
     def test_a_code_keeps_the_source_labels(self):
         p = make_dist(["a", "b", "c"], [0.6, 0.3, 0.1])
         code = shannon_code(p, 2)
-        assert code_distribution(code).labels == p.labels
+        assert _code_distribution(code).labels == p.labels
         # passed on as they are, not checked and copied again
-        assert code.alphabet is p.labels and code_distribution(code).labels is p.labels
+        assert code.alphabet is p.labels and _code_distribution(code).labels is p.labels
 
     def test_a_count_mismatch_is_reported_before_duplicates(self):
         with pytest.raises(DistributionError, match=r"got 3 labels but \(2,\) masses"):
@@ -158,11 +159,11 @@ class TestLabelChecks:
 
 class TestCodeDistribution:
     def test_dyadic(self):
-        q = code_distribution(CodeSpec(("a", "b", "c"), (1, 2, 2), 2))
+        q = _code_distribution(CodeSpec(("a", "b", "c"), (1, 2, 2), 2))
         np.testing.assert_allclose(q.mass, [0.5, 0.25, 0.25])
 
     def test_non_dyadic(self):
-        q = code_distribution(CodeSpec(("a", "b", "c"), (1, 2, 4), 2))
+        q = _code_distribution(CodeSpec(("a", "b", "c"), (1, 2, 4), 2))
         np.testing.assert_allclose(q.mass, [8 / 13, 4 / 13, 1 / 13])
 
 

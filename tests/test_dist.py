@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from divbound.dist import (
     FiniteDist,
+    _binary_divergence,
     align,
-    binary_divergence,
     entropy_base,
     make_dist,
     total_variation,
@@ -163,24 +163,24 @@ class TestTotalVariation:
 
 class TestBinaryDivergence:
     def test_equal_arguments(self):
-        assert binary_divergence(0.5, 0.5) == 0.0
+        assert _binary_divergence(0.5, 0.5) == 0.0
 
     def test_quarter_half(self):
-        assert binary_divergence(0.25, 0.5) == pytest.approx(
+        assert _binary_divergence(0.25, 0.5) == pytest.approx(
             0.13081203594113696, abs=1e-15
         )
 
     def test_zero_p(self):
         # 0 log 0 = 0, leaving log(1/0.5)
-        assert binary_divergence(0.0, 0.5) == pytest.approx(LN2, abs=1e-15)
+        assert _binary_divergence(0.0, 0.5) == pytest.approx(LN2, abs=1e-15)
 
     def test_one_p(self):
-        assert binary_divergence(1.0, 0.25) == pytest.approx(math.log(4.0), abs=1e-15)
+        assert _binary_divergence(1.0, 0.25) == pytest.approx(math.log(4.0), abs=1e-15)
 
     @pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.1])
     def test_degenerate_q_rejected(self, q):
         with pytest.raises(ValueError):
-            binary_divergence(0.5, q)
+            _binary_divergence(0.5, q)
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),
@@ -188,7 +188,7 @@ class TestBinaryDivergence:
     )
     @settings(max_examples=300, deadline=None)
     def test_nonnegative_iff_equal(self, p, q):
-        v = binary_divergence(p, q)
+        v = _binary_divergence(p, q)
         assert v >= -1e-12
         if abs(p - q) <= 1e-12:
             assert v <= 1e-9 * max(1.0, 1.0 / min(q, 1 - q))
@@ -216,7 +216,9 @@ class TestEntropyBase:
             entropy_base(d, 1)
 
     @pytest.mark.parametrize(
-        "base", [math.inf, math.nan, 2.5, 1, -math.inf], ids=["inf", "nan", "non-integer", "below-2", "minus-inf"]
+        "base",
+        [math.inf, math.nan, 2.5, 1, -math.inf, 10**400],
+        ids=["inf", "nan", "non-integer", "below-2", "minus-inf", "past-the-largest-float"],
     )
     def test_base_must_be_an_integer_of_two_or_more(self, base):
         d = make_dist(["a", "b"], [0.5, 0.5])

@@ -9,7 +9,7 @@ from divbound.errors import GeneratorError
 from divbound.generators import (
     REGISTRY,
     FGenerator,
-    check_symmetry,
+    _check_symmetry,
     get_generator,
     register_generator,
     validate_generator,
@@ -55,14 +55,14 @@ def test_f_of_one_is_zero(gen):
 def test_symmetric_entries_carry_constant(name, constant):
     gen = GENERATORS[name]
     assert gen.symmetry_constant == pytest.approx(constant, abs=1e-15)
-    assert check_symmetry(gen) == pytest.approx(constant, abs=1e-12)
+    assert _check_symmetry(gen) == pytest.approx(constant, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", ASYMMETRIC)
 def test_asymmetric_entries_carry_none(name):
     gen = GENERATORS[name]
     assert gen.symmetry_constant is None
-    assert check_symmetry(gen) is None
+    assert _check_symmetry(gen) is None
 
 
 def test_kl_symmetry_residual_at_two():
@@ -75,11 +75,11 @@ def test_kl_symmetry_residual_at_two():
 
 def test_capacitory_constant_value():
     # f'(1) = -log 2, hence a = -2 log 2
-    assert check_symmetry(REGISTRY["capacitory"]) == pytest.approx(-2.0 * LN2)
+    assert _check_symmetry(REGISTRY["capacitory"]) == pytest.approx(-2.0 * LN2)
 
 
 def test_jeffreys_constant_is_zero():
-    assert check_symmetry(REGISTRY["jeffreys"]) == pytest.approx(0.0, abs=1e-15)
+    assert _check_symmetry(REGISTRY["jeffreys"]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_capacitory_fn_stable_at_extremes():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import inspect
 import itertools
@@ -19,7 +20,14 @@ from divbound.errors import BoundViolationError
 from divbound.fdiv import batch_total_variation
 from divbound.oracle import TV_MATCH_TOL, fine_grid_pairs, grid_verify, sample_pair, verify_min
 
-from util import assert_same_report, random_simplex, reference_verify_min, rejection_sign_sets
+from util import (
+    assert_same_report,
+    end_rows,
+    random_simplex,
+    reference_grid3,
+    reference_verify_min,
+    rejection_sign_sets,
+)
 
 
 # sha256 over the P and Q bytes of _sample_batch(_stream(7, 3, k), 2000, k, eps)
@@ -31,13 +39,24 @@ SAMPLER_PINS = {
     0.9: "7acb9f0ac72243904ce3a741ccd1ff21141b0e33c0e8b4e71fc98adde32b4707",
     0.999: "a856e0f132d232423db0fe5965c21d62e241a9cd6955e6541c1badc9cfab2b78",
 }
-# the same over fine_grid_pairs(eps, s) for s = 2, 3, recorded with them
-FINE_GRID_PINS = {
+# the same over fine_grid_pairs(eps, 2) and then the whole 2-D support-3
+# grid, reference_grid3(eps, 1e-3), recorded with them when the oracle
+# scanned that grid whole
+FULL_GRID_PINS = {
     0.0: "949d7da7bc78405a5da96fd9aeedfe78578426d33e733238dd82866f3d272dc9",
     0.1: "0c4c651c43cba7007a62e4851bd9c33aa146039c4f9f2e30ea630fc4e070b19f",
     0.5: "843b0747397f1556dc1b1dd0927999be9384336aaddb582179bd0559ed19b0b8",
     0.9: "7516c9654291e212065ff760b9e586b453dd1f644c001816f032fb868a7452be",
     0.999: "20316d6734ef625888d43d7b59dc0cc5f1decde811ba1681ca27d8746fb5ec89",
+}
+# the same over fine_grid_pairs(eps, s) for s = 2, 3, the support-3 part
+# taken from the end rows of each run of reference_grid3(eps, 1e-3)
+FINE_GRID_PINS = {
+    0.0: "b3fbb81fbd8d9d02f04ce98516c09f0009e118889ea2e29fb6e298965db0cf11",
+    0.1: "57f6470be75e503c7bb51c312ab84a3e5476e6abd7248b4f743538e0684ec375",
+    0.5: "dedb6603ac49fa5fcbd1e29b0731419adf1ca015b7197c2da81e41f08e0d93b0",
+    0.9: "37770d636d146b2af66e9570157ced9f46b31a09a76c8fcd3de2d4da003ed277",
+    0.999: "8dec4cc01ba277758cb71cf27a9e7cbdba1306dba7542758ca2cb676391af150",
 }
 
 
@@ -212,12 +231,15 @@ class TestSignSets:
 class TestFineGrids:
     @pytest.mark.parametrize("eps", sorted(FINE_GRID_PINS))
     def test_grids_are_pinned(self, eps):
-        digest = hashlib.sha256()
-        for s in (2, 3):
-            p, q = fine_grid_pairs(eps, s)
-            digest.update(p.tobytes())
-            digest.update(q.tobytes())
-        assert digest.hexdigest() == FINE_GRID_PINS[eps]
+        def digest(*arrays):
+            return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+        p2, q2 = fine_grid_pairs(eps, 2)
+        p3, q3 = fine_grid_pairs(eps, 3)
+        assert digest(p2, q2, p3, q3) == FINE_GRID_PINS[eps]
+        # the reference grid is the one the oracle scanned whole
+        p, q, _ = reference_grid3(eps, 1e-3)
+        assert digest(p2, q2, p, q) == FULL_GRID_PINS[eps]
 
     def test_support2_shape_and_constraint(self):
         p, q = fine_grid_pairs(0.25, 2, step=1e-3)
@@ -230,12 +252,12 @@ class TestFineGrids:
         p, q = fine_grid_pairs(eps, 3, step=1e-3)
         tv = 0.5 * np.abs(p - q).sum(axis=1)
         np.testing.assert_allclose(tv, eps, atol=1e-12)
-        # the designated three-point pair sits on the grid
-        target = np.array([eps, 1 - eps, 0.0])
-        hit = np.all(np.abs(p - target) < 1e-9, axis=1)
-        assert hit.any()
-        i = int(np.argmax(hit))
-        np.testing.assert_allclose(q[i], [0.0, 1 - eps, eps], atol=1e-9)
+        # the designated pairs sit on the grid: the three-point pair as the
+        # last row of the first run, the two-point pair as a first row
+        for want_p, want_q in (([eps, 1 - eps, 0.0], [0.0, 1 - eps, eps]), ([0.7, 0.0, 0.3], [0.3, 0.0, 0.7])):
+            hit = np.all(np.abs(p - want_p) < 1e-9, axis=1)
+            assert hit.any()
+            np.testing.assert_allclose(q[int(np.argmax(hit))], want_q, atol=1e-9)
 
     def test_unsupported_size(self):
         with pytest.raises(ValueError):
@@ -243,24 +265,18 @@ class TestFineGrids:
 
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3, 0.5, 0.9, 0.999])
     def test_support3_matches_the_loop_over_a(self, eps):
-        step = 1e-3
-        # the reference: one block of b values per a, built one a at a time
-        n_a = int(round((1.0 - eps) / step)) + 1
-        blocks_a, blocks_b = [], []
-        for a in np.minimum(eps + np.arange(n_a) * step, 1.0):
-            b = np.minimum(np.arange(int(round((1.0 - a) / step)) + 1) * step, 1.0 - a)
-            blocks_a.append(np.full(b.size, a))
-            blocks_b.append(b)
-        a, b = np.concatenate(blocks_a), np.concatenate(blocks_b)
-        want_p = np.maximum(np.stack([a, b, 1.0 - a - b], axis=1), 0.0)
-        want_q = np.maximum(np.stack([a - eps, b, 1.0 - a - b + eps], axis=1), 0.0)
-        p, q = fine_grid_pairs(eps, 3, step=step)
-        assert np.array_equal(p, want_p) and np.array_equal(q, want_q)
+        # the reference builds the whole grid one a at a time; the family is
+        # the first and last row of each a, to the byte
+        for step in (1e-3, 7e-3, 0.05, 0.3):
+            p, q, n_b = reference_grid3(eps, step)
+            fp, fq = fine_grid_pairs(eps, 3, step=step)
+            at = end_rows(n_b)
+            assert fp.tobytes() == p[at].tobytes() and fq.tobytes() == q[at].tobytes(), step
 
     @staticmethod
     def _join(eps, s, step, widths):
         """fine_grid_pairs over consecutive row ranges whose widths cycle through widths."""
-        n = oracle._fine_grid_rows(eps, s, step)[0]
+        n = oracle._fine_grid_rows(eps, s, step)
         cuts, width = [0], itertools.cycle(widths)
         while cuts[-1] < n:
             cuts.append(min(cuts[-1] + next(width), n))
@@ -271,13 +287,13 @@ class TestFineGrids:
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5, 0.9, 0.999])
     def test_row_ranges_join_to_the_whole_grid(self, eps, step):
         # the widths cycle in each of their four rotations, so ranges start
-        # and end at many places inside and between the runs of one a; a
+        # and end at many places, on first and on last rows of the runs; a
         # join of one width alone is made when it takes at most 3000 ranges
         widths = (1, 7, 1000, oracle._BLOCK_ROWS)
         for s in (2, 3):
             p, q = fine_grid_pairs(eps, s, step)
             n = len(p)
-            assert oracle._fine_grid_rows(eps, s, step)[0] == n
+            assert oracle._fine_grid_rows(eps, s, step) == n
             joins = [widths[r:] + widths[:r] for r in range(len(widths))]
             joins += [(w,) for w in widths if n <= 3000 * w]
             for join in joins:
@@ -297,7 +313,7 @@ class TestFineGrids:
                     fine_grid_pairs(eps, s)
 
     def test_row_range_bounds(self):
-        n = oracle._fine_grid_rows(0.3, 3, 1e-2)[0]
+        n = oracle._fine_grid_rows(0.3, 3, 1e-2)
         for start in (0, 17, n):
             p, q = fine_grid_pairs(0.3, 3, 1e-2, start, start)
             assert p.shape == q.shape == (0, 3)
@@ -487,6 +503,16 @@ class TestArguments:
                 grid_verify("tv", grid, -5)
         assert not called
 
+    def test_sample_count_past_numpy_raises_before_sampling(self, monkeypatch):
+        # 10^20 rows exceed numpy's largest array dimension: the error names
+        # n_samples, where numpy's own named no argument
+        called = _no_sampling(monkeypatch)
+        n = 10**20
+        for run in (lambda: verify_min("tv", 0.5, n), lambda: grid_verify("tv", [0.2, 0.5], n)):
+            with pytest.raises(ValueError, match=f"n_samples={n} exceeds {np.iinfo(np.intp).max}, "):
+                run()
+        assert not called
+
     def test_negative_seed_raises_before_sampling(self, monkeypatch):
         called = _no_sampling(monkeypatch)
         with pytest.raises(ValueError, match="seed=-1 is negative"):
@@ -575,6 +601,12 @@ class TestSeveralMeasures:
             assert_same_report(a, b)
 
 
+def _small_blocks(monkeypatch):
+    """Cut the fine grids into blocks of 256 rows, so that at step 1e-3
+    each takes several."""
+    monkeypatch.setattr(oracle, "_BLOCK_ROWS", 1 << 8)
+
+
 class TestBlockScan:
     """The pooled block scan against one sequential scan of whole arrays."""
 
@@ -594,6 +626,7 @@ class TestBlockScan:
     def test_crossings_in_several_fine_grid_blocks(self, monkeypatch):
         # every row whose value lies under 0.2 crosses; those rows fill
         # blocks across the support-3 grid, the lowest not in the first
+        _small_blocks(monkeypatch)
         _force_bound(monkeypatch, "jeffreys", 0.2)
         evaluate = oracle.ORACLE_MEASURES["jeffreys"].evaluate
         vals = evaluate(*fine_grid_pairs(0.1, 3))
@@ -606,6 +639,7 @@ class TestBlockScan:
     def test_ties_keep_the_first_row(self, monkeypatch):
         # every row sits at TV 0.1 up to rounding and crosses 0.5: the least
         # value recurs across blocks and grids, and the first row of it wins
+        _small_blocks(monkeypatch)
         _force_bound(monkeypatch, "tv", 0.5)
         r = verify_min("tv", 0.1, 0, seed=2)
         assert len(r.witness[0]) == 2
@@ -623,10 +657,11 @@ class TestBlockScan:
 
     def test_nan_before_the_least_block(self, monkeypatch):
         # the whole-array argmin stops at the first NaN, so the support-3
-        # grid, whose least row (block 18) would be the witness, gives none
+        # grid, whose least row (block 3) would be the witness, gives none
+        _small_blocks(monkeypatch)
         _force_bound(monkeypatch, "jeffreys", 0.2)
         om = oracle.ORACLE_MEASURES["jeffreys"]
-        nan_row = oracle.fine_grid_pairs(0.1, 3)[0][3 * oracle._BLOCK_ROWS + 5]
+        nan_row = oracle.fine_grid_pairs(0.1, 3)[0][2 * oracle._BLOCK_ROWS + 5]
 
         def with_nan(pm, qm):
             vals = om.evaluate(pm, qm)
@@ -641,9 +676,8 @@ class TestBlockScan:
 
     def test_blocks_are_built_on_the_workers(self, monkeypatch):
         # each fine-grid block is built by the worker that scans it, from its
-        # own row range; together the ranges cover each grid once, in order,
-        # but for jeffreys, whose support-3 ranges cover exactly the runs its
-        # floors keep
+        # own row range; together the ranges cover each grid once, in order
+        _small_blocks(monkeypatch)
         build = oracle.fine_grid_pairs
         for name in ("tv", "jeffreys"):
             calls = []
@@ -664,28 +698,20 @@ class TestBlockScan:
             assert all(a["eps"] == 0.1 and a["step"] == 1e-3 for a, _, _ in calls)
             assert all(rows == a["stop"] - a["start"] <= oracle._BLOCK_ROWS for a, rows, _ in calls)
             for s in (2, 3):
-                n, a_vals, n_b = oracle._fine_grid_rows(0.1, s, 1e-3)
+                n = oracle._fine_grid_rows(0.1, s, 1e-3)
                 cuts = sorted((a["start"], a["stop"]) for a, _, _ in calls if a["support"] == s)
-                if s == 2 or name == "tv":
-                    assert len(cuts) == -(-n // oracle._BLOCK_ROWS)
-                    assert [c[0] for c in cuts] == [0] + [c[1] for c in cuts[:-1]] and cuts[-1][1] == n
-                    continue
-                om = oracle.ORACLE_MEASURES[name]
-                keep = oracle._kept_runs([(om, 1.0, r.closed_form - oracle._VIOLATION_SLACK)], 0.1, 1e-3, a_vals, n_b)
-                first = np.cumsum(n_b) - n_b
-                kept = np.concatenate([np.arange(f, f + k) for f, k in zip(first[keep], n_b[keep])])
-                assert 0 < keep.sum() < keep.size
-                assert np.array_equal(np.concatenate([np.arange(*c) for c in cuts]), kept)
+                assert len(cuts) == -(-n // oracle._BLOCK_ROWS) > 1
+                assert [c[0] for c in cuts] == [0] + [c[1] for c in cuts[:-1]] and cuts[-1][1] == n
 
     def test_memory_does_not_grow_with_the_grid(self, monkeypatch):
         # a block's rows live only on the worker scanning it, so the traced
         # peak is set by workers x block size; four workers keep the figure
-        # the same on every machine.  The support-3 grid has 1.6e6 rows
-        # here, 78 MB for P and Q: held whole, the peak was about 155 MB
+        # the same on every machine.  The support-3 family has 1.8e6 rows
+        # here, 86 MB for P and Q, and the support-2 grid 0.9e6
         monkeypatch.setattr(oracle, "_cpu_count", lambda: 4)
         tracemalloc.start()
         try:
-            r = verify_min("tv", 0.1, 0, fine_step=5e-4)
+            r = verify_min("tv", 0.1, 0, fine_step=1e-6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -757,7 +783,7 @@ class TestScreen:
     def test_solves_few_rows(self, monkeypatch):
         solved = _solved_rows(monkeypatch)
         r = verify_min("chernoff", 0.5, 5000, seed=1)
-        rows = 7 * 5000 + sum(oracle._fine_grid_rows(0.5, s, 1e-3)[0] for s in (2, 3))
+        rows = 7 * 5000 + sum(oracle._fine_grid_rows(0.5, s, 1e-3) for s in (2, 3))
         assert r.passed and 0 < len(solved) < rows / 100
 
     @staticmethod
@@ -839,69 +865,94 @@ class TestScreen:
         assert_same_report(r, verify_min("chernoff", 0.3, **kw))
 
 
-FLOORED = sorted(k for k, om in oracle.ORACLE_MEASURES.items() if om.run_floor is not None)
+# the end row of each run of the support-3 grid whose signed value floors
+# the run's, by data processing (see divbound.oracle): the first (b = 0) or
+# the last (the least c).  tv, eps on every row up to rounding, has none
+RUN_FLOOR = {
+    "hellinger2": "first",
+    "jeffreys": "first",
+    "capacitory": "first",
+    "chernoff": "first",
+    "bhattacharyya_lower": "last",
+    "bhattacharyya_upper": "first",
+}
+FLOORED = sorted(RUN_FLOOR)
+CHECKED_EPS = (0.0, 1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999)
 
 
-def _unfloored(monkeypatch, names):
-    """Make verify_min scan every support-3 run for names."""
-    for name in names:
-        om = oracle.ORACLE_MEASURES[name]
-        monkeypatch.setitem(oracle.ORACLE_MEASURES, name, dataclasses.replace(om, run_floor=None))
+def _within_ulps(short: float, full: float, sign: float) -> bool:
+    """short, an extreme over the end rows, equals full, the whole grid's,
+    or lies past it by at most 4 ulps of max(1, |full|): above it for
+    sign = 1, a least value, and below it for sign = -1, a largest."""
+    return short == full or 0.0 <= sign * (short - full) <= 4.0 * np.spacing(max(1.0, abs(full)))
 
 
-def _floors_on_main(monkeypatch, name, values):
-    """Make name's evaluator give values(floor, pm) for the run floors it
-    solves, which verify_min evaluates on the main thread, and leave the
-    blocks alone."""
-    om = oracle.ORACLE_MEASURES[name]
+def _full_grid(monkeypatch):
+    """Make verify_min scan the whole 2-D support-3 grid, reference_grid3, in
+    place of the two end rows of each run."""
+    rows, build = oracle._fine_grid_rows, oracle.fine_grid_pairs
+    grid = functools.lru_cache(reference_grid3)
 
-    def evaluate(pm, qm):
-        v = om.evaluate(pm, qm)
-        if threading.current_thread() is threading.main_thread() and pm.shape[1] == 3:
-            v = values(v, pm)
-        return v
+    def full_rows(eps, support, step):
+        return rows(eps, support, step) if support == 2 else len(grid(eps, step)[0])
 
-    monkeypatch.setitem(oracle.ORACLE_MEASURES, name, dataclasses.replace(om, evaluate=evaluate))
+    def full_pairs(eps, support, step=1e-3, start=0, stop=None):
+        if support == 2:
+            return build(eps, support, step, start, stop)
+        p, q, _ = grid(eps, step)
+        return p[start:stop].copy(), q[start:stop].copy()
+
+    monkeypatch.setattr(oracle, "_fine_grid_rows", full_rows)
+    monkeypatch.setattr(oracle, "fine_grid_pairs", full_pairs)
 
 
 class TestRunFloors:
-    """verify_min's support-3 run floors against the scan of every run."""
+    """The support-3 family's two end rows per run against the whole 2-D grid."""
 
     def test_the_floored_entries(self):
-        floors = {k: om.run_floor for k, om in oracle.ORACLE_MEASURES.items()}
-        assert floors.pop("tv") is None and floors.pop("bhattacharyya_lower") == "last"
-        assert set(floors.values()) == {"first"}
+        # every oracle measure but tv names the end row that floors its runs:
+        # a new measure must say which, or the family may miss its extreme
+        assert sorted([*RUN_FLOOR, "tv"]) == sorted(oracle.ORACLE_MEASURES)
+        assert set(RUN_FLOOR.values()) == {"first", "last"}
 
     @pytest.mark.parametrize("step", [1e-3, 7e-3, 0.05])
     @pytest.mark.parametrize("name", FLOORED)
     def test_every_row_clears_its_run_floor(self, name, step):
-        # the fact behind the skip, on the computed values: no row of a run
-        # lies below its floor less the margin, and the margin is at least
-        # 1000 times the worst shortfall seen
+        # the fact behind the two rows per run, on the computed values of the
+        # whole grid: no row of a run lies below its floor less the margin,
+        # and the margin is at least 1000 times the worst shortfall seen
         om = oracle.ORACLE_MEASURES[name]
         sign = 1.0 if om.direction == "min" else -1.0
         worst = 0.0
-        for eps in (0.0, 1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
-            n, a_vals, n_b = oracle._fine_grid_rows(eps, 3, step)
-            pm, qm = fine_grid_pairs(eps, 3, step)
-            j = np.zeros_like(n_b) if om.run_floor == "first" else n_b - 1
-            fp, fq = oracle._grid3_rows(eps, step, a_vals, j)
-            at = np.cumsum(n_b) - n_b + j
-            assert fp.tobytes() == pm[at].tobytes() and fq.tobytes() == qm[at].tobytes()
+        for eps in CHECKED_EPS:
+            pm, qm, n_b = reference_grid3(eps, step)
+            at = end_rows(n_b)[0 if RUN_FLOOR[name] == "first" else 1 :: 2]
             v = sign * om.evaluate(pm, qm)
-            floor = np.repeat(sign * om.evaluate(fp, fq), n_b)
+            floor = np.repeat(v[at], n_b)
             assert not np.any(v < oracle._less_margin(floor)), eps
             if om.screen is not None:
-                # nor below its floor row's screen floor less the margin,
-                # which rules the run out when the screen skips that row
+                # nor below its floor row's screen floor less the margin
                 source, screen = om.screen
-                s = np.repeat(sign * screen(oracle.ORACLE_MEASURES[source].evaluate(fp, fq)), n_b)
+                s = np.repeat(sign * screen(oracle.ORACLE_MEASURES[source].evaluate(pm[at], qm[at])), n_b)
                 assert not np.any(v < oracle._less_margin(s)), eps
             assert np.all(v[floor == math.inf] == math.inf)
             both = np.isfinite(floor) & np.isfinite(v)
             floor, v = floor[both], v[both]
             worst = max(worst, float(np.max((floor - v) / np.maximum(1.0, np.abs(floor)), initial=0.0)))
         assert 1000.0 * worst <= oracle._MARGIN
+
+    @pytest.mark.parametrize("step", [1e-3, 7e-3, 0.05])
+    @pytest.mark.parametrize("name", sorted(oracle.ORACLE_MEASURES))
+    def test_end_rows_give_the_grid_extreme(self, name, step):
+        # the least signed value over the family is the whole grid's to a
+        # few ulps; tv's rows differ only by the rounding of their masses
+        om = oracle.ORACLE_MEASURES[name]
+        sign = 1.0 if om.direction == "min" else -1.0
+        for eps in CHECKED_EPS:
+            pm, qm, _ = reference_grid3(eps, step)
+            full = float(np.min(sign * om.evaluate(pm, qm)))
+            short = float(np.min(sign * om.evaluate(*fine_grid_pairs(eps, 3, step))))
+            assert _within_ulps(short, full, 1.0), (eps, short, full)
 
     def test_margin_keeps_infinities(self):
         x = np.array([math.inf, -math.inf, math.nan, 0.0, 0.5, -0.5, 2.0, -2.0])
@@ -913,23 +964,35 @@ class TestRunFloors:
         assert list(out[3:]) == [-m, 0.5 - m, -0.5 - m, 2.0 - 2.0 * m, -2.0 - 2.0 * m]
 
     @staticmethod
-    def _same_as_unfloored(monkeypatch, names, eps, **kw):
-        floored = verify_min(names, eps, **kw)
+    def _same_as_full_grid(monkeypatch, names, eps, **kw):
+        """verify_min's reports against those of the scan of the whole grid:
+        equal, but for the extremes and the gap, which may differ by a few
+        ulps.  Returns both runs' reports."""
+        short = verify_min(names, eps, **kw)
         with monkeypatch.context() as m:
-            _unfloored(m, names)
+            _full_grid(m)
             full = verify_min(names, eps, **kw)
-        for a, b in zip(floored, full):
-            assert_same_report(a, b)
-        return floored
+        for a, b in zip(short, full):
+            sign = 1.0 if a.direction == "min" else -1.0
+            for f in dataclasses.fields(a):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                if f.name in ("sample_extreme", "fine_extreme"):
+                    assert (x is None) == (y is None) and (x is None or _within_ulps(x, y, sign)), (f.name, x, y)
+                elif f.name == "gap":
+                    assert abs(x - y) <= 4.0 * np.spacing(max(1.0, abs(a.closed_form))), (a.measure, x, y)
+                elif a.violations == 0 and f.name != "witness":
+                    assert x == y, (a.measure, f.name, x, y)
+        return short, full
 
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999])
     def test_equals_the_full_scan(self, monkeypatch, eps):
-        # each measure on its own, then all in one scan, whose kept runs are
-        # the union of theirs
+        # each measure on its own, then all in one scan
         kw = dict(n_samples=100, seed=5, fine_step=2e-3, stream_key=3)
-        for name in FLOORED:
-            self._same_as_unfloored(monkeypatch, [name], eps, **kw)
-        self._same_as_unfloored(monkeypatch, FLOORED, eps, **kw)
+        names = sorted(oracle.ORACLE_MEASURES)
+        for name in names:
+            self._same_as_full_grid(monkeypatch, [name], eps, **kw)
+        short, _ = self._same_as_full_grid(monkeypatch, names, eps, **kw)
+        assert all(r.passed and r.witness is None for r in short)
 
     @pytest.mark.parametrize(
         "kw",
@@ -938,75 +1001,29 @@ class TestRunFloors:
     )
     def test_one_kind_of_piece(self, monkeypatch, kw):
         for eps in (0.0, 0.3, 0.9):
-            self._same_as_unfloored(monkeypatch, FLOORED, eps, seed=11, **kw)
+            self._same_as_full_grid(monkeypatch, sorted(oracle.ORACLE_MEASURES), eps, seed=11, **kw)
 
     @pytest.mark.parametrize("factor", [1.2, 1e3])
     @pytest.mark.parametrize("name", FLOORED)
     def test_forced_closed_form(self, monkeypatch, name, factor):
         # a line 1.2 times the bound lies among the runs, so that rows of
         # several runs cross; 1e3 times puts it above every row.  A "max"
-        # entry gets the bound divided by the factor instead
+        # entry gets the bound divided by the factor instead.  The family
+        # crosses where the whole grid does, with fewer rows, and its least
+        # row is the grid's to a few ulps
         eps = 0.3
         om = oracle.ORACLE_MEASURES[name]
         _force_bound(monkeypatch, name, bound_curve(name, eps) * (factor if om.direction == "min" else 1.0 / factor))
         kw = dict(n_samples=0, fine_step=5e-3)
-        (r,) = self._same_as_unfloored(monkeypatch, [name], eps, **kw)
-        assert r.violations > 0 and len(r.witness[0]) in (2, 3)
+        (r,), (full,) = self._same_as_full_grid(monkeypatch, [name], eps, **kw)
+        assert 1 < r.violations < full.violations and len(r.witness[0]) in (2, 3)
         assert_same_report(r, reference_verify_min(name, eps, **kw))
-        n, a_vals, n_b = oracle._fine_grid_rows(eps, 3, 5e-3)
-        sign = 1.0 if om.direction == "min" else -1.0
-        line = sign * r.closed_form - oracle._VIOLATION_SLACK
-        keep = oracle._kept_runs([(oracle.ORACLE_MEASURES[name], sign, line)], eps, 5e-3, a_vals, n_b)
-        assert keep.sum() > 1
-
-    def test_nan_floors_keep_their_runs(self, monkeypatch):
-        def nan_every_7th(v, pm):
-            v = v.copy()
-            v[::7] = math.nan
-            return v
-
-        _floors_on_main(monkeypatch, "jeffreys", nan_every_7th)
-        om = oracle.ORACLE_MEASURES["jeffreys"]
-        n, a_vals, n_b = oracle._fine_grid_rows(0.1, 3, 1e-3)
-        line = bound_curve("jeffreys", 0.1) - oracle._VIOLATION_SLACK
-        keep = oracle._kept_runs([(om, 1.0, line)], 0.1, 1e-3, a_vals, n_b)
-        assert keep[::7].all() and not keep.all()
-        self._same_as_unfloored(monkeypatch, ["jeffreys"], 0.1, n_samples=0)
-
-    @pytest.mark.parametrize("every", [False, True], ids=["every-5th", "all"])
-    def test_inf_floors_skip_their_runs(self, monkeypatch, every):
-        # an inf floor rules its run out without an inf - inf, even the
-        # least floor's; when every floor is inf, so is the least, and every
-        # run is kept
-        n, a_vals, n_b = oracle._fine_grid_rows(0.1, 3, 1e-3)
-        line = bound_curve("chernoff", 0.1) - oracle._VIOLATION_SLACK
-
-        def kept():
-            om = oracle.ORACLE_MEASURES["chernoff"]
-            return oracle._kept_runs([(om, 1.0, line)], 0.1, 1e-3, a_vals, n_b)
-
-        # the one run kept holds the pair of the closed form
-        assert np.flatnonzero(kept()).tolist() == [450]
-        hit = np.arange(a_vals.size) % (1 if every else 5) == 0
-
-        def inf_hit(v, pm):
-            # the screen passes on only some floor rows: each row's a names its run
-            return np.where(np.isin(pm[:, 0], a_vals[hit]), math.inf, v)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _floors_on_main(monkeypatch, "chernoff", inf_hit)
-            keep = kept()
-            floored = verify_min("chernoff", 0.1, 0)
-        assert keep.all() if every else keep.any() and not keep[hit].any()
-        _unfloored(monkeypatch, ["chernoff"])
-        assert_same_report(floored, verify_min("chernoff", 0.1, 0))
 
     def test_work_pin(self, monkeypatch):
-        # at eps 0.1 and step 1e-3, jeffreys builds at most 2 support-3 runs
-        # and tv every one of the grid's 406,351 rows
+        # at eps 0.1 and step 1e-3 every scan builds two support-3 rows for
+        # each of the 901 runs, 1,802 rows, where the whole grid has 406,351
         build = oracle.fine_grid_pairs
-        for name, runs, rows in (("jeffreys", (1, 2), None), ("tv", (901,), 406351)):
+        for name in ("jeffreys", "tv"):
             built = []
 
             def recorded(eps, support, *args, **kwargs):
@@ -1019,13 +1036,12 @@ class TestRunFloors:
                 m.setattr(oracle, "fine_grid_pairs", recorded)
                 assert verify_min(name, 0.1, 0).passed
             p = np.concatenate(built)
-            assert np.unique(p[:, 0]).size in runs
-            assert rows is None or len(p) == rows
+            assert len(p) == 1802 and np.unique(p[:, 0]).size == 901
+        assert len(reference_grid3(0.1, 1e-3)[0]) == 406351
 
     def test_chernoff_floor_rows_are_screened(self, monkeypatch):
-        # the run floors go through the screen as the blocks do: each call
-        # of the tilt solve gets one row, where unscreened floors sent it
-        # one row per run, 2,505 over these five eps
+        # the support-3 rows, which are the runs' floor rows, go through the
+        # screen as every block does: each call of the tilt solve gets one row
         om = oracle.ORACLE_MEASURES["chernoff"]
         calls = []
 
@@ -1040,51 +1056,49 @@ class TestRunFloors:
 
     @pytest.mark.parametrize("margins, kept", [(0.5, True), (2.0, False)])
     def test_screened_run_floor_at_the_margin(self, monkeypatch, margins, kept):
-        # run r's screen floor is forced to t plus 0.5 or 2 margins, t the
-        # value of the floor row the screen solves first; so is its value,
-        # so that only the screen can rule the run out.  Half a margin keeps
-        # the run, two rule it out unsolved, and the report stays that of
-        # the scan of every row
-        eps, step, r = 0.1, 1e-3, 100
-        n, a_vals, n_b = oracle._fine_grid_rows(eps, 3, step)
-        fp, fq = oracle._grid3_rows(eps, step, a_vals, np.zeros_like(n_b))
+        # row r of the support-3 family gets its screen floor forced to t
+        # plus 0.5 or 2 margins, t the value of the row the screen solves
+        # first; so does its value, so that only the screen can rule it out.
+        # Half a margin keeps the row, two rule it out unsolved, and the
+        # report stays that of the scan of every row
+        eps, step, r = 0.1, 1e-3, 200
+        fp, fq = fine_grid_pairs(eps, 3, step)
         line = bound_curve("chernoff", eps) - oracle._VIOLATION_SLACK
         floors = oracle._less_margin(fdiv._chernoff_floor(fdiv.batch_bhattacharyya(fp, fq)))
         i = int(np.argmin(floors))
         t = fdiv.batch_chernoff(fp[i : i + 1], fq[i : i + 1])[0]
         assert i != r and t > line
         x = t + margins * oracle._MARGIN * max(1.0, t)
+        om = oracle.ORACLE_MEASURES["chernoff"]
         solved = []
 
-        def forced_value(v, pm):
-            at_r = pm[:, 0] == a_vals[r]
+        def forced_value(pm, qm):
+            at_r = (pm == fp[r]).all(axis=1) if pm.shape[1] == 3 else np.zeros(len(pm), dtype=bool)
             solved.extend(at_r)
-            return np.where(at_r, x, v)
-
-        _floors_on_main(monkeypatch, "chernoff", forced_value)
-        om = oracle.ORACLE_MEASURES["chernoff"]
+            return np.where(at_r, x, om.evaluate(pm, qm))
 
         def forced_floor(z):
             s = fdiv._chernoff_floor(z)
-            if threading.current_thread() is threading.main_thread() and len(z) == a_vals.size:
+            if len(z) == len(fp):  # the support-3 block: no sampled rows here
                 s[r] = x
             return s
 
         monkeypatch.setitem(
-            oracle.ORACLE_MEASURES, "chernoff", dataclasses.replace(om, screen=(om.screen[0], forced_floor))
+            oracle.ORACLE_MEASURES,
+            "chernoff",
+            dataclasses.replace(om, evaluate=forced_value, screen=(om.screen[0], forced_floor)),
         )
-        keep = oracle._kept_runs([(oracle.ORACLE_MEASURES["chernoff"], 1.0, line)], eps, step, a_vals, n_b)
-        assert keep[i] and keep[r] == kept and any(solved) == kept
-        floored = verify_min("chernoff", eps, 0)
-        om = oracle.ORACLE_MEASURES["chernoff"]
-        monkeypatch.setitem(oracle.ORACLE_MEASURES, "chernoff", dataclasses.replace(om, screen=None, run_floor=None))
-        assert_same_report(floored, verify_min("chernoff", eps, 0))
+        screened = verify_min("chernoff", eps, 0, fine_step=step)
+        assert any(solved) == kept
+        _unscreened(monkeypatch)
+        assert_same_report(screened, verify_min("chernoff", eps, 0, fine_step=step))
 
 
 class TestPool:
     @staticmethod
     def _failing_block(monkeypatch, name, eps):
         """Make name's evaluator raise on the third support-3 fine-grid block only."""
+        _small_blocks(monkeypatch)
         om = oracle.ORACLE_MEASURES[name]
         first_row = oracle.fine_grid_pairs(eps, 3)[0][2 * oracle._BLOCK_ROWS]
 

@@ -95,6 +95,33 @@ def rejection_sign_sets(rng, pm: np.ndarray, eps: float) -> np.ndarray:
     return b
 
 
+def reference_grid3(eps: float, step: float):
+    """The whole 2-D support-3 grid, built one run at a time: the reference
+    route for fine_grid_pairs' two rows per run.
+
+    Run i has first mass a = min(eps + i step, 1) and n_b = round((1 - a) /
+    step) + 1 rows b = min(j step, 1 - a), j = 0 .. n_b - 1, each the pair
+    P = (a, b, 1 - a - b), Q = (a - eps, b, 1 - a - b + eps) with negative
+    masses set to 0.  Returns P, Q and each run's n_b.
+    """
+    n_a = int(round((1.0 - eps) / step)) + 1
+    runs_a, runs_b = [], []
+    for a in np.minimum(eps + np.arange(n_a) * step, 1.0):
+        b = np.minimum(np.arange(int(round((1.0 - a) / step)) + 1) * step, 1.0 - a)
+        runs_a.append(np.full(b.size, a))
+        runs_b.append(b)
+    a, b = np.concatenate(runs_a), np.concatenate(runs_b)
+    p = np.maximum(np.stack([a, b, 1.0 - a - b], axis=1), 0.0)
+    q = np.maximum(np.stack([a - eps, b, 1.0 - a - b + eps], axis=1), 0.0)
+    return p, q, np.array([r.size for r in runs_b])
+
+
+def end_rows(n_b: np.ndarray) -> np.ndarray:
+    """The first and last row of each run of reference_grid3, run by run."""
+    first = np.cumsum(n_b) - n_b
+    return np.stack([first, first + n_b - 1], axis=1).ravel()
+
+
 def reference_verify_min(
     measure: str,
     eps: float,

@@ -143,9 +143,15 @@ def _jeffreys(eps):
 
 
 def _capacitory(eps):
-    # 2 d((1-eps)/2 || 1/2) without its cancellation at small eps:
-    # eps^2 + eps^4/6 + ...
-    return _log1m_sq(eps) + 2.0 * eps * np.arctanh(eps)
+    # 2 d((1-eps)/2 || 1/2), split at 1/2 as _log1m_sq is: below, the form
+    # through log1p(-eps^2) has no cancellation at small eps (eps^2 +
+    # eps^4/6 + ...); from 1/2 on, log(1 - eps^2) and 2 eps atanh(eps)
+    # cancel towards 2 log 2, and the form through log1p(+-eps) does not
+    return np.where(
+        eps < 0.5,
+        np.log1p(-eps * eps) + 2.0 * eps * np.arctanh(eps),
+        (1.0 + eps) * np.log1p(eps) + (1.0 - eps) * np.log1p(-eps),
+    )
 
 
 def _chernoff(eps):

@@ -161,21 +161,6 @@ def total_variation(p: FiniteDist, q: FiniteDist) -> float:
     return 0.5 * float(np.abs(pm - qm).sum())
 
 
-def _binary_divergence(p: float, q: float) -> float:
-    """Relative entropy between Bernoulli(p) and Bernoulli(q), natural log.
-
-    d(p||q) = p log(p/q) + (1-p) log((1-p)/(1-q)) with 0 log 0 = 0.
-    Requires p in [0,1] and q strictly inside (0,1).
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p!r} outside [0, 1]")
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q={q!r} outside the open interval (0, 1)")
-    t1 = p * math.log(p / q) if p > 0.0 else 0.0
-    t2 = (1.0 - p) * math.log((1.0 - p) / (1.0 - q)) if p < 1.0 else 0.0
-    return t1 + t2
-
-
 def _check_base(d, what: str) -> None:
     """Raise DistributionError unless the base d is an integer from 2 to the
     largest float, which the code's float arithmetic needs: NaN fails d >= 2,

@@ -17,12 +17,19 @@ meets eps to a few ulps).  When a drawn P cannot carry a mass-eps sign set
 on a proper subset (min mass > 1 - eps), the smallest atom is rescaled into
 the feasible range and the rest renormalized.
 
-B is the prefix of a random order of the atoms that first reaches mass eps,
-plus fair coins on the later atoms but the last, the anchor, which stays in
-A and so must lie in S = {j : P_j <= 1 - eps}.  The anchor is drawn
-uniformly from S and swapped into the last slot of an independent uniform
-permutation: a uniform order conditioned on ending in S, as when whole
-orders were redrawn until one did (the tests keep that reference route).
+B is built from the atoms in column order: the prefix that first reaches
+mass eps, plus fair coins on the later atoms, all but the anchor, which
+stays in A and so must lie in S = {j : P_j <= 1 - eps}.  The anchor is drawn
+uniformly from S.  No permutation is drawn, because the columns of P are
+exchangeable: P is a normalized vector of i.i.d. exponentials, and the
+shrink of stuck rows acts on the smallest atom, whichever column holds it.
+So the column order of the atoms besides the anchor is already a uniform
+random order, whichever atom the anchor is, and each pair has, up to a
+relabelling of atoms, the law of a uniform order conditioned on ending in
+S: the law of the rejection route that redrew whole orders until one did.
+The tests keep that route, and the permutation draw this one replaced, as
+references.  _draw_sign_sets sees only the columns it is given and relies
+on its caller for the exchangeability.
 
 Rows hold only 2 to 8 masses, and numpy reduces so short a last axis 10-40
 times slower than it runs the same arithmetic over whole columns.  So the
@@ -152,45 +159,38 @@ def _first_true(mask: np.ndarray) -> np.ndarray:
     return idx
 
 
-# kept as its own function, called once per batch: perfbench/spans.py
-# counts oracle.sign_sets.* from its calls
+# kept as its own function, called once per batch, and still returning an
+# all-True row mask: perfbench/spans.py counts oracle.sign_sets.* from its
+# calls and reads the mask
 def _draw_sign_sets(rng, pm: np.ndarray, eps: float):
     """Random sign sets B with mass(B) >= eps, one pass, built as the module
     docstring says; near-minimal and bulky sets both occur.  Every row needs
     an atom of mass <= 1 - eps.  Returns B and an all-True row mask.
+
+    B follows the column order of pm, so each row's atoms must come in a
+    uniform random order: the caller's rows must be exchangeable, as
+    _sample_batch's are.  On a fixed order the prefix always starts at the
+    same column.
     """
     m, k = pm.shape
-    perm = rng.permuted(np.tile(np.arange(k), (m, 1)), axis=1)
     counts = _cumsum_rows(pm <= 1.0 - eps)  # running counts of feasible anchors
     rank = rng.integers(counts[:, -1])
     anchor = _first_true(counts > rank[:, None])
-    slot = _first_true(perm == anchor[:, None])
-    # perm becomes flat indices into pm: one gather and one scatter below
-    # cost less than take_along_axis and put_along_axis
-    rows = np.arange(0, m * k, k)
-    perm += rows[:, None]
-    perm.ravel()[rows + slot] = perm[:, -1]
-    perm[:, -1] = rows + anchor
-    # the prefix sums run as _cumsum_rows adds them; the mass before the
-    # anchor is 1 - p(anchor) >= eps, but its float sum can land an ulp
-    # below eps: the anchor never joins the prefix
-    masses = np.take(pm, perm)
-    total = masses[:, 0]
-    short = total < eps
-    prefix_len = short.astype(np.intp)
-    for j in range(1, k):
-        total = total + masses[:, j]
-        short &= total < eps
-        prefix_len += short
-    prefix_len[short] = 0
-    np.minimum(prefix_len, k - 2, out=prefix_len)
-    # the coins only matter past the prefix, which joins B whatever they
-    # show, and never on the anchor's slot
-    in_b = rng.random((m, k)) < 0.5
-    in_b[:, -1] = False
-    in_b |= np.arange(k) <= prefix_len[:, None]
-    b = np.empty((m, k), dtype=bool)
-    b.ravel()[perm] = in_b  # each row's perm covers the row once
+    # fair coins: bits 0..k-1 of one byte per row, as an (m, k) bool matrix
+    coins = rng.integers(0, 256, size=m, dtype=np.uint8)
+    b = np.unpackbits(coins[:, None], axis=1, count=k, bitorder="little").view(bool)
+    # column j joins the prefix while the mass of the free columns before it
+    # is below eps; the coins matter only past the prefix, and never on the
+    # anchor.  The mass besides the anchor is 1 - p(anchor) >= eps, but its
+    # float sum can land an ulp below eps: then every free column is in B
+    total = np.zeros(m)
+    for j in range(k):
+        free = anchor != j
+        col = b[:, j]
+        col |= total < eps
+        col &= free
+        if j < k - 1:
+            total += pm[:, j] * free
     return b, np.ones(m, dtype=bool)
 
 

@@ -18,14 +18,14 @@ from divbound.bounds import (
     symmetric_fdiv_min,
 )
 from divbound.coding import jeffreys_bound, tightened_bound
-from divbound.dist import _binary_divergence, total_variation
+from divbound.dist import total_variation
 from divbound.errors import BoundViolationError, DivboundError
 from divbound.fdiv import batch_f_divergence, bhattacharyya, chernoff_information, f_divergence
 from divbound.generators import REGISTRY
 from divbound.oracle import ORACLE_MEASURES
 from divbound.textio import fmt_g12
 
-from util import GENERATORS, as_dist, random_pairs_with_zeros
+from util import GENERATORS, as_dist, binary_divergence, random_pairs_with_zeros
 
 LN2 = math.log(2.0)
 EPS_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
@@ -81,7 +81,7 @@ class TestSymmetricFdivMin:
 
     def test_capacitory_half(self):
         assert symmetric_fdiv_min(REGISTRY["capacitory"], 0.5) == pytest.approx(
-            2.0 * _binary_divergence(0.25, 0.5), abs=1e-12
+            2.0 * binary_divergence(0.25, 0.5), abs=1e-12
         )
 
     def test_asymmetric_rejected(self):
@@ -188,6 +188,21 @@ class TestClosedForms:
                 worst_capacitory = max(worst_capacitory, float(abs(ca - ref_ca) / ref_ca))
         assert worst_chernoff <= 1e-15
         assert worst_capacitory <= 1e-14
+
+    def test_capacitory_within_four_ulp_from_one_half_on(self):
+        # against 60-digit references on 700 eps in [0.5, 1), half of them
+        # within 1e-16 to 0.5 of 1: without the split at 1/2, log(1 - eps^2)
+        # and 2 eps atanh(eps) cancel there and lose up to 43 ulp
+        mp = pytest.importorskip("mpmath")
+        eps = np.concatenate([np.linspace(0.5, 1.0, 351)[:-1], 1.0 - np.geomspace(1e-16, 0.5, 350)])
+        got = bound_curve("capacitory", eps)
+        worst = 0.0
+        with mp.workdps(60):
+            for e, v, ulp in zip(eps.tolist(), got.tolist(), np.spacing(got).tolist()):
+                x = mp.mpf(e)
+                ref = (1 + x) * mp.log1p(x) + (1 - x) * mp.log1p(-x)
+                worst = max(worst, float(abs(v - ref)) / ulp)
+        assert worst <= 4.0
 
 
 # entries bounding a symmetric f-divergence, each under its generator's name

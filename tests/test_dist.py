@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from divbound.dist import (
     FiniteDist,
-    _binary_divergence,
     align,
     entropy_base,
     make_dist,
@@ -16,7 +15,7 @@ from divbound.dist import (
 )
 from divbound.errors import DistributionError
 
-from util import as_dist, random_simplex
+from util import as_dist, binary_divergence, random_simplex
 
 LN2 = math.log(2.0)
 
@@ -163,24 +162,24 @@ class TestTotalVariation:
 
 class TestBinaryDivergence:
     def test_equal_arguments(self):
-        assert _binary_divergence(0.5, 0.5) == 0.0
+        assert binary_divergence(0.5, 0.5) == 0.0
 
     def test_quarter_half(self):
-        assert _binary_divergence(0.25, 0.5) == pytest.approx(
+        assert binary_divergence(0.25, 0.5) == pytest.approx(
             0.13081203594113696, abs=1e-15
         )
 
     def test_zero_p(self):
         # 0 log 0 = 0, leaving log(1/0.5)
-        assert _binary_divergence(0.0, 0.5) == pytest.approx(LN2, abs=1e-15)
+        assert binary_divergence(0.0, 0.5) == pytest.approx(LN2, abs=1e-15)
 
     def test_one_p(self):
-        assert _binary_divergence(1.0, 0.25) == pytest.approx(math.log(4.0), abs=1e-15)
+        assert binary_divergence(1.0, 0.25) == pytest.approx(math.log(4.0), abs=1e-15)
 
     @pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.1])
     def test_degenerate_q_rejected(self, q):
         with pytest.raises(ValueError):
-            _binary_divergence(0.5, q)
+            binary_divergence(0.5, q)
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),
@@ -188,7 +187,7 @@ class TestBinaryDivergence:
     )
     @settings(max_examples=300, deadline=None)
     def test_nonnegative_iff_equal(self, p, q):
-        v = _binary_divergence(p, q)
+        v = binary_divergence(p, q)
         assert v >= -1e-12
         if abs(p - q) <= 1e-12:
             assert v <= 1e-9 * max(1.0, 1.0 / min(q, 1 - q))

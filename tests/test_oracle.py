@@ -25,14 +25,25 @@ from util import (
     end_rows,
     random_simplex,
     reference_grid3,
+    reference_sample_batch,
     reference_verify_min,
     rejection_sign_sets,
 )
 
 
 # sha256 over the P and Q bytes of _sample_batch(_stream(7, 3, k), 2000, k, eps)
-# for k = 2..8 in turn, recorded before the sampler moved to column arithmetic
+# for k = 2..8 in turn, recorded when the sign sets came to follow the
+# column order
 SAMPLER_PINS = {
+    0.0: "34520bc1c9cc409c527d485403f516ab4aa20f676eb16145a2971e75cb67c050",
+    0.1: "9d3b623e4e4a910038c09cde1404a73fe1e7f0cfd3ea6e724964a4a63229c45c",
+    0.5: "8fadc55eb20c4e905f7903b168a8c9387fc6cfb34e70330dca5e8948f3122715",
+    0.9: "4c78206edb832b396ef11c1194595d33da399daf6292cdecca1eeec8a285adeb",
+    0.999: "34432bade4bfad855a6330e3caf6f8dee2f81eff35002b97692a6b9122fae29d",
+}
+# the same over reference_sample_batch, which draws the sign sets through a
+# permutation, recorded from _sample_batch while it did so
+REFERENCE_SAMPLER_PINS = {
     0.0: "34520bc1c9cc409c527d485403f516ab4aa20f676eb16145a2971e75cb67c050",
     0.1: "dde3e185458a7a7ed5eb1627ab2a46262dfe0902ef844a98a0557a054a97eb09",
     0.5: "4ef4d9525b2f970bb7c5d304b82a650fd7633941ff3a934027ec97acdda31bbf",
@@ -58,6 +69,16 @@ FINE_GRID_PINS = {
     0.9: "37770d636d146b2af66e9570157ced9f46b31a09a76c8fcd3de2d4da003ed277",
     0.999: "8dec4cc01ba277758cb71cf27a9e7cbdba1306dba7542758ca2cb676391af150",
 }
+
+
+def _sampler_digest(sample_batch, eps: float) -> str:
+    """The sha256 that SAMPLER_PINS records, of the batches sample_batch draws."""
+    digest = hashlib.sha256()
+    for k in range(2, 9):
+        pm, qm = sample_batch(oracle._stream(7, 3, k), 2000, k, eps)
+        digest.update(pm.tobytes())
+        digest.update(qm.tobytes())
+    return digest.hexdigest()
 
 
 class TestSampler:
@@ -101,12 +122,11 @@ class TestSampler:
 
     @pytest.mark.parametrize("eps", sorted(SAMPLER_PINS))
     def test_stream_is_pinned(self, eps):
-        digest = hashlib.sha256()
-        for k in range(2, 9):
-            pm, qm = oracle._sample_batch(oracle._stream(7, 3, k), 2000, k, eps)
-            digest.update(pm.tobytes())
-            digest.update(qm.tobytes())
-        assert digest.hexdigest() == SAMPLER_PINS[eps]
+        assert _sampler_digest(oracle._sample_batch, eps) == SAMPLER_PINS[eps]
+
+    @pytest.mark.parametrize("eps", sorted(REFERENCE_SAMPLER_PINS))
+    def test_reference_stream_is_pinned(self, eps):
+        assert _sampler_digest(reference_sample_batch, eps) == REFERENCE_SAMPLER_PINS[eps]
 
     def test_pins_cover_stuck_rows(self):
         # at eps = 0.999 every support draws rows whose least atom exceeds
@@ -164,7 +184,8 @@ def _draws(monkeypatch):
 
 
 class TestSignSets:
-    """The one-pass sign-set draw against the rejection route it replaced."""
+    """The one-pass sign-set draw against the rejection route and the
+    permutation draw it replaced."""
 
     @pytest.mark.parametrize(
         "p, eps",
@@ -179,8 +200,16 @@ class TestSignSets:
     def test_patterns_match_the_rejection_draw(self, p, eps):
         n, k = 40000, len(p)
         pm = np.tile(p, (n, 1))
-        b, ok = oracle._draw_sign_sets(np.random.default_rng(71), pm, eps)
+        # the draw follows the column order, so it sees each row in a
+        # uniform random order of its own, as _sample_batch's exchangeable
+        # rows come, and B is mapped back to the atoms of p
+        perm = np.random.default_rng(67).permuted(np.tile(np.arange(k), (n, 1)), axis=1)
+        shuffled, ok = oracle._draw_sign_sets(
+            np.random.default_rng(71), np.take_along_axis(pm, perm, axis=1), eps
+        )
         assert ok.all()
+        b = np.empty_like(shuffled)
+        np.put_along_axis(b, perm, shuffled, axis=1)
         ref = rejection_sign_sets(np.random.default_rng(73), pm, eps)
         bits = 1 << np.arange(k)
         new = np.bincount(b @ bits, minlength=2**k)
@@ -188,6 +217,24 @@ class TestSignSets:
         seen = (new + old) > 0
         chi2 = float(((new - old)[seen] ** 2 / (new + old)[seen]).sum())
         assert chi2 < _chi2_bound(int(seen.sum()) - 1)
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 0.9])
+    def test_law_matches_the_permutation_draw(self, eps, k):
+        # the column-order draw and the permutation draw give one law of
+        # pairs up to a relabelling of atoms, so of Z and hellinger2.  A
+        # two-sample Kolmogorov-Smirnov test at level 1e-3, on different
+        # streams: the largest gap between the two empirical CDFs of n rows
+        # each stays below sqrt(-log(1e-3 / 2) / 2) sqrt(2 / n)
+        n = 200_000
+        new = oracle._sample_batch(oracle._stream(11, 0, k), n, k, eps)
+        ref = reference_sample_batch(oracle._stream(13, 0, k), n, k, eps)
+        bound = math.sqrt(-math.log(1e-3 / 2) / 2) * math.sqrt(2 / n)
+        for evaluate in (fdiv.batch_bhattacharyya, oracle.ORACLE_MEASURES["hellinger2"].evaluate):
+            a, b = np.sort(evaluate(*new)), np.sort(evaluate(*ref))
+            x = np.concatenate([a, b])
+            gap = np.abs(np.searchsorted(a, x, "right") - np.searchsorted(b, x, "right")).max()
+            assert gap / n < bound
 
     def test_one_draw_per_batch(self, monkeypatch):
         seen = _draws(monkeypatch)

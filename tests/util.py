@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -64,6 +65,22 @@ def random_pairs_with_zeros(rng, n: int, k: int):
     return p / p.sum(axis=1, keepdims=True), q / q.sum(axis=1, keepdims=True)
 
 
+def binary_divergence(p: float, q: float) -> float:
+    """Relative entropy between Bernoulli(p) and Bernoulli(q), natural log: a
+    reference value for the two-point closed forms.
+
+    d(p||q) = p log(p/q) + (1-p) log((1-p)/(1-q)) with 0 log 0 = 0.
+    Requires p in [0,1] and q strictly inside (0,1).
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p!r} outside [0, 1]")
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"q={q!r} outside the open interval (0, 1)")
+    t1 = p * math.log(p / q) if p > 0.0 else 0.0
+    t2 = (1.0 - p) * math.log((1.0 - p) / (1.0 - q)) if p < 1.0 else 0.0
+    return t1 + t2
+
+
 def as_dist(row: np.ndarray) -> FiniteDist:
     return FiniteDist(labels(len(row)), np.asarray(row, dtype=float))
 
@@ -93,6 +110,98 @@ def rejection_sign_sets(rng, pm: np.ndarray, eps: float) -> np.ndarray:
         b[todo[ok]] = drawn[ok]
         todo = todo[~ok]
     return b
+
+
+def reference_sign_sets(rng, pm: np.ndarray, eps: float) -> np.ndarray:
+    """Sign sets B from an explicit permutation: the sampler's draw before it
+    followed the column order, for reference_sample_batch.
+
+    B is the prefix of a random order of the atoms that first reaches mass
+    eps, plus fair coins on the later atoms but the last, the anchor, which
+    stays in A and so must lie in S = {j : P_j <= 1 - eps}.  The anchor is
+    drawn uniformly from S and swapped into the last slot of an independent
+    uniform permutation.
+    """
+    from divbound.oracle import _cumsum_rows, _first_true
+
+    m, k = pm.shape
+    perm = rng.permuted(np.tile(np.arange(k), (m, 1)), axis=1)
+    counts = _cumsum_rows(pm <= 1.0 - eps)  # running counts of feasible anchors
+    rank = rng.integers(counts[:, -1])
+    anchor = _first_true(counts > rank[:, None])
+    slot = _first_true(perm == anchor[:, None])
+    # perm becomes flat indices into pm: one gather and one scatter below
+    # cost less than take_along_axis and put_along_axis
+    rows = np.arange(0, m * k, k)
+    perm += rows[:, None]
+    perm.ravel()[rows + slot] = perm[:, -1]
+    perm[:, -1] = rows + anchor
+    # the prefix sums run as _cumsum_rows adds them; the mass before the
+    # anchor is 1 - p(anchor) >= eps, but its float sum can land an ulp
+    # below eps: the anchor never joins the prefix
+    masses = np.take(pm, perm)
+    total = masses[:, 0]
+    short = total < eps
+    prefix_len = short.astype(np.intp)
+    for j in range(1, k):
+        total = total + masses[:, j]
+        short &= total < eps
+        prefix_len += short
+    prefix_len[short] = 0
+    np.minimum(prefix_len, k - 2, out=prefix_len)
+    # the coins only matter past the prefix, which joins B whatever they
+    # show, and never on the anchor's slot
+    in_b = rng.random((m, k)) < 0.5
+    in_b[:, -1] = False
+    in_b |= np.arange(k) <= prefix_len[:, None]
+    b = np.empty((m, k), dtype=bool)
+    b.ravel()[perm] = in_b  # each row's perm covers the row once
+    return b
+
+
+def reference_sample_batch(rng, n: int, k: int, eps: float):
+    """oracle._sample_batch with the permutation draw of reference_sign_sets:
+    the reference route for the law of the sampler's column-order draw."""
+    from divbound.errors import BoundViolationError
+    from divbound.oracle import TV_MATCH_TOL, _first_true, _simplex
+
+    pm = _simplex(rng, n, k)
+    if eps == 0.0:
+        return pm, pm.copy()
+
+    # no proper subset of these rows carries mass eps: shrink the smallest
+    # atom into [0, 1 - eps), a possible anchor, and renormalize the rest
+    low = functools.reduce(np.minimum, pm.T)  # the row minima, column by column
+    stuck = np.flatnonzero(1.0 - low < eps)
+    if stuck.size:
+        jmin = _first_true(pm[stuck] == low[stuck, None])
+        old = pm[stuck, jmin]
+        new = (1.0 - eps) * rng.random(stuck.size)
+        pm[stuck] *= ((1.0 - new) / (1.0 - old))[:, None]
+        pm[stuck, jmin] = new
+
+    b = reference_sign_sets(rng, pm, eps)
+    # pm >= +0.0, so pm * b is np.where(b, pm, 0.0) bit for bit, without
+    # the branch per element that a random mask makes costly
+    mass_b = fdiv._row_sums(pm * b)
+    # outside B, q = p + eps * (spread / its row sum); inside, p shrunk to
+    # carry eps less
+    spread = rng.exponential(size=pm.shape)
+    spread *= ~b
+    spread /= fdiv._row_sums(spread)[:, None]
+    spread *= eps
+    # q = p * f + spread, with f the factor on B and 1 off it, where spread
+    # is 0: each element gets p * factor + 0 or p * 1 + spread, the bits of
+    # a np.where on b, without its branch per element
+    qm = b * (1.0 - eps / mass_b)[:, None]
+    qm += ~b
+    qm *= pm
+    qm += spread
+    np.maximum(qm, 0.0, out=qm)
+    tv = fdiv.batch_total_variation(pm, qm)
+    if not np.all(np.abs(tv - eps) <= TV_MATCH_TOL):
+        raise BoundViolationError(f"sampler left the TV constraint {eps!r} on support {k}")
+    return pm, qm
 
 
 def reference_grid3(eps: float, step: float):

@@ -293,7 +293,7 @@ _MEASURE_GROUPS = {
     default=1000,
     show_default=True,
     type=click.IntRange(min=0),
-    help="Pairs per support size; 0 checks the fine grids only.",
+    help="Pairs per support size; 0 checks the fine grid only.",
 )
 @click.option(
     "--seed",

@@ -46,35 +46,34 @@ is reproducible bit for bit; the generator name is recorded on each report.
 
 verify_min scans blocks on a thread pool with one worker per CPU the
 process may run on (numpy releases the GIL inside its loops).  A block is
-one sampled support, drawn from its own stream, or a range of 2^14 rows of
-a fine grid, which the worker builds itself: the main thread only counts
-the rows and submits the ranges, so no grid is ever held whole and memory
-grows with the number of workers, not with the grid.  The streams do not
-depend on the measure, so one block serves every measure of the run: the
-worker draws or builds it once, calls each distinct evaluator on it once
-(the two Bhattacharyya entries share one), and returns per measure its
-crossing count and its least signed value with that row.  The main thread
-merges each measure's results in a fixed order: supports in the order
-given, then fine grid 2, then fine grid 3.  Within a piece the least block
-value wins, the first on ties or NaN, as an argmin over the whole array
-would pick; across pieces a row becomes the witness only when it lies
-strictly below the line and every value before it.  So a report does not
-depend on the number of CPUs, on which block finishes first, or on the
-other measures of the run.
+one sampled support, drawn from its own stream, or the whole fine grid at
+one eps, which the worker builds itself.  The streams do not depend on the
+measure, so one block serves every measure of the run: the worker draws or
+builds it once, calls each distinct evaluator on it once (the two
+Bhattacharyya entries share one), and returns per measure its crossing
+count and its least signed value with that row, the first on ties or NaN,
+as np.argmin picks.  The main thread merges each measure's results in a
+fixed order: supports in the order given, then the fine grid.  A row
+becomes the witness only when it lies strictly below the line and every
+value before it.  So a report does not depend on the number of CPUs, on
+which block finishes first, or on the other measures of the run.
 
-The fine grids are three 1-D families.  Besides the support-2 grid, the
-support-3 grid keeps two rows of each run of the pairs P = (a, b, c),
-Q = (a - eps, b, c + eps), b + c = 1 - a, one run per value of a: its
-first row (b = 0) and its last (the least c, 0 when the step divides
-1 - a).  The other rows of a run add nothing.  Merging atoms 2 and 3 of
-any row gives the run's first row, and merging two atoms never raises an
-f-divergence or Chernoff information and never lowers Z = sum sqrt(PQ)
-(data processing), so the first row holds the run's least value of
-hellinger2, jeffreys, capacitory and chernoff and its largest Z.  For
-bhattacharyya_lower, Z = sqrt(a (a - eps)) + b + sqrt(c (c + eps)), and
-sqrt(c (c + eps)) - c grows with c, so the last row holds the run's least
-Z.  tv is eps on every row.  The tests check this on the whole 2-D grid,
-up to rounding.
+The fine grid is one 1-D family: two rows of each run of the support-3
+pairs P = (a, b, c), Q = (a - eps, b, c + eps), b + c = 1 - a, one run per
+value of a: its first row (b = 0) and its last (the least c, 0 when the
+step divides 1 - a).  The other rows of a run add nothing.  Merging atoms
+2 and 3 of any row gives the run's first row, and merging two atoms never
+raises an f-divergence or Chernoff information and never lowers
+Z = sum sqrt(PQ) (data processing), so the first row holds the run's least
+value of hellinger2, jeffreys, capacitory and chernoff and its largest Z.
+For bhattacharyya_lower, Z = sqrt(a (a - eps)) + b + sqrt(c (c + eps)),
+and sqrt(c (c + eps)) - c grows with c, so the last row holds the run's
+least Z.  tv is eps on every row.  The tests check this on the whole 2-D
+grid, up to rounding.  A first row is the binary pair (a, 1 - a),
+(a - eps, 1 - a + eps) with a zero atom between, which adds nothing to any
+measure, so the first rows also sweep the binary pairs at TV eps, to
+which Harremoes and Vajda reduce such bounds; no support-2 grid is
+scanned besides them.
 
 The scan skips what cannot matter by one rule: a row whose floor less the
 margin lies above both the line and t, a real row's signed value, can
@@ -120,8 +119,6 @@ _VIOLATION_SLACK = 1e-9
 _ATTAIN_TOL = 1e-9
 # the largest |TV - eps| a sampled pair may show
 TV_MATCH_TOL = 1e-9
-# fine-grid rows per block of the scan
-_BLOCK_ROWS = 1 << 14
 # glibc's malloc maps each allocation above its threshold (128 KB at start)
 # afresh and unmaps it on free, so the 80-400 KB arrays of each block would
 # fault their pages in anew, block after block.  Freeing a mapped chunk
@@ -137,12 +134,13 @@ def _simplex(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return e
 
 
-def _cumsum_rows(a: np.ndarray) -> np.ndarray:
-    """np.cumsum(a, axis=1), bit for bit, by running column adds."""
-    out = np.empty(a.shape, dtype=np.int_ if a.dtype == bool else a.dtype)
-    out[:, 0] = a[:, 0]
-    for j in range(1, a.shape[1]):
-        np.add(out[:, j - 1], a[:, j], out=out[:, j])
+def _cumsum_rows(mask: np.ndarray) -> np.ndarray:
+    """np.cumsum(mask, axis=1) for a bool matrix, bit for bit, by running
+    column adds."""
+    out = np.empty(mask.shape, dtype=np.int_)
+    out[:, 0] = mask[:, 0]
+    for j in range(1, mask.shape[1]):
+        np.add(out[:, j - 1], mask[:, j], out=out[:, j])
     return out
 
 
@@ -242,12 +240,16 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed={seed!r} is negative; the RNG takes seeds >= 0")
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 <= eps < 1.0:  # NaN fails this too
+        raise ValueError(f"eps={eps!r} outside [0, 1)")
+
+
 def sample_pair(support_size: int, eps: float, seed: int) -> tuple[FiniteDist, FiniteDist]:
     """One pair on support_size atoms at total variation eps; pure in its arguments."""
     if not 2 <= support_size <= 8:
         raise ValueError(f"support_size={support_size!r} outside [2, 8]")
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps={eps!r} outside [0, 1)")
+    _check_eps(eps)
     _check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     pm, qm = _sample_batch(rng, 1, support_size, eps)
@@ -260,52 +262,28 @@ def _check_step(step: float) -> None:
         raise ValueError(f"fine_step={step!r}: the fine-grid step must be finite and > 0")
 
 
-def _fine_grid_rows(eps: float, support: int, step: float) -> int:
-    """The number of rows of the fine grid on support 2 or 3."""
-    if not 0.0 <= eps < 1.0:  # NaN fails this too
-        raise ValueError(f"eps={eps!r} outside [0, 1)")
-    _check_step(step)
-    if support not in (2, 3):
-        raise ValueError("fine grids are defined for supports 2 and 3 only")
-    n = int(round((1.0 - eps) / step)) + 1
-    return n if support == 2 else 2 * n
+def fine_grid_pairs(eps: float, step: float = 1e-3):
+    """A deterministic pair family on support 3 at total variation eps.
 
-
-def fine_grid_pairs(
-    eps: float, support: int, step: float = 1e-3, start: int = 0, stop: Optional[int] = None
-):
-    """Rows [start, stop) of a deterministic pair family on support 2 or 3
-    at total variation eps; stop=None means the last row, so by default
-    the whole family.
-
-    Support 2 sweeps the free endpoint: P = (q1 + eps, 1 - q1 - eps),
-    Q = (q1, 1 - q1), with q1 = i * step for row i.  Support 3 moves mass
-    eps from the first atom to the third across a free middle:
-    P = (a, b, 1 - a - b), Q = (a - eps, b, 1 - a - b + eps), with
-    a = eps + i * step.  Of each run of rows b = j * step, j = 0 .. n_b - 1,
+    It moves mass eps from the first atom to the third across a free
+    middle: P = (a, b, 1 - a - b), Q = (a - eps, b, 1 - a - b + eps), with
+    a = eps + i * step, i = 0 .. n - 1, n = round((1 - eps) / step) + 1.
+    Of each run of rows b = j * step, j = 0 .. n_b - 1,
     n_b = round((1 - a) / step) + 1, only the ends are kept, which bound the
-    rest (see the module docstring): row 2i has b = 0 and row 2i + 1 has
-    j = n_b - 1.  Each coordinate is capped so that the masses stay in the
-    simplex.  The families contain every designated extremal pair when eps
-    sits on the grid.  A row range builds only its own rows, bit for bit
-    the rows of the whole family.
+    rest (see the module docstring): row 2i has b = 0, a binary pair with a
+    zero middle atom, and row 2i + 1 has j = n_b - 1.  Each coordinate is
+    capped so that the masses stay in the simplex.  The family contains
+    every designated extremal pair when eps sits on the grid.
     """
-    n = _fine_grid_rows(eps, support, step)
-    stop = n if stop is None else stop
-    if not 0 <= start <= stop <= n:
-        raise ValueError(f"rows [{start!r}, {stop!r}) outside the grid's [0, {n})")
-    rows = np.arange(start, stop)
-    if support == 3:
-        a = np.minimum(eps + (rows // 2) * step, 1.0)
-        last = np.rint((1.0 - a) / step).astype(np.intp)  # n_b - 1
-        b = np.minimum(rows % 2 * last * step, 1.0 - a)
-        c = 1.0 - a - b
-        p = np.stack([a, b, c], axis=1)
-        q = np.stack([a - eps, b, c + eps], axis=1)
-    else:
-        q1 = np.minimum(rows * step, 1.0 - eps)
-        p = np.stack([q1 + eps, 1.0 - q1 - eps], axis=1)
-        q = np.stack([q1, 1.0 - q1], axis=1)
+    _check_eps(eps)
+    _check_step(step)
+    rows = np.arange(2 * (int(round((1.0 - eps) / step)) + 1))
+    a = np.minimum(eps + (rows // 2) * step, 1.0)
+    last = np.rint((1.0 - a) / step).astype(np.intp)  # n_b - 1
+    b = np.minimum(rows % 2 * last * step, 1.0 - a)
+    c = 1.0 - a - b
+    p = np.stack([a, b, c], axis=1)
+    q = np.stack([a - eps, b, c + eps], axis=1)
     return np.maximum(p, 0.0, out=p), np.maximum(q, 0.0, out=q)
 
 
@@ -466,13 +444,19 @@ def verify_min(
     """Stress closed-form extremes at one eps.
 
     Draws n_samples pairs per support size, adds the deterministic fine
-    grids at step fine_step (fine_grid_pairs: the support-2 grid, and the
-    first and the last row of each run of the support-3 grid) plus the
-    designated extremal pair, and checks that
+    grid at step fine_step (fine_grid_pairs: the first and the last row of
+    each run of the support-3 grid) plus the designated extremal pair, and
+    checks that
     (i) no value crosses the closed form by more than 1e-9,
     (ii) the extremal pair attains it within 1e-9, and
     (iii) the empirical extreme is within gap_threshold when one is given.
-    The witness is the worst crossing pair over every batch and fine grid.
+    The witness is the worst crossing pair over every batch and the fine
+    grid.
+
+    Each block is held whole while it is scanned: n_samples sets the rows
+    of a sampled block, and fine_step those of the fine block,
+    2 round((1 - eps) / fine_step) + 2.  At the default step that is at
+    most 2,002 rows, 48 KB each for P and Q.
 
     measures is one name, which gives its VerifyPointReport, or a sequence
     of names, which gives a list of reports in the same order.  Every
@@ -506,23 +490,20 @@ def verify_min(
     def sampled(s):
         return least(*_sample_batch(_stream(seed, stream_key, s), n_samples, s, eps))
 
-    def fine(s, start, stop):
+    def fine():
         # built here, on the worker that scans it
-        return least(*fine_grid_pairs(eps, s, fine_step, start, stop))
+        return least(*fine_grid_pairs(eps, fine_step))
 
     from concurrent.futures import ThreadPoolExecutor  # here: `divbound --help` skips its import
 
     np.empty(_HEAP_WARM_FLOATS)  # lifts glibc's mmap threshold; see the constant
-    # one list of blocks per piece, in merge order: supports, then fine grids
+    # the blocks in merge order: supports, then the fine grid
     pool = ThreadPoolExecutor(max_workers=_cpu_count())
     try:
-        pieces = [[pool.submit(sampled, s)] for s in support_sizes] if n_samples > 0 else []
+        blocks = [pool.submit(sampled, s) for s in support_sizes] if n_samples > 0 else []
         if fine_step is not None:
-            for s in (2, 3):
-                n = _fine_grid_rows(eps, s, fine_step)
-                cuts = range(0, n, _BLOCK_ROWS)
-                pieces.append([pool.submit(fine, s, i, min(i + _BLOCK_ROWS, n)) for i in cuts])
-        results = [[f.result() for f in piece] for piece in pieces]
+            blocks.append(pool.submit(fine))
+        results = [f.result() for f in blocks]
     finally:
         pool.shutdown(cancel_futures=True)
     n_sampled = len(support_sizes) if n_samples > 0 else 0
@@ -531,18 +512,13 @@ def verify_min(
         om, cf, sign, line = oms[j], cfs[j], signs[j], lines[j]
         best = math.inf  # the least signed value merged so far
         witness = None
-        lows = []
-        for piece in results:
-            blocks = [b[j] for b in piece]
-            # argmin over the block minima picks the row argmin over the
-            # whole piece would: the first least value, or the first NaN
-            _, low, p, q = blocks[int(np.argmin([b[1] for b in blocks]))]
+        for block in results:
+            _, low, p, q = block[j]
             if low < min(best, line):
                 labels = tuple(f"x{i + 1}" for i in range(p.size))
                 witness = (FiniteDist(labels, p), FiniteDist(labels, q))
             best = min(best, low)
-            lows.append(low)
-        fine_best = None if fine_step is None else sign * min(lows[-2:])
+        fine_best = None if fine_step is None else sign * results[-1][j][1]
 
         p, q = extremal_pair(eps, om.extremal_kind)
         extremal_value = float(om.evaluate(p.mass[None, :], q.mass[None, :])[0])
@@ -550,8 +526,8 @@ def verify_min(
         best = min(best, sign * extremal_value)
         gap = abs(sign * best - cf)
 
-        sampled_crossings = sum(b[j][0] for piece in results[:n_sampled] for b in piece)
-        fine_crossings = sum(b[j][0] for piece in results[n_sampled:] for b in piece)
+        sampled_crossings = sum(b[j][0] for b in results[:n_sampled])
+        fine_crossings = sum(b[j][0] for b in results[n_sampled:])
         violations = sampled_crossings + fine_crossings
         failure = None
         if violations:

@@ -436,8 +436,8 @@ def test_curve_stdout_is_pinned(runner, argv, golden):
     assert r.stdout == (Path(__file__).resolve().parent / "data" / golden).read_text(encoding="utf-8")
 
 
-# the stdout of verify for the six measures in turn, recorded when the
-# sampler's sign sets came to follow the column order
+# the stdout of verify for the six measures in turn, recorded when the fine
+# grid became the one support-3 family
 VERIFY_GOLDEN = Path(__file__).resolve().parent / "data" / "verify_grid_0.1_0.4_0.9_samples2000_seed7.csv"
 
 

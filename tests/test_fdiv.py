@@ -277,8 +277,7 @@ class TestChernoffChain:
         for eps in (0.0, 0.1, 0.5, 0.9, 0.999):
             for k in range(2, 9):
                 _assert_chain(*oracle._sample_batch(oracle._stream(9, 0, k), 2000, k, eps))
-            for k in (2, 3):
-                _assert_chain(*oracle.fine_grid_pairs(eps, k))
+            _assert_chain(*oracle.fine_grid_pairs(eps))
 
     def test_disjoint_supports(self):
         p = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
@@ -394,8 +393,7 @@ class TestChernoffSolver:
             for eps in (0.0, 0.1, 0.5, 0.9, 0.999):
                 for k in range(2, 9):
                     yield oracle._sample_batch(oracle._stream(5, 0, k), 1000, k, eps)
-            for k in (2, 3):
-                yield oracle.fine_grid_pairs(0.1, k)
+            yield oracle.fine_grid_pairs(0.1)
             rng = np.random.default_rng(73)
             for k in (3, 5, 8, 12):
                 yield random_pairs_with_zeros(rng, 400, k)

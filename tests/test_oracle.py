@@ -2,7 +2,6 @@ import dataclasses
 import functools
 import hashlib
 import inspect
-import itertools
 import math
 import re
 import threading
@@ -24,6 +23,7 @@ from util import (
     assert_same_report,
     end_rows,
     random_simplex,
+    reference_grid2,
     reference_grid3,
     reference_sample_batch,
     reference_verify_min,
@@ -50,9 +50,9 @@ REFERENCE_SAMPLER_PINS = {
     0.9: "7acb9f0ac72243904ce3a741ccd1ff21141b0e33c0e8b4e71fc98adde32b4707",
     0.999: "a856e0f132d232423db0fe5965c21d62e241a9cd6955e6541c1badc9cfab2b78",
 }
-# the same over fine_grid_pairs(eps, 2) and then the whole 2-D support-3
-# grid, reference_grid3(eps, 1e-3), recorded with them when the oracle
-# scanned that grid whole
+# the same over the binary grid, reference_grid2(eps, 1e-3), and then the
+# whole 2-D support-3 grid, reference_grid3(eps, 1e-3), recorded with them
+# when the oracle scanned both grids whole
 FULL_GRID_PINS = {
     0.0: "949d7da7bc78405a5da96fd9aeedfe78578426d33e733238dd82866f3d272dc9",
     0.1: "0c4c651c43cba7007a62e4851bd9c33aa146039c4f9f2e30ea630fc4e070b19f",
@@ -60,14 +60,14 @@ FULL_GRID_PINS = {
     0.9: "7516c9654291e212065ff760b9e586b453dd1f644c001816f032fb868a7452be",
     0.999: "20316d6734ef625888d43d7b59dc0cc5f1decde811ba1681ca27d8746fb5ec89",
 }
-# the same over fine_grid_pairs(eps, s) for s = 2, 3, the support-3 part
-# taken from the end rows of each run of reference_grid3(eps, 1e-3)
+# the same over fine_grid_pairs(eps), the end rows of each run of
+# reference_grid3(eps, 1e-3), recorded when it became the one fine grid
 FINE_GRID_PINS = {
-    0.0: "b3fbb81fbd8d9d02f04ce98516c09f0009e118889ea2e29fb6e298965db0cf11",
-    0.1: "57f6470be75e503c7bb51c312ab84a3e5476e6abd7248b4f743538e0684ec375",
-    0.5: "dedb6603ac49fa5fcbd1e29b0731419adf1ca015b7197c2da81e41f08e0d93b0",
-    0.9: "37770d636d146b2af66e9570157ced9f46b31a09a76c8fcd3de2d4da003ed277",
-    0.999: "8dec4cc01ba277758cb71cf27a9e7cbdba1306dba7542758ca2cb676391af150",
+    0.0: "92f95730c01b8da72c8019a3a30908d97bc75e5020472a2e183dba3ae0db6e13",
+    0.1: "84e76eb714eccc9a8cb9155b3fbe832923c76f69716b212da2c2cf7862bc5416",
+    0.5: "4a1658b5ff15c8952de428593e582e982d4d80a4fdcba5e97b8b1328080b1b02",
+    0.9: "52b14f4aa983cae832219975d442f4ced662dde9dee65182ab8b0465423c2937",
+    0.999: "5906520409ef7cabf491275213d7565eaa3d7cdbae70470b6f4c13fbd9ad8989",
 }
 
 
@@ -138,14 +138,11 @@ class TestSampler:
     def test_column_helpers_match_numpy(self):
         rng = np.random.default_rng(83)
         for k in range(1, 10):
-            a = rng.exponential(size=(300, k))
-            a[rng.random(a.shape) < 0.2] = -0.0
             for mask in (rng.random((300, k)) < 0.3, np.zeros((300, k), dtype=bool)):
                 assert np.array_equal(oracle._first_true(mask), mask.argmax(axis=1))
                 want = np.cumsum(mask, axis=1)
                 assert oracle._cumsum_rows(mask).tobytes() == want.tobytes()
                 assert oracle._cumsum_rows(mask).dtype == want.dtype
-            assert oracle._cumsum_rows(a).tobytes() == np.cumsum(a, axis=1).tobytes()
 
     def test_same_draw_as_one_row_of_a_batch(self):
         pm, qm = oracle._sample_batch(
@@ -281,22 +278,34 @@ class TestFineGrids:
         def digest(*arrays):
             return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
-        p2, q2 = fine_grid_pairs(eps, 2)
-        p3, q3 = fine_grid_pairs(eps, 3)
-        assert digest(p2, q2, p3, q3) == FINE_GRID_PINS[eps]
-        # the reference grid is the one the oracle scanned whole
+        assert digest(*fine_grid_pairs(eps)) == FINE_GRID_PINS[eps]
+        # the reference grids are the ones the oracle scanned whole
         p, q, _ = reference_grid3(eps, 1e-3)
-        assert digest(p2, q2, p, q) == FULL_GRID_PINS[eps]
+        assert digest(*reference_grid2(eps, 1e-3), p, q) == FULL_GRID_PINS[eps]
 
     def test_support2_shape_and_constraint(self):
-        p, q = fine_grid_pairs(0.25, 2, step=1e-3)
-        assert p.shape == q.shape
-        tv = 0.5 * np.abs(p - q).sum(axis=1)
+        # the first rows are binary pairs at TV eps with a zero middle atom
+        p, q = fine_grid_pairs(0.25, step=1e-3)
+        assert p.shape == q.shape == (2 * 751, 3)
+        assert not p[::2, 1].any() and not q[::2, 1].any()
+        tv = 0.5 * np.abs(p[::2] - q[::2]).sum(axis=1)
         np.testing.assert_allclose(tv, 0.25, atol=1e-12)
+
+    @pytest.mark.parametrize("step", [1e-3, 7e-3])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5, 0.9, 0.999])
+    def test_first_rows_are_the_binary_grid(self, eps, step):
+        # row 2i, its zero atom dropped, is row i of the binary grid up to
+        # the rounding of the masses 1 - a and a - eps: 2^-53, half an ulp
+        # of a mass in [0.5, 1), at most
+        p, q = fine_grid_pairs(eps, step)
+        p2, q2 = reference_grid2(eps, step)
+        assert len(p) == 2 * len(p2) and not p[::2, 1].any() and not q[::2, 1].any()
+        assert np.abs(p[::2][:, [0, 2]] - p2).max() <= 2.0**-53
+        assert np.abs(q[::2][:, [0, 2]] - q2).max() <= 2.0**-53
 
     def test_support3_contains_extremal_rows(self):
         eps = 0.4
-        p, q = fine_grid_pairs(eps, 3, step=1e-3)
+        p, q = fine_grid_pairs(eps, step=1e-3)
         tv = 0.5 * np.abs(p - q).sum(axis=1)
         np.testing.assert_allclose(tv, eps, atol=1e-12)
         # the designated pairs sit on the grid: the three-point pair as the
@@ -306,67 +315,24 @@ class TestFineGrids:
             assert hit.any()
             np.testing.assert_allclose(q[int(np.argmax(hit))], want_q, atol=1e-9)
 
-    def test_unsupported_size(self):
-        with pytest.raises(ValueError):
-            fine_grid_pairs(0.3, 4)
-
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3, 0.5, 0.9, 0.999])
     def test_support3_matches_the_loop_over_a(self, eps):
         # the reference builds the whole grid one a at a time; the family is
         # the first and last row of each a, to the byte
         for step in (1e-3, 7e-3, 0.05, 0.3):
             p, q, n_b = reference_grid3(eps, step)
-            fp, fq = fine_grid_pairs(eps, 3, step=step)
+            fp, fq = fine_grid_pairs(eps, step)
             at = end_rows(n_b)
             assert fp.tobytes() == p[at].tobytes() and fq.tobytes() == q[at].tobytes(), step
 
-    @staticmethod
-    def _join(eps, s, step, widths):
-        """fine_grid_pairs over consecutive row ranges whose widths cycle through widths."""
-        n = oracle._fine_grid_rows(eps, s, step)
-        cuts, width = [0], itertools.cycle(widths)
-        while cuts[-1] < n:
-            cuts.append(min(cuts[-1] + next(width), n))
-        parts = [fine_grid_pairs(eps, s, step, a, b) for a, b in zip(cuts, cuts[1:])]
-        return np.concatenate([p for p, _ in parts]), np.concatenate([q for _, q in parts])
-
-    @pytest.mark.parametrize("step", [1e-3, 2e-3, 7e-3])
-    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5, 0.9, 0.999])
-    def test_row_ranges_join_to_the_whole_grid(self, eps, step):
-        # the widths cycle in each of their four rotations, so ranges start
-        # and end at many places, on first and on last rows of the runs; a
-        # join of one width alone is made when it takes at most 3000 ranges
-        widths = (1, 7, 1000, oracle._BLOCK_ROWS)
-        for s in (2, 3):
-            p, q = fine_grid_pairs(eps, s, step)
-            n = len(p)
-            assert oracle._fine_grid_rows(eps, s, step) == n
-            joins = [widths[r:] + widths[:r] for r in range(len(widths))]
-            joins += [(w,) for w in widths if n <= 3000 * w]
-            for join in joins:
-                jp, jq = self._join(eps, s, step, join)
-                assert jp.tobytes() == p.tobytes() and jq.tobytes() == q.tobytes(), join
-
     @pytest.mark.parametrize("eps", [-0.5, 1.0, 1.5, math.nan, math.inf, -math.inf])
     def test_eps_outside_the_unit_interval(self, eps):
-        # one ValueError naming eps, from the row count the builder shares,
-        # where -0.5 built rows off the simplex and 1.5 or NaN failed later
+        # one ValueError naming eps, the sampler's, where -0.5 built rows off
+        # the simplex and 1.5 or NaN failed later
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for s in (2, 3):
-                with pytest.raises(ValueError, match=r"eps=.* outside \[0, 1\)"):
-                    oracle._fine_grid_rows(eps, s, 1e-3)
-                with pytest.raises(ValueError, match=r"eps=.* outside \[0, 1\)"):
-                    fine_grid_pairs(eps, s)
-
-    def test_row_range_bounds(self):
-        n = oracle._fine_grid_rows(0.3, 3, 1e-2)
-        for start in (0, 17, n):
-            p, q = fine_grid_pairs(0.3, 3, 1e-2, start, start)
-            assert p.shape == q.shape == (0, 3)
-        for start, stop in ((-1, 5), (5, 4), (0, n + 1), (n + 1, None)):
-            with pytest.raises(ValueError, match="outside the grid"):
-                fine_grid_pairs(0.3, 3, 1e-2, start, stop)
+            with pytest.raises(ValueError, match=r"eps=.* outside \[0, 1\)"):
+                fine_grid_pairs(eps)
 
 
 class TestVerifyMin:
@@ -425,7 +391,7 @@ class TestVerifyMin:
 
     def test_witness_is_the_worst_crossing_row_over_all_batches(self, monkeypatch):
         # every pair crosses 10; the least sampled value lies in a later
-        # batch than the first, and the fine grids go lower still
+        # batch than the first, and the fine grid goes lower still
         _force_bound(monkeypatch, "jeffreys", 10.0)
         evaluate = oracle.ORACLE_MEASURES["jeffreys"].evaluate
         sampled = [
@@ -475,7 +441,7 @@ class TestGridVerify:
         assert reports[1] == verify_min("capacitory", 0.5, 300, seed=13, stream_key=1)
 
     def test_bit_for_bit_determinism(self, monkeypatch):
-        # fine grids on, so the blocked scan is pinned; the forced closed
+        # fine grid on, so the blocked scan is pinned; the forced closed
         # form makes the second pair of runs keep a witness
         kw = dict(n_samples=300, seed=99, support_sizes=(2, 3, 4), fine_step=2e-3)
         for forced in (False, True):
@@ -521,9 +487,8 @@ class TestGridVerify:
             for grid in ([0.2, 0.5], []):
                 with pytest.raises(ValueError, match="fine_step=.* must be finite and > 0"):
                     grid_verify("tv", grid, 10, fine_step=step)
-            for s in (2, 3):
-                with pytest.raises(ValueError, match="fine_step=.* must be finite and > 0"):
-                    fine_grid_pairs(0.5, s, step)
+            with pytest.raises(ValueError, match="fine_step=.* must be finite and > 0"):
+                fine_grid_pairs(0.5, step)
         assert not called
 
 
@@ -648,12 +613,6 @@ class TestSeveralMeasures:
             assert_same_report(a, b)
 
 
-def _small_blocks(monkeypatch):
-    """Cut the fine grids into blocks of 256 rows, so that at step 1e-3
-    each takes several."""
-    monkeypatch.setattr(oracle, "_BLOCK_ROWS", 1 << 8)
-
-
 class TestBlockScan:
     """The pooled block scan against one sequential scan of whole arrays."""
 
@@ -670,61 +629,47 @@ class TestBlockScan:
         for name in ("chernoff", "bhattacharyya_upper"):
             assert_same_report(verify_min(name, 0.3, seed=11, **kw), reference_verify_min(name, 0.3, seed=11, **kw))
 
-    def test_crossings_in_several_fine_grid_blocks(self, monkeypatch):
-        # every row whose value lies under 0.2 crosses; those rows fill
-        # blocks across the support-3 grid, the lowest not in the first
-        _small_blocks(monkeypatch)
-        _force_bound(monkeypatch, "jeffreys", 0.2)
-        evaluate = oracle.ORACLE_MEASURES["jeffreys"].evaluate
-        vals = evaluate(*fine_grid_pairs(0.1, 3))
-        blocks = np.unique(np.flatnonzero(vals < 0.2) // oracle._BLOCK_ROWS)
-        assert blocks.size >= 3 and np.argmin(vals) // oracle._BLOCK_ROWS > blocks[0]
-        r = verify_min("jeffreys", 0.1, 0, seed=2)
-        assert r.violations > 0 and len(r.witness[0]) == 3
-        assert_same_report(r, reference_verify_min("jeffreys", 0.1, 0, seed=2))
-
     def test_ties_keep_the_first_row(self, monkeypatch):
         # every row sits at TV 0.1 up to rounding and crosses 0.5: the least
-        # value recurs across blocks and grids, and the first row of it wins
-        _small_blocks(monkeypatch)
+        # value recurs across the blocks, and the first row of it wins
         _force_bound(monkeypatch, "tv", 0.5)
-        r = verify_min("tv", 0.1, 0, seed=2)
-        assert len(r.witness[0]) == 2
-        assert_same_report(r, reference_verify_min("tv", 0.1, 0, seed=2))
-        # flatten the support-3 grid below the rest: its first row wins
+        r = verify_min("tv", 0.1, 50, seed=2)
+        assert_same_report(r, reference_verify_min("tv", 0.1, 50, seed=2))
+        # flatten the support-3 rows below the rest: the sampled support-3
+        # block comes before the fine grid, so its first row wins, and with
+        # no samples the fine grid's first row does
         om = oracle.ORACLE_MEASURES["tv"]
 
         def flat(pm, qm):
             return np.zeros(len(pm)) if pm.shape[1] == 3 else om.evaluate(pm, qm)
 
         monkeypatch.setitem(oracle.ORACLE_MEASURES, "tv", dataclasses.replace(om, evaluate=flat))
-        r = verify_min("tv", 0.1, 0, seed=2)
-        assert np.array_equal(r.witness[0].mass, fine_grid_pairs(0.1, 3)[0][0])
-        assert_same_report(r, reference_verify_min("tv", 0.1, 0, seed=2))
+        first = {50: oracle._sample_batch(oracle._stream(2, 0, 3), 50, 3, 0.1)[0][0], 0: fine_grid_pairs(0.1)[0][0]}
+        for n, row in first.items():
+            r = verify_min("tv", 0.1, n, seed=2)
+            assert np.array_equal(r.witness[0].mass, row)
+            assert_same_report(r, reference_verify_min("tv", 0.1, n, seed=2))
 
     def test_nan_before_the_least_block(self, monkeypatch):
-        # the whole-array argmin stops at the first NaN, so the support-3
-        # grid, whose least row (block 3) would be the witness, gives none
-        _small_blocks(monkeypatch)
+        # np.argmin stops at the first NaN, so the fine grid, whose least
+        # row would be the witness, gives none; the sampled rows keep theirs
         _force_bound(monkeypatch, "jeffreys", 0.2)
         om = oracle.ORACLE_MEASURES["jeffreys"]
-        nan_row = oracle.fine_grid_pairs(0.1, 3)[0][2 * oracle._BLOCK_ROWS + 5]
+        fp, fq = fine_grid_pairs(0.1)
+        nan_row = fp[517]
+        assert 517 < np.argmin(om.evaluate(fp, fq))
 
         def with_nan(pm, qm):
             vals = om.evaluate(pm, qm)
-            if pm.shape[1] != 3:
-                return vals
-            return np.where((pm == nan_row).all(axis=1), math.nan, vals)
+            return np.where((pm == nan_row).all(axis=1), math.nan, vals) if pm.shape[1] == 3 else vals
 
         monkeypatch.setitem(oracle.ORACLE_MEASURES, "jeffreys", dataclasses.replace(om, evaluate=with_nan))
-        r = verify_min("jeffreys", 0.1, 0, seed=2)
-        assert len(r.witness[0]) == 2
-        assert_same_report(r, reference_verify_min("jeffreys", 0.1, 0, seed=2))
+        r = verify_min("jeffreys", 0.1, 50, seed=2)
+        assert math.isnan(r.fine_extreme) and r.violations > 0 and r.witness is not None
+        assert_same_report(r, reference_verify_min("jeffreys", 0.1, 50, seed=2))
 
     def test_blocks_are_built_on_the_workers(self, monkeypatch):
-        # each fine-grid block is built by the worker that scans it, from its
-        # own row range; together the ranges cover each grid once, in order
-        _small_blocks(monkeypatch)
+        # the fine grid is one block, built whole by the worker that scans it
         build = oracle.fine_grid_pairs
         for name in ("tv", "jeffreys"):
             calls = []
@@ -741,29 +686,25 @@ class TestBlockScan:
                 m.setattr(oracle, "fine_grid_pairs", recorded)
                 r = verify_min(name, 0.1, 50, seed=4)
             assert_same_report(r, reference_verify_min(name, 0.1, 50, seed=4))
-            assert not any(on_main for _, _, on_main in calls)
-            assert all(a["eps"] == 0.1 and a["step"] == 1e-3 for a, _, _ in calls)
-            assert all(rows == a["stop"] - a["start"] <= oracle._BLOCK_ROWS for a, rows, _ in calls)
-            for s in (2, 3):
-                n = oracle._fine_grid_rows(0.1, s, 1e-3)
-                cuts = sorted((a["start"], a["stop"]) for a, _, _ in calls if a["support"] == s)
-                assert len(cuts) == -(-n // oracle._BLOCK_ROWS) > 1
-                assert [c[0] for c in cuts] == [0] + [c[1] for c in cuts[:-1]] and cuts[-1][1] == n
+            assert calls == [({"eps": 0.1, "step": 1e-3}, 1802, False)]
 
-    def test_memory_does_not_grow_with_the_grid(self, monkeypatch):
-        # a block's rows live only on the worker scanning it, so the traced
-        # peak is set by workers x block size; four workers keep the figure
-        # the same on every machine.  The support-3 family has 1.8e6 rows
-        # here, 86 MB for P and Q, and the support-2 grid 0.9e6
+    def test_memory_of_the_default_fine_block(self, monkeypatch):
+        # the fine block at the default step, 1,802 rows here, is held whole
+        # on its worker: 43 KB each for P and Q.  The traced peak of its scan
+        # is pinned without the heap warm-up's 4 MB array, after an untraced
+        # run has made the scan's imports; four workers keep the figure the
+        # same on every machine.  Step 1e-4 reads about 1.9 MB
         monkeypatch.setattr(oracle, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(oracle, "_HEAP_WARM_FLOATS", 0)
+        verify_min("tv", 0.1, 0, fine_step=None)
         tracemalloc.start()
         try:
-            r = verify_min("tv", 0.1, 0, fine_step=1e-6)
+            r = verify_min("tv", 0.1, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert r.passed
-        assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
+        assert peak < 0.3e6, f"traced peak {peak / 1e6:.2f} MB"
 
 
 def _unscreened(monkeypatch):
@@ -830,7 +771,7 @@ class TestScreen:
     def test_solves_few_rows(self, monkeypatch):
         solved = _solved_rows(monkeypatch)
         r = verify_min("chernoff", 0.5, 5000, seed=1)
-        rows = 7 * 5000 + sum(oracle._fine_grid_rows(0.5, s, 1e-3) for s in (2, 3))
+        rows = 7 * 5000 + len(fine_grid_pairs(0.5)[0])
         assert r.passed and 0 < len(solved) < rows / 100
 
     @staticmethod
@@ -934,22 +875,31 @@ def _within_ulps(short: float, full: float, sign: float) -> bool:
     return short == full or 0.0 <= sign * (short - full) <= 4.0 * np.spacing(max(1.0, abs(full)))
 
 
+def _assert_within_ulps(short, full) -> None:
+    """Two lists of reports, the scan of fewer rows first: the extremes and
+    the gap within a few ulps, and, where a report has no crossings, every
+    other field equal."""
+    for a, b in zip(short, full):
+        sign = 1.0 if a.direction == "min" else -1.0
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if f.name in ("sample_extreme", "fine_extreme"):
+                assert (x is None) == (y is None) and (x is None or _within_ulps(x, y, sign)), (f.name, x, y)
+            elif f.name == "gap":
+                assert abs(x - y) <= 4.0 * np.spacing(max(1.0, abs(a.closed_form))), (a.measure, x, y)
+            elif a.violations == 0:
+                assert x == y, (a.measure, f.name, x, y)
+
+
 def _full_grid(monkeypatch):
     """Make verify_min scan the whole 2-D support-3 grid, reference_grid3, in
     place of the two end rows of each run."""
-    rows, build = oracle._fine_grid_rows, oracle.fine_grid_pairs
     grid = functools.lru_cache(reference_grid3)
 
-    def full_rows(eps, support, step):
-        return rows(eps, support, step) if support == 2 else len(grid(eps, step)[0])
-
-    def full_pairs(eps, support, step=1e-3, start=0, stop=None):
-        if support == 2:
-            return build(eps, support, step, start, stop)
+    def full_pairs(eps, step=1e-3):
         p, q, _ = grid(eps, step)
-        return p[start:stop].copy(), q[start:stop].copy()
+        return p.copy(), q.copy()
 
-    monkeypatch.setattr(oracle, "_fine_grid_rows", full_rows)
     monkeypatch.setattr(oracle, "fine_grid_pairs", full_pairs)
 
 
@@ -998,7 +948,7 @@ class TestRunFloors:
         for eps in CHECKED_EPS:
             pm, qm, _ = reference_grid3(eps, step)
             full = float(np.min(sign * om.evaluate(pm, qm)))
-            short = float(np.min(sign * om.evaluate(*fine_grid_pairs(eps, 3, step))))
+            short = float(np.min(sign * om.evaluate(*fine_grid_pairs(eps, step))))
             assert _within_ulps(short, full, 1.0), (eps, short, full)
 
     def test_margin_keeps_infinities(self):
@@ -1012,23 +962,13 @@ class TestRunFloors:
 
     @staticmethod
     def _same_as_full_grid(monkeypatch, names, eps, **kw):
-        """verify_min's reports against those of the scan of the whole grid:
-        equal, but for the extremes and the gap, which may differ by a few
-        ulps.  Returns both runs' reports."""
+        """verify_min's reports against those of the scan of the whole grid,
+        as _assert_within_ulps compares them.  Returns both runs' reports."""
         short = verify_min(names, eps, **kw)
         with monkeypatch.context() as m:
             _full_grid(m)
             full = verify_min(names, eps, **kw)
-        for a, b in zip(short, full):
-            sign = 1.0 if a.direction == "min" else -1.0
-            for f in dataclasses.fields(a):
-                x, y = getattr(a, f.name), getattr(b, f.name)
-                if f.name in ("sample_extreme", "fine_extreme"):
-                    assert (x is None) == (y is None) and (x is None or _within_ulps(x, y, sign)), (f.name, x, y)
-                elif f.name == "gap":
-                    assert abs(x - y) <= 4.0 * np.spacing(max(1.0, abs(a.closed_form))), (a.measure, x, y)
-                elif a.violations == 0 and f.name != "witness":
-                    assert x == y, (a.measure, f.name, x, y)
+        _assert_within_ulps(short, full)
         return short, full
 
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999])
@@ -1039,6 +979,18 @@ class TestRunFloors:
         for name in names:
             self._same_as_full_grid(monkeypatch, [name], eps, **kw)
         short, _ = self._same_as_full_grid(monkeypatch, names, eps, **kw)
+        assert all(r.passed and r.witness is None for r in short)
+
+    @pytest.mark.parametrize("step", [1e-3, 7e-3])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5, 0.9, 0.999])
+    def test_equals_the_scan_with_the_binary_grid(self, eps, step):
+        # the first rows stand in for the binary grid: each measure's report
+        # against the reference scan of the binary grid and then the family
+        kw = dict(n_samples=100, seed=5, fine_step=step, stream_key=3)
+        names = sorted(oracle.ORACLE_MEASURES)
+        short = verify_min(names, eps, **kw)
+        both = [reference_verify_min(name, eps, fine_grids=(reference_grid2, fine_grid_pairs), **kw) for name in names]
+        _assert_within_ulps(short, both)
         assert all(r.passed and r.witness is None for r in short)
 
     @pytest.mark.parametrize(
@@ -1063,26 +1015,26 @@ class TestRunFloors:
         _force_bound(monkeypatch, name, bound_curve(name, eps) * (factor if om.direction == "min" else 1.0 / factor))
         kw = dict(n_samples=0, fine_step=5e-3)
         (r,), (full,) = self._same_as_full_grid(monkeypatch, [name], eps, **kw)
-        assert 1 < r.violations < full.violations and len(r.witness[0]) in (2, 3)
+        assert 1 < r.violations < full.violations and len(r.witness[0]) == 3
         assert_same_report(r, reference_verify_min(name, eps, **kw))
 
     def test_work_pin(self, monkeypatch):
-        # at eps 0.1 and step 1e-3 every scan builds two support-3 rows for
-        # each of the 901 runs, 1,802 rows, where the whole grid has 406,351
+        # at eps 0.1 and step 1e-3 every scan builds the fine grid once: two
+        # rows for each of the 901 runs, 1,802 rows, where the whole grid
+        # has 406,351
         build = oracle.fine_grid_pairs
         for name in ("jeffreys", "tv"):
             built = []
 
-            def recorded(eps, support, *args, **kwargs):
-                p, q = build(eps, support, *args, **kwargs)
-                if support == 3:
-                    built.append(p)
+            def recorded(*args, **kwargs):
+                p, q = build(*args, **kwargs)
+                built.append(p)
                 return p, q
 
             with monkeypatch.context() as m:
                 m.setattr(oracle, "fine_grid_pairs", recorded)
                 assert verify_min(name, 0.1, 0).passed
-            p = np.concatenate(built)
+            (p,) = built
             assert len(p) == 1802 and np.unique(p[:, 0]).size == 901
         assert len(reference_grid3(0.1, 1e-3)[0]) == 406351
 
@@ -1109,7 +1061,7 @@ class TestRunFloors:
         # Half a margin keeps the row, two rule it out unsolved, and the
         # report stays that of the scan of every row
         eps, step, r = 0.1, 1e-3, 200
-        fp, fq = fine_grid_pairs(eps, 3, step)
+        fp, fq = fine_grid_pairs(eps, step)
         line = bound_curve("chernoff", eps) - oracle._VIOLATION_SLACK
         floors = oracle._less_margin(fdiv._chernoff_floor(fdiv.batch_bhattacharyya(fp, fq)))
         i = int(np.argmin(floors))
@@ -1126,7 +1078,7 @@ class TestRunFloors:
 
         def forced_floor(z):
             s = fdiv._chernoff_floor(z)
-            if len(z) == len(fp):  # the support-3 block: no sampled rows here
+            if len(z) == len(fp):  # the fine block: no sampled rows here
                 s[r] = x
             return s
 
@@ -1144,10 +1096,9 @@ class TestRunFloors:
 class TestPool:
     @staticmethod
     def _failing_block(monkeypatch, name, eps):
-        """Make name's evaluator raise on the third support-3 fine-grid block only."""
-        _small_blocks(monkeypatch)
+        """Make name's evaluator raise on the fine-grid block only."""
         om = oracle.ORACLE_MEASURES[name]
-        first_row = oracle.fine_grid_pairs(eps, 3)[0][2 * oracle._BLOCK_ROWS]
+        first_row = oracle.fine_grid_pairs(eps)[0][0]
 
         def evaluate(pm, qm):
             if pm.shape[1] == 3 and np.array_equal(pm[0], first_row):

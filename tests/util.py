@@ -225,6 +225,21 @@ def reference_grid3(eps: float, step: float):
     return p, q, np.array([r.size for r in runs_b])
 
 
+def reference_grid2(eps: float, step: float):
+    """The binary fine grid: the reference route for the first rows of
+    fine_grid_pairs, which are these pairs with a zero middle atom, up to
+    the rounding of two masses.
+
+    Row i is P = (q1 + eps, 1 - q1 - eps), Q = (q1, 1 - q1), with
+    q1 = min(i step, 1 - eps), i = 0 .. round((1 - eps) / step), and
+    negative masses set to 0.  Returns P and Q.
+    """
+    q1 = np.minimum(np.arange(int(round((1.0 - eps) / step)) + 1) * step, 1.0 - eps)
+    p = np.maximum(np.stack([q1 + eps, 1.0 - q1 - eps], axis=1), 0.0)
+    q = np.maximum(np.stack([q1, 1.0 - q1], axis=1), 0.0)
+    return p, q
+
+
 def end_rows(n_b: np.ndarray) -> np.ndarray:
     """The first and last row of each run of reference_grid3, run by run."""
     first = np.cumsum(n_b) - n_b
@@ -240,12 +255,15 @@ def reference_verify_min(
     fine_step=1e-3,
     gap_threshold=None,
     stream_key: int = 0,
+    fine_grids=None,
 ):
     """verify_min as one sequential scan of whole arrays: the reference route for its block scan.
 
-    Each sampled batch, then each whole fine grid, is evaluated in one call
-    and merged as it comes: the worst crossing row replaces the witness only
+    Each sampled batch, then each fine grid, is evaluated in one call and
+    merged as it comes: the worst crossing row replaces the witness only
     when it lies strictly below both the line and every value seen so far.
+    fine_grids is a sequence of builders called as (eps, fine_step), the
+    oracle's one family, fine_grid_pairs, when None.
     """
     from divbound import oracle
     from divbound.bounds import extremal_pair, find_measure
@@ -276,9 +294,8 @@ def reference_verify_min(
 
     fine_best = None
     if fine_step is not None:
-        fine_best = sign * min(
-            scan(*oracle.fine_grid_pairs(eps, s, step=fine_step), "fine") for s in (2, 3)
-        )
+        builders = (oracle.fine_grid_pairs,) if fine_grids is None else fine_grids
+        fine_best = sign * min(scan(*build(eps, fine_step), "fine") for build in builders)
 
     p, q = extremal_pair(eps, om.extremal_kind)
     extremal_value = float(om.evaluate(p.mass[None, :], q.mass[None, :])[0])

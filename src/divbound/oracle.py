@@ -31,14 +31,21 @@ The tests keep that route, and the permutation draw this one replaced, as
 references.  _draw_sign_sets sees only the columns it is given and relies
 on its caller for the exchangeability.
 
-Rows hold only 2 to 8 masses, and numpy reduces so short a last axis 10-40
-times slower than it runs the same arithmetic over whole columns.  So the
-sampler reduces by columns: row sums by fdiv._row_sums, which adds in
-numpy's own order (in turn below 8 columns, a pairwise tree at 8, both
-onto +0.0); row minima by np.minimum across the columns; running sums by
-running column adds, in np.cumsum's order; and each "first column where"
-(argmax) by counting the leading False columns.  Each gives numpy's result
-bit for bit, so the draws are those of the plain reductions.
+A pair has only 2 to 8 masses, and numpy runs an operation over so short
+a row 10-40 times slower than over a long one.  So the sampler works on
+the transposed layout: a (k, n) array per batch, one contiguous row of n
+masses per atom, and each step is a whole-array or whole-row call.  Row
+sums of the pairs add the k rows by fdiv._col_sums, in the order numpy adds
+a C-ordered row of k masses (in turn below 8, a pairwise tree at 8, both
+onto +0.0); the running sums of the sign sets add row after row, in
+np.cumsum's order; minima and first positions are exact in any order.  So
+the draws are those of the row layout bit for bit: the tests keep it as
+the reference.  The exponential draws (rng.standard_exponential, the bits
+of rng.exponential at scale 1 for less work) fill (n, k) arrays, one pair
+per row as before, and are copied to the column layout with x.T.copy().  The
+pairs come back as C-ordered (n, k) arrays, P in a new array and Q in the
+buffer of its own draw: the evaluators rely on C-ordered rows, since
+_row_sums uses the pairwise tree at 8 columns only on them.
 
 Randomness comes from numpy's PCG64 with streams derived from
 (seed, grid index, support size), so grid points are independent and a run
@@ -53,7 +60,8 @@ builds it once, calls each distinct evaluator on it once (the two
 Bhattacharyya entries share one), and returns per measure its crossing
 count and its least signed value with that row, the first on ties or NaN,
 as np.argmin picks.  The main thread merges each measure's results in a
-fixed order: supports in the order given, then the fine grid.  A row
+fixed order: supports in the order given, then the fine grid, whatever
+the order they were submitted in (largest support first).  A row
 becomes the witness only when it lies strictly below the line and every
 value before it.  So a report does not depend on the number of CPUs, on
 which block finishes first, or on the other measures of the run.
@@ -92,8 +100,8 @@ are those of the full solve.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -103,7 +111,7 @@ import numpy as np
 from .bounds import Measure, checked_measures, extremal_pair, find_measure
 from .dist import FiniteDist
 from .errors import BoundViolationError
-from .fdiv import _row_sums, batch_total_variation
+from .fdiv import _col_sums, batch_total_variation
 
 __all__ = [
     "sample_pair",
@@ -129,32 +137,24 @@ _HEAP_WARM_FLOATS = 1 << 19
 
 
 def _simplex(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    e = rng.exponential(size=(n, k))
-    e /= _row_sums(e)[:, None]
-    return e
+    """n points of the uniform simplex on k atoms: an (n, k) view of a
+    (k, n) array, which holds each atom's masses in one contiguous row."""
+    e = rng.standard_exponential(size=(n, k)).T.copy()
+    e /= _col_sums(e)
+    return e.T
 
 
-def _cumsum_rows(mask: np.ndarray) -> np.ndarray:
-    """np.cumsum(mask, axis=1) for a bool matrix, bit for bit, by running
-    column adds."""
-    out = np.empty(mask.shape, dtype=np.int_)
-    out[:, 0] = mask[:, 0]
-    for j in range(1, mask.shape[1]):
-        np.add(out[:, j - 1], mask[:, j], out=out[:, j])
-    return out
+# bit j of a byte, for j = 0..7, one per row
+_BITS = (1 << np.arange(8, dtype=np.uint8))[:, None]
 
 
-def _first_true(mask: np.ndarray) -> np.ndarray:
-    """mask.argmax(axis=1) for a bool matrix, column by column: the first
-    True column of each row, counted as its leading False columns, and 0
-    where a row has none."""
-    none = ~mask[:, 0]
-    idx = none.astype(np.intp)
-    for j in range(1, mask.shape[1]):
-        none &= ~mask[:, j]
-        idx += none
-    idx[none] = 0
-    return idx
+def _accumulate(a: np.ndarray) -> np.ndarray:
+    """a replaced by its running sums down the first axis, which
+    np.cumsum(a, axis=0) gives bit for bit, row add by row add: numpy
+    accumulates down the first axis of a C-ordered array 5-10 times slower."""
+    for j in range(1, len(a)):
+        np.add(a[j - 1], a[j], out=a[j])
+    return a
 
 
 # kept as its own function, called once per batch, and still returning an
@@ -163,79 +163,104 @@ def _first_true(mask: np.ndarray) -> np.ndarray:
 def _draw_sign_sets(rng, pm: np.ndarray, eps: float):
     """Random sign sets B with mass(B) >= eps, one pass, built as the module
     docstring says; near-minimal and bulky sets both occur.  Every row needs
-    an atom of mass <= 1 - eps.  Returns B and an all-True row mask.
+    an atom of mass <= 1 - eps.  Returns B, shaped as pm, and an all-True
+    row mask.
 
-    B follows the column order of pm, so each row's atoms must come in a
-    uniform random order: the caller's rows must be exchangeable, as
-    _sample_batch's are.  On a fixed order the prefix always starts at the
-    same column.
+    The draw works on pm.T, one row per column of pm, which is contiguous
+    when pm is the transpose of a column array, as _sample_batch passes it;
+    B is then the transpose of one too.  B follows the column order of pm,
+    so each row's atoms must come in a uniform random order: the caller's
+    rows must be exchangeable, as _sample_batch's are.  On a fixed order the
+    prefix always starts at the same column.
     """
-    m, k = pm.shape
-    counts = _cumsum_rows(pm <= 1.0 - eps)  # running counts of feasible anchors
-    rank = rng.integers(counts[:, -1])
-    anchor = _first_true(counts > rank[:, None])
-    # fair coins: bits 0..k-1 of one byte per row, as an (m, k) bool matrix
+    p = pm.T
+    k, m = p.shape
+    feasible = p <= 1.0 - eps
+    counts = _accumulate(feasible.astype(np.uint8))  # running counts of feasible anchors
+    rank = rng.integers(counts[-1].astype(np.int_))
+    # the anchor: the feasible column where the count first exceeds rank
+    free = counts != (rank + 1).astype(np.uint8)
+    free |= ~feasible
+    # fair coins: bits 0..k-1 of one byte per row, as a (k, m) bool array
     coins = rng.integers(0, 256, size=m, dtype=np.uint8)
-    b = np.unpackbits(coins[:, None], axis=1, count=k, bitorder="little").view(bool)
+    b = (coins & _BITS[:k]) != 0
     # column j joins the prefix while the mass of the free columns before it
     # is below eps; the coins matter only past the prefix, and never on the
     # anchor.  The mass besides the anchor is 1 - p(anchor) >= eps, but its
     # float sum can land an ulp below eps: then every free column is in B
-    total = np.zeros(m)
-    for j in range(k):
-        free = anchor != j
-        col = b[:, j]
-        col |= total < eps
-        col &= free
-        if j < k - 1:
-            total += pm[:, j] * free
-    return b, np.ones(m, dtype=bool)
+    b[0] |= eps > 0.0  # no mass comes before column 0
+    b[1:] |= _accumulate(p[:-1] * free[:-1]) < eps
+    b &= free
+    return b.T, np.ones(m, dtype=bool)
+
+
+def _q_columns(p: np.ndarray, b: np.ndarray, e: np.ndarray, eps: float) -> np.ndarray:
+    """Q for the (k, m) columns p, the sign sets b and exponential draws e,
+    which it overwrites: outside B, q = p + eps * (e / its row sum); inside,
+    p shrunk to carry eps less."""
+    # p >= +0.0, so p * b is np.where(b, p, 0.0) bit for bit, without the
+    # branch per element that a random mask makes costly
+    mass_b = _col_sums(p * b)
+    off = ~b
+    e *= off
+    e /= _col_sums(e)
+    e *= eps
+    # q = spread + p * f, with f the factor on B and 1 off it, where spread
+    # is 0: each element gets 0 + p * factor or spread + p * 1, the bits of
+    # a np.where on b, without its branch per element
+    f = b * (1.0 - eps / mass_b)
+    f += off
+    f *= p
+    e += f
+    return np.maximum(e, 0.0, out=e)
 
 
 def _sample_batch(
     rng: np.random.Generator, n: int, k: int, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """n pairs of k-point distributions at total variation exactly eps."""
+    """n pairs of k-point distributions at total variation exactly eps, as
+    C-ordered (n, k) arrays."""
     pm = _simplex(rng, n, k)
     if eps == 0.0:
+        pm = np.ascontiguousarray(pm)
         return pm, pm.copy()
+    p = np.ascontiguousarray(pm.T)  # each atom's masses in one contiguous row
 
     # no proper subset of these rows carries mass eps: shrink the smallest
     # atom into [0, 1 - eps), a possible anchor, and renormalize the rest
-    low = functools.reduce(np.minimum, pm.T)  # the row minima, column by column
+    low = p.min(axis=0)
     stuck = np.flatnonzero(1.0 - low < eps)
     if stuck.size:
-        jmin = _first_true(pm[stuck] == low[stuck, None])
-        old = pm[stuck, jmin]
+        sub = p[:, stuck]
+        at = ((sub == low[stuck]).argmax(axis=0), np.arange(stuck.size))  # each first least atom
+        old = sub[at]
         new = (1.0 - eps) * rng.random(stuck.size)
-        pm[stuck] *= ((1.0 - new) / (1.0 - old))[:, None]
-        pm[stuck, jmin] = new
+        sub *= (1.0 - new) / (1.0 - old)
+        sub[at] = new
+        p[:, stuck] = sub
 
-    b, _ = _draw_sign_sets(rng, pm, eps)
-    # pm >= +0.0, so pm * b is np.where(b, pm, 0.0) bit for bit, without
-    # the branch per element that a random mask makes costly
-    mass_b = _row_sums(pm * b)
-    # outside B, q = p + eps * (spread / its row sum); inside, p shrunk to
-    # carry eps less
-    spread = rng.exponential(size=pm.shape)
-    spread *= ~b
-    spread /= _row_sums(spread)[:, None]
-    spread *= eps
-    # q = p * f + spread, with f the factor on B and 1 off it, where spread
-    # is 0: each element gets p * factor + 0 or p * 1 + spread, the bits of
-    # a np.where on b, without its branch per element
-    qm = b * (1.0 - eps / mass_b)[:, None]
-    qm += ~b
-    qm *= pm
-    qm += spread
-    np.maximum(qm, 0.0, out=qm)
+    b = _draw_sign_sets(rng, p.T, eps)[0].T
+    qm = rng.standard_exponential(size=(n, k))
+    qm[...] = _q_columns(p, b, qm.T.copy(), eps).T  # Q in its draw buffer
+    pm = p.T.copy()
+    del p  # frees the columns before the check makes its own arrays
     tv = batch_total_variation(pm, qm)
     if not np.all(np.abs(tv - eps) <= TV_MATCH_TOL):
         raise BoundViolationError(f"sampler left the TV constraint {eps!r} on support {k}")
     return pm, qm
 
 
+def _check_integer(value, name: str) -> None:
+    """TypeError naming the argument unless operator.index takes value, as
+    it takes a Python or numpy integer."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_seed(seed: int) -> None:
+    _check_integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed={seed!r} is negative; the RNG takes seeds >= 0")
 
@@ -247,6 +272,7 @@ def _check_eps(eps: float) -> None:
 
 def sample_pair(support_size: int, eps: float, seed: int) -> tuple[FiniteDist, FiniteDist]:
     """One pair on support_size atoms at total variation eps; pure in its arguments."""
+    _check_integer(support_size, "support_size")
     if not 2 <= support_size <= 8:
         raise ValueError(f"support_size={support_size!r} outside [2, 8]")
     _check_eps(eps)
@@ -315,6 +341,8 @@ class VerifyPointReport:
 
 
 def _check_support_sizes(support_sizes) -> None:
+    for s in support_sizes:
+        _check_integer(s, "each of support_sizes")
     outside = [s for s in support_sizes if not 2 <= s <= 8]
     if outside:
         raise ValueError(f"support size {outside[0]!r} outside [2, 8]")
@@ -334,6 +362,7 @@ def _stream(seed: int, stream_key: int, support: int) -> np.random.Generator:
 
 def _check_run(n_samples: int, seed: int, support_sizes, fine_step: Optional[float]) -> None:
     """The checks verify_min and grid_verify make before any sampling."""
+    _check_integer(n_samples, "n_samples")
     if n_samples < 0:
         raise ValueError(f"n_samples={n_samples!r} is negative")
     most = np.iinfo(np.intp).max
@@ -458,6 +487,12 @@ def verify_min(
     2 round((1 - eps) / fine_step) + 2.  At the default step that is at
     most 2,002 rows, 48 KB each for P and Q.
 
+    The sampled blocks are submitted to the pool largest support first,
+    then the fine block, so that the blocks left for the last free worker
+    are short ones.  Their results are merged in the order given, supports
+    as given and then the fine grid, and a failed block raises in that
+    order.
+
     measures is one name, which gives its VerifyPointReport, or a sequence
     of names, which gives a list of reports in the same order.  Every
     measure is checked on the same blocks, each drawn or built once and
@@ -497,16 +532,21 @@ def verify_min(
     from concurrent.futures import ThreadPoolExecutor  # here: `divbound --help` skips its import
 
     np.empty(_HEAP_WARM_FLOATS)  # lifts glibc's mmap threshold; see the constant
-    # the blocks in merge order: supports, then the fine grid
+    # the blocks in merge order: supports as given, then the fine grid.  The
+    # largest supports, the costliest blocks, are submitted first, so that
+    # the blocks left to the last free worker are the short ones
+    sizes = tuple(support_sizes) if n_samples > 0 else ()
     pool = ThreadPoolExecutor(max_workers=_cpu_count())
     try:
-        blocks = [pool.submit(sampled, s) for s in support_sizes] if n_samples > 0 else []
+        largest_first = sorted(range(len(sizes)), key=lambda i: -sizes[i])
+        submitted = {i: pool.submit(sampled, sizes[i]) for i in largest_first}
+        blocks = [submitted[i] for i in range(len(sizes))]
         if fine_step is not None:
             blocks.append(pool.submit(fine))
         results = [f.result() for f in blocks]
     finally:
         pool.shutdown(cancel_futures=True)
-    n_sampled = len(support_sizes) if n_samples > 0 else 0
+    n_sampled = len(sizes)
 
     def report(j):
         om, cf, sign, line = oms[j], cfs[j], signs[j], lines[j]

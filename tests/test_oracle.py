@@ -21,13 +21,16 @@ from divbound.oracle import TV_MATCH_TOL, fine_grid_pairs, grid_verify, sample_p
 
 from util import (
     assert_same_report,
+    cumsum_rows,
     end_rows,
+    first_true,
     random_simplex,
     reference_grid2,
     reference_grid3,
     reference_sample_batch,
     reference_verify_min,
     rejection_sign_sets,
+    row_sample_batch,
 )
 
 
@@ -139,10 +142,28 @@ class TestSampler:
         rng = np.random.default_rng(83)
         for k in range(1, 10):
             for mask in (rng.random((300, k)) < 0.3, np.zeros((300, k), dtype=bool)):
-                assert np.array_equal(oracle._first_true(mask), mask.argmax(axis=1))
+                assert np.array_equal(first_true(mask), mask.argmax(axis=1))
                 want = np.cumsum(mask, axis=1)
-                assert oracle._cumsum_rows(mask).tobytes() == want.tobytes()
-                assert oracle._cumsum_rows(mask).dtype == want.dtype
+                assert cumsum_rows(mask).tobytes() == want.tobytes()
+                assert cumsum_rows(mask).dtype == want.dtype
+            for a in (rng.random((k, 300)), (rng.random((k, 300)) < 0.3).astype(np.uint8)):
+                want = np.cumsum(a, axis=0, dtype=a.dtype)
+                assert oracle._accumulate(a.copy()).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_same_bytes_as_the_row_layout(self, k):
+        # the sampler on contiguous columns against the row layout it
+        # replaced, on one stream; eps 0.999 and 1 - 1e-9 draw stuck rows
+        for eps in (0.0, 1e-9, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-9):
+            if eps >= 0.999:
+                assert np.any(oracle._simplex(oracle._stream(3, 1, k), 5000, k).min(axis=1) > 1.0 - eps)
+            for n in (1, 2, 3, 5000):
+                pm, qm = oracle._sample_batch(oracle._stream(3, 1, k), n, k, eps)
+                want_p, want_q = row_sample_batch(oracle._stream(3, 1, k), n, k, eps)
+                assert pm.shape == qm.shape == (n, k)
+                assert pm.tobytes() == want_p.tobytes() and qm.tobytes() == want_q.tobytes(), (eps, n)
+                assert pm.flags.c_contiguous and qm.flags.c_contiguous
+                assert not np.shares_memory(pm, qm)
 
     def test_same_draw_as_one_row_of_a_batch(self):
         pm, qm = oracle._sample_batch(
@@ -537,6 +558,44 @@ class TestArguments:
             sample_pair(3, 0.5, -1)
         assert not called
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(support_sizes=(2.5,)), "each of support_sizes must be an integer, got 2.5"),
+            (dict(support_sizes=(3, np.float64(4.0))), "each of support_sizes must be an integer, got np.float64(4.0)"),
+            (dict(n_samples=10.0), "n_samples must be an integer, got 10.0"),
+            (dict(seed=1.5), "seed must be an integer, got 1.5"),
+            (dict(seed="1"), "seed must be an integer, got '1'"),
+        ],
+    )
+    def test_non_integer_raises_before_sampling(self, monkeypatch, kw, message):
+        # the error names the argument, where numpy's own, raised on a
+        # worker, named the seed for a support size
+        called = _no_sampling(monkeypatch)
+        kw = {"n_samples": 10, **kw}
+        with pytest.raises(TypeError, match=re.escape(message)):
+            verify_min("tv", 0.5, **kw)
+        for grid in ([0.2, 0.5], []):
+            with pytest.raises(TypeError, match=re.escape(message)):
+                grid_verify("tv", grid, **kw)
+        assert not called
+
+    def test_sample_pair_takes_integers_only(self, monkeypatch):
+        called = _no_sampling(monkeypatch)
+        with pytest.raises(TypeError, match=re.escape("support_size must be an integer, got 3.5")):
+            sample_pair(3.5, 0.5, 1)
+        with pytest.raises(TypeError, match=re.escape("seed must be an integer, got 1.0")):
+            sample_pair(3, 0.5, 1.0)
+        assert not called
+
+    def test_numpy_integers_pass(self):
+        assert verify_min("tv", 0.5, np.int64(20), seed=np.uint8(3), support_sizes=(np.int32(3), 5)) == verify_min(
+            "tv", 0.5, 20, seed=3, support_sizes=(3, 5)
+        )
+        pair = sample_pair(np.int16(4), 0.5, np.int64(9))
+        for a, b in zip(pair, sample_pair(4, 0.5, 9)):
+            assert a.labels == b.labels and a.mass.tobytes() == b.mass.tobytes()
+
     def test_no_measure_raises(self, monkeypatch):
         called = _no_sampling(monkeypatch)
         for run in (lambda: verify_min([], 0.5, 10), lambda: grid_verify((), [0.5], 10)):
@@ -667,6 +726,17 @@ class TestBlockScan:
         r = verify_min("jeffreys", 0.1, 50, seed=2)
         assert math.isnan(r.fine_extreme) and r.violations > 0 and r.witness is not None
         assert_same_report(r, reference_verify_min("jeffreys", 0.1, 50, seed=2))
+
+    def test_unsorted_supports_merge_in_the_given_order(self, monkeypatch):
+        # the blocks are submitted largest support first and merged in the
+        # order given; every row crosses the forced closed form, and the
+        # witness comes from a block after the first
+        _force_bound(monkeypatch, "jeffreys", 10.0)
+        for fine_step in (None, 2e-3):
+            kw = dict(n_samples=300, seed=7, support_sizes=(5, 2, 8, 3), fine_step=fine_step)
+            r = verify_min("jeffreys", 0.3, **kw)
+            assert r.violations > 0 and len(r.witness[0]) != 5
+            assert_same_report(r, reference_verify_min("jeffreys", 0.3, **kw))
 
     def test_blocks_are_built_on_the_workers(self, monkeypatch):
         # the fine grid is one block, built whole by the worker that scans it
@@ -1116,6 +1186,40 @@ class TestPool:
             verify_min("tv", 0.1, 200, seed=1)
         assert threading.active_count() == before
         assert verify_min("tv", 0.1, 200, seed=1, fine_step=None).passed
+
+    def test_largest_support_is_submitted_first(self, monkeypatch):
+        # one worker draws the blocks in the order they were submitted
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
+        drawn = []
+        sample = oracle._sample_batch
+
+        def recorded(rng, n, k, eps):
+            drawn.append(k)
+            return sample(rng, n, k, eps)
+
+        monkeypatch.setattr(oracle, "_sample_batch", recorded)
+        r = verify_min("tv", 0.1, 50, seed=1, support_sizes=(5, 2, 8, 3, 8))
+        assert drawn == [8, 8, 5, 3, 2]
+        monkeypatch.undo()
+        assert r == verify_min("tv", 0.1, 50, seed=1, support_sizes=(5, 2, 8, 3, 8))
+
+    def test_a_failed_block_surfaces_in_merge_order(self, monkeypatch):
+        # supports 8 and 5 both fail; 8 is drawn first, but 5 comes first
+        # in the order given, and its error is the one raised
+        om = oracle.ORACLE_MEASURES["tv"]
+
+        def evaluate(pm, qm):
+            if pm.shape[1] in (5, 8):
+                raise BoundViolationError(f"evaluator failed on support {pm.shape[1]}")
+            return om.evaluate(pm, qm)
+
+        monkeypatch.setitem(oracle.ORACLE_MEASURES, "tv", dataclasses.replace(om, evaluate=evaluate))
+        before = threading.active_count()
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(oracle, "_cpu_count", lambda: workers)
+            with pytest.raises(BoundViolationError, match="on support 5$"):
+                verify_min("tv", 0.1, 200, seed=1, support_sizes=(5, 2, 8, 3))
+        assert threading.active_count() == before
 
     def test_cli_exits_one_on_a_failed_block(self, monkeypatch):
         from click.testing import CliRunner

@@ -74,8 +74,16 @@ def _axis(call: ast.Call):
 
 
 def _short_axis_reductions(source: str) -> list[int]:
-    """Lines of reductions over axis 1 or -1, outside fdiv._row_sums and
-    fdiv._row_extremes, which keep numpy's for wide rows."""
+    """Lines of reductions over axis 1 or -1, and of sums over axis 0,
+    outside fdiv._row_sums and fdiv._row_extremes, which keep numpy's for
+    wide rows.
+
+    Axis 0 is the short axis of the column layout, (k, m) with each atom's
+    masses in one row.  numpy sums it row after row, never by the pairwise
+    tree it uses on a C-ordered row of 8, so those sums go through
+    fdiv._col_sums or fdiv._add_columns.  Other reductions over axis 0 give
+    numpy's bits in any order: minima, maxima, their positions, integer
+    counts (np.count_nonzero) and cumsum, which adds strictly in order."""
     tree = ast.parse(source)
     exempt = {
         id(node)
@@ -90,7 +98,7 @@ def _short_axis_reductions(source: str) -> list[int]:
         and isinstance(node.func, ast.Attribute)
         and node.func.attr in _REDUCTIONS
         and id(node) not in exempt
-        and _axis(node) in (1, -1)
+        and (_axis(node) in (1, -1) or (node.func.attr == "sum" and _axis(node) == 0))
     ]
 
 
@@ -98,17 +106,20 @@ def test_short_axis_reduction_check_catches_each_form():
     source = "\n".join([
         "a.sum(axis=1)", "a.min(axis=-1)", "a.max(1)", "a.argmin(axis=1)",
         "a.argmax(-1)", "np.cumsum(a, axis=1)", "np.sum(a, 1)",
-        "a.sum()", "a.sum(axis=0)", "np.argmin(v)", "np.cumsum(n)",
+        "a.sum(axis=0)", "np.sum(a, 0)", "a.T.sum(0)", "np.sum(a, axis=0)",
+        "a.sum()", "np.argmin(v)", "np.cumsum(n)", "a.min(axis=0)", "a.argmax(axis=0)",
+        "np.cumsum(a, axis=0)", "np.count_nonzero(a, axis=0)",
         "def _row_sums(a):\n    return a.sum(axis=-1)",
         "def _row_extremes(a):\n    return a.min(axis=1), a.max(axis=1)",
     ])
-    assert _short_axis_reductions(source) == [1, 2, 3, 4, 5, 6, 7]
+    assert _short_axis_reductions(source) == list(range(1, 12))
 
 
 def test_oracle_and_evaluators_reduce_short_rows_by_columns():
     # numpy reduces a last axis of 2 to 8 entries 10-40 times slower than it
     # adds whole columns: sums go through fdiv._row_sums, minima and maxima
-    # through fdiv._row_extremes, other reductions through column arithmetic
+    # through fdiv._row_extremes, other reductions through column
+    # arithmetic.  On the column layout, sums go through fdiv._col_sums
     checked = ("oracle.py", "fdiv.py", "jensen.py")
     assert set(checked) <= {p.name for p in MODULES}
     found = [

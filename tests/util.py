@@ -112,6 +112,59 @@ def rejection_sign_sets(rng, pm: np.ndarray, eps: float) -> np.ndarray:
     return b
 
 
+def cumsum_rows(mask: np.ndarray) -> np.ndarray:
+    """np.cumsum(mask, axis=1) for a bool matrix, bit for bit, by running
+    column adds."""
+    out = np.empty(mask.shape, dtype=np.int_)
+    out[:, 0] = mask[:, 0]
+    for j in range(1, mask.shape[1]):
+        np.add(out[:, j - 1], mask[:, j], out=out[:, j])
+    return out
+
+
+def first_true(mask: np.ndarray) -> np.ndarray:
+    """mask.argmax(axis=1) for a bool matrix, column by column: the first
+    True column of each row, counted as its leading False columns, and 0
+    where a row has none."""
+    none = ~mask[:, 0]
+    idx = none.astype(np.intp)
+    for j in range(1, mask.shape[1]):
+        none &= ~mask[:, j]
+        idx += none
+    idx[none] = 0
+    return idx
+
+
+def row_sign_sets(rng, pm: np.ndarray, eps: float) -> np.ndarray:
+    """oracle._draw_sign_sets on the row layout, column by column: the
+    reference route for its draw on contiguous columns, for row_sample_batch.
+
+    B is the prefix of the atoms in column order that first reaches mass
+    eps, plus fair coins on the later atoms, all but the anchor, drawn
+    uniformly from S = {j : P_j <= 1 - eps}, which stays in A.
+    """
+    m, k = pm.shape
+    counts = cumsum_rows(pm <= 1.0 - eps)  # running counts of feasible anchors
+    rank = rng.integers(counts[:, -1])
+    anchor = first_true(counts > rank[:, None])
+    # fair coins: bits 0..k-1 of one byte per row, as an (m, k) bool matrix
+    coins = rng.integers(0, 256, size=m, dtype=np.uint8)
+    b = np.unpackbits(coins[:, None], axis=1, count=k, bitorder="little").view(bool)
+    # column j joins the prefix while the mass of the free columns before it
+    # is below eps; the coins matter only past the prefix, and never on the
+    # anchor.  The mass besides the anchor is 1 - p(anchor) >= eps, but its
+    # float sum can land an ulp below eps: then every free column is in B
+    total = np.zeros(m)
+    for j in range(k):
+        free = anchor != j
+        col = b[:, j]
+        col |= total < eps
+        col &= free
+        if j < k - 1:
+            total += pm[:, j] * free
+    return b
+
+
 def reference_sign_sets(rng, pm: np.ndarray, eps: float) -> np.ndarray:
     """Sign sets B from an explicit permutation: the sampler's draw before it
     followed the column order, for reference_sample_batch.
@@ -122,14 +175,12 @@ def reference_sign_sets(rng, pm: np.ndarray, eps: float) -> np.ndarray:
     drawn uniformly from S and swapped into the last slot of an independent
     uniform permutation.
     """
-    from divbound.oracle import _cumsum_rows, _first_true
-
     m, k = pm.shape
     perm = rng.permuted(np.tile(np.arange(k), (m, 1)), axis=1)
-    counts = _cumsum_rows(pm <= 1.0 - eps)  # running counts of feasible anchors
+    counts = cumsum_rows(pm <= 1.0 - eps)  # running counts of feasible anchors
     rank = rng.integers(counts[:, -1])
-    anchor = _first_true(counts > rank[:, None])
-    slot = _first_true(perm == anchor[:, None])
+    anchor = first_true(counts > rank[:, None])
+    slot = first_true(perm == anchor[:, None])
     # perm becomes flat indices into pm: one gather and one scatter below
     # cost less than take_along_axis and put_along_axis
     rows = np.arange(0, m * k, k)
@@ -159,13 +210,15 @@ def reference_sign_sets(rng, pm: np.ndarray, eps: float) -> np.ndarray:
     return b
 
 
-def reference_sample_batch(rng, n: int, k: int, eps: float):
-    """oracle._sample_batch with the permutation draw of reference_sign_sets:
-    the reference route for the law of the sampler's column-order draw."""
+def row_sample_batch(rng, n: int, k: int, eps: float, sign_sets=row_sign_sets):
+    """oracle._sample_batch on the row layout, one pair per C-ordered row,
+    with the sign sets of sign_sets: the reference route for its sampler on
+    contiguous columns, whose bytes it gives."""
     from divbound.errors import BoundViolationError
-    from divbound.oracle import TV_MATCH_TOL, _first_true, _simplex
+    from divbound.oracle import TV_MATCH_TOL
 
-    pm = _simplex(rng, n, k)
+    pm = rng.exponential(size=(n, k))
+    pm /= fdiv._row_sums(pm)[:, None]
     if eps == 0.0:
         return pm, pm.copy()
 
@@ -174,13 +227,13 @@ def reference_sample_batch(rng, n: int, k: int, eps: float):
     low = functools.reduce(np.minimum, pm.T)  # the row minima, column by column
     stuck = np.flatnonzero(1.0 - low < eps)
     if stuck.size:
-        jmin = _first_true(pm[stuck] == low[stuck, None])
+        jmin = first_true(pm[stuck] == low[stuck, None])
         old = pm[stuck, jmin]
         new = (1.0 - eps) * rng.random(stuck.size)
         pm[stuck] *= ((1.0 - new) / (1.0 - old))[:, None]
         pm[stuck, jmin] = new
 
-    b = reference_sign_sets(rng, pm, eps)
+    b = sign_sets(rng, pm, eps)
     # pm >= +0.0, so pm * b is np.where(b, pm, 0.0) bit for bit, without
     # the branch per element that a random mask makes costly
     mass_b = fdiv._row_sums(pm * b)
@@ -202,6 +255,12 @@ def reference_sample_batch(rng, n: int, k: int, eps: float):
     if not np.all(np.abs(tv - eps) <= TV_MATCH_TOL):
         raise BoundViolationError(f"sampler left the TV constraint {eps!r} on support {k}")
     return pm, qm
+
+
+def reference_sample_batch(rng, n: int, k: int, eps: float):
+    """row_sample_batch with the permutation draw of reference_sign_sets:
+    the reference route for the law of the sampler's column-order draw."""
+    return row_sample_batch(rng, n, k, eps, reference_sign_sets)
 
 
 def reference_grid3(eps: float, step: float):

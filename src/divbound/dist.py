@@ -99,7 +99,10 @@ class FiniteDist:
         return len(self.labels)
 
     def __getitem__(self, label: str) -> float:
-        return float(self.mass[self.labels.index(label)])
+        try:
+            return float(self.mass[self.labels.index(label)])
+        except ValueError:
+            raise KeyError(f"no label {label!r} in the distribution") from None
 
     def support_size(self) -> int:
         return int(np.count_nonzero(self.mass))

@@ -12,15 +12,17 @@ bug and raises BoundViolationError.  The ``batch_*`` functions operate on
 drives; a NaN, infinite or negative mass in either matrix raises
 DistributionError, as FiniteDist does (-0.0 counts as 0), and an input of
 more than 2 dimensions raises ValueError.  The scalar operations wrap them.
+Every batch evaluator gives the same bits on every memory layout of its
+matrices: each row sum goes through _row_sums, which adds in the order numpy
+adds a C-ordered row.
 
 The Chernoff tilt solve works on the transposed layout: a (k, m) array
 with one contiguous row per column of the masses, m the pairs still
 active.  Each Newton pass is then whole-row arithmetic, the tilt lam of
-each pair broadcast along the rows, and its sums add the k rows in the
-order numpy adds a C-ordered row of k masses (_col_sums), so the values
-are those of the row layout bit for bit.  The active pairs are compacted
-with np.take along axis 1, and only in a pass where one finishes: a
-boolean index on that axis costs about ten times as much.
+each pair broadcast along the rows, and its sums are _row_sums of the
+transpose.  The active pairs are compacted with np.take along axis 1, and
+only in a pass where one finishes: a boolean index on that axis costs
+about ten times as much.
 """
 
 from __future__ import annotations
@@ -64,36 +66,25 @@ def _as_2d(p, q):
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=-1), bit for bit, by whole-column adds on 2 to 8 columns.
+    """np.ascontiguousarray(a).sum(axis=-1), bit for bit, on any layout of a,
+    by whole-column adds on 2 to 8 columns.
 
     numpy's reduction over a short last axis costs 10-40 times more per row
     than the same adds over columns, so every short-row sum of the batch
-    evaluators and the sampler comes here.  The order copies numpy's: below
-    8 columns it adds them in order to +0.0; at 8 it adds the pairwise tree
-    ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)) to +0.0, which it uses
-    only for C-ordered rows, so other layouts of 8 columns, like every other
-    width, go to numpy.  The +0.0 start makes a row of -0.0 sum to +0.0.  A
-    bool matrix gives counts in numpy's default integer.
+    evaluators and the sampler comes here.  The order copies numpy's on a
+    C-ordered row: below 8 columns it adds them in order to +0.0; at 8 it
+    adds the pairwise tree ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
+    to +0.0.  Every other width goes to numpy on a C-ordered copy.  The +0.0
+    start makes a row of -0.0 sum to +0.0.  A bool matrix gives counts in
+    numpy's default integer.
     """
     k = a.shape[-1]
-    if not 2 <= k <= 8 or (k == 8 and not a.flags.c_contiguous):
-        return a.sum(axis=-1)
+    if not 2 <= k <= 8:
+        return np.ascontiguousarray(a).sum(axis=-1)
     if a.dtype == bool:
         a = a.astype(np.int_)
-    return _add_columns([a[..., j] for j in range(k)])
-
-
-def _col_sums(a: np.ndarray) -> np.ndarray:
-    """The row sums of the C-ordered matrix a.T, bit for bit as _row_sums
-    gives them, for a (k, m) array a that holds each column as a row."""
-    if not 2 <= a.shape[0] <= 8:
-        return _row_sums(np.ascontiguousarray(a.T))
-    return _add_columns(list(a))
-
-
-def _add_columns(c: list) -> np.ndarray:
-    """The sum of 2 to 8 columns in the order numpy adds a C-ordered row."""
-    if len(c) == 8:
+    c = [a[..., j] for j in range(k)]
+    if k == 8:
         c = [((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))]
     out = c[0] + c[0].dtype.type(0)
     for col in c[1:]:
@@ -196,12 +187,12 @@ def _min_log_tilt(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
     np.subtract(d, lq, out=d, where=common)  # 0 off the common support
     # the masses on the common support, in place of the copies
     p, q = np.where(common, p, 0.0), np.where(common, q, 0.0)
-    sp, sq = _col_sums(p), _col_sums(q)
+    sp, sq = _row_sums(p.T), _row_sums(q.T)
     has_common = sq > 0.0
     sp, sq = np.where(has_common, sp, 1.0), np.where(has_common, sq, 1.0)
     gmin = np.where(has_common, np.minimum(np.log(sp), np.log(sq)), -np.inf)
-    slope0 = _col_sums(q * d) / sq
-    slope1 = _col_sums(p * d) / sp
+    slope0 = _row_sums((q * d).T) / sq
+    slope1 = _row_sums((p * d).T) / sp
     del p, q, common  # not needed in the passes, where the peak is reached
 
     rows = np.flatnonzero(has_common & (slope0 < 0.0) & (slope1 > 0.0))
@@ -215,9 +206,9 @@ def _min_log_tilt(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
         w = lam * d
         w += lq
         np.exp(w, out=w)
-        sw = _col_sums(w)
-        swd = _col_sums(np.multiply(w, d, out=w))
-        swdd = _col_sums(np.multiply(w, d, out=w))
+        sw = _row_sums(w.T)
+        swd = _row_sums(np.multiply(w, d, out=w).T)
+        swdd = _row_sums(np.multiply(w, d, out=w).T)
         g = np.log(sw)
         np.minimum(low, g, out=low)
         slope = np.divide(swd, sw, out=swd)

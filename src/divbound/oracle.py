@@ -35,17 +35,15 @@ A pair has only 2 to 8 masses, and numpy runs an operation over so short
 a row 10-40 times slower than over a long one.  So the sampler works on
 the transposed layout: a (k, n) array per batch, one contiguous row of n
 masses per atom, and each step is a whole-array or whole-row call.  Row
-sums of the pairs add the k rows by fdiv._col_sums, in the order numpy adds
-a C-ordered row of k masses (in turn below 8, a pairwise tree at 8, both
-onto +0.0); the running sums of the sign sets add row after row, in
-np.cumsum's order; minima and first positions are exact in any order.  So
-the draws are those of the row layout bit for bit: the tests keep it as
-the reference.  The exponential draws (rng.standard_exponential, the bits
-of rng.exponential at scale 1 for less work) fill (n, k) arrays, one pair
-per row as before, and are copied to the column layout with x.T.copy().  The
-pairs come back as C-ordered (n, k) arrays, P in a new array and Q in the
-buffer of its own draw: the evaluators rely on C-ordered rows, since
-_row_sums uses the pairwise tree at 8 columns only on them.
+sums of the pairs are fdiv._row_sums of the transpose, whose bits do not
+depend on the layout; the running sums of the sign sets add row after
+row, in np.cumsum's order; minima and first positions are exact in any
+order.  So the draws are those of the row layout bit for bit: the tests
+keep it as the reference.  The exponential draws (rng.standard_exponential,
+the bits of rng.exponential at scale 1 for less work) fill (n, k) arrays,
+one pair per row as before, and are copied to the column layout with
+x.T.copy().  The pairs go to the evaluators as (n, k) views of the
+columns, P.T and Q.T.
 
 Randomness comes from numpy's PCG64 with streams derived from
 (seed, grid index, support size), so grid points are independent and a run
@@ -111,7 +109,7 @@ import numpy as np
 from .bounds import Measure, checked_measures, extremal_pair, find_measure
 from .dist import FiniteDist
 from .errors import BoundViolationError
-from .fdiv import _col_sums, batch_total_variation
+from .fdiv import _row_sums, batch_total_variation
 
 __all__ = [
     "sample_pair",
@@ -128,20 +126,22 @@ _ATTAIN_TOL = 1e-9
 # the largest |TV - eps| a sampled pair may show
 TV_MATCH_TOL = 1e-9
 # glibc's malloc maps each allocation above its threshold (128 KB at start)
-# afresh and unmaps it on free, so the 80-400 KB arrays of each block would
-# fault their pages in anew, block after block.  Freeing a mapped chunk
-# raises the threshold to its size for the rest of the process, so
-# verify_min takes and frees this many floats (4 MB, never touched) first;
-# other allocators just hand the array out and take it back
+# afresh and unmaps it on free, so the 80-400 KB arrays of each batch would
+# fault their pages in anew, batch after batch.  Freeing a mapped chunk
+# raises the threshold to its size for the rest of the process, so the
+# import takes and frees this many floats (4 MB, never touched), and every
+# caller of the sampler gets the lifted threshold; other allocators just
+# hand the array out and take it back
 _HEAP_WARM_FLOATS = 1 << 19
+np.empty(_HEAP_WARM_FLOATS)
 
 
 def _simplex(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """n points of the uniform simplex on k atoms: an (n, k) view of a
-    (k, n) array, which holds each atom's masses in one contiguous row."""
+    """n points of the uniform simplex on k atoms, as a (k, n) array that
+    holds each atom's masses in one contiguous row."""
     e = rng.standard_exponential(size=(n, k)).T.copy()
-    e /= _col_sums(e)
-    return e.T
+    e /= _row_sums(e.T)
+    return e
 
 
 # bit j of a byte, for j = 0..7, one per row
@@ -160,20 +160,18 @@ def _accumulate(a: np.ndarray) -> np.ndarray:
 # kept as its own function, called once per batch, and still returning an
 # all-True row mask: perfbench/spans.py counts oracle.sign_sets.* from its
 # calls and reads the mask
-def _draw_sign_sets(rng, pm: np.ndarray, eps: float):
+def _draw_sign_sets(rng, p: np.ndarray, eps: float):
     """Random sign sets B with mass(B) >= eps, one pass, built as the module
-    docstring says; near-minimal and bulky sets both occur.  Every row needs
-    an atom of mass <= 1 - eps.  Returns B, shaped as pm, and an all-True
-    row mask.
+    docstring says; near-minimal and bulky sets both occur.  p holds m
+    pairs' masses as (k, m) columns, one row per atom, and every pair needs
+    an atom of mass <= 1 - eps.  Returns B, shaped as p, and an all-True
+    mask over the pairs.
 
-    The draw works on pm.T, one row per column of pm, which is contiguous
-    when pm is the transpose of a column array, as _sample_batch passes it;
-    B is then the transpose of one too.  B follows the column order of pm,
-    so each row's atoms must come in a uniform random order: the caller's
-    rows must be exchangeable, as _sample_batch's are.  On a fixed order the
-    prefix always starts at the same column.
+    B follows the row order of p, so each pair's atoms must come in a
+    uniform random order: the caller's atoms must be exchangeable, as
+    _sample_batch's are.  On a fixed order the prefix always starts at the
+    same atom.
     """
-    p = pm.T
     k, m = p.shape
     feasible = p <= 1.0 - eps
     counts = _accumulate(feasible.astype(np.uint8))  # running counts of feasible anchors
@@ -191,7 +189,7 @@ def _draw_sign_sets(rng, pm: np.ndarray, eps: float):
     b[0] |= eps > 0.0  # no mass comes before column 0
     b[1:] |= _accumulate(p[:-1] * free[:-1]) < eps
     b &= free
-    return b.T, np.ones(m, dtype=bool)
+    return b, np.ones(m, dtype=bool)
 
 
 def _q_columns(p: np.ndarray, b: np.ndarray, e: np.ndarray, eps: float) -> np.ndarray:
@@ -200,10 +198,10 @@ def _q_columns(p: np.ndarray, b: np.ndarray, e: np.ndarray, eps: float) -> np.nd
     p shrunk to carry eps less."""
     # p >= +0.0, so p * b is np.where(b, p, 0.0) bit for bit, without the
     # branch per element that a random mask makes costly
-    mass_b = _col_sums(p * b)
+    mass_b = _row_sums((p * b).T)
     off = ~b
     e *= off
-    e /= _col_sums(e)
+    e /= _row_sums(e.T)
     e *= eps
     # q = spread + p * f, with f the factor on B and 1 off it, where spread
     # is 0: each element gets 0 + p * factor or spread + p * 1, the bits of
@@ -219,12 +217,10 @@ def _sample_batch(
     rng: np.random.Generator, n: int, k: int, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """n pairs of k-point distributions at total variation exactly eps, as
-    C-ordered (n, k) arrays."""
-    pm = _simplex(rng, n, k)
+    (n, k) views of (k, n) column arrays."""
+    p = _simplex(rng, n, k)
     if eps == 0.0:
-        pm = np.ascontiguousarray(pm)
-        return pm, pm.copy()
-    p = np.ascontiguousarray(pm.T)  # each atom's masses in one contiguous row
+        return p.T, p.copy().T
 
     # no proper subset of these rows carries mass eps: shrink the smallest
     # atom into [0, 1 - eps), a possible anchor, and renormalize the rest
@@ -239,11 +235,9 @@ def _sample_batch(
         sub[at] = new
         p[:, stuck] = sub
 
-    b = _draw_sign_sets(rng, p.T, eps)[0].T
-    qm = rng.standard_exponential(size=(n, k))
-    qm[...] = _q_columns(p, b, qm.T.copy(), eps).T  # Q in its draw buffer
-    pm = p.T.copy()
-    del p  # frees the columns before the check makes its own arrays
+    b = _draw_sign_sets(rng, p, eps)[0]
+    q = _q_columns(p, b, rng.standard_exponential(size=(n, k)).T.copy(), eps)
+    pm, qm = p.T, q.T
     tv = batch_total_variation(pm, qm)
     if not np.all(np.abs(tv - eps) <= TV_MATCH_TOL):
         raise BoundViolationError(f"sampler left the TV constraint {eps!r} on support {k}")
@@ -531,7 +525,6 @@ def verify_min(
 
     from concurrent.futures import ThreadPoolExecutor  # here: `divbound --help` skips its import
 
-    np.empty(_HEAP_WARM_FLOATS)  # lifts glibc's mmap threshold; see the constant
     # the blocks in merge order: supports as given, then the fine grid.  The
     # largest supports, the costliest blocks, are submitted first, so that
     # the blocks left to the last free worker are the short ones

@@ -59,6 +59,12 @@ class TestMakeDist:
         with pytest.raises(DistributionError):
             make_dist(["a", "a"], [0.5, 0.5])
 
+    def test_mass_by_label(self):
+        d = make_dist(["a", "b"], [0.25, 0.75])
+        assert d["b"] == 0.75
+        with pytest.raises(KeyError, match="no label 'c'"):
+            d["c"]
+
     def test_immutable(self):
         d = make_dist(["a", "b"], [0.5, 0.5])
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -27,7 +28,7 @@ from divbound.fdiv import (
     f_divergence,
 )
 from divbound.generators import REGISTRY, FGenerator
-from divbound.jensen import batch_chi2_exp_bound_check, batch_sandwich
+from divbound.jensen import PARTNERS, batch_chi2_exp_bound_check, batch_sandwich
 from divbound.search import golden_section_min
 
 from util import GENERATORS, as_dist, random_pairs_with_zeros, random_positive_pairs, reference_min_log_tilt
@@ -440,8 +441,9 @@ class TestRowSums:
     """fdiv._row_sums and fdiv._row_extremes against numpy's own reductions, byte for byte."""
 
     def test_floats_equal_numpy_byte_for_byte(self):
+        # on every layout, the bits of numpy's sum over C-ordered rows
         for a in _row_sum_cases():
-            got, want = fdiv._row_sums(a), a.sum(axis=-1)
+            got, want = fdiv._row_sums(a), np.ascontiguousarray(a).sum(axis=-1)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), a.shape
 
     def test_bools_count_like_numpy(self):
@@ -451,11 +453,13 @@ class TestRowSums:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), a.shape
 
     def test_column_layout_sums_equal_numpy_byte_for_byte(self):
-        # _col_sums reads each column of a C-ordered matrix as one row of its
-        # transpose, and must add as numpy adds the matrix's rows
+        # the sampler and the tilt solve hold each column of a C-ordered
+        # matrix as one row of a (k, m) array c and sum it as _row_sums(c.T),
+        # which must add as numpy adds the matrix's rows
         for a in _row_sum_cases():
             a = np.ascontiguousarray(a)
-            got, want = fdiv._col_sums(np.ascontiguousarray(a.T)), a.sum(axis=-1)
+            c = np.ascontiguousarray(a.T)
+            got, want = fdiv._row_sums(c.T), a.sum(axis=-1)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), a.shape
 
     def test_row_extremes_equal_numpy_byte_for_byte(self):
@@ -469,6 +473,49 @@ class TestRowSums:
     def test_negative_zero_rows_sum_to_positive_zero(self):
         for k in range(2, 9):
             assert fdiv._row_sums(np.full((3, k), -0.0)).tobytes() == np.zeros(3).tobytes()
+
+
+def _layouts(a: np.ndarray) -> dict:
+    """a as an F-ordered array, as the (n, k) view of contiguous (k, n)
+    columns that the sampler hands out, and as a view with strided rows."""
+    wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+    wide[:, ::2] = a
+    return {
+        "F": np.asfortranarray(a),
+        "transposed": np.ascontiguousarray(a.T).T,
+        "strided": wide[:, ::2],
+    }
+
+
+def _result_bytes(out) -> bytes:
+    return b"".join(np.asarray(c).tobytes() for c in (out if isinstance(out, tuple) else (out,)))
+
+
+class TestLayouts:
+    """Every batch evaluator gives, on every memory layout of its matrices,
+    the bytes it gives on C-ordered ones."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_same_bytes_on_every_layout(self, k):
+        rng = np.random.default_rng(500 + k)
+        p, q = random_pairs_with_zeros(rng, 300, k)
+        # the jensen pair takes strictly positive masses only
+        pp, qp = random_positive_pairs(rng, 300, k)
+        cases = [
+            ("tv", batch_total_variation, p, q),
+            ("bhattacharyya", batch_bhattacharyya, p, q),
+            ("chernoff", batch_chernoff, p, q),
+            ("chi2_exp", batch_chi2_exp_bound_check, pp, qp),
+        ]
+        cases += [(name, functools.partial(batch_f_divergence, gen), p, q) for name, gen in REGISTRY.items()]
+        cases += [
+            (f"sandwich {name}", functools.partial(batch_sandwich, REGISTRY[name]), pp, qp)
+            for name in sorted(PARTNERS)
+        ]
+        for name, evaluate, a, b in cases:
+            want = _result_bytes(evaluate(np.ascontiguousarray(a), np.ascontiguousarray(b)))
+            for (layout, la), lb in zip(_layouts(a).items(), _layouts(b).values()):
+                assert _result_bytes(evaluate(la, lb)) == want, (name, layout)
 
 
 def _f_divergence_by_terms(gen, p, q) -> tuple[float, float]:

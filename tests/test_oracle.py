@@ -135,8 +135,8 @@ class TestSampler:
         # at eps = 0.999 every support draws rows whose least atom exceeds
         # 1 - eps, so the pinned bytes include the shrink of stuck rows
         for k in range(2, 9):
-            pm = oracle._simplex(oracle._stream(7, 3, k), 2000, k)
-            assert np.any(pm.min(axis=1) > 1.0 - 0.999)
+            p = oracle._simplex(oracle._stream(7, 3, k), 2000, k)
+            assert np.any(p.min(axis=0) > 1.0 - 0.999)
 
     def test_column_helpers_match_numpy(self):
         rng = np.random.default_rng(83)
@@ -156,13 +156,14 @@ class TestSampler:
         # replaced, on one stream; eps 0.999 and 1 - 1e-9 draw stuck rows
         for eps in (0.0, 1e-9, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-9):
             if eps >= 0.999:
-                assert np.any(oracle._simplex(oracle._stream(3, 1, k), 5000, k).min(axis=1) > 1.0 - eps)
+                assert np.any(oracle._simplex(oracle._stream(3, 1, k), 5000, k).min(axis=0) > 1.0 - eps)
             for n in (1, 2, 3, 5000):
                 pm, qm = oracle._sample_batch(oracle._stream(3, 1, k), n, k, eps)
                 want_p, want_q = row_sample_batch(oracle._stream(3, 1, k), n, k, eps)
                 assert pm.shape == qm.shape == (n, k)
                 assert pm.tobytes() == want_p.tobytes() and qm.tobytes() == want_q.tobytes(), (eps, n)
-                assert pm.flags.c_contiguous and qm.flags.c_contiguous
+                # views of contiguous columns, which the evaluators take as they are
+                assert pm.T.flags.c_contiguous and qm.T.flags.c_contiguous
                 assert not np.shares_memory(pm, qm)
 
     def test_same_draw_as_one_row_of_a_batch(self):
@@ -188,13 +189,14 @@ def _chi2_bound(dof: int) -> float:
 
 
 def _draws(monkeypatch):
-    """Record each (P, B) that _sample_batch passes through _draw_sign_sets."""
+    """Record each (P, B) that _sample_batch passes through _draw_sign_sets,
+    both as (k, n) columns."""
     seen = []
     draw = oracle._draw_sign_sets
 
-    def recorded(rng, pm, eps):
-        b, ok = draw(rng, pm, eps)
-        seen.append((pm.copy(), b))
+    def recorded(rng, p, eps):
+        b, ok = draw(rng, p, eps)
+        seen.append((p.copy(), b))
         return b, ok
 
     monkeypatch.setattr(oracle, "_draw_sign_sets", recorded)
@@ -223,11 +225,11 @@ class TestSignSets:
         # rows come, and B is mapped back to the atoms of p
         perm = np.random.default_rng(67).permuted(np.tile(np.arange(k), (n, 1)), axis=1)
         shuffled, ok = oracle._draw_sign_sets(
-            np.random.default_rng(71), np.take_along_axis(pm, perm, axis=1), eps
+            np.random.default_rng(71), np.take_along_axis(pm, perm, axis=1).T, eps
         )
         assert ok.all()
-        b = np.empty_like(shuffled)
-        np.put_along_axis(b, perm, shuffled, axis=1)
+        b = np.empty_like(pm, dtype=bool)
+        np.put_along_axis(b, perm, shuffled.T, axis=1)
         ref = rejection_sign_sets(np.random.default_rng(73), pm, eps)
         bits = 1 << np.arange(k)
         new = np.bincount(b @ bits, minlength=2**k)
@@ -261,7 +263,7 @@ class TestSignSets:
             for eps in (0.1, 0.9, 0.999):
                 seen.clear()
                 oracle._sample_batch(rng, 1000, k, eps)
-                assert [pm.shape for pm, _ in seen] == [(1000, k)]
+                assert [p.shape for p, _ in seen] == [(k, 1000)]
 
     @pytest.mark.parametrize("eps", [0.75, 0.9, 0.999])
     def test_atom_at_exactly_one_minus_eps(self, monkeypatch, eps):
@@ -275,9 +277,9 @@ class TestSignSets:
             rows[:, 0] = 1.0 - eps
             rows[:, 1:] = eps * random_simplex(rng, 2000, k - 1)
             rows[:, 1:] = np.maximum(rows[:, 1:], np.nextafter(1.0 - eps, 1.0))
-            monkeypatch.setattr(oracle, "_simplex", lambda rng, n, k, rows=rows: rows.copy())
+            monkeypatch.setattr(oracle, "_simplex", lambda rng, n, k, rows=rows: rows.T.copy())
             pm, qm = oracle._sample_batch(rng, 2000, k, eps)
-            assert not seen[-1][1][:, 0].any()
+            assert not seen[-1][1][0].any()
             assert np.all(qm >= 0.0)
             assert np.all(np.abs(batch_total_variation(pm, qm) - eps) <= TV_MATCH_TOL)
 
@@ -288,7 +290,7 @@ class TestSignSets:
         pm, qm = oracle._sample_batch(np.random.default_rng(97), 5000, k, eps)
         p, b = seen[0]
         # some atom of mass <= 1 - eps stays out of B: the anchor
-        assert np.all((~b & (p <= 1.0 - eps)).any(axis=1))
+        assert np.all((~b & (p <= 1.0 - eps)).any(axis=0))
         assert np.all(qm >= 0.0)
         assert np.all(np.abs(batch_total_variation(pm, qm) - eps) <= TV_MATCH_TOL)
 
@@ -761,11 +763,10 @@ class TestBlockScan:
     def test_memory_of_the_default_fine_block(self, monkeypatch):
         # the fine block at the default step, 1,802 rows here, is held whole
         # on its worker: 43 KB each for P and Q.  The traced peak of its scan
-        # is pinned without the heap warm-up's 4 MB array, after an untraced
-        # run has made the scan's imports; four workers keep the figure the
-        # same on every machine.  Step 1e-4 reads about 1.9 MB
+        # is pinned after an untraced run has made the scan's imports; four
+        # workers keep the figure the same on every machine.  Step 1e-4
+        # reads about 1.9 MB
         monkeypatch.setattr(oracle, "_cpu_count", lambda: 4)
-        monkeypatch.setattr(oracle, "_HEAP_WARM_FLOATS", 0)
         verify_min("tv", 0.1, 0, fine_step=None)
         tracemalloc.start()
         try:

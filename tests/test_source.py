@@ -80,10 +80,10 @@ def _short_axis_reductions(source: str) -> list[int]:
 
     Axis 0 is the short axis of the column layout, (k, m) with each atom's
     masses in one row.  numpy sums it row after row, never by the pairwise
-    tree it uses on a C-ordered row of 8, so those sums go through
-    fdiv._col_sums or fdiv._add_columns.  Other reductions over axis 0 give
-    numpy's bits in any order: minima, maxima, their positions, integer
-    counts (np.count_nonzero) and cumsum, which adds strictly in order."""
+    tree it uses on a C-ordered row of 8, so a (k, m) array c is summed
+    as fdiv._row_sums(c.T).  Other reductions over axis 0 give numpy's bits
+    in any order: minima, maxima, their positions, integer counts
+    (np.count_nonzero) and cumsum, which adds strictly in order."""
     tree = ast.parse(source)
     exempt = {
         id(node)
@@ -119,7 +119,8 @@ def test_oracle_and_evaluators_reduce_short_rows_by_columns():
     # numpy reduces a last axis of 2 to 8 entries 10-40 times slower than it
     # adds whole columns: sums go through fdiv._row_sums, minima and maxima
     # through fdiv._row_extremes, other reductions through column
-    # arithmetic.  On the column layout, sums go through fdiv._col_sums
+    # arithmetic.  On the column layout, a (k, m) array c sums as
+    # fdiv._row_sums(c.T)
     checked = ("oracle.py", "fdiv.py", "jensen.py")
     assert set(checked) <= {p.name for p in MODULES}
     found = [

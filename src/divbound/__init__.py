@@ -49,7 +49,7 @@ from .jensen import (
     jensen_functional,
     sandwich,
 )
-from .textio import fmt_g12, parse_dist_text, read_dist_file
+from .textio import fmt_g12, parse_dist_text, read_dist_file, read_dist_pair
 
 # names whose modules load on first access (PEP 562): only verify and the
 # coding commands need them, so `import divbound` and the CLI skip both
@@ -74,7 +74,7 @@ __all__ = [
     "validate_generator",
     "SandwichResult", "batch_chi2_exp_bound_check", "batch_sandwich", "chi2_exp_bound_check",
     "jensen_functional", "sandwich",
-    "fmt_g12", "parse_dist_text", "read_dist_file",
+    "fmt_g12", "parse_dist_text", "read_dist_file", "read_dist_pair",
     *_HOME,
 ]
 

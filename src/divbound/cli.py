@@ -33,7 +33,7 @@ from .errors import (
 from .fdiv import f_divergence
 from .generators import REGISTRY, get_generator
 from .jensen import PARTNERS, sandwich as eval_sandwich
-from .textio import fmt_g12, read_dist_file, read_lengths_file
+from .textio import fmt_g12, read_dist_file, read_dist_pair, read_lengths_file
 
 
 def _write(stream, text: str):
@@ -142,8 +142,7 @@ def main():
 @_mapped_errors
 def divergence(name, p_path, q_path, output, tol_normalization):
     """Evaluate one f-divergence between two distribution files."""
-    p = read_dist_file(p_path, normalization=tol_normalization)
-    q = read_dist_file(q_path, normalization=tol_normalization)
+    p, q = read_dist_pair(p_path, q_path, normalization=tol_normalization)
     value = f_divergence(get_generator(name), p, q)
     _emit(f"measure,value\n{name},{fmt_g12(value)}\n", output)
 
@@ -186,8 +185,7 @@ def bounds(measure, grid, output):
 @_mapped_errors
 def sandwich(name, p_path, q_path, output):
     """Evaluate the three-term sandwich inequality on one pair."""
-    p = read_dist_file(p_path)
-    q = read_dist_file(q_path)
+    p, q = read_dist_pair(p_path, q_path)
     r = eval_sandwich(get_generator(name), p, q)
     header = "r_min,r_max,left,middle,right,chi2"
     row = ",".join(

@@ -51,7 +51,10 @@ def _checked_labels(labels: Sequence, message: str) -> _Labels:
     DistributionError(message) if two of them are equal.  :class:`FiniteDist`
     and :class:`~divbound.coding.CodeSpec` take marked labels as they are,
     so a code built on p.labels, and the distribution it induces, check
-    nothing again.
+    nothing again.  The distribution readers of :mod:`divbound.textio` mark
+    the labels of each file themselves, once, and those of a pair's second
+    file by comparison with the first; only labels built in code come here
+    unmarked.
     """
     if type(labels) is _Labels:
         return labels

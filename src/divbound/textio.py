@@ -6,12 +6,22 @@ the same layout with a positive integer in the second column.  The
 distribution readers hand their ``normalization`` keyword to
 :func:`~divbound.dist.make_dist`, which rescales the masses.
 
+The distribution readers check the labels of each file once, themselves:
+they are strs by construction, so one ``set`` pass proves them distinct,
+and :class:`~divbound.dist.FiniteDist` takes the checked tuple as it is.
+:func:`read_dist_pair` checks the second file of a pair by comparison
+with the first: a label column equal to p's, line for line, takes p's
+tuple, and no set is built.  Labels with a duplicate go to ``make_dist``
+as a plain list, so its error, after its checks of the masses, is the one
+raised.
+
 A file in the canonical layout (see :func:`_columns`) is split in one pass
 over the whole text and its value column converted in bulk; any other file,
 and any file whose values do not convert, goes through the line loop
 :func:`_rows`, which names the offending line.  Both read the same labels
 and values: the bulk conversion applies the same ``float()`` or ``int()``
-to the same strings.
+to the same strings.  The file readers open files in text mode, so
+``\\r\\n`` and ``\\r`` line ends reach :func:`_columns` as ``\\n``.
 """
 
 from __future__ import annotations
@@ -21,10 +31,13 @@ import os
 
 import numpy as np
 
-from .dist import NORMALIZATION_TOL, FiniteDist, make_dist
+from .dist import NORMALIZATION_TOL, FiniteDist, _Labels, make_dist
 from .errors import DistFileError
 
-__all__ = ["fmt_g12", "parse_dist_text", "read_dist_file", "parse_lengths_text", "read_lengths_file"]
+__all__ = [
+    "fmt_g12", "parse_dist_text", "read_dist_file", "read_dist_pair", "parse_lengths_text",
+    "read_lengths_file",
+]
 
 # ASCII from the space up, as a deletion table: what it leaves of an ASCII
 # text are its control characters below the space
@@ -86,27 +99,55 @@ def _floats(values: list[str]) -> np.ndarray:
     return np.fromiter(map(float, values), dtype=float, count=len(values))
 
 
-def parse_dist_text(text: str, normalization: float = NORMALIZATION_TOL) -> FiniteDist:
+def _parse_dist(text: str, normalization: float, known: tuple = ()) -> FiniteDist:
+    """parse_dist_text, with the labels checked here, once.
+
+    Labels equal to known, a checked tuple, become known itself.
+    """
     columns = _columns(text, _floats)
     if columns is not None:
-        return make_dist(*columns, normalization=normalization)
-    labels, mass = [], []
-    for lineno, label, value in _rows(text):
-        try:
-            mass.append(float(value))
-        except ValueError:
-            raise DistFileError(f"bad probability {value!r}", line=lineno) from None
-        labels.append(label)
-    if not labels:
-        raise DistFileError("no distribution entries found", line=1)
-    return make_dist(labels, mass, normalization=normalization)
+        labels, mass = columns
+    else:
+        labels, mass = [], []
+        for lineno, label, value in _rows(text):
+            try:
+                mass.append(float(value))
+            except ValueError:
+                raise DistFileError(f"bad probability {value!r}", line=lineno) from None
+            labels.append(label)
+        if not labels:
+            raise DistFileError("no distribution entries found", line=1)
+    checked = _Labels(labels)
+    if checked == known:
+        checked = known
+    elif len(set(checked)) != len(checked):
+        checked = labels  # make_dist raises, after its checks of the masses
+    return make_dist(checked, mass, normalization=normalization)
+
+
+def parse_dist_text(text: str, normalization: float = NORMALIZATION_TOL) -> FiniteDist:
+    return _parse_dist(text, normalization)
 
 
 def read_dist_file(
     path: str | os.PathLike, normalization: float = NORMALIZATION_TOL
 ) -> FiniteDist:
     with open(path, encoding="utf-8") as fh:
-        return parse_dist_text(fh.read(), normalization=normalization)
+        return _parse_dist(fh.read(), normalization)
+
+
+def read_dist_pair(
+    p_path: str | os.PathLike,
+    q_path: str | os.PathLike,
+    normalization: float = NORMALIZATION_TOL,
+) -> tuple[FiniteDist, FiniteDist]:
+    """(p, q) as two read_dist_file calls give them, errors included.
+
+    If q's label column is p's, line for line, q.labels is p.labels.
+    """
+    p = read_dist_file(p_path, normalization=normalization)
+    with open(q_path, encoding="utf-8") as fh:
+        return p, _parse_dist(fh.read(), normalization, p.labels)
 
 
 def _ints(values: list[str]) -> list[int]:

@@ -1,6 +1,8 @@
-"""Input files: the one-pass columnar reader against the line loop."""
+"""Input files: the one-pass reader against the line loop, and a pair read against two file reads."""
 
 import math
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -10,8 +12,7 @@ from hypothesis import strategies as st
 
 import divbound.textio as textio
 from divbound.errors import DistFileError, DistributionError
-from divbound.textio import parse_dist_text, parse_lengths_text
-
+from divbound.textio import parse_dist_text, parse_lengths_text, read_dist_file, read_dist_pair
 
 
 def _outcome(parse, text):
@@ -164,20 +165,95 @@ def _canonical_file(n: int, value) -> str:
     return "".join(f"w{j:05d}\t{value(j)}\n" for j in range(n))
 
 
+def _no_line_loop(text):
+    raise AssertionError("the line loop ran on a canonical file")
+
+
 def test_canonical_files_never_reach_the_line_loop(monkeypatch):
     # a slip back to the per-line loop fails here, not only in the benchmark
-    def no_line_loop(text):
-        raise AssertionError("the line loop ran on a canonical file")
-
-    monkeypatch.setattr(textio, "_rows", no_line_loop)
+    monkeypatch.setattr(textio, "_rows", _no_line_loop)
     n = 10**4
     p = parse_dist_text(_canonical_file(n, lambda j: repr(1.0 / n)))
     assert len(p) == n and p.labels[-1] == "w09999"
     lengths = parse_lengths_text(_canonical_file(n, lambda j: str(1 + j % 20)))
     assert len(lengths) == n and lengths["w00019"] == 20
+    # a duplicate label is caught without the loop, by make_dist's own error
+    with pytest.raises(DistributionError, match="^labels must be unique$"):
+        parse_dist_text(_canonical_file(3, lambda j: "0.25") + "w00001\t0.25\n")
     # a file off the layout still takes the loop
     with pytest.raises(AssertionError, match="line loop"):
         parse_dist_text("# header\n" + _canonical_file(3, lambda j: "0.25"))
+
+
+def test_crlf_files_are_read_in_one_pass(tmp_path, monkeypatch):
+    # text mode turns \r\n and \r into \n before the reader sees the text
+    text = _canonical_file(100, lambda j: repr(j / 4950))
+    paths = []
+    for name, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        paths.append(tmp_path / f"{name}.tsv")
+        paths[-1].write_bytes(text.replace("\n", end).encode("ascii"))
+    lf = read_dist_file(paths[0])
+    monkeypatch.setattr(textio, "_rows", _no_line_loop)
+    for path in paths[1:]:
+        _same_dist(read_dist_file(path), lf)
+
+
+def _read_both(p_path, q_path, read):
+    """read(p_path, q_path) as (p, q), or the first error's class, message and line."""
+    try:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return read(p_path, q_path)
+    except DistributionError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _two_files(p_path, q_path):
+    return read_dist_file(p_path, math.inf), read_dist_file(q_path, math.inf)
+
+
+def _pair(p_path, q_path):
+    return read_dist_pair(p_path, q_path, math.inf)
+
+
+@st.composite
+def _pair_texts(draw):
+    """A p text, and a q text that is any text or one written on p's labels."""
+    p_text = draw(st.one_of(_canonical(_FLOAT_VALUES), _any_text(_FLOAT_VALUES)))
+    p = _outcome(_parse_dist, p_text)
+    labels = ["a", "b"] if isinstance(p, tuple) else list(p.labels)
+    kind = draw(st.sampled_from(["canonical", "any", "same", "permuted", "duplicate"]))
+    if kind == "canonical":
+        return p_text, draw(_canonical(_FLOAT_VALUES))
+    if kind == "any":
+        return p_text, draw(_any_text(_FLOAT_VALUES))
+    if kind == "permuted":
+        labels = draw(st.permutations(labels))
+    elif kind == "duplicate":
+        i = draw(st.integers(0, len(labels) - 1))
+        labels.insert(draw(st.integers(0, len(labels))), labels[i])
+    values = draw(st.lists(_FLOAT_VALUES, min_size=len(labels), max_size=len(labels)))
+    end = draw(st.sampled_from(["", "\n"]))
+    return p_text, "\n".join(f"{a}\t{v}" for a, v in zip(labels, values)) + end
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_texts())
+def test_pair_reads_as_two_files(texts):
+    with tempfile.TemporaryDirectory() as d:
+        paths = [os.path.join(d, name) for name in ("p.tsv", "q.tsv")]
+        for path, text in zip(paths, texts):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        pair = _read_both(*paths, _pair)
+        two = _read_both(*paths, _two_files)
+    if isinstance(two[0], type):  # an error
+        assert pair == two
+        return
+    for got, want in zip(pair, two):
+        _same_dist(got, want)
+    # q shares p's checked tuple exactly when its label column is p's
+    p, q = pair
+    assert (q.labels is p.labels) == (q.labels == p.labels)
 
 
 def test_bulk_floats_are_python_floats():

@@ -1,17 +1,21 @@
 """Command-line front end; every subcommand emits CSV.
 
-Numeric output is rendered at 12 significant digits with infinities as the
-literal ``inf``, so emitted files parse and re-emit byte-identically.
+One writer renders every table, each cell by one rule: a number at 12
+significant digits with infinities as ``inf`` and ``-inf``, so that emitted
+files parse and re-emit byte-identically; a flag as ``true`` or ``false``;
+a bound that does not apply as an empty cell; names and counts as they are.
 Exit status: 0 on success, 1 when a mathematical check fails (bound or
 identity violation, failed verification, Kraft violation), 2 on usage
 errors: malformed input files, grids of more than a million points or whose
 points do not strictly increase once rounded, a negative ``--seed``, a NaN
-``--gap-threshold``, a NaN or negative ``--tol-normalization``.  The sampler's TV check and the
+``--gap-threshold``, a NaN or negative ``--tol-normalization``, an
+``--output`` that cannot be written.  The sampler's TV check and the
 mass-sum check are fixed; only the input normalization tolerance is settable.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import sys
@@ -43,12 +47,27 @@ def _write(stream, text: str):
     stream.flush()
 
 
-def _emit(text: str, output: Optional[str]):
-    if output:
+def _cell(value) -> str:
+    """One CSV cell: a str or int as it is, a bool as true/false, None empty, else fmt_g12."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (str, int)):
+        return str(value)
+    return "" if value is None else fmt_g12(value)
+
+
+def _emit(header: str, rows, output: Optional[str]):
+    """Write the header line and the rows, each cell by _cell, to output or
+    stdout; an output that cannot be written is a usage error."""
+    text = "".join(",".join(map(_cell, row)) + "\n" for row in [[header], *rows])
+    if not output:
+        _write(sys.stdout, text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        _write(sys.stdout, text)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write --output {output!r}: {exc.strerror or exc}") from exc
 
 
 # the most points one grid may have; more is a usage error, not an allocation
@@ -143,8 +162,7 @@ def main():
 def divergence(name, p_path, q_path, output, tol_normalization):
     """Evaluate one f-divergence between two distribution files."""
     p, q = read_dist_pair(p_path, q_path, normalization=tol_normalization)
-    value = f_divergence(get_generator(name), p, q)
-    _emit(f"measure,value\n{name},{fmt_g12(value)}\n", output)
+    _emit("measure,value", [(name, f_divergence(get_generator(name), p, q))], output)
 
 
 @main.command()
@@ -164,10 +182,7 @@ def bounds(measure, grid, output):
         values = bound_curve(measure, eps_grid)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    lines = ["eps,value"]
-    for e, v in zip(eps_grid, values.tolist()):
-        lines.append(f"{fmt_g12(e)},{fmt_g12(v)}")
-    _emit("\n".join(lines) + "\n", output)
+    _emit("eps,value", zip(eps_grid, values.tolist()), output)
 
 
 @main.command()
@@ -187,11 +202,8 @@ def sandwich(name, p_path, q_path, output):
     """Evaluate the three-term sandwich inequality on one pair."""
     p, q = read_dist_pair(p_path, q_path)
     r = eval_sandwich(get_generator(name), p, q)
-    header = "r_min,r_max,left,middle,right,chi2"
-    row = ",".join(
-        fmt_g12(v) for v in (r.r_min, r.r_max, r.left, r.middle, r.right, r.chi2)
-    )
-    _emit(f"{header}\n{row}\n", output)
+    row = (r.r_min, r.r_max, r.left, r.middle, r.right, r.chi2)
+    _emit("r_min,r_max,left,middle,right,chi2", [row], output)
 
 
 # labels a mismatch message lists of each kind; it counts the rest
@@ -204,12 +216,6 @@ def _some(kind: str, labels: list[str]) -> str:
     if len(labels) > _MAX_LISTED_LABELS:
         shown = shown[:-1] + ", ...]"
     return f"{kind} {len(labels)}: {shown}"
-
-
-_REPORT_COLUMNS = (
-    "avg_length,entropy_d,redundancy,kraft_sum,kl_pq,kl_qp,jeffreys_val,"
-    "actual_l1,bound_csiszar,bound_tightened,bound_jeffreys,delta_nonneg"
-)
 
 
 @main.command()
@@ -242,11 +248,8 @@ def sourcecode(dist_path, base_d, lengths_path, output):
             )
         code = CodeSpec(p.labels, tuple(map(table.__getitem__, p.labels)), base_d)
     rep = l1_bounds(p, code)
-    # the columns are named after CodingReport's fields; the last two are not floats
-    row = [fmt_g12(getattr(rep, name)) for name in _REPORT_COLUMNS.split(",")[:-2]]
-    row.append("" if rep.bound_jeffreys is None else fmt_g12(rep.bound_jeffreys))
-    row.append("true" if rep.delta_nonneg else "false")
-    _emit(f"{_REPORT_COLUMNS}\n{','.join(row)}\n", output)
+    names = [f.name for f in dataclasses.fields(rep)]
+    _emit(",".join(names), [[getattr(rep, name) for name in names]], output)
 
 
 @main.command(name="sourcecode-sweep")
@@ -263,10 +266,7 @@ def sourcecode_sweep(grid, output):
 
     xs = _log_grid(grid)
     cs, ti, je = redundancy_sweep(xs)
-    lines = ["delta_log_d,bound_csiszar,bound_tightened,bound_jeffreys"]
-    for x, a, b, c in zip(xs, cs, ti, je):
-        lines.append(f"{fmt_g12(x)},{fmt_g12(a)},{fmt_g12(b)},{fmt_g12(c)}")
-    _emit("\n".join(lines) + "\n", output)
+    _emit("delta_log_d,bound_csiszar,bound_tightened,bound_jeffreys", zip(xs, cs, ti, je), output)
 
 
 # the names --measure of verify takes for several oracle entries at once
@@ -336,24 +336,12 @@ def verify(measure, grid, samples, seed, gap_threshold, output):
         raise click.UsageError(str(exc)) from exc
     all_reports = [r for n in names for r in by_name[n]]
 
-    lines = ["measure,eps,closed_form,empirical_extreme,extremal_value,gap,violations,attained,passed"]
-    for r in all_reports:
-        lines.append(
-            ",".join(
-                (
-                    r.measure,
-                    fmt_g12(r.eps),
-                    fmt_g12(r.closed_form),
-                    fmt_g12(r.sample_extreme),
-                    fmt_g12(r.extremal_value),
-                    fmt_g12(r.gap),
-                    str(r.violations),
-                    "true" if r.attained else "false",
-                    "true" if r.passed else "false",
-                )
-            )
-        )
-    _emit("\n".join(lines) + "\n", output)
+    _emit(
+        "measure,eps,closed_form,empirical_extreme,extremal_value,gap,violations,attained,passed",
+        [(r.measure, r.eps, r.closed_form, r.sample_extreme, r.extremal_value, r.gap, r.violations,
+          r.attained, r.passed) for r in all_reports],
+        output,
+    )
 
     ok = all(r.passed for r in all_reports)
     rng_name = all_reports[0].rng_name if all_reports else "-"
@@ -365,7 +353,7 @@ def verify(measure, grid, samples, seed, gap_threshold, output):
     if not ok:
         for r in all_reports:
             if not r.passed:
-                _write(sys.stderr, f"  {r.measure} at eps={fmt_g12(r.eps)}: {r.failure}\n")
+                _write(sys.stderr, f"  {r.measure} at eps={_cell(r.eps)}: {r.failure}\n")
                 if r.witness is not None:
                     wp, wq = r.witness
                     _write(sys.stderr, f"    witness P = {wp.mass.tolist()!r}\n")

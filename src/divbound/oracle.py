@@ -354,8 +354,18 @@ def _stream(seed: int, stream_key: int, support: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _check_run(n_samples: int, seed: int, support_sizes, fine_step: Optional[float]) -> None:
-    """The checks verify_min and grid_verify make before any sampling."""
+def _check_run(measures, eps_grid, n_samples, seed, support_sizes, fine_step, gap_threshold):
+    """The checks verify_min and grid_verify make before any sampling.
+    Returns the measure names, one name or a sequence of them, as a list."""
+    names = [measures] if isinstance(measures, str) else list(measures)
+    if not names:
+        raise ValueError("no measure to verify")
+    for name in names:
+        find_measure(ORACLE_MEASURES, name)
+    for eps in eps_grid:
+        _check_eps(eps)
+    if gap_threshold is not None and math.isnan(gap_threshold):
+        raise ValueError("gap_threshold is NaN, which would pass every gap")
     _check_integer(n_samples, "n_samples")
     if n_samples < 0:
         raise ValueError(f"n_samples={n_samples!r} is negative")
@@ -366,15 +376,6 @@ def _check_run(n_samples: int, seed: int, support_sizes, fine_step: Optional[flo
     _check_support_sizes(support_sizes)
     if fine_step is not None:
         _check_step(fine_step)
-
-
-def _names(measures: str | Sequence[str]) -> list[str]:
-    """One measure name or a sequence of them, as a list of known names."""
-    names = [measures] if isinstance(measures, str) else list(measures)
-    if not names:
-        raise ValueError("no measure to verify")
-    for name in names:
-        find_measure(ORACLE_MEASURES, name)
     return names
 
 
@@ -493,13 +494,8 @@ def verify_min(
     passed once to each distinct evaluator, and each report equals that of
     its single-measure run.
     """
-    names = _names(measures)
+    names = _check_run(measures, [eps], n_samples, seed, support_sizes, fine_step, gap_threshold)
     oms = [ORACLE_MEASURES[name] for name in names]
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps={eps!r} outside the sampler domain [0, 1)")
-    if gap_threshold is not None and math.isnan(gap_threshold):
-        raise ValueError("gap_threshold is NaN, which would pass every gap")
-    _check_run(n_samples, seed, support_sizes, fine_step)
     cfs = [float(om.closed_form(eps)) for om in oms]
     signs = [1.0 if om.direction == "min" else -1.0 for om in oms]
     # a signed value below its line crosses
@@ -616,12 +612,8 @@ def grid_verify(
     the order given, each measure's in grid order.  The whole grid is
     domain-checked before any sampling starts.
     """
-    names = _names(measures)
     eps_grid = [float(e) for e in eps_grid]
-    outside = [e for e in eps_grid if not 0.0 <= e < 1.0]
-    if outside:
-        raise ValueError(f"grid point eps={outside[0]!r} outside the sampler domain [0, 1)")
-    _check_run(n_samples, seed, support_sizes, fine_step)
+    names = _check_run(measures, eps_grid, n_samples, seed, support_sizes, fine_step, gap_threshold)
     points = [
         verify_min(
             names,

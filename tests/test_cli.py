@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import gc
 import io
+import math
 import os
 import re
 import subprocess
@@ -420,6 +421,14 @@ class TestSourcecodeSweep:
         assert column == ["0.000999999958333", "0.00999995833332", "0.0999583316006", "0.958196846233"]
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _in_data(argv: list[str]) -> list[str]:
+    """argv with its input file names made paths under tests/data."""
+    return [str(DATA / a) if a.endswith((".tsv", ".len")) else a for a in argv]
+
+
 # curve CSVs recorded before the FHT branches were split per point and the
 # climb began to return its stopping pass
 CURVE_GOLDEN = [
@@ -433,12 +442,93 @@ CURVE_GOLDEN = [
 def test_curve_stdout_is_pinned(runner, argv, golden):
     r = runner.invoke(main, argv)
     assert r.exit_code == 0, r.stderr
-    assert r.stdout == (Path(__file__).resolve().parent / "data" / golden).read_text(encoding="utf-8")
+    assert r.stdout == (DATA / golden).read_text(encoding="utf-8")
+
+
+# one table per command the curve goldens leave out, recorded before the
+# commands shared one CSV writer; the inputs are under tests/data as well
+TABLE_GOLDEN = [
+    (["divergence", "--divergence", "kl", "--p", "pair_p.tsv", "--q", "pair_q.tsv"], "divergence_kl.csv"),
+    (["sandwich", "--f", "dual_kl", "--p", "pair_p.tsv", "--q", "pair_q.tsv"], "sandwich_dual_kl.csv"),
+    # Shannon lengths: every delta >= 0, the Jeffreys cell filled
+    (["sourcecode", "--dist", "source.tsv", "--base", "2"], "sourcecode_base2.csv"),
+    # c one bit short of its Shannon length: the Jeffreys cell empty
+    (
+        ["sourcecode", "--dist", "source.tsv", "--base", "2", "--lengths", "source_short.len"],
+        "sourcecode_base2_short_lengths.csv",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,golden", TABLE_GOLDEN, ids=[g for _, g in TABLE_GOLDEN])
+def test_table_stdout_and_output_are_pinned(runner, tmp_path, argv, golden):
+    argv = _in_data(argv)
+    expected = (DATA / golden).read_text(encoding="utf-8")
+    r = runner.invoke(main, argv)
+    assert r.exit_code == 0, r.stderr
+    assert r.stdout == expected
+    out = tmp_path / "out.csv"
+    r = runner.invoke(main, [*argv, "--output", str(out)])
+    assert r.exit_code == 0 and r.stdout == ""
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "value,cell",
+    [
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (np.float64(math.inf), "inf"),
+        (None, ""),
+        (True, "true"),
+        (False, "false"),
+        (np.True_, "true"),
+        (np.False_, "false"),
+        (0, "0"),
+        # an int is written whole, where 12 digits would round it
+        (1234567890123456, "1234567890123456"),
+        ("bhattacharyya_lower", "bhattacharyya_lower"),
+        (np.float64(0.1), "0.1"),
+        (np.float64(2.0), "2"),
+        (np.float64(1.0) / 3.0, "0.333333333333"),
+        (1e-300, "1e-300"),
+    ],
+)
+def test_cell_rule(monkeypatch, value, cell):
+    # only a value that is none of str, int, bool and None goes through fmt_g12
+    calls = []
+    monkeypatch.setattr(cli, "fmt_g12", lambda v: calls.append(v) or fmt_g12(v))
+    assert cli._cell(value) == cell
+    numeric = not isinstance(value, (str, int, bool, np.bool_, type(None)))
+    assert len(calls) == numeric
+
+
+OUTPUT_COMMANDS = [
+    ["divergence", "--divergence", "kl", "--p", "pair_p.tsv", "--q", "pair_q.tsv"],
+    ["bounds", "--measure", "tv", "--grid", "0.1:0.1:0.2"],
+    ["sandwich", "--f", "dual_kl", "--p", "pair_p.tsv", "--q", "pair_q.tsv"],
+    ["sourcecode", "--dist", "source.tsv", "--base", "2"],
+    ["sourcecode-sweep", "--grid", "1e-6:1:3"],
+    ["verify", "--measure", "tv", "--grid", "0.5:0.1:0.5", "--samples", "10"],
+]
+
+
+@pytest.mark.parametrize("argv", OUTPUT_COMMANDS, ids=[a[0] for a in OUTPUT_COMMANDS])
+def test_unwritable_output_is_usage_error(runner, tmp_path, argv):
+    # the writer's open failed with a FileNotFoundError traceback and exit 1
+    argv = _in_data(argv)
+    out = tmp_path / "no_such_dir" / "x.csv"
+    r = runner.invoke(main, [*argv, "--output", str(out)])
+    assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+    assert r.stdout == ""
+    assert f"Error: cannot write --output {str(out)!r}: No such file or directory\n" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.parent.exists()
 
 
 # the stdout of verify for the six measures in turn, recorded when the fine
 # grid became the one support-3 family
-VERIFY_GOLDEN = Path(__file__).resolve().parent / "data" / "verify_grid_0.1_0.4_0.9_samples2000_seed7.csv"
+VERIFY_GOLDEN = DATA / "verify_grid_0.1_0.4_0.9_samples2000_seed7.csv"
 
 
 class TestVerify:

@@ -606,6 +606,40 @@ class TestArguments:
         assert not called
 
 
+    @pytest.mark.parametrize("eps", [-0.5, 1.0, 1.5, math.nan])
+    def test_eps_outside_raises_one_text_before_sampling(self, monkeypatch, eps):
+        # verify_min and grid_verify name a bad eps as the sampler does
+        called = _no_sampling(monkeypatch)
+        message = rf"^eps={re.escape(repr(eps))} outside \[0, 1\)$"
+        for run in (lambda: verify_min("tv", eps, 10), lambda: grid_verify("tv", [0.2, eps], 10)):
+            with pytest.raises(ValueError, match=message):
+                run()
+        assert not called
+
+    def test_checks_run_in_one_order(self, monkeypatch):
+        # with every argument from the k-th on bad, the k-th is the one named
+        called = _no_sampling(monkeypatch)
+        bad = [
+            ("measures", [], "no measure"),
+            ("eps", 1.5, "eps=1.5 outside"),
+            ("gap_threshold", math.nan, "gap_threshold is NaN"),
+            ("n_samples", -1, "n_samples=-1"),
+            ("seed", -1, "seed=-1"),
+            ("support_sizes", (9,), "support size 9"),
+            ("fine_step", 0.0, "fine_step=0.0"),
+        ]
+        good = dict(measures="tv", eps=0.5, n_samples=10, seed=0, support_sizes=(2,), fine_step=1e-3)
+        for k, (_, _, message) in enumerate(bad):
+            kw = {**good, **{name: value for name, value, _ in bad[k:]}}
+            eps = kw.pop("eps")
+            with pytest.raises(ValueError, match=message):
+                verify_min(eps=eps, **kw)
+            for grid in ([0.2, eps], [eps]):
+                with pytest.raises(ValueError, match=message):
+                    grid_verify(eps_grid=grid, **kw)
+        assert not called
+
+
 class TestSeveralMeasures:
     """verify_min and grid_verify on several measures at once: one scan."""
 

@@ -130,3 +130,58 @@ def test_oracle_and_evaluators_reduce_short_rows_by_columns():
         for line in _short_axis_reductions(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def _writer_breaches(source: str) -> list[int]:
+    """Lines of cli source that format a cell or write output outside the
+    writer: fmt_g12 named outside _cell, sys.stdout outside _emit, a write
+    call outside _write and _emit (the --output file), and any print or
+    echo call."""
+    tree = ast.parse(source)
+    owner = {
+        id(node): fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        where = owner.get(id(node))
+        if isinstance(node, ast.Name) and node.id == "fmt_g12" and where != "_cell":
+            found.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "stdout" and where != "_emit":
+            found.add(node.lineno)
+        elif isinstance(node, ast.Call):
+            called = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if called in ("print", "echo", "secho") or (called == "write" and where not in ("_write", "_emit")):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_writer_check_catches_each_form():
+    source = "\n".join([
+        "def _cell(v):\n    return fmt_g12(v)",
+        "def _write(stream, text):\n    stream.write(text)",
+        "def _emit(text, output):\n    _write(sys.stdout, text)\n    fh.write(text)",
+        "def bounds(rows):\n    _emit(','.join(fmt_g12(v) for v in rows), None)",
+        "def sandwich(text):\n    _write(sys.stdout, text)",
+        "def sweep(text):\n    print(text)",
+        "def verify(text):\n    click.echo(text)",
+        "def divergence(fh, text):\n    fh.write(text)",
+        "cell = fmt_g12",
+    ])
+    assert _writer_breaches(source) == [9, 11, 13, 15, 17, 18]
+
+
+def test_cli_formats_and_writes_through_its_writer_only():
+    # every table's cells go through the one cell rule, and its text to
+    # stdout through _write; a row formatted by hand fails this
+    source = (Path(divbound.__file__).resolve().parent / "cli.py").read_text(encoding="utf-8")
+    defined = {fn.name for fn in ast.parse(source).body if isinstance(fn, ast.FunctionDef)}
+    assert {"_cell", "_emit", "_write"} <= defined
+    assert _writer_breaches(source) == []
+    by_hand = source.replace(
+        '_emit("eps,value", zip(eps_grid, values.tolist()), output)',
+        '_write(sys.stdout, "".join(f"{fmt_g12(e)},{fmt_g12(v)}\\n" for e, v in zip(eps_grid, values)))',
+    )
+    assert by_hand != source and len(_writer_breaches(by_hand)) == 1

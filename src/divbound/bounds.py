@@ -5,10 +5,10 @@ distance eps has the closed form
 
     (1 - eps) f((1 + eps) / (1 - eps)) - a eps,
 
-with a the symmetry constant (a = 2 f'(1) for smooth f).  :data:`MEASURES`
-holds one record per bounded measure: its closed form on [0, 1), its value
-at eps = 1, the pair attaining it (:func:`extremal_pair`) and the evaluator
-the oracle checks it with.  :func:`bound_curve` is the one public route to a
+with a = 2 f'(1) the symmetry constant, which the generator measures.
+:data:`MEASURES` holds one record per bounded measure: its closed form on
+[0, 1), its value at eps = 1, the pair attaining it (:func:`extremal_pair`)
+and the evaluator the oracle checks it with.  :func:`bound_curve` is the one public route to a
 bound's value: ``bound_curve("chernoff", 0.5)`` for a float, or a grid for an
 array.  The closed forms, and their values at eps = 1:
 
@@ -31,11 +31,15 @@ Pinsker's inequality" (IEEE TIT 49(6), 2003): for t >= 0,
 
 V(t) and sqrt(2 L(t)) increase with t and are concave, so L(eps) and its
 inverse are each one Newton solve for t from below, vectorized over a grid:
-V(t) = 2 eps forward, L(t) = x backward.  The same climb in s = atanh eps,
-where the Jeffreys curve reads 2 s tanh s, inverts that curve too; the two
-inverses serve the source-coding bounds.  Each point is evaluated by one of
-two branches, a series below t = 2 and a form in exp(-2t) from there on,
-and only the branches its grid needs run.  The climb's stopping pass, which
+V(t) = 2 eps forward, L(t) = x backward.  Near eps = 1 the forward solve is
+ill-conditioned, as V is flat in t there, but not needed: for t >= 25,
+V = 2 - 1/t and L = log 2t to within 4 t^2 exp(-2t) < 5e-19, so wherever
+1 - eps <= 1/50, L(eps) = -log(1 - eps), with 1 - eps exact in floats.
+The same climb in s = atanh eps, where the Jeffreys curve reads
+2 s tanh s, inverts that curve too; the two inverses serve the
+source-coding bounds.  Each point is evaluated by one of two branches, a
+series below t = 2 and a form in exp(-2t) from there on, and only the
+branches its grid needs run.  The climb's stopping pass, which
 moves no point, is taken at every root, so the output (L, or V / 2) is read
 from it rather than from a further evaluation.
 """
@@ -99,8 +103,8 @@ def extremal_pair(eps: float, kind: str) -> tuple[FiniteDist, FiniteDist]:
 def symmetric_fdiv_min(gen: FGenerator, eps: float) -> float:
     """Infimum of a symmetric f-divergence at total variation eps.
 
-    Requires a generator with a symmetry constant.  At eps = 1 the formula
-    degenerates to 0 * inf; the limit equals 2 slope_at_inf - a and is
+    Requires a generator whose symmetry_constant is not None.  At eps = 1
+    the formula degenerates to 0 * inf; the limit equals 2 slope_at_inf - a and is
     returned as an extended real.
     """
     if gen.symmetry_constant is None:
@@ -257,18 +261,26 @@ def _climb(curve_slope, target: np.ndarray, t: np.ndarray):
         t = np.where(active, nxt, t)
 
 
+# from here on 1 - eps is small enough for the closed form L = -log(1 - eps)
+_KL_TAIL = 1.0 / 50.0
+
+
 def exact_kl_min(eps):
     """Exact infimum L(eps) of the relative entropy at total variation eps.
 
     Solves V(t) = 2 eps for the FHT parameter t and returns L(t), for a float
-    or an array of eps in [0, 1).  The result dominates the quadratic 2 eps^2.
+    or an array of eps in [0, 1); where 1 - eps <= 1/50, L is -log(1 - eps)
+    (see the module docstring).  Each point takes its route alone.  The
+    result dominates the quadratic 2 eps^2.
     """
     e = np.asarray(eps, dtype=float)
     # past 1 the start below would sit under zero; NaN fails this too
     if not np.all((e >= 0.0) & (e < 1.0)):
         raise ValueError(f"eps={eps!r} outside [0, 1)")
     out = np.zeros(e.shape)
-    pos = e > 0.0
+    tail = 1.0 - e <= _KL_TAIL
+    out[tail] = -np.log1p(-e[tail])
+    pos = (e > 0.0) & ~tail
     v = 2.0 * e[pos]
     # lower bounds on the root: V(t) <= t always, and V(t) <= 2 - 1/t for
     # t >= 1, which is where V(t) >= 1

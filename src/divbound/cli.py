@@ -16,8 +16,10 @@ mass-sum check are fixed; only the input normalization tolerance is settable.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import functools
 import math
+import os
 import sys
 from typing import Optional
 
@@ -56,6 +58,10 @@ def _cell(value) -> str:
     return "" if value is None else fmt_g12(value)
 
 
+def _unwritable(output: str, exc: OSError) -> click.UsageError:
+    return click.UsageError(f"cannot write --output {output!r}: {exc.strerror or exc}")
+
+
 def _emit(header: str, rows, output: Optional[str]):
     """Write the header line and the rows, each cell by _cell, to output or
     stdout; an output that cannot be written is a usage error."""
@@ -67,7 +73,24 @@ def _emit(header: str, rows, output: Optional[str]):
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise click.UsageError(f"cannot write --output {output!r}: {exc.strerror or exc}") from exc
+        raise _unwritable(output, exc) from exc
+
+
+def _check_output(output: Optional[str]):
+    """Raise now the usage error _emit would raise for an output it cannot
+    open, opening, creating and truncating nothing: an existing output must
+    be writable, and a new one needs a writable directory."""
+    if not output:
+        return
+    exists = os.path.exists(output)
+    target = output if exists else os.path.dirname(output) or "."
+    try:
+        if not exists:
+            os.scandir(target).close()  # a missing directory, or not one
+        if not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:
+        raise _unwritable(output, exc) from exc
 
 
 # the most points one grid may have; more is a usage error, not an allocation
@@ -321,6 +344,7 @@ def verify(measure, grid, samples, seed, gap_threshold, output):
     from .oracle import grid_verify
 
     eps_grid = _linear_grid(grid)
+    _check_output(output)  # before the scan, which can take minutes
     names = list(dict.fromkeys(n for m in measure for n in _MEASURE_GROUPS.get(m, (m,))))
     # the bhattacharyya shorthand keeps one scan per direction, the draw
     # count the benchmark harness pins for it; every other name (all

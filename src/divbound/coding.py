@@ -227,7 +227,9 @@ def l1_bounds(p: FiniteDist, code: CodeSpec) -> CodingReport:
     avg_len = float(np.dot(p.mass, code.length_array))
     h_d = entropy_base(p, code.base_d)
     delta_d = avg_len - h_d
-    x = delta_d * logd
+    # x = D(P || Q) - log c >= 0, as c <= 1, but a code with no redundancy
+    # can come out a hair below 0; clamp that round-off, nothing else
+    x = max(delta_d * logd, 0.0)
 
     kl_pq = f_divergence(REGISTRY["kl"], p, q)
     kl_qp = f_divergence(REGISTRY["kl"], q, p)

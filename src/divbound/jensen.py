@@ -44,9 +44,7 @@ __all__ = [
 # Strict positivity guard: masses below this count as zero (denormal floor).
 _POSITIVE_FLOOR = 1e-300
 
-_LINEAR = FGenerator(
-    "linear", lambda t: np.asarray(t, dtype=float) - 1.0, -1.0, 1.0, 1.0, symmetry_constant=2.0
-)
+_LINEAR = FGenerator("linear", lambda t: np.asarray(t, dtype=float) - 1.0, -1.0, 1.0, 1.0)
 validate_generator(_LINEAR)
 
 _ORDER_SLACK = 1e-10

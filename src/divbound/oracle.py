@@ -58,7 +58,7 @@ builds it once, calls each distinct evaluator on it once (the two
 Bhattacharyya entries share one), and returns per measure its crossing
 count and its least signed value with that row, the first on ties or NaN,
 as np.argmin picks.  The main thread merges each measure's results in a
-fixed order: supports in the order given, then the fine grid, whatever
+fixed order: supports 2 to 8 (SUPPORT_SIZES), then the fine grid, whatever
 the order they were submitted in (largest support first).  A row
 becomes the witness only when it lies strictly below the line and every
 value before it.  So a report does not depend on the number of CPUs, on
@@ -113,6 +113,7 @@ from .fdiv import _row_sums, batch_total_variation
 
 __all__ = [
     "sample_pair",
+    "SUPPORT_SIZES",
     "ORACLE_MEASURES",
     "VerifyPointReport",
     "verify_min",
@@ -121,6 +122,8 @@ __all__ = [
 ]
 
 RNG_NAME = "numpy PCG64"
+# the supports verify samples, in merge order
+SUPPORT_SIZES = (2, 3, 4, 5, 6, 7, 8)
 _VIOLATION_SLACK = 1e-9
 _ATTAIN_TOL = 1e-9
 # the largest |TV - eps| a sampled pair may show
@@ -267,7 +270,7 @@ def _check_eps(eps: float) -> None:
 def sample_pair(support_size: int, eps: float, seed: int) -> tuple[FiniteDist, FiniteDist]:
     """One pair on support_size atoms at total variation eps; pure in its arguments."""
     _check_integer(support_size, "support_size")
-    if not 2 <= support_size <= 8:
+    if support_size not in SUPPORT_SIZES:
         raise ValueError(f"support_size={support_size!r} outside [2, 8]")
     _check_eps(eps)
     _check_seed(seed)
@@ -277,9 +280,15 @@ def sample_pair(support_size: int, eps: float, seed: int) -> tuple[FiniteDist, F
     return FiniteDist(labels, pm[0]), FiniteDist(labels, qm[0])
 
 
+# the least fine-grid step: at most 2,000,002 rows, 48 MB each for P and Q
+_MIN_STEP = 1e-6
+
+
 def _check_step(step: float) -> None:
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"fine_step={step!r}: the fine-grid step must be finite and > 0")
+    if step < _MIN_STEP:
+        raise ValueError(f"fine_step={step!r} is below {_MIN_STEP!r}, which bounds the fine grid's rows")
 
 
 def fine_grid_pairs(eps: float, step: float = 1e-3):
@@ -334,14 +343,6 @@ class VerifyPointReport:
     failure: Optional[str]
 
 
-def _check_support_sizes(support_sizes) -> None:
-    for s in support_sizes:
-        _check_integer(s, "each of support_sizes")
-    outside = [s for s in support_sizes if not 2 <= s <= 8]
-    if outside:
-        raise ValueError(f"support size {outside[0]!r} outside [2, 8]")
-
-
 def _cpu_count() -> int:
     """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -354,7 +355,7 @@ def _stream(seed: int, stream_key: int, support: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _check_run(measures, eps_grid, n_samples, seed, support_sizes, fine_step, gap_threshold):
+def _check_run(measures, eps_grid, n_samples, seed, fine_step, gap_threshold):
     """The checks verify_min and grid_verify make before any sampling.
     Returns the measure names, one name or a sequence of them, as a list."""
     names = [measures] if isinstance(measures, str) else list(measures)
@@ -373,7 +374,6 @@ def _check_run(measures, eps_grid, n_samples, seed, support_sizes, fine_step, ga
     if n_samples > most:
         raise ValueError(f"n_samples={n_samples!r} exceeds {most}, numpy's largest array dimension")
     _check_seed(seed)
-    _check_support_sizes(support_sizes)
     if fine_step is not None:
         _check_step(fine_step)
     return names
@@ -460,17 +460,16 @@ def verify_min(
     eps: float,
     n_samples: int,
     seed: int = 0,
-    support_sizes: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
     fine_step: Optional[float] = 1e-3,
     gap_threshold: Optional[float] = None,
     stream_key: int = 0,
 ) -> VerifyPointReport | list[VerifyPointReport]:
     """Stress closed-form extremes at one eps.
 
-    Draws n_samples pairs per support size, adds the deterministic fine
-    grid at step fine_step (fine_grid_pairs: the first and the last row of
-    each run of the support-3 grid) plus the designated extremal pair, and
-    checks that
+    Draws n_samples pairs on each of SUPPORT_SIZES, 2 to 8, adds the
+    deterministic fine grid at step fine_step (fine_grid_pairs: the first
+    and the last row of each run of the support-3 grid) plus the designated
+    extremal pair, and checks that
     (i) no value crosses the closed form by more than 1e-9,
     (ii) the extremal pair attains it within 1e-9, and
     (iii) the empirical extreme is within gap_threshold when one is given.
@@ -480,13 +479,13 @@ def verify_min(
     Each block is held whole while it is scanned: n_samples sets the rows
     of a sampled block, and fine_step those of the fine block,
     2 round((1 - eps) / fine_step) + 2.  At the default step that is at
-    most 2,002 rows, 48 KB each for P and Q.
+    most 2,002 rows, 48 KB each for P and Q; a step below 1e-6, over
+    2,000,002 rows, raises ValueError.
 
     The sampled blocks are submitted to the pool largest support first,
     then the fine block, so that the blocks left for the last free worker
-    are short ones.  Their results are merged in the order given, supports
-    as given and then the fine grid, and a failed block raises in that
-    order.
+    are short ones.  Their results are merged in ascending support and
+    then the fine grid, and a failed block raises in that order.
 
     measures is one name, which gives its VerifyPointReport, or a sequence
     of names, which gives a list of reports in the same order.  Every
@@ -494,7 +493,7 @@ def verify_min(
     passed once to each distinct evaluator, and each report equals that of
     its single-measure run.
     """
-    names = _check_run(measures, [eps], n_samples, seed, support_sizes, fine_step, gap_threshold)
+    names = _check_run(measures, [eps], n_samples, seed, fine_step, gap_threshold)
     oms = [ORACLE_MEASURES[name] for name in names]
     cfs = [float(om.closed_form(eps)) for om in oms]
     signs = [1.0 if om.direction == "min" else -1.0 for om in oms]
@@ -521,15 +520,14 @@ def verify_min(
 
     from concurrent.futures import ThreadPoolExecutor  # here: `divbound --help` skips its import
 
-    # the blocks in merge order: supports as given, then the fine grid.  The
+    # the blocks in merge order: supports 2 to 8, then the fine grid.  The
     # largest supports, the costliest blocks, are submitted first, so that
     # the blocks left to the last free worker are the short ones
-    sizes = tuple(support_sizes) if n_samples > 0 else ()
+    sizes = SUPPORT_SIZES if n_samples > 0 else ()
     pool = ThreadPoolExecutor(max_workers=_cpu_count())
     try:
-        largest_first = sorted(range(len(sizes)), key=lambda i: -sizes[i])
-        submitted = {i: pool.submit(sampled, sizes[i]) for i in largest_first}
-        blocks = [submitted[i] for i in range(len(sizes))]
+        submitted = {s: pool.submit(sampled, s) for s in reversed(sizes)}
+        blocks = [submitted[s] for s in sizes]
         if fine_step is not None:
             blocks.append(pool.submit(fine))
         results = [f.result() for f in blocks]
@@ -578,7 +576,7 @@ def verify_min(
             eps=eps,
             closed_form=cf,
             n_samples=n_samples,
-            support_sizes=tuple(support_sizes),
+            support_sizes=SUPPORT_SIZES,
             seed=seed,
             rng_name=RNG_NAME,
             sample_extreme=sign * best,
@@ -601,7 +599,6 @@ def grid_verify(
     eps_grid,
     n_samples: int,
     seed: int = 0,
-    support_sizes: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
     fine_step: Optional[float] = 1e-3,
     gap_threshold: Optional[float] = None,
 ) -> list[VerifyPointReport]:
@@ -613,14 +610,13 @@ def grid_verify(
     domain-checked before any sampling starts.
     """
     eps_grid = [float(e) for e in eps_grid]
-    names = _check_run(measures, eps_grid, n_samples, seed, support_sizes, fine_step, gap_threshold)
+    names = _check_run(measures, eps_grid, n_samples, seed, fine_step, gap_threshold)
     points = [
         verify_min(
             names,
             e,
             n_samples,
             seed=seed,
-            support_sizes=support_sizes,
             fine_step=fine_step,
             gap_threshold=gap_threshold,
             stream_key=i,

@@ -99,7 +99,6 @@ def test_criterion_3_oracle_gap():
                 eps,
                 0,
                 seed=SEED,
-                support_sizes=(),
                 fine_step=1e-3,
                 gap_threshold=5e-3,
             )

@@ -343,6 +343,42 @@ class TestExactKl:
             got = inverse_exact_kl(float(x))
             assert type(got) is float and got == e
 
+    # bands of 1 - eps and the most ulp exact_kl_min may miss 80-digit
+    # references by there.  From 1 - eps = 1/50 down it is -log(1 - eps),
+    # which rounds correctly (worst 0.5 ulp on 30 random points per band);
+    # above, the climb on V(t) = 2 eps missed by up to 17 ulp on 400 random
+    # points of [0.02, 0.1] and 6 on [0.1, 0.3]
+    KL_ULP_BANDS = [
+        (0.1, 0.3, 8.0),
+        (0.02, 0.1, 24.0),
+        (1e-3, 0.02, 1.0),
+        (1e-5, 1e-3, 1.0),
+        (1e-7, 1e-5, 1.0),
+        (1e-9, 1e-7, 1.0),
+        (1e-12, 1e-9, 1.0),
+        (1e-15, 1e-12, 1.0),
+    ]
+
+    @pytest.mark.parametrize("lo,hi,ulps", KL_ULP_BANDS)
+    def test_within_ulps_of_mpmath(self, lo, hi, ulps):
+        mp = pytest.importorskip("mpmath")
+        eps = 1.0 - np.geomspace(lo, hi, 8)
+        got = exact_kl_min(eps)
+        worst = 0.0
+        with mp.workdps(80):
+            for e, v, ulp in zip(eps.tolist(), got.tolist(), np.spacing(got).tolist()):
+                x = mp.mpf(e)
+                # the FHT pair: V(t) = 2 eps from t near 1 / (2 (1 - eps))
+                t = mp.findroot(lambda t: t * (1 - (mp.coth(t) - 1 / t) ** 2) - 2 * x, 1 / (2 * (1 - x)))
+                ref = mp.log(t / mp.sinh(t)) + t * mp.coth(t) - (t / mp.sinh(t)) ** 2
+                worst = max(worst, float(abs(v - ref)) / ulp)
+        assert worst <= ulps
+
+    def test_prints_the_digits_near_one(self):
+        # mpmath's L at these eps, rounded to the 12 digits the CLI prints
+        assert fmt_g12(exact_kl_min(0.99999999)) == "18.4206807389"
+        assert fmt_g12(exact_kl_min(0.99999999999)) == "25.3284359402"
+
     def test_parametrization_meets_the_solver_preconditions(self):
         # the Newton climb needs V and sqrt(2 L) increasing and concave in t,
         # with its starting points V(t) <= t, sqrt(2 L(t)) <= t, and

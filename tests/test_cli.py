@@ -334,6 +334,17 @@ class TestSourcecode:
         )
         assert r.exit_code == 0
 
+    def test_code_with_no_redundancy(self, runner):
+        # the Shannon code of this source has redundancy -4.4e-16 in floats,
+        # and x = Delta log d = -3.1e-16 ended in a ValueError traceback
+        r = runner.invoke(main, ["sourcecode", "--dist", str(DATA / "source_zero_redundancy.tsv"), "--base", "2"])
+        assert r.exit_code == 0, r.stderr
+        header, row = r.stdout.strip().splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert float(cols["redundancy"]) < 0.0
+        assert cols["bound_csiszar"] == cols["bound_tightened"] == cols["bound_jeffreys"] == "0"
+        assert 0.0 < float(cols["actual_l1"]) <= 1e-9
+
     def test_nan_mass_is_usage_error(self, runner, nan_file):
         r = runner.invoke(main, ["sourcecode", "--dist", nan_file, "--base", "2"])
         assert r.exit_code == 2
@@ -524,6 +535,30 @@ def test_unwritable_output_is_usage_error(runner, tmp_path, argv):
     assert f"Error: cannot write --output {str(out)!r}: No such file or directory\n" in r.stderr
     assert "Traceback" not in r.stderr
     assert not out.parent.exists()
+
+
+def test_verify_checks_its_output_before_sampling(runner, tmp_path, monkeypatch):
+    # verify learnt that its --output could not be written only when it
+    # wrote the table, after the whole scan
+    def no_sampling(*args):
+        raise AssertionError("sampled before --output was checked")
+
+    monkeypatch.setattr(oracle, "_sample_batch", no_sampling)
+    monkeypatch.setattr(oracle, "fine_grid_pairs", no_sampling)
+    (tmp_path / "a_file").write_text("kept\n", encoding="utf-8")
+    for out in (tmp_path / "no_such_dir" / "x.csv", tmp_path / "a_file" / "x.csv"):
+        r = runner.invoke(main, ["verify", "--measure", "all", "--grid", "0.1:0.1:0.9", "--output", str(out)])
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+        assert r.stdout == ""
+        # the text the writer gives for the same path
+        with pytest.raises(click.UsageError) as written:
+            cli._emit("h", [], str(out))
+        assert f"Error: {written.value.message}\n" in r.stderr
+    # a writable output, old or new, passes the check untouched
+    old, new = tmp_path / "a_file", tmp_path / "new.csv"
+    for out in (old, new):
+        cli._check_output(str(out))
+    assert old.read_text(encoding="utf-8") == "kept\n" and not new.exists()
 
 
 # the stdout of verify for the six measures in turn, recorded when the fine

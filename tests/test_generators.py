@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from divbound import generators, jensen
+from divbound.bounds import symmetric_fdiv_min
 from divbound.errors import GeneratorError
 from divbound.generators import (
     REGISTRY,
@@ -54,7 +55,7 @@ def test_f_of_one_is_zero(gen):
 @pytest.mark.parametrize("name,constant", sorted(SYMMETRIC.items()))
 def test_symmetric_entries_carry_constant(name, constant):
     gen = GENERATORS[name]
-    assert gen.symmetry_constant == pytest.approx(constant, abs=1e-15)
+    assert gen.symmetry_constant == constant
     assert _check_symmetry(gen) == pytest.approx(constant, abs=1e-12)
 
 
@@ -195,17 +196,40 @@ def test_register_rejects_duplicate_name():
         register_generator(dup)
 
 
-def test_register_rejects_wrong_symmetry_constant():
-    bad = FGenerator(
-        "fake_symmetric",
-        lambda t: np.asarray(t, dtype=float) * np.log(np.asarray(t, dtype=float)),
-        0.0,
-        math.inf,
-        1.0,
-        symmetry_constant=2.0,
-    )
-    with pytest.raises(GeneratorError):
-        register_generator(bad)
+def test_user_generator_gets_its_symmetry_constant_measured():
+    # triangular discrimination (u - 1)^2 / (u + 1) plus 3/2 (u - 1): it
+    # obeys f(u) = u f(1/u) + a (u - 1) with a = 2 f'(1) = 3, which nobody
+    # declares, and its tight bound is then 2 eps^2
+    def fn(t):
+        t = np.asarray(t, dtype=float)
+        return (t - 1.0) ** 2 / (t + 1.0) + 1.5 * (t - 1.0)
+
+    with pytest.raises(TypeError):
+        FGenerator("triangular_shifted", fn, -0.5, 2.5, 1.5, symmetry_constant=3.0)
+    gen = FGenerator("triangular_shifted", fn, -0.5, 2.5, 1.5)
+    try:
+        register_generator(gen)
+        assert get_generator("triangular_shifted").symmetry_constant == 3.0
+        for eps in (0.1, 0.5, 0.9):
+            assert symmetric_fdiv_min(gen, eps) == pytest.approx(2.0 * eps * eps, rel=1e-12)
+    finally:
+        REGISTRY.pop("triangular_shifted", None)
+
+
+def test_symmetry_check_hands_fn_a_fresh_grid(monkeypatch):
+    # a total variation generator that writes its result into its argument
+    def fn(t):
+        t = np.asarray(t, dtype=float)
+        t -= 1.0
+        np.abs(t, out=t)
+        t *= 0.5
+        return t
+
+    # patched with a copy, so that a failure cannot leak into other tests
+    monkeypatch.setattr(generators, "_SYMMETRY_GRID", generators._SYMMETRY_GRID.copy())
+    grid = generators._SYMMETRY_GRID.copy()
+    assert _check_symmetry(FGenerator("tv_in_place", fn, 0.5, 0.5, 0.0)) == 0.0
+    assert np.array_equal(generators._SYMMETRY_GRID, grid)
 
 
 def test_register_accepts_valid_user_generator():

@@ -466,7 +466,7 @@ class TestGridVerify:
     def test_bit_for_bit_determinism(self, monkeypatch):
         # fine grid on, so the blocked scan is pinned; the forced closed
         # form makes the second pair of runs keep a witness
-        kw = dict(n_samples=300, seed=99, support_sizes=(2, 3, 4), fine_step=2e-3)
+        kw = dict(n_samples=300, seed=99, fine_step=2e-3)
         for forced in (False, True):
             if forced:
                 _force_bound(monkeypatch, "jeffreys", 10.0)
@@ -474,24 +474,6 @@ class TestGridVerify:
             r2 = verify_min("jeffreys", 0.4, **kw)
             assert (r1.witness is not None) == forced
             assert_same_report(r1, r2)
-
-    @pytest.mark.parametrize("sizes", [(1,), (0,), (9,), (2, 3, 9)])
-    def test_support_sizes_outside_range(self, monkeypatch, sizes):
-        # a call on a pool worker is only seen in the list: its error stays
-        # in a future that the main thread's ValueError leaves unread
-        called = []
-
-        def no_sampling(*args):
-            called.append(args)
-            raise AssertionError("sampled before the support sizes were checked")
-
-        monkeypatch.setattr(oracle, "_sample_batch", no_sampling)
-        monkeypatch.setattr(oracle, "fine_grid_pairs", no_sampling)
-        with pytest.raises(ValueError, match="support size"):
-            verify_min("tv", 0.5, 10, support_sizes=sizes)
-        with pytest.raises(ValueError, match="support size"):
-            grid_verify("tv", [0.2, 0.5], 10, support_sizes=sizes)
-        assert not called
 
     @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf, -math.inf])
     def test_fine_step_must_be_finite_and_positive(self, monkeypatch, step):
@@ -513,6 +495,27 @@ class TestGridVerify:
             with pytest.raises(ValueError, match="fine_step=.* must be finite and > 0"):
                 fine_grid_pairs(0.5, step)
         assert not called
+
+    def test_fine_step_below_the_least_raises_before_building(self, monkeypatch):
+        # at step 1e-9 and eps 0.1 the fine grid would be 1.8e9 rows, 86 GB
+        # for P and Q; the step is refused before numpy is called at all
+        message = re.escape("fine_step=1e-09 is below 1e-06")
+
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} called before the step was checked")
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "np", NoNumpy())
+            with pytest.raises(ValueError, match=message):
+                fine_grid_pairs(0.1, 1e-9)
+        called = _no_sampling(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            verify_min("tv", 0.1, 0, fine_step=1e-9)
+        with pytest.raises(ValueError, match=message):
+            grid_verify("tv", [0.1, 0.5], 0, fine_step=1e-9)
+        assert not called
+        oracle._check_step(1e-6)  # the least step passes
 
 
 def _no_sampling(monkeypatch):
@@ -563,8 +566,9 @@ class TestArguments:
     @pytest.mark.parametrize(
         "kw, message",
         [
-            (dict(support_sizes=(2.5,)), "each of support_sizes must be an integer, got 2.5"),
-            (dict(support_sizes=(3, np.float64(4.0))), "each of support_sizes must be an integer, got np.float64(4.0)"),
+            # numpy floats that hold an integer are refused too
+            (dict(n_samples=np.float64(10.0)), "n_samples must be an integer, got np.float64(10.0)"),
+            (dict(seed=np.float64(1.0)), "seed must be an integer, got np.float64(1.0)"),
             (dict(n_samples=10.0), "n_samples must be an integer, got 10.0"),
             (dict(seed=1.5), "seed must be an integer, got 1.5"),
             (dict(seed="1"), "seed must be an integer, got '1'"),
@@ -590,10 +594,17 @@ class TestArguments:
             sample_pair(3, 0.5, 1.0)
         assert not called
 
+    @pytest.mark.parametrize("size", [0, 1, 9, np.int64(9)])
+    def test_sample_pair_support_outside_range(self, monkeypatch, size):
+        # the supports verify samples are the only ones sample_pair takes
+        called = _no_sampling(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(f"support_size={size!r} outside [2, 8]")):
+            sample_pair(size, 0.5, 1)
+        assert not called
+        assert oracle.SUPPORT_SIZES == tuple(range(2, 9))
+
     def test_numpy_integers_pass(self):
-        assert verify_min("tv", 0.5, np.int64(20), seed=np.uint8(3), support_sizes=(np.int32(3), 5)) == verify_min(
-            "tv", 0.5, 20, seed=3, support_sizes=(3, 5)
-        )
+        assert verify_min("tv", 0.5, np.int64(20), seed=np.uint8(3)) == verify_min("tv", 0.5, 20, seed=3)
         pair = sample_pair(np.int16(4), 0.5, np.int64(9))
         for a, b in zip(pair, sample_pair(4, 0.5, 9)):
             assert a.labels == b.labels and a.mass.tobytes() == b.mass.tobytes()
@@ -625,10 +636,9 @@ class TestArguments:
             ("gap_threshold", math.nan, "gap_threshold is NaN"),
             ("n_samples", -1, "n_samples=-1"),
             ("seed", -1, "seed=-1"),
-            ("support_sizes", (9,), "support size 9"),
             ("fine_step", 0.0, "fine_step=0.0"),
         ]
-        good = dict(measures="tv", eps=0.5, n_samples=10, seed=0, support_sizes=(2,), fine_step=1e-3)
+        good = dict(measures="tv", eps=0.5, n_samples=10, seed=0, fine_step=1e-3)
         for k, (_, _, message) in enumerate(bad):
             kw = {**good, **{name: value for name, value, _ in bad[k:]}}
             eps = kw.pop("eps")
@@ -685,18 +695,18 @@ class TestSeveralMeasures:
 
             wrapper = wrappers.setdefault(om.evaluate, counted)
             monkeypatch.setitem(oracle.ORACLE_MEASURES, name, dataclasses.replace(om, evaluate=wrapper))
-        reports = verify_min(names, 0.4, 50, seed=2, support_sizes=(2, 5, 8), fine_step=None)
+        reports = verify_min(names, 0.4, 50, seed=2, fine_step=None)
         assert all(r.passed for r in reports)
-        assert sorted(draws) == [2, 5, 8]
+        assert sorted(draws) == list(range(2, 9))
         assert len(wrappers) == 3
         # tv and the shared bhattacharyya evaluator run once on each whole
         # block, the latter also serving chernoff's screen
         blocks = [e for e, pm in calls if len(pm) == 50]
-        assert sorted(map(id, blocks)) == sorted(id(e) for e in wrappers if e is not chernoff for _ in range(3))
+        assert sorted(map(id, blocks)) == sorted(id(e) for e in wrappers if e is not chernoff for _ in range(7))
         # chernoff runs only on the rows its screen leaves, none twice: here
         # never a whole block
         rows = [r.tobytes() for e, pm in calls if e is chernoff for r in pm]
-        assert len(set(rows)) == len(rows) < 3 * 50
+        assert len(set(rows)) == len(rows) < 7 * 50
 
     def test_grid_reports_come_measure_by_measure(self):
         names = ["chernoff", "tv", "bhattacharyya_upper"]
@@ -762,17 +772,6 @@ class TestBlockScan:
         r = verify_min("jeffreys", 0.1, 50, seed=2)
         assert math.isnan(r.fine_extreme) and r.violations > 0 and r.witness is not None
         assert_same_report(r, reference_verify_min("jeffreys", 0.1, 50, seed=2))
-
-    def test_unsorted_supports_merge_in_the_given_order(self, monkeypatch):
-        # the blocks are submitted largest support first and merged in the
-        # order given; every row crosses the forced closed form, and the
-        # witness comes from a block after the first
-        _force_bound(monkeypatch, "jeffreys", 10.0)
-        for fine_step in (None, 2e-3):
-            kw = dict(n_samples=300, seed=7, support_sizes=(5, 2, 8, 3), fine_step=fine_step)
-            r = verify_min("jeffreys", 0.3, **kw)
-            assert r.violations > 0 and len(r.witness[0]) != 5
-            assert_same_report(r, reference_verify_min("jeffreys", 0.3, **kw))
 
     def test_blocks_are_built_on_the_workers(self, monkeypatch):
         # the fine grid is one block, built whole by the worker that scans it
@@ -1233,14 +1232,14 @@ class TestPool:
             return sample(rng, n, k, eps)
 
         monkeypatch.setattr(oracle, "_sample_batch", recorded)
-        r = verify_min("tv", 0.1, 50, seed=1, support_sizes=(5, 2, 8, 3, 8))
-        assert drawn == [8, 8, 5, 3, 2]
+        r = verify_min("tv", 0.1, 50, seed=1)
+        assert drawn == [8, 7, 6, 5, 4, 3, 2]
         monkeypatch.undo()
-        assert r == verify_min("tv", 0.1, 50, seed=1, support_sizes=(5, 2, 8, 3, 8))
+        assert r == verify_min("tv", 0.1, 50, seed=1)
 
     def test_a_failed_block_surfaces_in_merge_order(self, monkeypatch):
         # supports 8 and 5 both fail; 8 is drawn first, but 5 comes first
-        # in the order given, and its error is the one raised
+        # in merge order, and its error is the one raised
         om = oracle.ORACLE_MEASURES["tv"]
 
         def evaluate(pm, qm):
@@ -1253,7 +1252,7 @@ class TestPool:
         for workers in (1, 2, 4):
             monkeypatch.setattr(oracle, "_cpu_count", lambda: workers)
             with pytest.raises(BoundViolationError, match="on support 5$"):
-                verify_min("tv", 0.1, 200, seed=1, support_sizes=(5, 2, 8, 3))
+                verify_min("tv", 0.1, 200, seed=1)
         assert threading.active_count() == before
 
     def test_cli_exits_one_on_a_failed_block(self, monkeypatch):

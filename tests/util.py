@@ -305,12 +305,15 @@ def end_rows(n_b: np.ndarray) -> np.ndarray:
     return np.stack([first, first + n_b - 1], axis=1).ravel()
 
 
+# the supports verify samples, in the order it merges them
+SUPPORTS = (2, 3, 4, 5, 6, 7, 8)
+
+
 def reference_verify_min(
     measure: str,
     eps: float,
     n_samples: int,
     seed: int = 0,
-    support_sizes: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
     fine_step=1e-3,
     gap_threshold=None,
     stream_key: int = 0,
@@ -348,7 +351,7 @@ def reference_verify_min(
         return low
 
     if n_samples > 0:
-        for s in support_sizes:
+        for s in SUPPORTS:
             scan(*oracle._sample_batch(oracle._stream(seed, stream_key, s), n_samples, s, eps), "sampled")
 
     fine_best = None
@@ -380,7 +383,7 @@ def reference_verify_min(
         eps=eps,
         closed_form=cf,
         n_samples=n_samples,
-        support_sizes=tuple(support_sizes),
+        support_sizes=SUPPORTS,
         seed=seed,
         rng_name=oracle.RNG_NAME,
         sample_extreme=sign * best,

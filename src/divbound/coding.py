@@ -1,9 +1,10 @@
 """Uniquely decodable codes and L1 bounds driven by the code redundancy.
 
-A code is modeled by its codeword lengths l(u) and code alphabet size d.
-Write c = sum_u d^{-l(u)} for the Kraft sum and Q(u) = d^{-l(u)} / c for the
-induced distribution.  With redundancy Delta = avg_length - entropy_d(P),
-measured in base-d units,
+A code is modeled by its codeword lengths l(u) and code alphabet size d.  The
+identity checks and l1_bounds take P strictly positive and the code on P's
+labels in P's order, and check both in one set-up.  Write c = sum_u d^{-l(u)}
+for the Kraft sum and Q(u) = d^{-l(u)} / c for the induced distribution.
+With redundancy Delta = avg_length - entropy_d(P), measured in base-d units,
 
     D(P || Q) = Delta log d + log c                          (identity)
     D(Q || P) = -log c - (log d / c) E_P[delta(U) d^{-delta(U)}]
@@ -158,19 +159,22 @@ def shannon_code(p: FiniteDist, d: int) -> CodeSpec:
     return CodeSpec(p.labels, lengths, int(d))
 
 
-def _delta(p: FiniteDist, code: CodeSpec) -> np.ndarray:
+def _terms(p: FiniteDist, code: CodeSpec) -> tuple[FiniteDist, float]:
+    """(Q, log d), once P and the code are checked."""
+    _require_strictly_positive(p)
     if p.labels != code.alphabet:
         raise DistributionError("distribution and code alphabets differ")
-    logd = math.log(code.base_d)
+    return _code_distribution(code), math.log(code.base_d)
+
+
+def _delta(p: FiniteDist, code: CodeSpec, logd: float) -> np.ndarray:
     return code.length_array.astype(float) + np.log(p.mass) / logd
 
 
 def kl_identity_check(p: FiniteDist, code: CodeSpec) -> tuple[float, float]:
     """(direct D(P||Q), Delta log d + log c); equal up to round-off."""
-    _require_strictly_positive(p)
-    q = _code_distribution(code)
+    q, logd = _terms(p, code)
     lhs = f_divergence(REGISTRY["kl"], p, q)
-    logd = math.log(code.base_d)
     avg_len = float(np.dot(p.mass, code.length_array))
     delta_d = avg_len - entropy_base(p, code.base_d)
     rhs = delta_d * logd + math.log(code.kraft_sum)
@@ -184,12 +188,10 @@ def dual_kl_identity_check(p: FiniteDist, code: CodeSpec) -> tuple[float, float]
     forced by consistency with the forward identity; the pair of checks in
     the test suite confirms it.
     """
-    _require_strictly_positive(p)
-    q = _code_distribution(code)
+    q, logd = _terms(p, code)
     lhs = f_divergence(REGISTRY["kl"], q, p)
-    logd = math.log(code.base_d)
     c = code.kraft_sum
-    dl = _delta(p, code)
+    dl = _delta(p, code, logd)
     expectation = float(np.dot(p.mass, dl * np.power(float(code.base_d), -dl)))
     rhs = -math.log(c) - (logd / c) * expectation
     return lhs, rhs
@@ -200,7 +202,8 @@ def csiszar_bound(x):
     xa = np.asarray(x, dtype=float)
     if not np.all(xa >= 0.0):
         raise ValueError(f"x={x!r} must be nonnegative")
-    out = np.minimum(np.sqrt(2.0 * xa), 2.0)
+    # clamped before the multiply, so 2 x cannot overflow; sqrt(4) is 2
+    out = np.minimum(np.sqrt(2.0 * np.minimum(xa, 2.0)), 2.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -221,9 +224,7 @@ def l1_bounds(p: FiniteDist, code: CodeSpec) -> CodingReport:
     applicable bound or the tightened bound exceeds the csiszar bound,
     beyond a 1e-9 slack.
     """
-    _require_strictly_positive(p)
-    q = _code_distribution(code)
-    logd = math.log(code.base_d)
+    q, logd = _terms(p, code)
     avg_len = float(np.dot(p.mass, code.length_array))
     h_d = entropy_base(p, code.base_d)
     delta_d = avg_len - h_d
@@ -235,7 +236,7 @@ def l1_bounds(p: FiniteDist, code: CodeSpec) -> CodingReport:
     kl_qp = f_divergence(REGISTRY["kl"], q, p)
     actual_l1 = float(np.abs(p.mass - q.mass).sum())
 
-    dl = _delta(p, code)
+    dl = _delta(p, code, logd)
     delta_nonneg = bool(np.all(dl >= -_DELTA_SLACK))
 
     b_csiszar = csiszar_bound(x)

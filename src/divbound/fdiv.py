@@ -110,33 +110,24 @@ def batch_f_divergence(gen: FGenerator, p, q) -> np.ndarray:
     vals = gen.fn(ratio)  # ratio is 1 where masked, and f(1) = 0
     out = _row_sums(np.where(both, q * vals, 0.0))
 
-    # a zero-mass pass runs only when its mask has an entry: an empty mask
-    # sums to zeros, which change nothing
-    no_q = (q <= 0.0) & (p > 0.0)
-    if no_q.any():
-        mass_no_q = _row_sums(np.where(no_q, p, 0.0))
-        if gen.slope_at_inf is None:
-            raise ValueError(
-                f"{gen.name}: slope_at_inf not supplied but Q has zero mass "
-                "where P does not"
-            )
-        if math.isinf(gen.slope_at_inf):
-            out = np.where(mass_no_q > 0.0, np.inf, out)
-        else:
-            out = out + mass_no_q * gen.slope_at_inf
-
-    no_p = (p <= 0.0) & (q > 0.0)
-    if no_p.any():
-        mass_no_p = _row_sums(np.where(no_p, q, 0.0))
-        if gen.f_at_0 is None:
-            raise ValueError(
-                f"{gen.name}: f_at_0 not supplied but P has zero mass "
-                "where Q does not"
-            )
-        if math.isinf(gen.f_at_0):
-            out = np.where(mass_no_p > 0.0, np.inf, out)
-        else:
-            out = out + mass_no_p * gen.f_at_0
+    # one pass per zero-mass case, run only when its mask has an entry: an
+    # empty mask sums to zeros, which change nothing
+    cases = (
+        (p, q, gen.slope_at_inf,
+         "slope_at_inf not supplied but Q has zero mass where P does not"),
+        (q, p, gen.f_at_0,
+         "f_at_0 not supplied but P has zero mass where Q does not"),
+    )
+    for has, lacks, limit, missing in cases:
+        alone = (lacks <= 0.0) & (has > 0.0)
+        if alone.any():
+            mass = _row_sums(np.where(alone, has, 0.0))
+            if limit is None:
+                raise ValueError(f"{gen.name}: {missing}")
+            if math.isinf(limit):
+                out = np.where(mass > 0.0, np.inf, out)
+            else:
+                out = out + mass * limit
 
     if np.isnan(out).any():
         raise BoundViolationError(f"NaN in {gen.name} divergence evaluation")

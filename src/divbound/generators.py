@@ -112,9 +112,10 @@ def _dual_chi2_fn(t):
 
 
 _SYMMETRY_GRID = np.logspace(-6.0, 6.0, 121)
+_SYMMETRY_TOL = 1e-10
 
 
-def _check_symmetry(gen: FGenerator, tol: float = 1e-10) -> Optional[float]:
+def _check_symmetry(gen: FGenerator) -> Optional[float]:
     """Fit a = 2 f'(1) and test f(u) = u f(1/u) + a (u-1) on a log grid.
 
     Returns the constant on success, None when the identity fails anywhere
@@ -128,7 +129,7 @@ def _check_symmetry(gen: FGenerator, tol: float = 1e-10) -> Optional[float]:
     shift = a * (u - 1.0)
     resid = np.abs(gen.fn(u) - mirrored - shift)
     scale = np.maximum(1.0, np.abs(mirrored) + np.abs(shift))
-    if np.all(resid <= tol * scale):
+    if np.all(resid <= _SYMMETRY_TOL * scale):
         return float(a)
     return None
 

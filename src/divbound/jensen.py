@@ -16,6 +16,8 @@ at import, keyed by the registry name of f:
 
 t - 1 (D_g = 0 for every pair) is private to this module.  A generator with
 no entry, including one added later by register_generator, raises GeneratorError.
+chi2 is one private sum of terms (P - Q)^2 / Q >= 0, each at most 1e300 above the
+floor; the registry's Q (P/Q - 1)^2 overflows once P/Q passes 1.3e154.
 """
 
 from __future__ import annotations
@@ -100,6 +102,11 @@ def _require_positive(pm: np.ndarray, qm: np.ndarray) -> None:
         )
 
 
+def _chi2(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
+    """chi2(P, Q) row by row on strictly positive (n, k) mass matrices."""
+    return _row_sums((pm - qm) ** 2 / qm)
+
+
 def batch_sandwich(gen: FGenerator, pm, qm):
     """The columns (r_min, r_max, left, middle, right, chi2) of the sandwich,
     row by row on (n, k) mass matrices.  A row that breaks the ordering by
@@ -118,7 +125,7 @@ def batch_sandwich(gen: FGenerator, pm, qm):
     r_min, r_max = _row_extremes(ratio)
     d_f = batch_f_divergence(gen, pm, qm)
     d_g = batch_f_divergence(g, pm, qm)
-    chi2 = np.maximum(_row_sums(pm * pm / qm) - 1.0, 0.0)
+    chi2 = _chi2(pm, qm)
 
     middle = -d_g - gen.fn(1.0 + chi2)
     bad = ~np.isfinite(middle)
@@ -171,7 +178,7 @@ def batch_chi2_exp_bound_check(pm, qm) -> tuple[np.ndarray, np.ndarray]:
     """
     pm, qm = _as_2d(pm, qm)
     _require_positive(pm, qm)
-    chi2 = _row_sums(pm * pm / qm) - 1.0
+    chi2 = _chi2(pm, qm)
     d = batch_f_divergence(REGISTRY["kl"], pm, qm)
     # libm's expm1, as the pairwise form always took: numpy's SIMD expm1 can
     # differ from it in the last bit

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -423,6 +424,20 @@ class TestSourcecodeSweep:
         r = runner.invoke(main, ["sourcecode-sweep", "--grid", grid])
         assert r.exit_code == 2
         assert r.stdout == "" and "Error:" in r.stderr
+
+    def test_a_grid_up_to_1e308_warns_of_no_overflow(self, runner):
+        # 2 x overflows at x = 1e308 unless x is clamped before the multiply
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = runner.invoke(main, ["sourcecode-sweep", "--grid", "1e-320:1e308:4"])
+        assert r.exit_code == 0 and r.stderr == ""
+        assert r.stdout == (
+            "delta_log_d,bound_csiszar,bound_tightened,bound_jeffreys\n"
+            "9.99988867183e-321,1.41420569026e-160,1.41420569026e-160,9.99994433576e-161\n"
+            "2.15441870005e-111,6.56417352003e-56,6.56417352003e-56,4.6415716089e-56\n"
+            "4.6415716089e+98,2,1.999999998,2\n"
+            "1e+308,2,1.999999998,2\n"
+        )
 
     def test_jeffreys_column_is_correctly_rounded(self, runner):
         r = runner.invoke(main, ["sourcecode-sweep", "--grid", "1e-6:1:4"])

@@ -148,6 +148,17 @@ class TestLabelChecks:
         # passed on as they are, not checked and copied again
         assert code.alphabet is p.labels and _code_distribution(code).labels is p.labels
 
+    @pytest.mark.parametrize("route", [kl_identity_check, dual_kl_identity_check, l1_bounds])
+    @pytest.mark.parametrize("code", [
+        CodeSpec(("c", "a", "b"), (1, 2, 2), 2),
+        CodeSpec(("a", "b"), (1, 1), 2),
+    ], ids=["reordered", "subset"])
+    def test_every_route_requires_the_code_on_p_labels_in_order(self, route, code):
+        p = make_dist(("a", "b", "c"), (0.5, 0.25, 0.25))
+        with pytest.raises(DistributionError) as err:
+            route(p, code)
+        assert str(err.value) == "distribution and code alphabets differ"
+
     def test_a_count_mismatch_is_reported_before_duplicates(self):
         with pytest.raises(DistributionError, match=r"got 3 labels but \(2,\) masses"):
             FiniteDist(("a", "a", "b"), np.array([0.5, 0.5]))
@@ -358,7 +369,12 @@ class TestSweep:
         assert np.all(ti <= cs + 1e-9)
         assert np.all(je <= cs + 1e-9)
 
+    def test_csiszar_does_not_overflow_at_the_top_of_the_range(self):
+        with np.errstate(over="raise"):
+            assert csiszar_bound(1e308) == 2.0
+            assert np.array_equal(csiszar_bound(np.array([2.0, 1e300, 1e308])), [2.0, 2.0, 2.0])
+
     def test_sqrt2_factor_at_small_redundancy(self):
         x = 1e-6
         ratio = jeffreys_bound(x) / csiszar_bound(x)
-        assert ratio == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-3)
+        assert ratio == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-3, abs=0.0)

@@ -288,7 +288,7 @@ class TestChernoffChain:
         _assert_chain(p, q)
         # the floor stays finite there: Z = 0 may also be products that
         # underflowed, whose C is finite
-        assert fdiv._chernoff_floor(np.zeros(1))[0] == pytest.approx(500 * math.log(2.0), rel=1e-11)
+        assert fdiv._chernoff_floor(np.zeros(1))[0] == pytest.approx(500 * math.log(2.0), rel=1e-11, abs=0.0)
 
 
 class TestChernoffSolver:

@@ -211,7 +211,7 @@ def test_user_generator_gets_its_symmetry_constant_measured():
         register_generator(gen)
         assert get_generator("triangular_shifted").symmetry_constant == 3.0
         for eps in (0.1, 0.5, 0.9):
-            assert symmetric_fdiv_min(gen, eps) == pytest.approx(2.0 * eps * eps, rel=1e-12)
+            assert symmetric_fdiv_min(gen, eps) == pytest.approx(2.0 * eps * eps, rel=1e-12, abs=0.0)
     finally:
         REGISTRY.pop("triangular_shifted", None)
 

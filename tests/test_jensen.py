@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -240,9 +242,9 @@ class TestChi2ExpBound:
         q = make_dist(["a", "b"], [0.5, 0.5])
         chi2, rhs = chi2_exp_bound_check(p, q)
         # chi2 = 4 delta^2 exactly; the exponential side is 2 delta^2 + O(delta^4)
-        assert chi2 == pytest.approx(4.0 * delta * delta, rel=1e-9)
-        assert rhs == pytest.approx(2.0 * delta * delta, rel=1e-4)
-        assert rhs == pytest.approx(2.0000033333394667e-06, rel=1e-9)
+        assert chi2 == pytest.approx(4.0 * delta * delta, rel=1e-9, abs=0.0)
+        assert rhs == pytest.approx(2.0 * delta * delta, rel=1e-4, abs=0.0)
+        assert rhs == pytest.approx(2.0000033333394667e-06, rel=1e-9, abs=0.0)
         assert chi2 >= rhs
 
     def test_never_violated_and_strengthened(self):
@@ -275,12 +277,43 @@ class TestChi2ExpBound:
             for i in range(100):
                 p, q = as_dist(pm[i]), as_dist(qm[i])
                 want = (
-                    float((pm[i] * pm[i] / qm[i]).sum() - 1.0),
+                    float(((pm[i] - qm[i]) ** 2 / qm[i]).sum()),
                     math.expm1(f_divergence(kl, p, q)),
                 )
                 got = (float(chi2[i]), float(rhs[i]))
                 assert [v.hex() for v in got] == [v.hex() for v in want]
                 assert [v.hex() for v in chi2_exp_bound_check(p, q)] == [v.hex() for v in want]
+
+    def test_chi2_is_nonnegative_and_exact_to_rounding_on_near_equal_pairs(self):
+        # Q = P (1 + 1e-8 N(0, 1)), renormalized: sum p^2 / q - 1 cancels to
+        # noise here and can go below 0, and q (p/q - 1)^2 keeps only 8 digits;
+        # p - q is exact, so (p - q)^2 / q loses only the rounding of its ops
+        rng = np.random.default_rng(1)
+        for k in range(2, 9):
+            pm = rng.exponential(size=(300, k))
+            pm /= pm.sum(axis=1, keepdims=True)
+            qm = pm * (1.0 + 1e-8 * rng.standard_normal((300, k)))
+            qm /= qm.sum(axis=1, keepdims=True)
+            want = batch_chi2_exp_bound_check(pm, qm)[0]
+            assert np.all(want > 0.0)
+            for name in sorted(PARTNERS):
+                chi2 = batch_sandwich(REGISTRY[name], pm, qm)[5]
+                assert [v.hex() for v in chi2.tolist()] == [v.hex() for v in want.tolist()]
+            for a, b, got in zip(pm.tolist(), qm.tolist(), want.tolist()):
+                exact = sum((Fraction(x) - Fraction(y)) ** 2 / Fraction(y) for x, y in zip(a, b))
+                assert abs(Fraction(got) - exact) <= 2 * k * 2.0 ** -53 * exact
+
+    def test_chi2_stays_finite_at_the_largest_ratios_above_the_floor(self):
+        # P / Q = 5e159: the registry's q (t - 1)^2 overflows in (t - 1)^2,
+        # while each (p - q)^2 / q is at most 1e300
+        pm, qm = np.array([[0.5, 0.5]]), np.array([[1.0 - 1e-160, 1e-160]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert batch_chi2_exp_bound_check(pm, qm)[0].tolist() == [2.5e159]
+            for name in sorted(PARTNERS):
+                _, _, left, middle, right, chi2 = batch_sandwich(REGISTRY[name], pm, qm)
+                assert chi2.tolist() == [2.5e159]
+                assert left[0] <= middle[0] <= right[0] < math.inf
 
     @pytest.mark.parametrize("check", [
         batch_chi2_exp_bound_check,

@@ -54,13 +54,7 @@ import numpy as np
 
 from .dist import FiniteDist, make_dist
 from .errors import BoundViolationError
-from .fdiv import (
-    _chernoff_floor,
-    batch_bhattacharyya,
-    batch_chernoff,
-    batch_f_divergence,
-    batch_total_variation,
-)
+from .fdiv import batch_bhattacharyya, batch_chernoff, batch_f_divergence, batch_total_variation
 from .generators import FGenerator, get_generator
 # unused here, but perfbench/spans.py rebinds both names on this module
 from .search import bisect_increasing, golden_section_min  # noqa: F401
@@ -119,6 +113,13 @@ def symmetric_fdiv_min(gen: FGenerator, eps: float) -> float:
             return math.inf
         return 2.0 * gen.slope_at_inf - a
     return float((1.0 - eps) * gen.fn((1.0 + eps) / (1.0 - eps)) - a * eps)
+
+
+def _check_inside(a: np.ndarray, inside: np.ndarray, message: str) -> None:
+    """ValueError(message.format(v)) for v the first value of a where inside
+    is False, unless it holds everywhere; NaN must fail inside."""
+    if not np.all(inside):
+        raise ValueError(message.format(float(a[~inside].flat[0])))
 
 
 # The closed forms on [0, 1), written with numpy ufuncs so that a float or an
@@ -274,9 +275,8 @@ def exact_kl_min(eps):
     result dominates the quadratic 2 eps^2.
     """
     e = np.asarray(eps, dtype=float)
-    # past 1 the start below would sit under zero; NaN fails this too
-    if not np.all((e >= 0.0) & (e < 1.0)):
-        raise ValueError(f"eps={eps!r} outside [0, 1)")
+    # past 1 the start below would sit under zero
+    _check_inside(e, (e >= 0.0) & (e < 1.0), "eps={!r} outside [0, 1)")
     out = np.zeros(e.shape)
     tail = 1.0 - e <= _KL_TAIL
     out[tail] = -np.log1p(-e[tail])
@@ -306,8 +306,7 @@ def _invert(x, scale: float, curve_slope, to_eps, x_sat: float, eps_sat: float):
     x beyond x_sat, the curve at eps_sat, gives eps_sat.
     """
     xa = np.asarray(x, dtype=float)
-    if not np.all(xa >= 0.0):  # NaN fails this too
-        raise ValueError(f"x={x!r} must be nonnegative")
+    _check_inside(xa, xa >= 0.0, "x={!r} must be nonnegative")
     target = np.sqrt(scale * np.minimum(xa, x_sat))
     pos = target > 0.0  # scale * x may underflow to 0 for the least subnormal x
     out = np.zeros(xa.shape)
@@ -357,14 +356,6 @@ class Measure:
     which checks eps and gives at_one at eps = 1.  The relative entropy has no
     extremal_kind and no evaluate: its infimum is attained off the symmetric
     two-point family, and the oracle skips it.
-
-    screen, when set, is (name, floor): floor maps the values of the entry
-    name's evaluator on some rows to a bound on this entry's evaluate value
-    of each row, from below for "min" and from above for "max".  It serves
-    verify_min alone, which solves only the rows the bound cannot rule out
-    (see divbound.oracle), and finds the evaluator in the oracle's table
-    when it runs, as it does the entries'.  Only chernoff has one: the
-    Bhattacharyya exponent -log Z.
     """
 
     direction: str  # "min" or "max"
@@ -372,7 +363,6 @@ class Measure:
     closed_form: Callable
     at_one: float
     evaluate: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
-    screen: Optional[tuple[str, Callable[[np.ndarray], np.ndarray]]] = None
 
 
 # keyed by the command-line name, which an f-divergence shares with its generator
@@ -383,10 +373,7 @@ MEASURES: dict[str, Measure] = {
     "capacitory": Measure(
         "min", "two_point", _capacitory, 2.0 * math.log(2.0), _f_divergence("capacitory")
     ),
-    "chernoff": Measure(
-        "min", "two_point", _chernoff, math.inf, batch_chernoff,
-        screen=("bhattacharyya_lower", _chernoff_floor),
-    ),
+    "chernoff": Measure("min", "two_point", _chernoff, math.inf, batch_chernoff),
     "bhattacharyya_lower": Measure("min", "three_point", _bhattacharyya_lower, 0.0, batch_bhattacharyya),
     "bhattacharyya_upper": Measure("max", "two_point", _bhattacharyya_upper, 0.0, batch_bhattacharyya),
     # looked up when called, as the evaluators are, so rebinding the name reaches it
@@ -416,9 +403,7 @@ def bound_curve(measure: str, eps):
     """
     m = find_measure(MEASURES, measure)
     grid = np.asarray(eps, dtype=float)
-    outside = ~((grid >= 0.0) & (grid <= 1.0))
-    if outside.any():
-        raise ValueError(f"grid point eps={float(grid[outside][0])!r} outside [0, 1]")
+    _check_inside(grid, (grid >= 0.0) & (grid <= 1.0), "grid point eps={!r} outside [0, 1]")
     values = np.full(grid.shape, m.at_one)
     below = grid < 1.0
     values[below] = m.closed_form(grid[below])

@@ -3,7 +3,9 @@
 A code is modeled by its codeword lengths l(u) and code alphabet size d.  The
 identity checks and l1_bounds take P strictly positive and the code on P's
 labels in P's order, and check both in one set-up.  Write c = sum_u d^{-l(u)}
-for the Kraft sum and Q(u) = d^{-l(u)} / c for the induced distribution.
+for the Kraft sum and Q(u) = d^{-l(u)} / c for the induced distribution; a
+code holds one c, the exact sum rounded once, which both normalizes Q and
+enters the identities.
 With redundancy Delta = avg_length - entropy_d(P), measured in base-d units,
 
     D(P || Q) = Delta log d + log c                          (identity)
@@ -30,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import inverse_exact_kl, inverse_jeffreys
+from .bounds import _check_inside, inverse_exact_kl, inverse_jeffreys
 from .dist import FiniteDist, _check_base, _checked_labels, entropy_base, make_dist
 from .errors import BoundViolationError, DistributionError, KraftViolationError
 from .fdiv import f_divergence
@@ -56,13 +58,25 @@ _KRAFT_SLACK = 1e-12
 _DELTA_SLACK = 1e-9
 
 
+def _integral(n) -> int:
+    """n as an int if int(n) == n, as _check_base rules, else DistributionError."""
+    try:
+        if int(n) == n:
+            return int(n)
+    except (TypeError, ValueError, OverflowError):  # "x", nan, inf
+        pass
+    raise DistributionError("codeword lengths must be positive integers")
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """A uniquely decodable code: alphabet, codeword lengths, code base.
 
     Construction also fixes, read-only: ``length_array``, the lengths as an
     integer array; ``kraft_terms``, the terms d^{-l(u)} in alphabet order;
-    and ``kraft_sum``, their sum added in that order.
+    and ``kraft_sum``, their exact sum rounded once.  Lengths that do not
+    make an integer array are taken one by one by the rule int(n) == n, so
+    3.0 passes and 1.9 or "1" raise.
     """
 
     alphabet: tuple[str, ...]
@@ -76,13 +90,12 @@ class CodeSpec:
         alphabet = self.alphabet
         if not isinstance(alphabet, (tuple, list)):
             alphabet = tuple(alphabet)
-        # the lengths as a tuple of Python ints and as an array; input that
-        # does not make an integer array goes through int() first
+        # the lengths as a tuple of Python ints and as an array
         length_array = np.array(self.lengths)
         if length_array.dtype.kind in "iu":
             lengths = tuple(length_array.tolist())
         else:
-            lengths = tuple(map(int, self.lengths))
+            lengths = tuple(map(_integral, self.lengths))
             length_array = np.array(lengths)  # object dtype past int64
         if len(alphabet) != len(lengths):
             raise DistributionError(
@@ -92,14 +105,14 @@ class CodeSpec:
         if lengths and length_array.min() < 1:
             raise DistributionError("codeword lengths must be positive integers")
         _check_base(self.base_d, "code base")
-        # Python's own d ** -n, once per distinct length, summed by Python in
-        # alphabet order: the Kraft sum owes nothing to numpy's power or its
-        # pairwise sums
+        # Python's own d ** -n, once per distinct length, and their exact sum
+        # rounded once: the Kraft sum owes nothing to numpy's power or to the
+        # order of the terms
         d = float(self.base_d)
         distinct = sorted(set(lengths))
         kraft_terms = np.array([d ** -n for n in distinct], dtype=float)
         kraft_terms = kraft_terms[np.searchsorted(distinct, length_array)]
-        kraft_sum = float(sum(kraft_terms.tolist()))
+        kraft_sum = math.fsum(kraft_terms.tolist())
         length_array.setflags(write=False)
         kraft_terms.setflags(write=False)
         object.__setattr__(self, "alphabet", alphabet)
@@ -135,8 +148,7 @@ class CodingReport:
 
 def _code_distribution(code: CodeSpec) -> FiniteDist:
     """The distribution Q(u) = d^{-l(u)} normalized by the Kraft sum."""
-    w = code.kraft_terms
-    return FiniteDist(code.alphabet, w / w.sum())
+    return FiniteDist(code.alphabet, code.kraft_terms / code.kraft_sum)
 
 
 def _require_strictly_positive(p: FiniteDist):
@@ -200,8 +212,7 @@ def dual_kl_identity_check(p: FiniteDist, code: CodeSpec) -> tuple[float, float]
 def csiszar_bound(x):
     """min{sqrt(2 x), 2} as a function of x = Delta log d in nats; float or array."""
     xa = np.asarray(x, dtype=float)
-    if not np.all(xa >= 0.0):
-        raise ValueError(f"x={x!r} must be nonnegative")
+    _check_inside(xa, xa >= 0.0, "x={!r} must be nonnegative")
     # clamped before the multiply, so 2 x cannot overflow; sqrt(4) is 2
     out = np.minimum(np.sqrt(2.0 * np.minimum(xa, 2.0)), 2.0)
     return float(out) if out.ndim == 0 else out

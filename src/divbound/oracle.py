@@ -84,8 +84,8 @@ scanned besides them.
 The scan skips what cannot matter by one rule: a row whose floor less the
 margin lies above both the line and t, a real row's signed value, can
 neither cross nor hold the least value, so every report is that of the
-full scan bit for bit.  A measure with a screen (bounds.Measure.screen;
-only chernoff has one) floors each row by the chain
+full scan bit for bit.  A measure with a screen (_SCREENS; only chernoff
+has one) floors each row by the chain
 C(P, Q) >= -log Z(P, Q) >= -1/2 log(1 - eps^2), for the price of one
 Bhattacharyya pass, which the rows share with a Bhattacharyya entry of the
 same scan.  The row with the least floor is solved, its value is t, and
@@ -109,7 +109,7 @@ import numpy as np
 from .bounds import Measure, checked_measures, extremal_pair, find_measure
 from .dist import FiniteDist
 from .errors import BoundViolationError
-from .fdiv import _row_sums, batch_total_variation
+from .fdiv import _chernoff_floor, _row_sums, batch_total_variation
 
 __all__ = [
     "sample_pair",
@@ -318,6 +318,10 @@ def fine_grid_pairs(eps: float, step: float = 1e-3):
 
 # the measures the harness can verify: those with a batch evaluator
 ORACLE_MEASURES: dict[str, Measure] = checked_measures()
+# measure name -> (source, floor): floor maps the source entry's evaluator
+# values on some rows to a bound on the measure's value of each row, from
+# below for "min" and from above for "max"
+_SCREENS = {"chernoff": ("bhattacharyya_lower", _chernoff_floor)}
 
 
 @dataclass(frozen=True)
@@ -433,10 +437,10 @@ def _less_margin(floor: np.ndarray) -> np.ndarray:
 
 
 def _signed_values(scan, pm, qm) -> list:
-    """Per (measure, sign, line) of scan, its signed values on the rows pm,
-    qm, with +inf on the rows its screen, less the margin, rules out.  Each
-    distinct evaluator runs on the rows once; a screen's source is looked
-    up in ORACLE_MEASURES, as the entries are."""
+    """Per (name, measure, sign, line) of scan, its signed values on the
+    rows pm, qm, with +inf on the rows its screen in _SCREENS, less the
+    margin, rules out.  Each distinct evaluator runs on the rows once; a
+    screen's source is looked up in ORACLE_MEASURES, as the entries are."""
     values = {}
 
     def of(evaluate):
@@ -445,11 +449,11 @@ def _signed_values(scan, pm, qm) -> list:
         return values[evaluate]
 
     out = []
-    for om, sign, line in scan:
-        if om.screen is None:
+    for name, om, sign, line in scan:
+        if name not in _SCREENS:
             out.append(sign * of(om.evaluate))
         else:
-            source, floor = om.screen
+            source, floor = _SCREENS[name]
             floor = _less_margin(sign * floor(of(ORACLE_MEASURES[source].evaluate)))
             out.append(_screened(om.evaluate, sign, line, floor, pm, qm))
     return out
@@ -499,14 +503,14 @@ def verify_min(
     signs = [1.0 if om.direction == "min" else -1.0 for om in oms]
     # a signed value below its line crosses
     lines = [sign * cf - _VIOLATION_SLACK for sign, cf in zip(signs, cfs)]
-    scan = list(zip(oms, signs, lines))
+    scan = list(zip(names, oms, signs, lines))
 
     def least(pm, qm):
         # per measure: crossings, the least signed value and its row, of one
         # block; the row is copied so that the result does not keep the
         # batch alive
         out = []
-        for v, (_, _, line) in zip(_signed_values(scan, pm, qm), scan):
+        for v, line in zip(_signed_values(scan, pm, qm), lines):
             i = int(np.argmin(v))
             out.append((int(np.count_nonzero(v < line)), float(v[i]), pm[i].copy(), qm[i].copy()))
         return out

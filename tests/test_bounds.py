@@ -258,10 +258,6 @@ def test_measure_table_entry(name):
             p, q = extremal_pair(e, m.extremal_kind)
             got = m.evaluate(p.mass[None, :], q.mass[None, :])[0]
             assert got == pytest.approx(bound_curve(name, e), abs=1e-9)
-    # a screen reads an entry the oracle evaluates; only chernoff has one
-    assert (m.screen is not None) == (name == "chernoff")
-    if m.screen is not None:
-        assert m.screen[0] in ORACLE_MEASURES
 
     assert fmt_g12(m.at_one) == VALUE_AT_ONE[name]
     assert fmt_g12(bound_curve(name, [0.0, 0.5, 1.0])[-1]) == VALUE_AT_ONE[name]
@@ -483,6 +479,26 @@ class TestInverses:
 
 def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize(
+    "f, bad, message",
+    [
+        (exact_kl_min, 1.5, "eps=1.5 outside [0, 1)"),
+        (inverse_exact_kl, -2.5, "x=-2.5 must be nonnegative"),
+        (inverse_jeffreys, -2.5, "x=-2.5 must be nonnegative"),
+        (lambda x: bound_curve("tv", x), 1.5, "grid point eps=1.5 outside [0, 1]"),
+    ],
+    ids=["exact_kl_min", "inverse_exact_kl", "inverse_jeffreys", "bound_curve"],
+)
+def test_domain_error_names_the_first_bad_value(f, bad, message):
+    # the message names the first value outside the domain, not the whole
+    # argument, however long; a NaN later on is not the one named
+    values = [0.5] * 10**5
+    values[4321], values[-1] = bad, math.nan
+    with pytest.raises(ValueError) as err:
+        f(values)
+    assert str(err.value) == message
 
 
 class TestCurveLayer:

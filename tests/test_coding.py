@@ -1,5 +1,7 @@
+import collections
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,16 +81,13 @@ class TestCodeSpec:
             CodeSpec(("a", "b"), (1, 2, 3), 2)
 
     @pytest.mark.parametrize("d", [2, 3, 7])
-    def test_kraft_sum_is_the_sequential_sum_of_powers(self, d):
-        # computed once at construction, bit for bit the sum added term by
-        # term in alphabet order, each term Python's d ** -n
+    def test_kraft_sum_is_the_exact_sum_of_powers_rounded_once(self, d):
+        # computed once at construction: the exact rational sum of the
+        # terms, each Python's d ** -n, rounded to the nearest float
         rng = np.random.default_rng(d)
         lengths = tuple(int(n) for n in rng.integers(d + 8, d + 60, size=10**4))
         code = CodeSpec(tuple(f"s{j}" for j in range(len(lengths))), lengths, d)
-        total = 0.0
-        for n in lengths:
-            total += float(d) ** -n
-        assert code.kraft_sum == total
+        assert code.kraft_sum == float(sum(Fraction(float(d) ** -n) for n in lengths))
         assert code.kraft_terms.tobytes() == np.array([float(d) ** -n for n in lengths]).tobytes()
         assert np.array_equal(code.length_array, lengths)
         assert not code.length_array.flags.writeable and not code.kraft_terms.flags.writeable
@@ -102,11 +101,19 @@ class TestCodeSpec:
         assert rep.avg_length == 0.5 + 0.5 * float(long)
 
     def test_lengths_of_any_integer_spelling(self):
-        # int() decides, as for any sequence: numpy integers, bools, floats, digit strings
-        for given in ((np.int32(2), 2), np.array([2, 2], dtype=np.uint8), (2.7, "2"), (True, 1)):
+        # numpy integers, bools and integral floats, as Python ints
+        for given in ((np.int32(2), 2), np.array([2, 2], dtype=np.uint8), (3.0, 2), (True, 1), (1, 1e20)):
             code = CodeSpec(("a", "b"), given, 2)
             assert code.lengths == tuple(int(n) for n in given)
             assert all(type(n) is int for n in code.lengths)
+
+    @pytest.mark.parametrize(
+        "given", [(1.9, 1.2), ("1", "1"), (1, 2.5), np.array([1.0, 1.5]), (1, math.nan), (1, math.inf), (1, None)]
+    )
+    def test_non_integral_lengths_raise(self, given):
+        # int(n) == n decides, as for the code base: nothing is truncated
+        with pytest.raises(DistributionError, match="^codeword lengths must be positive integers$"):
+            CodeSpec(("a", "b"), given, 2)
 
     def test_empty_code(self):
         assert CodeSpec((), (), 2).kraft_sum == 0.0
@@ -169,6 +176,32 @@ class TestLabelChecks:
 
 
 class TestCodeDistribution:
+    @pytest.mark.parametrize("n", [10**4, 10**5])
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_one_kraft_sum_on_large_alphabets(self, n, d):
+        # Q is normalized by the code's one c, the exact sum rounded once,
+        # which the identities read too: both hold to 1e-12 relative on
+        # Shannon codes of seeded sources
+        for seed in range(3):
+            e = np.random.default_rng([n, d, seed]).standard_exponential(n)
+            p = make_dist([f"s{j}" for j in range(n)], e / e.sum())
+            code = shannon_code(p, d)
+            terms = collections.Counter(code.kraft_terms.tolist())
+            assert code.kraft_sum == float(sum(k * Fraction(t) for t, k in terms.items()))
+            assert abs(math.fsum(_code_distribution(code).mass) - 1.0) <= 1e-15
+            for check in (kl_identity_check, dual_kl_identity_check):
+                lhs, rhs = check(p, code)
+                assert abs(lhs - rhs) <= 1e-12 * abs(lhs), (seed, check.__name__)
+
+    def test_complete_code_sums_to_one(self):
+        # a complete binary code: lengths 1 to 40, then 2^16 words of length
+        # 56 in place of the last word of length 40.  Added in order, each
+        # 2^-56 falls below half an ulp of the partial sum and is lost
+        lengths = np.array([*range(1, 41), *[56] * 2**16])
+        code = CodeSpec(tuple(f"s{j}" for j in range(len(lengths))), lengths, 2)
+        assert code.kraft_sum == 1.0
+        assert math.fsum(_code_distribution(code).mass) == 1.0
+
     def test_dyadic(self):
         q = _code_distribution(CodeSpec(("a", "b", "c"), (1, 2, 2), 2))
         np.testing.assert_allclose(q.mass, [0.5, 0.25, 0.25])
@@ -362,6 +395,15 @@ class TestSweep:
         for f in (csiszar_bound, tightened_bound, jeffreys_bound):
             with pytest.raises(ValueError):
                 f(-1e-9)
+
+    def test_domain_error_names_the_first_bad_value(self):
+        # not the whole argument, however long
+        x = [0.5] * 10**5
+        x[4321], x[-1] = -2.5, math.nan
+        for f in (csiszar_bound, tightened_bound):
+            with pytest.raises(ValueError) as err:
+                f(x)
+            assert str(err.value) == "x=-2.5 must be nonnegative"
 
     def test_orderings_across_grid(self):
         xs = np.geomspace(1e-6, 1.0, 20)

@@ -813,8 +813,7 @@ class TestBlockScan:
 
 def _unscreened(monkeypatch):
     """Make verify_min solve every chernoff row."""
-    om = oracle.ORACLE_MEASURES["chernoff"]
-    monkeypatch.setitem(oracle.ORACLE_MEASURES, "chernoff", dataclasses.replace(om, screen=None))
+    monkeypatch.delitem(oracle._SCREENS, "chernoff")
 
 
 def _solved_rows(monkeypatch) -> list:
@@ -832,6 +831,11 @@ def _solved_rows(monkeypatch) -> list:
 
 class TestScreen:
     """verify_min's Chernoff screen against the full solve of every row."""
+
+    def test_the_screened_entries(self):
+        # a screen reads an entry the oracle evaluates; only chernoff has one
+        assert sorted(oracle._SCREENS) == ["chernoff"]
+        assert all(source in oracle.ORACLE_MEASURES for source, _ in oracle._SCREENS.values())
 
     @staticmethod
     def _same_as_unscreened(monkeypatch, names, eps, **kw):
@@ -1031,9 +1035,9 @@ class TestRunFloors:
             v = sign * om.evaluate(pm, qm)
             floor = np.repeat(v[at], n_b)
             assert not np.any(v < oracle._less_margin(floor)), eps
-            if om.screen is not None:
+            if name in oracle._SCREENS:
                 # nor below its floor row's screen floor less the margin
-                source, screen = om.screen
+                source, screen = oracle._SCREENS[name]
                 s = np.repeat(sign * screen(oracle.ORACLE_MEASURES[source].evaluate(pm[at], qm[at])), n_b)
                 assert not np.any(v < oracle._less_margin(s)), eps
             assert np.all(v[floor == math.inf] == math.inf)
@@ -1186,11 +1190,8 @@ class TestRunFloors:
                 s[r] = x
             return s
 
-        monkeypatch.setitem(
-            oracle.ORACLE_MEASURES,
-            "chernoff",
-            dataclasses.replace(om, evaluate=forced_value, screen=(om.screen[0], forced_floor)),
-        )
+        monkeypatch.setitem(oracle.ORACLE_MEASURES, "chernoff", dataclasses.replace(om, evaluate=forced_value))
+        monkeypatch.setitem(oracle._SCREENS, "chernoff", (oracle._SCREENS["chernoff"][0], forced_floor))
         screened = verify_min("chernoff", eps, 0, fine_step=step)
         assert any(solved) == kept
         _unscreened(monkeypatch)

@@ -1,12 +1,14 @@
 """Checks on the library's source text."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
 
 import divbound
+from divbound.bounds import Measure
 
 MODULES = sorted(Path(divbound.__file__).resolve().parent.glob("*.py"))
 
@@ -185,3 +187,35 @@ def test_cli_formats_and_writes_through_its_writer_only():
         '_write(sys.stdout, "".join(f"{fmt_g12(e)},{fmt_g12(v)}\\n" for e, v in zip(eps_grid, values)))',
     )
     assert by_hand != source and len(_writer_breaches(by_hand)) == 1
+
+
+def _private_imports(source: str) -> list[str]:
+    """The _-prefixed names a module's source imports from other modules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if any(part.startswith("_") for part in a.name.split("."))]
+    return found
+
+
+def test_private_import_check_catches_each_form():
+    source = "\n".join([
+        "from __future__ import annotations",
+        "from .fdiv import _chernoff_floor, batch_chernoff",
+        "from .dist import (\n    make_dist,\n    _check_base,\n)",
+        "import numpy as np",
+        "import divbound._impl",
+        "from . import _private",
+    ])
+    assert _private_imports(source) == ["_chernoff_floor", "_check_base", "divbound._impl", "_private"]
+
+
+def test_bounds_holds_the_bounds_and_nothing_private_of_other_modules():
+    # the table states each bound; how the oracle screens its rows is the
+    # oracle's own decision, so bounds borrows no private helper for it
+    source = (Path(divbound.__file__).resolve().parent / "bounds.py").read_text(encoding="utf-8")
+    assert _private_imports(source) == []
+    fields = [f.name for f in dataclasses.fields(Measure)]
+    assert fields == ["direction", "extremal_kind", "closed_form", "at_one", "evaluate"]

@@ -225,7 +225,9 @@ def tightened_bound(x):
 
 def jeffreys_bound(x):
     """2 eps(x / 2); valid only when delta(u) >= 0 for every symbol; float or array."""
-    return 2.0 * inverse_jeffreys(0.5 * np.asarray(x, dtype=float))
+    xa = np.asarray(x, dtype=float)
+    _check_inside(xa, xa >= 0.0, "x={!r} must be nonnegative")  # x itself, not x / 2
+    return 2.0 * inverse_jeffreys(0.5 * xa)
 
 
 def l1_bounds(p: FiniteDist, code: CodeSpec) -> CodingReport:

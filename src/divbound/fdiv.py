@@ -75,14 +75,11 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     C-ordered row: below 8 columns it adds them in order to +0.0; at 8 it
     adds the pairwise tree ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
     to +0.0.  Every other width goes to numpy on a C-ordered copy.  The +0.0
-    start makes a row of -0.0 sum to +0.0.  A bool matrix gives counts in
-    numpy's default integer.
+    start makes a row of -0.0 sum to +0.0.
     """
     k = a.shape[-1]
     if not 2 <= k <= 8:
         return np.ascontiguousarray(a).sum(axis=-1)
-    if a.dtype == bool:
-        a = a.astype(np.int_)
     c = [a[..., j] for j in range(k)]
     if k == 8:
         c = [((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))]

@@ -64,13 +64,14 @@ becomes the witness only when it lies strictly below the line and every
 value before it.  So a report does not depend on the number of CPUs, on
 which block finishes first, or on the other measures of the run.
 
-The fine grid is one 1-D family: two rows of each run of the support-3
-pairs P = (a, b, c), Q = (a - eps, b, c + eps), b + c = 1 - a, one run per
-value of a: its first row (b = 0) and its last (the least c, 0 when the
-step divides 1 - a).  The other rows of a run add nothing.  Merging atoms
-2 and 3 of any row gives the run's first row, and merging two atoms never
-raises an f-divergence or Chernoff information and never lowers
-Z = sum sqrt(PQ) (data processing), so the first row holds the run's least
+The fine grid is one 1-D family at the fixed step FINE_STEP = 1e-3: two
+rows of each run of the support-3 pairs P = (a, b, c),
+Q = (a - eps, b, c + eps), b + c = 1 - a, one run per value of a: its first
+row (b = 0) and its last (the least c, 0 when the step divides 1 - a).
+The other rows of a run add nothing.  Merging atoms 2 and 3 of any row
+gives the run's first row, and merging two atoms never raises an
+f-divergence or Chernoff information and never lowers Z = sum sqrt(PQ)
+(data processing), so the first row holds the run's least
 value of hellinger2, jeffreys, capacitory and chernoff and its largest Z.
 For bhattacharyya_lower, Z = sqrt(a (a - eps)) + b + sqrt(c (c + eps)),
 and sqrt(c (c + eps)) - c grows with c, so the last row holds the run's
@@ -114,6 +115,7 @@ from .fdiv import _chernoff_floor, _row_sums, batch_total_variation
 __all__ = [
     "sample_pair",
     "SUPPORT_SIZES",
+    "FINE_STEP",
     "ORACLE_MEASURES",
     "VerifyPointReport",
     "verify_min",
@@ -124,6 +126,8 @@ __all__ = [
 RNG_NAME = "numpy PCG64"
 # the supports verify samples, in merge order
 SUPPORT_SIZES = (2, 3, 4, 5, 6, 7, 8)
+# the fine grid's step: at most 2,002 rows, 48 KB each for P and Q
+FINE_STEP = 1e-3
 _VIOLATION_SLACK = 1e-9
 _ATTAIN_TOL = 1e-9
 # the largest |TV - eps| a sampled pair may show
@@ -280,36 +284,25 @@ def sample_pair(support_size: int, eps: float, seed: int) -> tuple[FiniteDist, F
     return FiniteDist(labels, pm[0]), FiniteDist(labels, qm[0])
 
 
-# the least fine-grid step: at most 2,000,002 rows, 48 MB each for P and Q
-_MIN_STEP = 1e-6
-
-
-def _check_step(step: float) -> None:
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"fine_step={step!r}: the fine-grid step must be finite and > 0")
-    if step < _MIN_STEP:
-        raise ValueError(f"fine_step={step!r} is below {_MIN_STEP!r}, which bounds the fine grid's rows")
-
-
-def fine_grid_pairs(eps: float, step: float = 1e-3):
+def fine_grid_pairs(eps: float):
     """A deterministic pair family on support 3 at total variation eps.
 
     It moves mass eps from the first atom to the third across a free
     middle: P = (a, b, 1 - a - b), Q = (a - eps, b, 1 - a - b + eps), with
-    a = eps + i * step, i = 0 .. n - 1, n = round((1 - eps) / step) + 1.
-    Of each run of rows b = j * step, j = 0 .. n_b - 1,
-    n_b = round((1 - a) / step) + 1, only the ends are kept, which bound the
-    rest (see the module docstring): row 2i has b = 0, a binary pair with a
-    zero middle atom, and row 2i + 1 has j = n_b - 1.  Each coordinate is
-    capped so that the masses stay in the simplex.  The family contains
-    every designated extremal pair when eps sits on the grid.
+    a = eps + i * step, i = 0 .. n - 1, n = round((1 - eps) / step) + 1,
+    where step is FINE_STEP, read at each call, so n <= 1,001.  Of each run
+    of rows b = j * step, j = 0 .. n_b - 1, n_b = round((1 - a) / step) + 1,
+    only the ends are kept, which bound the rest (see the module
+    docstring): row 2i has b = 0, a binary pair with a zero middle atom,
+    and row 2i + 1 has j = n_b - 1.  Each coordinate is capped so that the
+    masses stay in the simplex.  The family contains every designated
+    extremal pair when eps sits on the grid.
     """
     _check_eps(eps)
-    _check_step(step)
-    rows = np.arange(2 * (int(round((1.0 - eps) / step)) + 1))
-    a = np.minimum(eps + (rows // 2) * step, 1.0)
-    last = np.rint((1.0 - a) / step).astype(np.intp)  # n_b - 1
-    b = np.minimum(rows % 2 * last * step, 1.0 - a)
+    rows = np.arange(2 * (int(round((1.0 - eps) / FINE_STEP)) + 1))
+    a = np.minimum(eps + (rows // 2) * FINE_STEP, 1.0)
+    last = np.rint((1.0 - a) / FINE_STEP).astype(np.intp)  # n_b - 1
+    b = np.minimum(rows % 2 * last * FINE_STEP, 1.0 - a)
     c = 1.0 - a - b
     p = np.stack([a, b, c], axis=1)
     q = np.stack([a - eps, b, c + eps], axis=1)
@@ -337,7 +330,7 @@ class VerifyPointReport:
     seed: int
     rng_name: str
     sample_extreme: float
-    fine_extreme: Optional[float]
+    fine_extreme: float
     extremal_value: float
     violations: int
     witness: Optional[tuple[FiniteDist, FiniteDist]]
@@ -359,7 +352,7 @@ def _stream(seed: int, stream_key: int, support: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _check_run(measures, eps_grid, n_samples, seed, fine_step, gap_threshold):
+def _check_run(measures, eps_grid, n_samples, seed, gap_threshold):
     """The checks verify_min and grid_verify make before any sampling.
     Returns the measure names, one name or a sequence of them, as a list."""
     names = [measures] if isinstance(measures, str) else list(measures)
@@ -378,8 +371,6 @@ def _check_run(measures, eps_grid, n_samples, seed, fine_step, gap_threshold):
     if n_samples > most:
         raise ValueError(f"n_samples={n_samples!r} exceeds {most}, numpy's largest array dimension")
     _check_seed(seed)
-    if fine_step is not None:
-        _check_step(fine_step)
     return names
 
 
@@ -464,14 +455,13 @@ def verify_min(
     eps: float,
     n_samples: int,
     seed: int = 0,
-    fine_step: Optional[float] = 1e-3,
     gap_threshold: Optional[float] = None,
     stream_key: int = 0,
 ) -> VerifyPointReport | list[VerifyPointReport]:
     """Stress closed-form extremes at one eps.
 
     Draws n_samples pairs on each of SUPPORT_SIZES, 2 to 8, adds the
-    deterministic fine grid at step fine_step (fine_grid_pairs: the first
+    deterministic fine grid at step FINE_STEP (fine_grid_pairs: the first
     and the last row of each run of the support-3 grid) plus the designated
     extremal pair, and checks that
     (i) no value crosses the closed form by more than 1e-9,
@@ -481,10 +471,8 @@ def verify_min(
     grid.
 
     Each block is held whole while it is scanned: n_samples sets the rows
-    of a sampled block, and fine_step those of the fine block,
-    2 round((1 - eps) / fine_step) + 2.  At the default step that is at
-    most 2,002 rows, 48 KB each for P and Q; a step below 1e-6, over
-    2,000,002 rows, raises ValueError.
+    of a sampled block, and the fine block has
+    2 round((1 - eps) / FINE_STEP) + 2 <= 2,002 rows.
 
     The sampled blocks are submitted to the pool largest support first,
     then the fine block, so that the blocks left for the last free worker
@@ -497,7 +485,7 @@ def verify_min(
     passed once to each distinct evaluator, and each report equals that of
     its single-measure run.
     """
-    names = _check_run(measures, [eps], n_samples, seed, fine_step, gap_threshold)
+    names = _check_run(measures, [eps], n_samples, seed, gap_threshold)
     oms = [ORACLE_MEASURES[name] for name in names]
     cfs = [float(om.closed_form(eps)) for om in oms]
     signs = [1.0 if om.direction == "min" else -1.0 for om in oms]
@@ -520,7 +508,7 @@ def verify_min(
 
     def fine():
         # built here, on the worker that scans it
-        return least(*fine_grid_pairs(eps, fine_step))
+        return least(*fine_grid_pairs(eps))
 
     from concurrent.futures import ThreadPoolExecutor  # here: `divbound --help` skips its import
 
@@ -531,13 +519,10 @@ def verify_min(
     pool = ThreadPoolExecutor(max_workers=_cpu_count())
     try:
         submitted = {s: pool.submit(sampled, s) for s in reversed(sizes)}
-        blocks = [submitted[s] for s in sizes]
-        if fine_step is not None:
-            blocks.append(pool.submit(fine))
+        blocks = [submitted[s] for s in sizes] + [pool.submit(fine)]
         results = [f.result() for f in blocks]
     finally:
         pool.shutdown(cancel_futures=True)
-    n_sampled = len(sizes)
 
     def report(j):
         om, cf, sign, line = oms[j], cfs[j], signs[j], lines[j]
@@ -549,7 +534,6 @@ def verify_min(
                 labels = tuple(f"x{i + 1}" for i in range(p.size))
                 witness = (FiniteDist(labels, p), FiniteDist(labels, q))
             best = min(best, low)
-        fine_best = None if fine_step is None else sign * results[-1][j][1]
 
         p, q = extremal_pair(eps, om.extremal_kind)
         extremal_value = float(om.evaluate(p.mass[None, :], q.mass[None, :])[0])
@@ -557,8 +541,8 @@ def verify_min(
         best = min(best, sign * extremal_value)
         gap = abs(sign * best - cf)
 
-        sampled_crossings = sum(b[j][0] for b in results[:n_sampled])
-        fine_crossings = sum(b[j][0] for b in results[n_sampled:])
+        sampled_crossings = sum(b[j][0] for b in results[:-1])
+        fine_crossings = results[-1][j][0]
         violations = sampled_crossings + fine_crossings
         failure = None
         if violations:
@@ -584,7 +568,7 @@ def verify_min(
             seed=seed,
             rng_name=RNG_NAME,
             sample_extreme=sign * best,
-            fine_extreme=fine_best,
+            fine_extreme=sign * results[-1][j][1],
             extremal_value=extremal_value,
             violations=violations,
             witness=witness,
@@ -603,7 +587,6 @@ def grid_verify(
     eps_grid,
     n_samples: int,
     seed: int = 0,
-    fine_step: Optional[float] = 1e-3,
     gap_threshold: Optional[float] = None,
 ) -> list[VerifyPointReport]:
     """Run verify_min at each grid point, on stream key = the point's index.
@@ -614,14 +597,13 @@ def grid_verify(
     domain-checked before any sampling starts.
     """
     eps_grid = [float(e) for e in eps_grid]
-    names = _check_run(measures, eps_grid, n_samples, seed, fine_step, gap_threshold)
+    names = _check_run(measures, eps_grid, n_samples, seed, gap_threshold)
     points = [
         verify_min(
             names,
             e,
             n_samples,
             seed=seed,
-            fine_step=fine_step,
             gap_threshold=gap_threshold,
             stream_key=i,
         )

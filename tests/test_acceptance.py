@@ -81,7 +81,7 @@ def test_criterion_2_validity():
     # 7 support sizes x 14286 samples > 1e5 pairs per grid point and
     # measure; every measure at a point checks the same draw
     for eps in VALIDITY_GRID:
-        for r in verify_min(ORACLE_MEASURE_NAMES, eps, 14286, seed=SEED, fine_step=None):
+        for r in verify_min(ORACLE_MEASURE_NAMES, eps, 14286, seed=SEED):
             if r.violations or not r.attained:
                 failures.append((r.measure, eps, r.failure))
     elapsed = time.perf_counter() - t0
@@ -94,14 +94,7 @@ def test_criterion_3_oracle_gap():
     failures = []
     for name in ORACLE_MEASURE_NAMES:
         for eps in ATTAINMENT_GRID:
-            r = verify_min(
-                name,
-                eps,
-                0,
-                seed=SEED,
-                fine_step=1e-3,
-                gap_threshold=5e-3,
-            )
+            r = verify_min(name, eps, 0, seed=SEED, gap_threshold=5e-3)
             if not r.passed:
                 failures.append((name, eps, r.failure))
     elapsed = time.perf_counter() - t0

@@ -400,7 +400,8 @@ class TestSweep:
         # not the whole argument, however long
         x = [0.5] * 10**5
         x[4321], x[-1] = -2.5, math.nan
-        for f in (csiszar_bound, tightened_bound):
+        # jeffreys_bound names x itself, not the x / 2 it inverts
+        for f in (csiszar_bound, tightened_bound, jeffreys_bound):
             with pytest.raises(ValueError) as err:
                 f(x)
             assert str(err.value) == "x=-2.5 must be nonnegative"

@@ -446,12 +446,6 @@ class TestRowSums:
             got, want = fdiv._row_sums(a), np.ascontiguousarray(a).sum(axis=-1)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), a.shape
 
-    def test_bools_count_like_numpy(self):
-        for a in _row_sum_cases():
-            for mask in (a > 0.0, np.isnan(a), np.zeros(a.shape, dtype=bool)):
-                got, want = fdiv._row_sums(mask), mask.sum(axis=-1)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), a.shape
-
     def test_column_layout_sums_equal_numpy_byte_for_byte(self):
         # the sampler and the tilt solve hold each column of a C-ordered
         # matrix as one row of a (k, m) array c and sum it as _row_sums(c.T),

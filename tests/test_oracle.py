@@ -308,7 +308,7 @@ class TestFineGrids:
 
     def test_support2_shape_and_constraint(self):
         # the first rows are binary pairs at TV eps with a zero middle atom
-        p, q = fine_grid_pairs(0.25, step=1e-3)
+        p, q = fine_grid_pairs(0.25)
         assert p.shape == q.shape == (2 * 751, 3)
         assert not p[::2, 1].any() and not q[::2, 1].any()
         tv = 0.5 * np.abs(p[::2] - q[::2]).sum(axis=1)
@@ -316,11 +316,12 @@ class TestFineGrids:
 
     @pytest.mark.parametrize("step", [1e-3, 7e-3])
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5, 0.9, 0.999])
-    def test_first_rows_are_the_binary_grid(self, eps, step):
+    def test_first_rows_are_the_binary_grid(self, monkeypatch, eps, step):
         # row 2i, its zero atom dropped, is row i of the binary grid up to
         # the rounding of the masses 1 - a and a - eps: 2^-53, half an ulp
         # of a mass in [0.5, 1), at most
-        p, q = fine_grid_pairs(eps, step)
+        monkeypatch.setattr(oracle, "FINE_STEP", step)
+        p, q = fine_grid_pairs(eps)
         p2, q2 = reference_grid2(eps, step)
         assert len(p) == 2 * len(p2) and not p[::2, 1].any() and not q[::2, 1].any()
         assert np.abs(p[::2][:, [0, 2]] - p2).max() <= 2.0**-53
@@ -328,7 +329,7 @@ class TestFineGrids:
 
     def test_support3_contains_extremal_rows(self):
         eps = 0.4
-        p, q = fine_grid_pairs(eps, step=1e-3)
+        p, q = fine_grid_pairs(eps)
         tv = 0.5 * np.abs(p - q).sum(axis=1)
         np.testing.assert_allclose(tv, eps, atol=1e-12)
         # the designated pairs sit on the grid: the three-point pair as the
@@ -339,14 +340,24 @@ class TestFineGrids:
             np.testing.assert_allclose(q[int(np.argmax(hit))], want_q, atol=1e-9)
 
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3, 0.5, 0.9, 0.999])
-    def test_support3_matches_the_loop_over_a(self, eps):
+    def test_support3_matches_the_loop_over_a(self, monkeypatch, eps):
         # the reference builds the whole grid one a at a time; the family is
         # the first and last row of each a, to the byte
         for step in (1e-3, 7e-3, 0.05, 0.3):
+            monkeypatch.setattr(oracle, "FINE_STEP", step)
             p, q, n_b = reference_grid3(eps, step)
-            fp, fq = fine_grid_pairs(eps, step)
+            fp, fq = fine_grid_pairs(eps)
             at = end_rows(n_b)
             assert fp.tobytes() == p[at].tobytes() and fq.tobytes() == q[at].tobytes(), step
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 0.1, 0.5, 0.9, 0.999, 1.0 - 2.0**-52])
+    def test_rows_are_bounded_at_every_eps(self, eps):
+        # the one step bounds the block verify holds whole: at most 2,002
+        # rows, each at total variation eps
+        assert oracle.FINE_STEP == 1e-3
+        p, q = fine_grid_pairs(eps)
+        assert p.shape == q.shape and len(p) <= 2002
+        assert np.all(np.abs(batch_total_variation(p, q) - eps) <= TV_MATCH_TOL)
 
     @pytest.mark.parametrize("eps", [-0.5, 1.0, 1.5, math.nan, math.inf, -math.inf])
     def test_eps_outside_the_unit_interval(self, eps):
@@ -398,10 +409,9 @@ class TestVerifyMin:
         assert r.witness is not None
         assert r.failure is not None
 
-    @pytest.mark.parametrize("fine_step", [1e-3, None])
-    def test_failure_counts_sampled_and_fine_pairs_apart(self, monkeypatch, fine_step):
+    def test_failure_counts_sampled_and_fine_pairs_apart(self, monkeypatch):
         _force_bound(monkeypatch, "jeffreys", 10.0)
-        r = verify_min("jeffreys", 0.5, 20, fine_step=fine_step)
+        r = verify_min("jeffreys", 0.5, 20)
         m = re.fullmatch(
             r"(\d+) sampled and (\d+) fine-grid pair\(s\) crossed the closed form; "
             r"worst witness retained",
@@ -410,7 +420,7 @@ class TestVerifyMin:
         sampled, fine = int(m[1]), int(m[2])
         assert sampled <= 20 * len(r.support_sizes)
         assert sampled + fine == r.violations
-        assert (fine > 0) == (fine_step is not None)
+        assert sampled > 0 and fine > 0
 
     def test_witness_is_the_worst_crossing_row_over_all_batches(self, monkeypatch):
         # every pair crosses 10; the least sampled value lies in a later
@@ -427,7 +437,17 @@ class TestVerifyMin:
             wp, wq = r.witness
             return evaluate(wp.mass[None, :], wq.mass[None, :])[0]
 
-        r = verify_min("jeffreys", 0.3, 2000, seed=7, fine_step=None)
+        # the fine block held above the line: the least sampled row wins
+        fp = fine_grid_pairs(0.3)[0]
+        om = oracle.ORACLE_MEASURES["jeffreys"]
+
+        def no_fine_crossing(pm, qm):
+            return np.full(len(pm), math.inf) if np.array_equal(pm, fp) else evaluate(pm, qm)
+
+        with monkeypatch.context() as m:
+            m.setitem(oracle.ORACLE_MEASURES, "jeffreys", dataclasses.replace(om, evaluate=no_fine_crossing))
+            r = verify_min("jeffreys", 0.3, 2000, seed=7)
+        assert r.fine_extreme == math.inf
         assert witness_value(r) == min(sampled)
         assert len(r.witness[0]) == 2 + int(np.argmin(sampled))
         r = verify_min("jeffreys", 0.3, 2000, seed=7)
@@ -440,11 +460,6 @@ class TestVerifyMin:
     def test_gap_threshold_enforced(self):
         r = verify_min("jeffreys", 0.5, 100, seed=7, gap_threshold=-1.0)
         assert not r.passed and "gap" in r.failure
-
-    def test_fine_grid_disabled(self):
-        r = verify_min("capacitory", 0.5, 100, seed=7, fine_step=None)
-        assert r.fine_extreme is None
-        assert r.passed
 
 
 class TestGridVerify:
@@ -464,9 +479,10 @@ class TestGridVerify:
         assert reports[1] == verify_min("capacitory", 0.5, 300, seed=13, stream_key=1)
 
     def test_bit_for_bit_determinism(self, monkeypatch):
-        # fine grid on, so the blocked scan is pinned; the forced closed
+        # the blocked scan, fine grid included, is pinned; the forced closed
         # form makes the second pair of runs keep a witness
-        kw = dict(n_samples=300, seed=99, fine_step=2e-3)
+        monkeypatch.setattr(oracle, "FINE_STEP", 2e-3)
+        kw = dict(n_samples=300, seed=99)
         for forced in (False, True):
             if forced:
                 _force_bound(monkeypatch, "jeffreys", 10.0)
@@ -474,48 +490,6 @@ class TestGridVerify:
             r2 = verify_min("jeffreys", 0.4, **kw)
             assert (r1.witness is not None) == forced
             assert_same_report(r1, r2)
-
-    @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf, -math.inf])
-    def test_fine_step_must_be_finite_and_positive(self, monkeypatch, step):
-        called = []
-
-        def no_sampling(*args):
-            called.append(args)
-            raise AssertionError("sampled before the fine step was checked")
-
-        monkeypatch.setattr(oracle, "_sample_batch", no_sampling)
-        monkeypatch.setattr(oracle, "fine_grid_pairs", no_sampling)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="fine_step=.* must be finite and > 0"):
-                verify_min("tv", 0.5, 10, fine_step=step)
-            for grid in ([0.2, 0.5], []):
-                with pytest.raises(ValueError, match="fine_step=.* must be finite and > 0"):
-                    grid_verify("tv", grid, 10, fine_step=step)
-            with pytest.raises(ValueError, match="fine_step=.* must be finite and > 0"):
-                fine_grid_pairs(0.5, step)
-        assert not called
-
-    def test_fine_step_below_the_least_raises_before_building(self, monkeypatch):
-        # at step 1e-9 and eps 0.1 the fine grid would be 1.8e9 rows, 86 GB
-        # for P and Q; the step is refused before numpy is called at all
-        message = re.escape("fine_step=1e-09 is below 1e-06")
-
-        class NoNumpy:
-            def __getattr__(self, name):
-                raise AssertionError(f"np.{name} called before the step was checked")
-
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "np", NoNumpy())
-            with pytest.raises(ValueError, match=message):
-                fine_grid_pairs(0.1, 1e-9)
-        called = _no_sampling(monkeypatch)
-        with pytest.raises(ValueError, match=message):
-            verify_min("tv", 0.1, 0, fine_step=1e-9)
-        with pytest.raises(ValueError, match=message):
-            grid_verify("tv", [0.1, 0.5], 0, fine_step=1e-9)
-        assert not called
-        oracle._check_step(1e-6)  # the least step passes
 
 
 def _no_sampling(monkeypatch):
@@ -636,9 +610,8 @@ class TestArguments:
             ("gap_threshold", math.nan, "gap_threshold is NaN"),
             ("n_samples", -1, "n_samples=-1"),
             ("seed", -1, "seed=-1"),
-            ("fine_step", 0.0, "fine_step=0.0"),
         ]
-        good = dict(measures="tv", eps=0.5, n_samples=10, seed=0, fine_step=1e-3)
+        good = dict(measures="tv", eps=0.5, n_samples=10, seed=0)
         for k, (_, _, message) in enumerate(bad):
             kw = {**good, **{name: value for name, value, _ in bad[k:]}}
             eps = kw.pop("eps")
@@ -657,8 +630,9 @@ class TestSeveralMeasures:
         # the forced bound makes jeffreys fail with a witness while the
         # others pass; the two bhattacharyya entries share one evaluator
         _force_bound(monkeypatch, "jeffreys", 10.0)
+        monkeypatch.setattr(oracle, "FINE_STEP", 2e-3)
         names = ["jeffreys", *sorted(set(oracle.ORACLE_MEASURES) - {"jeffreys"})]
-        kw = dict(n_samples=200, seed=5, fine_step=2e-3, stream_key=3)
+        kw = dict(n_samples=200, seed=5, stream_key=3)
         reports = verify_min(names, 0.3, **kw)
         assert [r.measure for r in reports] == names
         assert reports[0].witness is not None
@@ -695,7 +669,7 @@ class TestSeveralMeasures:
 
             wrapper = wrappers.setdefault(om.evaluate, counted)
             monkeypatch.setitem(oracle.ORACLE_MEASURES, name, dataclasses.replace(om, evaluate=wrapper))
-        reports = verify_min(names, 0.4, 50, seed=2, fine_step=None)
+        reports = verify_min(names, 0.4, 50, seed=2)
         assert all(r.passed for r in reports)
         assert sorted(draws) == list(range(2, 9))
         assert len(wrappers) == 3
@@ -708,9 +682,10 @@ class TestSeveralMeasures:
         rows = [r.tobytes() for e, pm in calls if e is chernoff for r in pm]
         assert len(set(rows)) == len(rows) < 7 * 50
 
-    def test_grid_reports_come_measure_by_measure(self):
+    def test_grid_reports_come_measure_by_measure(self, monkeypatch):
+        monkeypatch.setattr(oracle, "FINE_STEP", 1e-2)
         names = ["chernoff", "tv", "bhattacharyya_upper"]
-        kw = dict(n_samples=100, seed=3, fine_step=1e-2)
+        kw = dict(n_samples=100, seed=3)
         reports = grid_verify(names, [0.2, 0.6, 0.9], **kw)
         singles = [r for name in names for r in grid_verify(name, [0.2, 0.6, 0.9], **kw)]
         assert len(reports) == len(singles) == 9
@@ -723,13 +698,12 @@ class TestBlockScan:
 
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5, 0.97])
     @pytest.mark.parametrize("name", sorted(oracle.ORACLE_MEASURES))
-    def test_matches_the_whole_array_scan(self, name, eps):
-        kw = dict(n_samples=200, seed=5, fine_step=2e-3, stream_key=3)
+    def test_matches_the_whole_array_scan(self, monkeypatch, name, eps):
+        monkeypatch.setattr(oracle, "FINE_STEP", 2e-3)
+        kw = dict(n_samples=200, seed=5, stream_key=3)
         assert_same_report(verify_min(name, eps, **kw), reference_verify_min(name, eps, **kw))
 
-    @pytest.mark.parametrize(
-        "kw", [dict(n_samples=0), dict(n_samples=300, fine_step=None)], ids=["samples-0", "no-fine-grids"]
-    )
+    @pytest.mark.parametrize("kw", [dict(n_samples=0)], ids=["samples-0"])
     def test_one_kind_of_piece(self, kw):
         for name in ("chernoff", "bhattacharyya_upper"):
             assert_same_report(verify_min(name, 0.3, seed=11, **kw), reference_verify_min(name, 0.3, seed=11, **kw))
@@ -791,7 +765,7 @@ class TestBlockScan:
                 m.setattr(oracle, "fine_grid_pairs", recorded)
                 r = verify_min(name, 0.1, 50, seed=4)
             assert_same_report(r, reference_verify_min(name, 0.1, 50, seed=4))
-            assert calls == [({"eps": 0.1, "step": 1e-3}, 1802, False)]
+            assert calls == [({"eps": 0.1}, 1802, False)]
 
     def test_memory_of_the_default_fine_block(self, monkeypatch):
         # the fine block at the default step, 1,802 rows here, is held whole
@@ -800,7 +774,7 @@ class TestBlockScan:
         # workers keep the figure the same on every machine.  Step 1e-4
         # reads about 1.9 MB
         monkeypatch.setattr(oracle, "_cpu_count", lambda: 4)
-        verify_min("tv", 0.1, 0, fine_step=None)
+        verify_min("tv", 0.1, 0)
         tracemalloc.start()
         try:
             r = verify_min("tv", 0.1, 0)
@@ -849,12 +823,11 @@ class TestScreen:
 
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99])
     def test_equals_the_full_solve(self, monkeypatch, eps):
-        kw = dict(n_samples=300, seed=5, fine_step=2e-3, stream_key=3)
+        monkeypatch.setattr(oracle, "FINE_STEP", 2e-3)
+        kw = dict(n_samples=300, seed=5, stream_key=3)
         self._same_as_unscreened(monkeypatch, ["chernoff"], eps, **kw)
 
-    @pytest.mark.parametrize(
-        "kw", [dict(n_samples=0), dict(n_samples=500, fine_step=None)], ids=["samples-0", "no-fine-grids"]
-    )
+    @pytest.mark.parametrize("kw", [dict(n_samples=0)], ids=["samples-0"])
     def test_one_kind_of_piece(self, monkeypatch, kw):
         for eps in (0.0, 0.3, 0.9):
             self._same_as_unscreened(monkeypatch, ["chernoff"], eps, seed=11, **kw)
@@ -862,7 +835,8 @@ class TestScreen:
     @pytest.mark.parametrize("eps", [0.0, 0.4, 0.9])
     def test_alongside_bhattacharyya_lower(self, monkeypatch, eps):
         # the block's one Bhattacharyya pass serves both
-        kw = dict(n_samples=300, seed=7, fine_step=2e-3)
+        monkeypatch.setattr(oracle, "FINE_STEP", 2e-3)
+        kw = dict(n_samples=300, seed=7)
         self._same_as_unscreened(monkeypatch, ["chernoff", "bhattacharyya_lower"], eps, **kw)
 
     @pytest.mark.parametrize("factor", [1.2, 1e3])
@@ -871,7 +845,8 @@ class TestScreen:
         # crossings are some rows only; 1e3 times puts it above them all
         eps = 0.3
         _force_bound(monkeypatch, "chernoff", factor * bound_curve("chernoff", eps))
-        kw = dict(n_samples=500, seed=3, fine_step=2e-3)
+        monkeypatch.setattr(oracle, "FINE_STEP", 2e-3)
+        kw = dict(n_samples=500, seed=3)
         (r,) = self._same_as_unscreened(monkeypatch, ["chernoff"], eps, **kw)
         assert r.violations > 0 and r.witness is not None
         assert_same_report(r, reference_verify_min("chernoff", eps, **kw))
@@ -949,7 +924,8 @@ class TestScreen:
             hit.update((tuple(row), True) for row in np.hstack([pm, qm])[::97].tolist())
             return z
 
-        kw = dict(n_samples=500, seed=2, fine_step=2e-3)
+        monkeypatch.setattr(oracle, "FINE_STEP", 2e-3)
+        kw = dict(n_samples=500, seed=2)
         monkeypatch.setitem(
             oracle.ORACLE_MEASURES, "bhattacharyya_lower", dataclasses.replace(src, evaluate=nan_bhattacharyya)
         )
@@ -1004,8 +980,8 @@ def _full_grid(monkeypatch):
     place of the two end rows of each run."""
     grid = functools.lru_cache(reference_grid3)
 
-    def full_pairs(eps, step=1e-3):
-        p, q, _ = grid(eps, step)
+    def full_pairs(eps):
+        p, q, _ = grid(eps, oracle.FINE_STEP)
         return p.copy(), q.copy()
 
     monkeypatch.setattr(oracle, "fine_grid_pairs", full_pairs)
@@ -1048,15 +1024,16 @@ class TestRunFloors:
 
     @pytest.mark.parametrize("step", [1e-3, 7e-3, 0.05])
     @pytest.mark.parametrize("name", sorted(oracle.ORACLE_MEASURES))
-    def test_end_rows_give_the_grid_extreme(self, name, step):
+    def test_end_rows_give_the_grid_extreme(self, monkeypatch, name, step):
         # the least signed value over the family is the whole grid's to a
         # few ulps; tv's rows differ only by the rounding of their masses
+        monkeypatch.setattr(oracle, "FINE_STEP", step)
         om = oracle.ORACLE_MEASURES[name]
         sign = 1.0 if om.direction == "min" else -1.0
         for eps in CHECKED_EPS:
             pm, qm, _ = reference_grid3(eps, step)
             full = float(np.min(sign * om.evaluate(pm, qm)))
-            short = float(np.min(sign * om.evaluate(*fine_grid_pairs(eps, step))))
+            short = float(np.min(sign * om.evaluate(*fine_grid_pairs(eps))))
             assert _within_ulps(short, full, 1.0), (eps, short, full)
 
     def test_margin_keeps_infinities(self):
@@ -1082,7 +1059,8 @@ class TestRunFloors:
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999])
     def test_equals_the_full_scan(self, monkeypatch, eps):
         # each measure on its own, then all in one scan
-        kw = dict(n_samples=100, seed=5, fine_step=2e-3, stream_key=3)
+        monkeypatch.setattr(oracle, "FINE_STEP", 2e-3)
+        kw = dict(n_samples=100, seed=5, stream_key=3)
         names = sorted(oracle.ORACLE_MEASURES)
         for name in names:
             self._same_as_full_grid(monkeypatch, [name], eps, **kw)
@@ -1091,24 +1069,23 @@ class TestRunFloors:
 
     @pytest.mark.parametrize("step", [1e-3, 7e-3])
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5, 0.9, 0.999])
-    def test_equals_the_scan_with_the_binary_grid(self, eps, step):
+    def test_equals_the_scan_with_the_binary_grid(self, monkeypatch, eps, step):
         # the first rows stand in for the binary grid: each measure's report
         # against the reference scan of the binary grid and then the family
-        kw = dict(n_samples=100, seed=5, fine_step=step, stream_key=3)
+        monkeypatch.setattr(oracle, "FINE_STEP", step)
+        kw = dict(n_samples=100, seed=5, stream_key=3)
         names = sorted(oracle.ORACLE_MEASURES)
         short = verify_min(names, eps, **kw)
-        both = [reference_verify_min(name, eps, fine_grids=(reference_grid2, fine_grid_pairs), **kw) for name in names]
+        grids = (lambda e: reference_grid2(e, step), fine_grid_pairs)
+        both = [reference_verify_min(name, eps, fine_grids=grids, **kw) for name in names]
         _assert_within_ulps(short, both)
         assert all(r.passed and r.witness is None for r in short)
 
-    @pytest.mark.parametrize(
-        "kw",
-        [dict(n_samples=0), dict(n_samples=300, fine_step=None), dict(n_samples=0, fine_step=0.3)],
-        ids=["samples-0", "no-fine-grids", "coarse-step"],
-    )
-    def test_one_kind_of_piece(self, monkeypatch, kw):
+    @pytest.mark.parametrize("step", [1e-3, 0.3], ids=["samples-0", "coarse-step"])
+    def test_one_kind_of_piece(self, monkeypatch, step):
+        monkeypatch.setattr(oracle, "FINE_STEP", step)
         for eps in (0.0, 0.3, 0.9):
-            self._same_as_full_grid(monkeypatch, sorted(oracle.ORACLE_MEASURES), eps, seed=11, **kw)
+            self._same_as_full_grid(monkeypatch, sorted(oracle.ORACLE_MEASURES), eps, n_samples=0, seed=11)
 
     @pytest.mark.parametrize("factor", [1.2, 1e3])
     @pytest.mark.parametrize("name", FLOORED)
@@ -1121,7 +1098,8 @@ class TestRunFloors:
         eps = 0.3
         om = oracle.ORACLE_MEASURES[name]
         _force_bound(monkeypatch, name, bound_curve(name, eps) * (factor if om.direction == "min" else 1.0 / factor))
-        kw = dict(n_samples=0, fine_step=5e-3)
+        monkeypatch.setattr(oracle, "FINE_STEP", 5e-3)
+        kw = dict(n_samples=0)
         (r,), (full,) = self._same_as_full_grid(monkeypatch, [name], eps, **kw)
         assert 1 < r.violations < full.violations and len(r.witness[0]) == 3
         assert_same_report(r, reference_verify_min(name, eps, **kw))
@@ -1168,8 +1146,8 @@ class TestRunFloors:
         # first; so does its value, so that only the screen can rule it out.
         # Half a margin keeps the row, two rule it out unsolved, and the
         # report stays that of the scan of every row
-        eps, step, r = 0.1, 1e-3, 200
-        fp, fq = fine_grid_pairs(eps, step)
+        eps, r = 0.1, 200
+        fp, fq = fine_grid_pairs(eps)
         line = bound_curve("chernoff", eps) - oracle._VIOLATION_SLACK
         floors = oracle._less_margin(fdiv._chernoff_floor(fdiv.batch_bhattacharyya(fp, fq)))
         i = int(np.argmin(floors))
@@ -1192,10 +1170,10 @@ class TestRunFloors:
 
         monkeypatch.setitem(oracle.ORACLE_MEASURES, "chernoff", dataclasses.replace(om, evaluate=forced_value))
         monkeypatch.setitem(oracle._SCREENS, "chernoff", (oracle._SCREENS["chernoff"][0], forced_floor))
-        screened = verify_min("chernoff", eps, 0, fine_step=step)
+        screened = verify_min("chernoff", eps, 0)
         assert any(solved) == kept
         _unscreened(monkeypatch)
-        assert_same_report(screened, verify_min("chernoff", eps, 0, fine_step=step))
+        assert_same_report(screened, verify_min("chernoff", eps, 0))
 
 
 class TestPool:
@@ -1220,7 +1198,8 @@ class TestPool:
         with pytest.raises(BoundViolationError, match="one block"):
             verify_min("tv", 0.1, 200, seed=1)
         assert threading.active_count() == before
-        assert verify_min("tv", 0.1, 200, seed=1, fine_step=None).passed
+        monkeypatch.undo()
+        assert verify_min("tv", 0.1, 200, seed=1).passed
 
     def test_largest_support_is_submitted_first(self, monkeypatch):
         # one worker draws the blocks in the order they were submitted

@@ -314,7 +314,6 @@ def reference_verify_min(
     eps: float,
     n_samples: int,
     seed: int = 0,
-    fine_step=1e-3,
     gap_threshold=None,
     stream_key: int = 0,
     fine_grids=None,
@@ -324,8 +323,8 @@ def reference_verify_min(
     Each sampled batch, then each fine grid, is evaluated in one call and
     merged as it comes: the worst crossing row replaces the witness only
     when it lies strictly below both the line and every value seen so far.
-    fine_grids is a sequence of builders called as (eps, fine_step), the
-    oracle's one family, fine_grid_pairs, when None.
+    fine_grids is a sequence of builders called with eps, the oracle's one
+    family, fine_grid_pairs, when None.
     """
     from divbound import oracle
     from divbound.bounds import extremal_pair, find_measure
@@ -354,10 +353,8 @@ def reference_verify_min(
         for s in SUPPORTS:
             scan(*oracle._sample_batch(oracle._stream(seed, stream_key, s), n_samples, s, eps), "sampled")
 
-    fine_best = None
-    if fine_step is not None:
-        builders = (oracle.fine_grid_pairs,) if fine_grids is None else fine_grids
-        fine_best = sign * min(scan(*build(eps, fine_step), "fine") for build in builders)
+    builders = (oracle.fine_grid_pairs,) if fine_grids is None else fine_grids
+    fine_best = sign * min(scan(*build(eps), "fine") for build in builders)
 
     p, q = extremal_pair(eps, om.extremal_kind)
     extremal_value = float(om.evaluate(p.mass[None, :], q.mass[None, :])[0])

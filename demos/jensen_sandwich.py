@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """The refined-Jensen sandwich between f-divergences, on concrete pairs.
 
-Shows the three-term inequality for the closed-form pairings dual_kl and
-dual_chi2 (capacitory, the third certified f, pairs with -t f(t)),
-the specialization that wedges log(1 + chi^2) - D(P||Q) between scaled
-copies of the dual divergence, and the classical chi^2 >= e^D - 1 bound it
+Shows the three-term inequality for f = dual_kl and f = dual_chi2, whose
+partners g(t) = -t f(t) are t log t and t - 1 (capacitory, the third
+certified f, pairs with its own -t f(t) by the same rule), the
+specialization that wedges log(1 + chi^2) - D(P||Q) between scaled copies
+of the dual divergence, and the classical chi^2 >= e^D - 1 bound it
 strengthens.
 """
 
@@ -26,7 +27,7 @@ from divbound import (
 p = make_dist(["a", "b"], [0.5, 0.5])
 q = make_dist(["a", "b"], [0.25, 0.75])
 
-print("Sandwich for f = dual_kl (so g = kl) on P = (1/2, 1/2), Q = (1/4, 3/4)")
+print("Sandwich for f = dual_kl (so g = t log t) on P = (1/2, 1/2), Q = (1/4, 3/4)")
 print("=" * 72)
 r = sandwich(REGISTRY["dual_kl"], p, q)
 print(f"likelihood ratios  : r_min = {r.r_min:.6f}, r_max = {r.r_max:.6f}")

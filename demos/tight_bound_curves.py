@@ -34,10 +34,11 @@ for i, e in enumerate(eps_grid.tolist()):
     jef, cap, che, hel, lo, hi = (c[i] for c in columns.values())
     print(f"{e:>5.2f} {jef:>12.6f} {cap:>12.6f} {che:>12.6f} {hel:>12.6f} {lo:>9.4f} {hi:>9.4f}")
 
-# a bounded f-divergence has one name, shared by its measure and its generator
+# a bounded f-divergence has one name, shared by its measure and its
+# generator; symmetric_fdiv_min reads D_f at the two-point pair
 hell = REGISTRY["hellinger2"]
-generic = [symmetric_fdiv_min(hell, e) for e in eps_grid.tolist()]
-assert np.allclose(columns["hellinger2"], generic, rtol=0.0, atol=1e-12)
+at_pair = [symmetric_fdiv_min(hell, e) for e in eps_grid.tolist()]
+assert np.allclose(columns["hellinger2"], at_pair, rtol=0.0, atol=1e-12)
 
 print()
 print("Attainment at eps = 0.6")
@@ -59,8 +60,8 @@ for name, got, want in rows:
     print(f"{name:<26} value = {got:.12f}   closed form = {want:.12f}")
 
 print()
-print("The generic formula (1-eps) f((1+eps)/(1-eps)) - a eps reproduces each")
-print("specialized curve; e.g. for the capacitory generator at eps = 0.35:")
+print("The value at the attaining pair, D_f on the two-point pair, reproduces")
+print("each specialized curve; e.g. for the capacitory generator at eps = 0.35:")
 e = 0.35
-print(f"  generic  : {symmetric_fdiv_min(REGISTRY['capacitory'], e):.12f}")
-print(f"  specific : {bound_curve('capacitory', e):.12f}")
+print(f"  at the pair : {symmetric_fdiv_min(REGISTRY['capacitory'], e):.12f}")
+print(f"  closed form : {bound_curve('capacitory', e):.12f}")

@@ -1,11 +1,10 @@
 """Closed-form tight bounds at fixed total variation distance.
 
 For a symmetric f-divergence the infimum over all pairs at total variation
-distance eps has the closed form
-
-    (1 - eps) f((1 + eps) / (1 - eps)) - a eps,
-
-with a = 2 f'(1) the symmetry constant, which the generator measures.
+distance eps is attained by the two-point pair P = ((1-eps)/2, (1+eps)/2),
+Q mirrored, so :func:`symmetric_fdiv_min` reads D_f there.  At eps = 1 that
+pair is disjoint, and on a disjoint pair the zero-mass conventions give every
+f-divergence the value f(0) + f*(0), with f*(0) = lim f(u)/u as u -> inf.
 :data:`MEASURES` holds one record per bounded measure: its closed form on
 [0, 1), its value at eps = 1, the pair attaining it (:func:`extremal_pair`)
 and the evaluator the oracle checks it with.  :func:`bound_curve` is the one public route to a
@@ -95,24 +94,16 @@ def extremal_pair(eps: float, kind: str) -> tuple[FiniteDist, FiniteDist]:
 
 
 def symmetric_fdiv_min(gen: FGenerator, eps: float) -> float:
-    """Infimum of a symmetric f-divergence at total variation eps.
+    """Infimum of a symmetric f-divergence at total variation eps: D_f at the
+    two-point pair that attains it.  At eps = 1 the pair is disjoint, and the
+    value f(0) + f*(0) needs both of the generator's limits.
 
-    Requires a generator whose symmetry_constant is not None.  At eps = 1
-    the formula degenerates to 0 * inf; the limit equals 2 slope_at_inf - a and is
-    returned as an extended real.
+    Requires a generator whose symmetry_constant is not None.
     """
     if gen.symmetry_constant is None:
-        raise ValueError(f"{gen.name} is not symmetric; the closed form needs a")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps={eps!r} outside [0, 1]")
-    a = gen.symmetry_constant
-    if eps == 1.0:
-        if gen.slope_at_inf is None:
-            raise ValueError(f"{gen.name}: slope_at_inf needed at eps = 1")
-        if math.isinf(gen.slope_at_inf):
-            return math.inf
-        return 2.0 * gen.slope_at_inf - a
-    return float((1.0 - eps) * gen.fn((1.0 + eps) / (1.0 - eps)) - a * eps)
+        raise ValueError(f"{gen.name} is not symmetric; the two-point bound needs it")
+    p, q = extremal_pair(eps, "two_point")
+    return float(batch_f_divergence(gen, p.mass[None, :], q.mass[None, :])[0])
 
 
 def _check_inside(a: np.ndarray, inside: np.ndarray, message: str) -> None:
@@ -340,12 +331,6 @@ def inverse_jeffreys(x):
     return _invert(x, 0.5, _jeffreys_h_slope, lambda s, ev: np.tanh(s), *_J_SATURATE)
 
 
-def _f_divergence(name: str):
-    gen = get_generator(name)
-    # batch_f_divergence is looked up when called, so rebinding the name reaches it
-    return lambda p, q: batch_f_divergence(gen, p, q)
-
-
 @dataclass(frozen=True)
 class Measure:
     """One tight bound: closed form on [0, 1), value at 1, extremal pair, evaluator.
@@ -365,14 +350,20 @@ class Measure:
     evaluate: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 
+def _f_measure(closed_form: Callable, name: str) -> Measure:
+    """The two-point bound on the registry f-divergence name: f(0) + f*(0) at eps = 1."""
+    gen = get_generator(name)
+    # batch_f_divergence is looked up when called, so rebinding the name reaches it
+    return Measure("min", "two_point", closed_form, gen.f_at_0 + gen.slope_at_inf,
+                   lambda p, q: batch_f_divergence(gen, p, q))
+
+
 # keyed by the command-line name, which an f-divergence shares with its generator
 MEASURES: dict[str, Measure] = {
     "tv": Measure("min", "two_point", _tv, 1.0, batch_total_variation),
-    "hellinger2": Measure("min", "two_point", _hellinger2, 2.0, _f_divergence("hellinger2")),
-    "jeffreys": Measure("min", "two_point", _jeffreys, math.inf, _f_divergence("jeffreys")),
-    "capacitory": Measure(
-        "min", "two_point", _capacitory, 2.0 * math.log(2.0), _f_divergence("capacitory")
-    ),
+    "hellinger2": _f_measure(_hellinger2, "hellinger2"),
+    "jeffreys": _f_measure(_jeffreys, "jeffreys"),
+    "capacitory": _f_measure(_capacitory, "capacitory"),
     "chernoff": Measure("min", "two_point", _chernoff, math.inf, batch_chernoff),
     "bhattacharyya_lower": Measure("min", "three_point", _bhattacharyya_lower, 0.0, batch_bhattacharyya),
     "bhattacharyya_upper": Measure("max", "two_point", _bhattacharyya_upper, 0.0, batch_bhattacharyya),

@@ -35,7 +35,7 @@ import numpy as np
 from .bounds import _check_inside, inverse_exact_kl, inverse_jeffreys
 from .dist import FiniteDist, _check_base, _checked_labels, entropy_base, make_dist
 from .errors import BoundViolationError, DistributionError, KraftViolationError
-from .fdiv import f_divergence
+from .fdiv import batch_total_variation, f_divergence
 from .generators import REGISTRY
 
 __all__ = [
@@ -247,7 +247,7 @@ def l1_bounds(p: FiniteDist, code: CodeSpec) -> CodingReport:
 
     kl_pq = f_divergence(REGISTRY["kl"], p, q)
     kl_qp = f_divergence(REGISTRY["kl"], q, p)
-    actual_l1 = float(np.abs(p.mass - q.mass).sum())
+    actual_l1 = 2.0 * float(batch_total_variation(p.mass, q.mass)[0])
 
     dl = _delta(p, code, logd)
     delta_nonneg = bool(np.all(dl >= -_DELTA_SLACK))

@@ -8,14 +8,16 @@ strictly positive P, Q on a common finite alphabet,
         <=  max_x P(x)/Q(x) * D_f(P||Q).
 
 Whether g is convex depends on f alone, so :data:`PARTNERS` settles it once,
-at import, keyed by the registry name of f:
+at import, keyed by the registry name of f: each registry f whose
+g(t) = -t f(t) passes validate_generator gets that g.  Three do:
 
-    f = dual_kl     g = kl        middle term = log(1 + chi2) - D(P||Q)
+    f = dual_kl     g = t log t   middle term = log(1 + chi2) - D(P||Q)
     f = dual_chi2   g = t - 1     middle term = chi2 / (1 + chi2)
-    any other f     g = -t f(t)   if g passes validate_generator (capacitory)
+    f = capacitory  g = -t f(t)
 
-t - 1 (D_g = 0 for every pair) is private to this module.  A generator with
-no entry, including one added later by register_generator, raises GeneratorError.
+With g = t - 1, D_g is 0 for every pair in exact arithmetic and rounding
+noise in floats.  A generator with no entry, including one added later by
+register_generator, raises GeneratorError.
 chi2 is one private sum of terms (P - Q)^2 / Q >= 0, each at most 1e300 above the
 floor; the registry's Q (P/Q - 1)^2 overflows once P/Q passes 1.3e154.
 """
@@ -46,9 +48,6 @@ __all__ = [
 # Strict positivity guard: masses below this count as zero (denormal floor).
 _POSITIVE_FLOOR = 1e-300
 
-_LINEAR = FGenerator("linear", lambda t: np.asarray(t, dtype=float) - 1.0, -1.0, 1.0, 1.0)
-validate_generator(_LINEAR)
-
 _ORDER_SLACK = 1e-10
 
 
@@ -62,10 +61,8 @@ def _neg_t(f: FGenerator) -> FGenerator:
 
 
 def _certified_partners() -> dict[str, FGenerator]:
-    partners = {"dual_kl": REGISTRY["kl"], "dual_chi2": _LINEAR}
+    partners = {}
     for name, f in REGISTRY.items():
-        if name in partners:
-            continue
         g = _neg_t(f)
         try:
             validate_generator(g)

@@ -106,6 +106,20 @@ class TestSymmetricFdivMin:
         with pytest.raises(ValueError):
             symmetric_fdiv_min(REGISTRY["jeffreys"], 1.5)
 
+    @pytest.mark.parametrize("name", ["tv", "hellinger2", "jeffreys", "capacitory"])
+    def test_is_the_divergence_at_the_two_point_pair(self, name):
+        gen = REGISTRY[name]
+        for eps in (0.0, 1e-9, 0.1, 0.5, 0.9, 1.0):
+            p, q = extremal_pair(eps, "two_point")
+            at_pair = float(batch_f_divergence(gen, p.mass[None, :], q.mass[None, :])[0])
+            assert symmetric_fdiv_min(gen, eps) == at_pair
+
+    def test_values_at_one_are_f0_plus_fstar0(self):
+        # the disjoint pair's f(0) + f*(0), as the literals they replaced
+        assert MEASURES["hellinger2"].at_one == 2.0
+        assert MEASURES["jeffreys"].at_one == math.inf
+        assert MEASURES["capacitory"].at_one == 2.0 * math.log(2.0)
+
     def test_lower_bound_validity_on_random_pairs(self):
         rng = np.random.default_rng(59)
         symmetric = [g for g in GENERATORS.values() if g.symmetry_constant is not None]

@@ -1,11 +1,16 @@
-"""Each demo script runs to completion; they assert their own claims."""
+"""Each demo script runs to completion; they assert their own claims.  So
+does each ```python block of the README, in a fresh namespace."""
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README, flags=re.DOTALL | re.MULTILINE)
 
 
 def test_demos_found():
@@ -16,3 +21,12 @@ def test_demos_found():
 def test_demo_completes(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_blocks_found():
+    assert len(README_BLOCKS) == 1
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_block_runs(block):
+    exec(compile(block, "README.md", "exec"), {"__name__": "__readme__"})

@@ -138,7 +138,7 @@ def test_get_generator_unknown():
         get_generator("renyi")
     known = str(info.value).split("; known: ")[1]
     assert known.split(", ") == sorted(REGISTRY)
-    # one name per generator: the spelled-out names and the private partner are unknown
+    # one name per generator: the spelled-out names and the affine t - 1 are unknown
     for name in ("total_variation", "squared_hellinger", "chi_squared", "linear"):
         with pytest.raises(GeneratorError):
             get_generator(name)
@@ -212,8 +212,23 @@ def test_user_generator_gets_its_symmetry_constant_measured():
         assert get_generator("triangular_shifted").symmetry_constant == 3.0
         for eps in (0.1, 0.5, 0.9):
             assert symmetric_fdiv_min(gen, eps) == pytest.approx(2.0 * eps * eps, rel=1e-12, abs=0.0)
+        # the disjoint pair: f(0) + f*(0) = -0.5 + 2.5
+        assert symmetric_fdiv_min(gen, 1.0) == 2.0
     finally:
         REGISTRY.pop("triangular_shifted", None)
+
+
+def test_symmetric_bound_at_one_names_a_missing_limit():
+    # the triangular generator above without f*(0): its bound at eps = 1 is
+    # read on the disjoint pair, which needs that limit
+    def fn(t):
+        t = np.asarray(t, dtype=float)
+        return (t - 1.0) ** 2 / (t + 1.0) + 1.5 * (t - 1.0)
+
+    gen = FGenerator("triangular_no_slope", fn, -0.5, None, 1.5)
+    assert symmetric_fdiv_min(gen, 0.5) == pytest.approx(0.5, rel=1e-12, abs=0.0)
+    with pytest.raises(ValueError, match="triangular_no_slope: slope_at_inf not supplied"):
+        symmetric_fdiv_min(gen, 1.0)
 
 
 def test_symmetry_check_hands_fn_a_fresh_grid(monkeypatch):

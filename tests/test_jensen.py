@@ -67,10 +67,24 @@ class TestSandwich:
     def test_certified_pairings_are_keyed_by_registry_names(self):
         assert sorted(PARTNERS) == ["capacitory", "dual_chi2", "dual_kl"]
         assert set(PARTNERS) <= set(REGISTRY)
-        # closed-form partners; the one of dual_chi2 is private: D_g = 0 for every pair
-        assert PARTNERS["dual_kl"] is REGISTRY["kl"]
-        assert PARTNERS["dual_chi2"] is jensen._LINEAR
-        assert PARTNERS["dual_chi2"].name not in REGISTRY
+        # one rule for every partner: g(t) = -t f(t), bit for bit
+        t = np.geomspace(1e-3, 1e3, 1001)
+        for name, g in PARTNERS.items():
+            f = REGISTRY[name]
+            assert g.name == f"neg_t_{name}"
+            assert g.fprime_at_1 == -f.fprime_at_1
+            assert np.array_equal(g.fn(t), -t * f.fn(t))
+
+    def test_dual_kl_partner_is_kl_bit_for_bit(self):
+        # -t (-log t) and t log t round alike: negation is exact
+        t = np.geomspace(1e-300, 1e300, 60001)
+        assert np.array_equal(PARTNERS["dual_kl"].fn(t), REGISTRY["kl"].fn(t))
+
+    def test_dual_chi2_partner_is_t_minus_one_to_rounding(self):
+        # -t (1/t - 1) rounds 1/t first, so it is t - 1 only to a few ulp of t
+        t = np.geomspace(1e-6, 1e6, 1001)
+        g = PARTNERS["dual_chi2"].fn(t)
+        assert np.all(np.abs(g - (t - 1.0)) <= 4e-16 * np.maximum(t, 1.0))
 
     def test_kl_pairing_rejected(self):
         # g(t) = -t^2 log t is not convex on all of (0, inf)

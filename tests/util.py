@@ -8,12 +8,12 @@ import numpy as np
 
 from divbound import fdiv
 from divbound.dist import FiniteDist
-from divbound.generators import REGISTRY
-from divbound.jensen import _LINEAR
+from divbound.generators import REGISTRY, FGenerator
 
-# Every built-in generator, jensen's private partner of dual_chi2 included,
-# keyed by the pytest id the registry-wide tests give it: the divergence
-# spelled out, where the registry uses the short command-line name.
+# Every built-in generator, and the affine t - 1 that is none (its divergence
+# is 0 for every pair, its symmetry constant 2), keyed by the pytest id the
+# registry-wide tests give it: the divergence spelled out, where the
+# registry uses the short command-line name.
 GENERATORS = {
     "total_variation": REGISTRY["tv"],
     "kl": REGISTRY["kl"],
@@ -23,7 +23,7 @@ GENERATORS = {
     "capacitory": REGISTRY["capacitory"],
     "chi_squared": REGISTRY["chi2"],
     "dual_chi_squared": REGISTRY["dual_chi2"],
-    "linear": _LINEAR,
+    "linear": FGenerator("linear", lambda t: np.asarray(t, dtype=float) - 1.0, -1.0, 1.0, 1.0),
 }
 
 
